@@ -101,7 +101,9 @@ model-smoke:
 # Provenance smoke test (docs/OBSERVABILITY.md): the explain report must
 # be byte-identical at jobs=1 and jobs=4 (every tuner decision journaled
 # in canonical order, independent of pool scheduling), and the committed
-# bench baselines must pass the regression gate against themselves.
+# bench baselines must pass the regression gate against themselves.  The
+# rhs4center run puts a heavy spatial kernel, with its retime and fold
+# variants, through the per-kernel analysis caches on pool workers.
 obs-smoke:
 	dune exec bin/artemisc.exe -- explain --bench 7pt-smoother --max-tile 2 \
 	  --json -j 1 > /tmp/artemis-explain-j1.json
@@ -109,9 +111,16 @@ obs-smoke:
 	  --json -j 4 > /tmp/artemis-explain-j4.json
 	cmp /tmp/artemis-explain-j1.json /tmp/artemis-explain-j4.json \
 	  && echo "explain deterministic across jobs"
+	dune exec bin/artemisc.exe -- explain --bench rhs4center --json -j 1 \
+	  > /tmp/artemis-explain-rhs-j1.json
+	dune exec bin/artemisc.exe -- explain --bench rhs4center --json -j 4 \
+	  > /tmp/artemis-explain-rhs-j4.json
+	cmp /tmp/artemis-explain-rhs-j1.json /tmp/artemis-explain-rhs-j4.json \
+	  && echo "rhs4center explain deterministic across jobs"
 	dune exec bin/artemisc.exe -- bench-diff BENCH_exec.json BENCH_exec.json
 	dune exec bin/artemisc.exe -- bench-diff BENCH_tuner.json BENCH_tuner.json
-	@rm -f /tmp/artemis-explain-j1.json /tmp/artemis-explain-j4.json
+	@rm -f /tmp/artemis-explain-j1.json /tmp/artemis-explain-j4.json \
+	  /tmp/artemis-explain-rhs-j1.json /tmp/artemis-explain-rhs-j4.json
 
 clean:
 	dune clean

@@ -15,17 +15,21 @@ module I = Instantiate
 (* The tuner measures hundreds of plans over one kernel; the body-level
    analyses below are pure, so memoize them keyed by the body (structural
    hashing with full structural equality on collision — correct, and the
-   lookup is far cheaper than the O(body x reads) recomputation). *)
-let memo_table : (stmt list * string list, Obj.t) Hashtbl.t = Hashtbl.create 64
+   lookup is far cheaper than the O(body x reads) recomputation).  Pool
+   workers run these analyses too, so each domain keeps its own table:
+   no lock, and no Hashtbl shared between domains. *)
+let memo_table : (stmt list * string list, Obj.t) Hashtbl.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
 let memoized (type a) (tag : int) (k : I.kernel) (f : I.kernel -> a) : a =
+  let table = Domain.DLS.get memo_table in
   let key = (Decl_temp (string_of_int tag, Const 0.0) :: k.body, k.iters) in
-  match Hashtbl.find_opt memo_table key with
+  match Hashtbl.find_opt table key with
   | Some v -> (Obj.obj v : a)
   | None ->
     let v = f k in
-    Hashtbl.replace memo_table key (Obj.repr v);
-    if Hashtbl.length memo_table > 4096 then Hashtbl.reset memo_table;
+    Hashtbl.replace table key (Obj.repr v);
+    if Hashtbl.length table > 4096 then Hashtbl.reset table;
     v
 
 (** One array read with its per-dimension binding: for each dimension of

@@ -46,7 +46,7 @@ let with_model m f =
 
 let halo_miss () = !model.halo_miss
 
-(* Per-statement static description. *)
+(* Per-statement static description: a function of the kernel alone. *)
 type stmt_info = {
   stmt : A.stmt;
   flops : int;
@@ -55,8 +55,42 @@ type stmt_info = {
   write_is_array : bool;  (** false for temporaries *)
   region_ext : An.extent;  (** extension of the tile this statement covers *)
   guard_ext : An.extent;  (** min/max read shifts: where the statement runs *)
-  reads : (string * int array) list;  (** array reads with iterator offsets *)
-  fold_saved_flops : int;  (** combine ops moved to staging by folding *)
+  reads : (string * int array * int) list;
+      (** distinct array reads (iterator offsets) in first-occurrence
+          order, each with its number of textual occurrences *)
+}
+
+(* How one distinct read is charged per point under a plan. *)
+type charge =
+  | Shared of int  (** one shared load per occurrence *)
+  | Shared_once of int
+      (** retimed: one shared load per distinct in-plane offset across the
+          whole body; the payload numbers that (array, in-plane offset) *)
+  | Global of { slot : int; off : int array; uses : int; strides : int array option }
+      (** [slot] numbers the array among the plan's globally read ones *)
+
+(* Where a statement's result goes. *)
+type store =
+  | Store_none  (** temporary: registers *)
+  | Store_final of int array option  (** strides of the output array *)
+  | Store_scratch  (** intermediate staged in shared memory *)
+  | Store_global of int array option  (** intermediate in global memory *)
+
+type stmt_cost = {
+  info : stmt_info;
+  saved_flops : int;  (** combine ops moved to staging by folding *)
+  guard : (int * int) array;  (** region where the statement's guard holds *)
+  store : store;
+  charges : charge list;  (** reads that cost anything, in read order *)
+}
+
+(* A staged (or fold-member) buffer's once-per-block load. *)
+type load = {
+  buf : Launch.buffer;
+  lstrides : int array option;
+  staged : bool;  (** false for a fold member, loaded in its leader's pass *)
+  shared_store : bool;  (** values enter shared memory *)
+  fold_ops : int;  (** staging-time fold combines per element *)
 }
 
 type ctx = {
@@ -64,18 +98,18 @@ type ctx = {
   geom : Launch.geometry;
   bufs : Launch.buffer list;
   res : Estimate.resources;
-  stmts : stmt_info list;
-  fold_stage_flops : (string * int) list;  (** leader array -> ops per staged elem *)
+  stmts : stmt_cost list;
+  loads : load list;
+  global_arrays : string array;  (** slot -> array of the [Global] charges *)
+  inplane_reads : int;  (** number of [Shared_once] keys *)
   concurrent_blocks : int;
   serial_waves : int;
       (** launch phases forced by self-dependences: 1 = fully independent
           blocks; a dependence along a grid dimension serializes the
           block grid into that many wavefront phases (same bytes/flops,
           reduced parallelism per phase) *)
-  strides : (string * int array) list;  (** row-major strides per array *)
+  no_shift : int array;  (** zero offset: an unshifted box *)
 }
-
-let buffer_of ctx name = List.find_opt (fun (b : Launch.buffer) -> b.array = name) ctx.bufs
 
 let strides_of dims =
   let r = Array.length dims in
@@ -85,20 +119,35 @@ let strides_of dims =
   done;
   s
 
-(* Iterator-space offsets of reads in one statement. *)
+(* Iterator-space offsets of reads in one statement, duplicates merged
+   into a multiplicity at their first occurrence. *)
 let stmt_reads iters stmt =
-  A.fold_stmt_exprs
-    (fun acc e ->
-      acc
-      @ List.map
-          (fun (a : An.access) -> (a.array, An.offset_vector iters a))
-          (An.accesses_of_expr e))
-    [] stmt
+  let all =
+    A.fold_stmt_exprs
+      (fun acc e ->
+        acc
+        @ List.map
+            (fun (a : An.access) -> (a.array, An.offset_vector iters a))
+            (An.accesses_of_expr e))
+      [] stmt
+  in
+  let counts = Hashtbl.create 16 in
+  List.iter
+    (fun r -> Hashtbl.replace counts r (1 + Option.value ~default:0 (Hashtbl.find_opt counts r)))
+    all;
+  List.filter_map
+    (fun ((a, off) as r) ->
+      match Hashtbl.find_opt counts r with
+      | Some n ->
+        Hashtbl.remove counts r;
+        Some (a, off, n)
+      | None -> None)
+    all
 
 let guard_ext_of rank reads =
   let e = An.zero_extent rank in
   List.iter
-    (fun (_, (off : int array)) ->
+    (fun (_, (off : int array), _) ->
       Array.iteri
         (fun d s ->
           let lo, hi = e.(d) in
@@ -107,13 +156,72 @@ let guard_ext_of rank reads =
     reads;
   e
 
+(* What the counters need from the kernel alone, computed once per
+   kernel value: the statement descriptions, the dimensions a
+   self-dependence moves along, and each array's row-major strides. *)
+type facts = {
+  infos : stmt_info list;
+  dep_dims : bool array;
+  strides : (string * int array) list;
+}
+
+let facts =
+  Artemis_dsl.Kernel_memo.memo (fun (k : Artemis_dsl.Instantiate.kernel) ->
+      let rank = Array.length k.domain in
+      let exts = An.required_extents k in
+      let finals = Launch.final_outputs k in
+      let arrays = List.map fst k.arrays in
+      let infos =
+        List.map
+          (fun stmt ->
+            let writes =
+              match stmt with
+              | A.Decl_temp (n, _) -> n
+              | A.Assign (a, _, _) | A.Accum (a, _, _) -> a
+            in
+            let reads = stmt_reads k.iters stmt in
+            {
+              stmt;
+              flops = An.flops_of_stmt stmt;
+              writes;
+              write_is_final = List.mem writes finals;
+              write_is_array = List.mem writes arrays;
+              region_ext =
+                (match Hashtbl.find_opt exts writes with
+                 | Some e -> e
+                 | None -> An.zero_extent rank);
+              guard_ext = guard_ext_of rank reads;
+              reads;
+            })
+          k.body
+      in
+      (* Self-dependent statements serialize the block grid along every
+         dimension a dependence distance moves through. *)
+      let dep_dims = Array.make (max rank 1) false in
+      List.iter
+        (fun stmt ->
+          match Wavefront.stmt_self_deps ~iters:k.iters stmt with
+          | Wavefront.No_dep -> ()
+          | Wavefront.Non_uniform -> Array.fill dep_dims 0 rank true
+          | Wavefront.Uniform deltas ->
+            List.iter
+              (fun delta ->
+                Array.iteri
+                  (fun d c -> if c <> 0 && d < rank then dep_dims.(d) <- true)
+                  delta)
+              deltas)
+        k.body;
+      {
+        infos;
+        dep_dims;
+        strides = List.map (fun (a, dims) -> (a, strides_of dims)) k.arrays;
+      })
+
 (* Chain combine-ops per point saved by folding: each occurrence of a fold
    group in a statement replaces (n-1) combines with one staged read. *)
 let fold_savings (p : Plan.t) stmt =
   if p.fold = [] then 0
   else begin
-    let k = p.kernel in
-    ignore k;
     let saved = ref 0 in
     let rec scan (e : A.expr) =
       match e with
@@ -126,20 +234,14 @@ let fold_savings (p : Plan.t) stmt =
         let arrays =
           List.filter_map (function A.Access (a, _) -> Some a | _ -> None) parts
         in
-        let matched =
-          List.exists
-            (fun (gop, members) ->
-              gop = op && List.for_all (fun m -> List.mem m arrays) members)
-            p.fold
-        in
         (match
            List.find_opt
              (fun (gop, members) ->
                gop = op && List.for_all (fun m -> List.mem m arrays) members)
              p.fold
          with
-         | Some (_, members) when matched -> saved := !saved + (List.length members - 1)
-         | _ -> ());
+         | Some (_, members) -> saved := !saved + (List.length members - 1)
+         | None -> ());
         List.iter scan parts
       | A.Bin (_, e1, e2) -> scan e1; scan e2
       | A.Neg e1 -> scan e1
@@ -150,82 +252,137 @@ let fold_savings (p : Plan.t) stmt =
     !saved
   end
 
+let is_staged (b : Launch.buffer) =
+  match b.staging with
+  | Launch.Stage_tile _ | Launch.Stage_stream _ -> true
+  | Launch.Stage_global | Launch.Stage_const | Launch.Stage_fold_member _ -> false
+
+let buffer_of bufs name = List.find_opt (fun (b : Launch.buffer) -> b.array = name) bufs
+
+(* Reads of [offset] hit shared memory (vs a register plane / fold alias)? *)
+let read_cost (p : Plan.t) bufs array_name (off : int array) =
+  match buffer_of bufs array_name with
+  | None -> `Global
+  | Some b -> (
+    match b.staging with
+    | Launch.Stage_global -> `Global
+    | Launch.Stage_const -> `Const
+    | Launch.Stage_fold_member leader -> (
+      (* The chain reads the leader's buffer once; members are free. *)
+      match buffer_of bufs leader with
+      | Some lb when is_staged lb -> `Free
+      | _ -> `Global)
+    | Launch.Stage_tile _ -> `Shared
+    | Launch.Stage_stream { reg_planes; _ } -> (
+      match Plan.stream_dim p with
+      | Some s when (not p.retime) && List.mem off.(s) reg_planes -> `Reg
+      | Some _ | None -> `Shared))
+
 let make_ctx (p : Plan.t) =
-  let k = p.kernel in
-  let rank = Array.length k.domain in
+  let f = facts p.kernel in
+  let rank = Array.length p.kernel.domain in
   let geom = Launch.geometry p in
   let bufs = Launch.buffers p in
   let res = Estimate.resources p in
-  let exts = An.required_extents k in
-  let finals = Launch.final_outputs k in
-  let arrays = List.map fst k.arrays in
+  let strides_for a = List.assoc_opt a f.strides in
+  (* Dense numbering in first-read order, for globally read arrays and
+     for retimed in-plane reads. *)
+  let numbering () =
+    let ids = Hashtbl.create 8 in
+    ( ids,
+      fun key ->
+        match Hashtbl.find_opt ids key with
+        | Some i -> i
+        | None ->
+          let i = Hashtbl.length ids in
+          Hashtbl.replace ids key i;
+          i )
+  in
+  let global_slots, slot_of = numbering () in
+  let inplane_ids, inplane_id = numbering () in
+  let charge (a, off, uses) =
+    match read_cost p bufs a off with
+    | `Free | `Const | `Reg -> None
+    | `Shared when p.retime ->
+      let inplane = Array.copy off in
+      (match Plan.stream_dim p with Some s -> inplane.(s) <- 0 | None -> ());
+      Some (Shared_once (inplane_id (a, inplane)))
+    | `Shared -> Some (Shared uses)
+    | `Global -> Some (Global { slot = slot_of a; off; uses; strides = strides_for a })
+  in
   let stmts =
     List.map
-      (fun stmt ->
-        let writes =
-          match stmt with
-          | A.Decl_temp (n, _) -> n
-          | A.Assign (a, _, _) | A.Accum (a, _, _) -> a
+      (fun (si : stmt_info) ->
+        let store =
+          if si.write_is_final then Store_final (strides_for si.writes)
+          else if si.write_is_array then
+            match buffer_of bufs si.writes with
+            | Some b when is_staged b -> Store_scratch
+            | _ -> Store_global (strides_for si.writes)
+          else Store_none
         in
-        let reads = stmt_reads k.iters stmt in
         {
-          stmt;
-          flops = An.flops_of_stmt stmt;
-          writes;
-          write_is_final = List.mem writes finals;
-          write_is_array = List.mem writes arrays;
-          region_ext =
-            (match Hashtbl.find_opt exts writes with
-             | Some e -> e
-             | None -> An.zero_extent rank);
-          guard_ext = guard_ext_of rank reads;
-          reads;
-          fold_saved_flops = fold_savings p stmt;
+          info = si;
+          saved_flops = fold_savings p si.stmt;
+          guard =
+            Array.init rank (fun d ->
+                let lo, hi = si.guard_ext.(d) in
+                (max 0 (-lo), geom.domain.(d) - 1 - max 0 hi));
+          store;
+          charges = List.filter_map charge si.reads;
         })
-      k.body
+      f.infos
   in
-  let fold_stage_flops =
+  let loads =
     List.filter_map
-      (fun (_, members) ->
-        match members with
-        | leader :: _ :: _ -> Some (leader, List.length members - 1)
-        | _ -> None)
-      p.fold
+      (fun (b : Launch.buffer) ->
+        let staged = is_staged b in
+        let load ~shared_store =
+          (* staging-time folding combines, charged on the leader *)
+          let fold_ops =
+            if not staged then 0
+            else
+              List.find_map
+                (fun (_, members) ->
+                  match members with
+                  | leader :: _ :: _ when leader = b.array -> Some (List.length members - 1)
+                  | _ -> None)
+                p.fold
+              |> Option.value ~default:0
+          in
+          Some { buf = b; lstrides = strides_for b.array; staged; shared_store; fold_ops }
+        in
+        match b.staging with
+        | Launch.Stage_tile _ -> load ~shared_store:true
+        | Launch.Stage_stream { shared_planes; _ } -> load ~shared_store:(shared_planes <> [])
+        | Launch.Stage_fold_member _ -> load ~shared_store:false
+        | Launch.Stage_global | Launch.Stage_const -> None)
+      bufs
   in
   let concurrent_blocks =
     min geom.total_blocks (max 1 (res.occupancy.blocks_per_sm * p.device.sms))
   in
-  (* Self-dependent statements serialize the block grid along every
-     dimension a dependence distance moves through: blocks on the same
-     anti-diagonal can still run together, so the launch decomposes into
+  (* A dependence along a grid dimension leaves blocks on the same
+     anti-diagonal free to run together, so the launch decomposes into
      [1 + sum (grid_d - 1)] wavefront phases over the dependent
      dimensions.  Bytes and flops are unchanged — only parallelism per
      phase drops (Timing's wavefront kernel class). *)
   let serial_waves =
-    let dep_dims = Array.make (max rank 1) false in
-    List.iter
-      (fun stmt ->
-        match Wavefront.stmt_self_deps ~iters:k.iters stmt with
-        | Wavefront.No_dep -> ()
-        | Wavefront.Non_uniform -> Array.fill dep_dims 0 rank true
-        | Wavefront.Uniform deltas ->
-          List.iter
-            (fun delta ->
-              Array.iteri
-                (fun d c -> if c <> 0 && d < rank then dep_dims.(d) <- true)
-                delta)
-            deltas)
-      k.body;
     let waves = ref 1 in
     for d = 0 to rank - 1 do
-      if dep_dims.(d) then waves := !waves + (geom.grid.(d) - 1)
+      if f.dep_dims.(d) then waves := !waves + (geom.grid.(d) - 1)
     done;
     !waves
   in
   {
-    plan = p; geom; bufs; res; stmts; fold_stage_flops; concurrent_blocks;
-    serial_waves;
-    strides = List.map (fun (a, dims) -> (a, strides_of dims)) k.arrays;
+    plan = p; geom; bufs; res; stmts; loads;
+    global_arrays =
+      (let names = Array.make (Hashtbl.length global_slots) "" in
+       Hashtbl.iter (fun a i -> names.(i) <- a) global_slots;
+       names);
+    inplane_reads = Hashtbl.length inplane_ids;
+    concurrent_blocks; serial_waves;
+    no_shift = Array.make rank 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -267,23 +424,17 @@ let extend_clip_into ctx (b : box) (e : An.extent) (out : box) =
     out.(d) <- (max 0 (lo + elo), min (ctx.geom.domain.(d) - 1) (hi + ehi))
   done
 
-(* Region where a statement's guard holds: reads at guard_ext must stay in
-   the arrays.  Conservatively use the iteration-domain interior implied by
-   the guard extents (index arithmetic on same-extent arrays). *)
-let guard_box ctx (gext : An.extent) : box =
-  Array.init ctx.geom.rank (fun d ->
-      let lo, hi = gext.(d) in
-      (max 0 (-lo), ctx.geom.domain.(d) - 1 - max 0 hi))
-
 (* ------------------------------------------------------------------ *)
 (* Transactions                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* 32-byte sectors to read/write box [b] of array [a] row by row (runs
-   along the innermost array dimension).  Arrays of lower rank than the
-   domain are addressed by their own trailing dimensions. *)
-let box_sectors ctx array_name (b : box) =
-  match List.assoc_opt array_name ctx.strides with
+(* 32-byte sectors to read/write box [b] translated by [shift] in an
+   array with row-major [strides], row by row (runs along the innermost
+   array dimension); no strides (not an array) costs nothing.  Arrays of
+   lower rank than the domain are addressed by their own trailing
+   dimensions. *)
+let box_sectors ctx strides ~(shift : int array) (b : box) =
+  match strides with
   | None -> 0
   | Some strides ->
     let arank = Array.length strides in
@@ -312,7 +463,7 @@ let box_sectors ctx array_name (b : box) =
           let first_in_row =
             let idx = ref 0 in
             for d = off to r - 1 do
-              idx := !idx + (fst b.(d) * strides.(d - off))
+              idx := !idx + ((fst b.(d) + shift.(d)) * strides.(d - off))
             done;
             !idx
           in
@@ -335,43 +486,13 @@ let box_sectors ctx array_name (b : box) =
 (* Per-block accounting                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Staged-load box of an array: the tile extended by the array's read
-   extent (planes load once per block when streaming, the full halo tile
-   otherwise). *)
-let staged_box ctx (b : Launch.buffer) tile =
-  extend_clip ctx tile b.extent
-
-let is_staged (b : Launch.buffer) =
-  match b.staging with
-  | Launch.Stage_tile _ | Launch.Stage_stream _ -> true
-  | Launch.Stage_global | Launch.Stage_const | Launch.Stage_fold_member _ -> false
-
-(* Reads of [offset] hit shared memory (vs a register plane / fold alias)? *)
-let read_cost ctx array_name (off : int array) =
-  match buffer_of ctx array_name with
-  | None -> `Global
-  | Some b -> (
-    match b.staging with
-    | Launch.Stage_global -> `Global
-    | Launch.Stage_const -> `Const
-    | Launch.Stage_fold_member leader -> (
-      (* The chain reads the leader's buffer once; members are free. *)
-      match buffer_of ctx leader with
-      | Some lb when is_staged lb -> `Free
-      | _ -> `Global)
-    | Launch.Stage_tile _ -> `Shared
-    | Launch.Stage_stream { shared_planes; reg_planes; _ } -> (
-      match Plan.stream_dim ctx.plan with
-      | None -> `Shared
-      | Some s ->
-        if ctx.plan.retime then `Shared
-        else if List.mem off.(s) reg_planes then `Reg
-        else if List.mem off.(s) shared_planes then `Shared
-        else `Shared))
-
-(** Counters charged to one block. *)
+(** Counters charged to one block.  Every addition to the load, store
+    and shared counters is an integer-valued float far below 2^53, so a
+    read charged once with its multiplicity sums exactly as its repeated
+    occurrences did. *)
 let block_counters ctx (block : int array) =
   let p = ctx.plan in
+  let rank = ctx.geom.rank in
   let tile = tile_box ctx block in
   if box_volume tile = 0 then Counters.zero
   else begin
@@ -382,6 +503,7 @@ let block_counters ctx (block : int array) =
     (* Load- and store-side DRAM kept apart: temporal blocking scales them
        differently (inputs staged once per b steps, output stored once). *)
     let dram_ld = ref 0.0 and dram_st = ref 0.0 in
+    let sectors strides b = float_of_int (box_sectors ctx strides ~shift:ctx.no_shift b) in
     (* Output perspective issues the x-halo of each staged row as separate
        narrow transactions (boundary threads re-load); input and mixed
        perspectives cover the whole input row with contiguous threads
@@ -390,12 +512,11 @@ let block_counters ctx (block : int array) =
       match p.perspective with
       | Plan.Input_persp | Plan.Mixed_persp -> 0
       | Plan.Output_persp ->
-        let r = ctx.geom.rank in
-        let lo_x, hi_x = b.extent.(r - 1) in
+        let lo_x, hi_x = b.extent.(rank - 1) in
         if lo_x = 0 && hi_x = 0 then 0
         else begin
           let rows = ref 1 in
-          for d = 0 to r - 2 do
+          for d = 0 to rank - 2 do
             let lo, hi = sbox.(d) in
             if hi < lo then rows := 0 else rows := !rows * (hi - lo + 1)
           done;
@@ -403,120 +524,105 @@ let block_counters ctx (block : int array) =
           !rows * segments
         end
     in
-    (* --- staged loads: once per block --- *)
+    (* --- staged loads (and fold members, loaded during their leader's
+       staging pass): once per block.  The staged box is the tile
+       extended by the array's read extent (planes load once per block
+       when streaming, the full halo tile otherwise). --- *)
     List.iter
-      (fun (b : Launch.buffer) ->
-        match b.staging with
-        | Launch.Stage_tile _ | Launch.Stage_stream _ ->
-          let sbox = staged_box ctx b tile in
-          let v = float_of_int (box_volume sbox) in
-          gld_elems := !gld_elems +. v;
-          gld_tx :=
-            !gld_tx +. float_of_int (box_sectors ctx b.array sbox + persp_extra_tx sbox b);
-          (match b.staging with
-           | Launch.Stage_stream { shared_planes = []; _ } -> ()
-           | _ ->
-             (* pointer-rotated window: each value enters shared once *)
-             shm_st := !shm_st +. v);
-          (* staging-time folding combines *)
-          (match List.assoc_opt b.array ctx.fold_stage_flops with
-           | Some ops -> fl := !fl +. (float_of_int ops *. v)
-           | None -> ());
-          (* DRAM: unique footprint; the halo share beyond the tile may be
-             refetched by neighbours without hitting L2. *)
-          let vt = float_of_int (box_volume (box_inter sbox tile)) in
-          dram_ld := !dram_ld +. ((vt +. (halo_miss () *. (v -. vt))) *. float_of_int elem_bytes)
-        | Launch.Stage_fold_member _ ->
-          (* loaded once during the leader's staging pass *)
-          let sbox = extend_clip ctx tile b.extent in
-          let v = float_of_int (box_volume sbox) in
-          gld_elems := !gld_elems +. v;
-          gld_tx := !gld_tx +. float_of_int (box_sectors ctx b.array sbox);
-          let vt = float_of_int (box_volume (box_inter sbox tile)) in
-          dram_ld := !dram_ld +. ((vt +. (halo_miss () *. (v -. vt))) *. float_of_int elem_bytes)
-        | Launch.Stage_global | Launch.Stage_const -> ())
-      ctx.bufs;
+      (fun (l : load) ->
+        let sbox = extend_clip ctx tile l.buf.extent in
+        let v = float_of_int (box_volume sbox) in
+        gld_elems := !gld_elems +. v;
+        let extra = if l.staged then persp_extra_tx sbox l.buf else 0 in
+        gld_tx :=
+          !gld_tx +. float_of_int (box_sectors ctx l.lstrides ~shift:ctx.no_shift sbox + extra);
+        (* pointer-rotated window: each value enters shared once *)
+        if l.shared_store then shm_st := !shm_st +. v;
+        (* staging-time folding combines *)
+        if l.fold_ops > 0 then fl := !fl +. (float_of_int l.fold_ops *. v);
+        (* DRAM: unique footprint; the halo share beyond the tile may be
+           refetched by neighbours without hitting L2. *)
+        let vt = float_of_int (box_volume (box_inter sbox tile)) in
+        dram_ld := !dram_ld +. ((vt +. (halo_miss () *. (v -. vt))) *. float_of_int elem_bytes))
+      ctx.loads;
     (* --- per-statement compute and per-use traffic --- *)
-    let unstaged_unique : (string, box) Hashtbl.t = Hashtbl.create 8 in
-    let unstaged_uses : (string, float) Hashtbl.t = Hashtbl.create 8 in
+    (* Unstaged reads: per globally read array, the union of its shifted
+       read boxes and its total uses, for the L2 model below. *)
+    let n_global = Array.length ctx.global_arrays in
+    let ulo = Array.make (n_global * rank) 0 and uhi = Array.make (n_global * rank) 0 in
+    let uses = Array.make n_global 0.0 in
+    let read_any = Array.make n_global false in
+    (* Arrays in first-read order.  The L2 sum below walks this table, so
+       the DRAM terms add up in one fixed order however reads merge. *)
+    let touched : (string, int) Hashtbl.t = Hashtbl.create 8 in
     (* Retimed kernels read each incoming plane once per distinct in-plane
        offset, feeding every accumulator: dedupe across the whole body. *)
-    let seen_inplane : (string * int array, unit) Hashtbl.t = Hashtbl.create 8 in
+    let seen_inplane = Array.make ctx.inplane_reads false in
     List.iter
-      (fun si ->
-        let region = box_inter (extend_clip ctx tile si.region_ext) (guard_box ctx si.guard_ext) in
+      (fun sc ->
+        let si = sc.info in
+        let region = box_inter (extend_clip ctx tile si.region_ext) sc.guard in
         let n = box_volume region in
         if n > 0 then begin
           let nf = float_of_int n in
           let useful_box = box_inter region tile in
           let nu = float_of_int (box_volume useful_box) in
-          fl := !fl +. (float_of_int (si.flops - si.fold_saved_flops) *. nf);
+          fl := !fl +. (float_of_int (si.flops - sc.saved_flops) *. nf);
           ufl := !ufl +. (float_of_int si.flops *. nu);
-          (* output stores *)
-          if si.write_is_final then begin
-            gst_elems := !gst_elems +. nu;
-            gst_tx := !gst_tx +. float_of_int (box_sectors ctx si.writes useful_box);
-            dram_st := !dram_st +. (nu *. float_of_int elem_bytes)
-          end
-          else if si.write_is_array then begin
-            match buffer_of ctx si.writes with
-            | Some b when is_staged b ->
-              (* intermediate kept in shared scratch *)
-              shm_st := !shm_st +. nf
-            | _ ->
-              (* intermediate in global memory: redundant halo stores too *)
-              gst_elems := !gst_elems +. nf;
-              gst_tx := !gst_tx +. float_of_int (box_sectors ctx si.writes region);
-              dram_st := !dram_st +. (nf *. float_of_int elem_bytes)
-          end;
-          (* reads *)
+          (match sc.store with
+           | Store_none -> ()
+           | Store_final strides ->
+             gst_elems := !gst_elems +. nu;
+             gst_tx := !gst_tx +. sectors strides useful_box;
+             dram_st := !dram_st +. (nu *. float_of_int elem_bytes)
+           | Store_scratch -> shm_st := !shm_st +. nf
+           | Store_global strides ->
+             (* intermediate in global memory: redundant halo stores too *)
+             gst_elems := !gst_elems +. nf;
+             gst_tx := !gst_tx +. sectors strides region;
+             dram_st := !dram_st +. (nf *. float_of_int elem_bytes));
           List.iter
-            (fun (aname, off) ->
-              match read_cost ctx aname off with
-              | `Free | `Const | `Reg -> ()
-              | `Shared ->
-                if p.retime then begin
-                  (* one shared read per distinct in-plane offset *)
-                  let inplane = Array.copy off in
-                  (match Plan.stream_dim p with
-                   | Some s -> inplane.(s) <- 0
-                   | None -> ());
-                  if not (Hashtbl.mem seen_inplane (aname, inplane)) then begin
-                    Hashtbl.replace seen_inplane (aname, inplane) ();
-                    shm_ld := !shm_ld +. nf
-                  end
+            (function
+              | Shared m -> shm_ld := !shm_ld +. (float_of_int m *. nf)
+              | Shared_once id ->
+                if not seen_inplane.(id) then begin
+                  seen_inplane.(id) <- true;
+                  shm_ld := !shm_ld +. nf
                 end
-                else shm_ld := !shm_ld +. nf
-              | `Global ->
-                gld_elems := !gld_elems +. nf;
-                let shifted =
-                  Array.init ctx.geom.rank (fun d ->
-                      let lo, hi = region.(d) in
-                      (lo + off.(d), hi + off.(d)))
-                in
-                gld_tx := !gld_tx +. float_of_int (box_sectors ctx aname shifted);
-                (* track unique footprint and total uses for the L2 model *)
-                let ubox =
-                  match Hashtbl.find_opt unstaged_unique aname with
-                  | Some b0 ->
-                    Array.init ctx.geom.rank (fun d ->
-                        let alo, ahi = b0.(d) and blo, bhi = shifted.(d) in
-                        (min alo blo, max ahi bhi))
-                  | None -> shifted
-                in
-                Hashtbl.replace unstaged_unique aname ubox;
-                let u = try Hashtbl.find unstaged_uses aname with Not_found -> 0.0 in
-                Hashtbl.replace unstaged_uses aname (u +. nf))
-            si.reads
+              | Global g ->
+                let m = float_of_int g.uses in
+                gld_elems := !gld_elems +. (m *. nf);
+                gld_tx :=
+                  !gld_tx +. float_of_int (g.uses * box_sectors ctx g.strides ~shift:g.off region);
+                let base = g.slot * rank in
+                let first = not read_any.(g.slot) in
+                if first then begin
+                  read_any.(g.slot) <- true;
+                  Hashtbl.replace touched ctx.global_arrays.(g.slot) g.slot
+                end;
+                for d = 0 to rank - 1 do
+                  let lo, hi = region.(d) in
+                  let lo = lo + g.off.(d) and hi = hi + g.off.(d) in
+                  if first then begin
+                    ulo.(base + d) <- lo;
+                    uhi.(base + d) <- hi
+                  end
+                  else begin
+                    ulo.(base + d) <- min ulo.(base + d) lo;
+                    uhi.(base + d) <- max uhi.(base + d) hi
+                  end
+                done;
+                uses.(g.slot) <- uses.(g.slot) +. (m *. nf))
+            sc.charges
         end)
       ctx.stmts;
     (* --- L2 / DRAM model for unstaged reads --- *)
     let l2 = float_of_int p.device.l2_bytes in
     Hashtbl.iter
-      (fun aname ubox ->
+      (fun _ slot ->
+        let ubox = Array.init rank (fun d -> (ulo.((slot * rank) + d), uhi.((slot * rank) + d))) in
         let unique = float_of_int (box_volume ubox) in
-        let uses = try Hashtbl.find unstaged_uses aname with Not_found -> unique in
-        let reuse = Float.max 0.0 (uses -. unique) in
+        let reuse = Float.max 0.0 (uses.(slot) -. unique) in
         (* working set: every concurrently resident block keeps its reuse
            window live in L2 *)
         let window_bytes =
@@ -542,7 +648,7 @@ let block_counters ctx (block : int array) =
         dram_ld :=
           !dram_ld
           +. ((vt +. (halo_miss () *. halo_unique) +. (miss *. reuse)) *. float_of_int elem_bytes))
-      unstaged_unique;
+      touched;
     let syncs = ref (float_of_int (Launch.syncs_per_block p ctx.geom ctx.bufs)) in
     let spill_scale = ref 1.0 in
     (* --- degree-N temporal blocking (AN5D): one launch covers [degree]
@@ -672,7 +778,8 @@ let total_counters ?(exact = false) ctx =
               0 ctx.bufs
           in
           List.fold_left
-            (fun acc si -> max acc (max (from_ext si.region_ext) (from_ext si.guard_ext)))
+            (fun acc sc ->
+              max acc (max (from_ext sc.info.region_ext) (from_ext sc.info.guard_ext)))
             of_bufs ctx.stmts)
     in
     let classes_of_dim d =

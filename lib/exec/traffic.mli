@@ -21,7 +21,9 @@ val model : model ref
 (** Run [f] under a temporary model, restoring the previous one. *)
 val with_model : model -> (unit -> 'a) -> 'a
 
-(** Per-statement static description (exposed for the executor). *)
+(** Per-statement static description: a function of the kernel alone,
+    cached per kernel value with the self-dependence dimensions and the
+    array strides ([Artemis_dsl.Kernel_memo]). *)
 type stmt_info = {
   stmt : Artemis_dsl.Ast.stmt;
   flops : int;
@@ -30,8 +32,29 @@ type stmt_info = {
   write_is_array : bool;
   region_ext : Artemis_dsl.Analysis.extent;  (** tile extension this statement covers *)
   guard_ext : Artemis_dsl.Analysis.extent;  (** min/max read shifts *)
-  reads : (string * int array) list;
-  fold_saved_flops : int;
+  reads : (string * int array * int) list;
+      (** distinct (array, iterator offset) reads in first-occurrence
+          order, each with its number of textual occurrences *)
+}
+
+(** How one distinct read is charged under the plan. *)
+type charge
+
+(** Where a statement's result is stored under the plan. *)
+type store
+
+(** A staged buffer's once-per-block load. *)
+type load
+
+(** A statement as one plan prices it: fold savings, guard region, store
+    and read classification are settled once per context, so per-block
+    accounting does no lookups. *)
+type stmt_cost = {
+  info : stmt_info;
+  saved_flops : int;  (** combine ops moved to staging by folding *)
+  guard : (int * int) array;  (** region where the statement's guard holds *)
+  store : store;
+  charges : charge list;  (** reads that cost anything, in read order *)
 }
 
 type ctx = {
@@ -39,17 +62,23 @@ type ctx = {
   geom : Artemis_ir.Launch.geometry;
   bufs : Artemis_ir.Launch.buffer list;
   res : Artemis_ir.Estimate.resources;
-  stmts : stmt_info list;
-  fold_stage_flops : (string * int) list;
+  stmts : stmt_cost list;
+  loads : load list;
+  global_arrays : string array;  (** arrays read from global memory *)
+  inplane_reads : int;  (** distinct retimed in-plane reads *)
   concurrent_blocks : int;
   serial_waves : int;
       (** launch phases forced by self-dependences ([Wavefront]): 1 =
           fully independent blocks; a dependence along a grid dimension
           serializes the block grid into anti-diagonal phases — same
           bytes and flops, reduced parallelism per phase *)
-  strides : (string * int array) list;
+  no_shift : int array;  (** zero offset: an unshifted box *)
 }
 
+(** Price a plan's launch: geometry, staging, resources, and each
+    statement's store and read classification.  Kernel-level inputs come
+    from a per-kernel cache, so this does only work that depends on the
+    plan. *)
 val make_ctx : Artemis_ir.Plan.t -> ctx
 
 (** {1 Box arithmetic} *)

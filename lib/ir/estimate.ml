@@ -9,6 +9,7 @@
 
 module A = Artemis_dsl.Ast
 module An = Artemis_dsl.Analysis
+module I = Artemis_dsl.Instantiate
 
 (* Maximum number of simultaneously live temporaries across the body:
    a temp is live from its definition to its last use. *)
@@ -53,6 +54,41 @@ let max_live_temps (body : A.stmt list) =
 let flop_pressure (body : A.stmt list) =
   List.fold_left (fun acc st -> acc + An.flops_of_stmt st) 0 body / 5
 
+(* Kernel-level inputs of the register model, computed once per kernel
+   value: the liveness walk and the FLOP count of the body, and each read
+   array's shift range per dimension (the retiming window). *)
+type facts = {
+  live_temps : int;
+  pressure : int;
+  offset_ranges : (string * (int * int) array) list;
+}
+
+let facts =
+  Artemis_dsl.Kernel_memo.memo (fun (k : I.kernel) ->
+      let rank = List.length k.iters in
+      let ranges = Hashtbl.create 16 in
+      List.iter
+        (fun (a : An.access) ->
+          let r =
+            match Hashtbl.find_opt ranges a.array with
+            | Some r -> r
+            | None ->
+              let r = Array.make rank (0, 0) in
+              Hashtbl.replace ranges a.array r;
+              r
+          in
+          Array.iteri
+            (fun d s ->
+              let lo, hi = r.(d) in
+              r.(d) <- (min lo s, max hi s))
+            (An.offset_vector k.iters a))
+        (An.read_accesses k);
+      {
+        live_temps = max_live_temps k.body;
+        pressure = flop_pressure k.body;
+        offset_ranges = Hashtbl.fold (fun a r acc -> (a, r) :: acc) ranges [];
+      })
+
 type resources = {
   regs_per_thread : int;  (** estimated spill-free requirement (32-bit) *)
   effective_regs : int;  (** min(requirement, maxrregcount) *)
@@ -75,9 +111,10 @@ let inplane_unroll (p : Plan.t) =
     registers; one double = 2). *)
 let regs_estimate (p : Plan.t) bufs =
   let k = p.kernel in
+  let f = facts k in
   let uin = inplane_unroll p in
   let base = 24 in
-  let temps = 2 * max_live_temps k.body in
+  let temps = 2 * f.live_temps in
   let reg_planes =
     List.fold_left
       (fun acc (b : Launch.buffer) ->
@@ -98,11 +135,13 @@ let regs_estimate (p : Plan.t) bufs =
         let outs = Launch.final_outputs k in
         let window =
           List.fold_left
-            (fun acc a ->
-              let lo, hi = An.offset_range k a s in
-              max acc (hi - lo + 1))
-            1
-            (List.map (fun (b : Launch.buffer) -> b.array) bufs)
+            (fun acc (b : Launch.buffer) ->
+              match List.assoc_opt b.array f.offset_ranges with
+              | Some r ->
+                let lo, hi = r.(s) in
+                max acc (hi - lo + 1)
+              | None -> acc)
+            1 bufs
         in
         List.length outs * window
   in
@@ -111,7 +150,7 @@ let regs_estimate (p : Plan.t) bufs =
   base + pointers
   + (2 * temps)
   + (2 * uin * (reg_planes + prefetch_regs + retime_accs + outputs))
-  + (uin * flop_pressure k.body)
+  + (uin * f.pressure)
   + (2 * (Plan.unroll_product p - 1))
 
 (** ILP visible to the scheduler: unrolling multiplies independent work;
@@ -132,18 +171,8 @@ let ilp_estimate (p : Plan.t) ~regs_needed =
     match p.perspective with
     | Plan.Input_persp ->
       (* active compute threads / launched threads: tile vs halo tile *)
-      let k = p.kernel in
-      let rank = Array.length k.domain in
-      let exts = An.required_extents k in
-      let inputs = Launch.pure_inputs k in
-      let ext =
-        List.fold_left
-          (fun acc a ->
-            match Hashtbl.find_opt exts a with
-            | Some e -> An.union_extent acc e
-            | None -> acc)
-          (An.zero_extent rank) inputs
-      in
+      let rank = Plan.rank p in
+      let ext = Launch.input_extent p.kernel in
       let frac = ref 1.0 in
       let stream = Plan.stream_dim p in
       for d = 0 to rank - 1 do

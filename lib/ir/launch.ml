@@ -44,20 +44,89 @@ type buffer = {
   reads_per_point : int;  (** textual reads per output point *)
 }
 
-let pure_inputs (k : I.kernel) =
-  let written = List.filter_map A.written_array k.body |> List.sort_uniq compare in
-  List.filter (fun (a, _) -> not (List.mem a written)) k.arrays |> List.map fst
+(* One array the kernel reads, with everything its staging depends on
+   that the plan does not choose. *)
+type read_array = {
+  name : string;
+  reads : int;  (** textual reads per point *)
+  inter : bool;
+  ext : An.extent;
+  planes : (int list * int list) array;
+      (** per candidate stream dimension: the stream offsets read at an
+          in-plane offset (shared planes), then the centre-only ones
+          (register planes), each ascending *)
+}
 
-let intermediates (k : I.kernel) =
-  let written = List.filter_map A.written_array k.body |> List.sort_uniq compare in
-  let reads = An.read_accesses k in
-  List.filter (fun a -> List.exists (fun (r : An.access) -> r.array = a) reads) written
+(* Kernel-level facts behind [geometry] and [buffers]: a tuning search
+   builds hundreds of launches over one kernel value, and none of this
+   depends on the candidate. *)
+type facts = {
+  pure_inputs : string list;
+  intermediates : string list;
+  final_outputs : string list;
+  input_extent : An.extent;
+  read_arrays : read_array list;  (** in [An.reads_per_point] order *)
+}
 
-let final_outputs (k : I.kernel) =
-  let inter = intermediates k in
-  List.filter_map A.written_array k.body
-  |> List.sort_uniq compare
-  |> List.filter (fun a -> not (List.mem a inter))
+let facts_of (k : I.kernel) =
+  let rank = Array.length k.domain in
+  let written = List.filter_map A.written_array k.body |> List.sort_uniq compare in
+  let pure_inputs =
+    List.filter (fun (a, _) -> not (List.mem a written)) k.arrays |> List.map fst
+  in
+  let accesses = An.read_accesses k in
+  let intermediates =
+    List.filter (fun a -> List.exists (fun (r : An.access) -> r.array = a) accesses) written
+  in
+  let final_outputs = List.filter (fun a -> not (List.mem a intermediates)) written in
+  let exts = An.required_extents k in
+  let input_extent =
+    List.fold_left
+      (fun acc a ->
+        match Hashtbl.find_opt exts a with
+        | Some e -> An.union_extent acc e
+        | None -> acc)
+      (An.zero_extent rank) pure_inputs
+  in
+  let offsets = An.distinct_offsets k in
+  let planes_along offs s =
+    let plane_offsets = List.map (fun (v : int array) -> v.(s)) offs |> List.sort_uniq compare in
+    let plane_has_inplane o =
+      List.exists
+        (fun (v : int array) ->
+          v.(s) = o
+          && Array.exists (fun d -> d <> s && v.(d) <> 0) (Array.init (Array.length v) Fun.id))
+        offs
+    in
+    List.partition plane_has_inplane plane_offsets
+  in
+  let read_arrays =
+    List.filter_map
+      (fun (name, reads) ->
+        if not (List.mem_assoc name k.arrays) then None
+        else
+          let offs = match List.assoc_opt name offsets with Some o -> o | None -> [] in
+          Some
+            {
+              name;
+              reads;
+              inter = List.mem name intermediates;
+              ext =
+                (match Hashtbl.find_opt exts name with
+                 | Some e -> e
+                 | None -> An.zero_extent rank);
+              planes = Array.init (List.length k.iters) (planes_along offs);
+            })
+      (An.reads_per_point k)
+  in
+  { pure_inputs; intermediates; final_outputs; input_extent; read_arrays }
+
+let facts = Artemis_dsl.Kernel_memo.memo facts_of
+
+let pure_inputs k = (facts k).pure_inputs
+let intermediates k = (facts k).intermediates
+let final_outputs k = (facts k).final_outputs
+let input_extent k = (facts k).input_extent
 
 (** Geometry of [plan].  Interior bounds come from the union of input-array
     extents: boundary points whose neighborhood leaves the domain keep
@@ -65,16 +134,7 @@ let final_outputs (k : I.kernel) =
 let geometry (p : Plan.t) =
   let k = p.kernel in
   let rank = Array.length k.domain in
-  let exts = An.required_extents k in
-  let inputs = pure_inputs k in
-  let input_extent =
-    List.fold_left
-      (fun acc a ->
-        match Hashtbl.find_opt exts a with
-        | Some e -> An.union_extent acc e
-        | None -> acc)
-      (An.zero_extent rank) inputs
-  in
+  let input_extent = input_extent k in
   let tile =
     Array.init rank (fun d ->
         match p.scheme with
@@ -115,54 +175,33 @@ let in_plane_halo rank stream_dim (e : An.extent) =
     shared buffer.  Retiming collapses shared planes to the center plane
     only (inputs are then read once per plane and accumulated). *)
 let buffers (p : Plan.t) =
-  let k = p.kernel in
-  let rank = Array.length k.domain in
-  let exts = An.required_extents k in
-  let offsets = An.distinct_offsets k in
-  let reads = An.reads_per_point k in
-  let inter = intermediates k in
+  let f = facts p.kernel in
+  let rank = Array.length p.kernel.domain in
   let stream = Plan.stream_dim p in
-  let staging_for name =
-    let placement = Plan.placement_of p name in
-    let is_inter = List.mem name inter in
-    let placement = if is_inter && placement = A.Gmem && Plan.uses_shared p then A.Shmem else placement in
+  let staging_for (ra : read_array) =
+    let placement = Plan.placement_of p ra.name in
+    let placement =
+      if ra.inter && placement = A.Gmem && Plan.uses_shared p then A.Shmem else placement
+    in
     match placement with
     | A.Gmem -> Stage_global
     | A.Cmem -> Stage_const
     | A.Regs | A.Shmem -> (
-      let ext = match Hashtbl.find_opt exts name with Some e -> e | None -> An.zero_extent rank in
       match stream with
-      | None -> Stage_tile { halo = ext }
+      | None -> Stage_tile { halo = ra.ext }
       | Some s ->
-        let offs = match List.assoc_opt name offsets with Some o -> o | None -> [] in
-        let plane_offsets =
-          List.map (fun (v : int array) -> v.(s)) offs |> List.sort_uniq compare
-        in
-        let plane_has_inplane o =
-          List.exists
-            (fun (v : int array) ->
-              v.(s) = o
-              && Array.exists (fun d -> d <> s && v.(d) <> 0) (Array.init rank Fun.id))
-            offs
-        in
+        let shared, regs = ra.planes.(s) in
         let shared, regs =
           if p.retime then
             (* Retimed: only the incoming plane is staged; contributions
                accumulate in registers across the window. *)
-            ((if plane_offsets = [] then [] else [ 0 ]), [])
-          else
-            List.partition plane_has_inplane plane_offsets
+            ((if shared = [] && regs = [] then [] else [ 0 ]), [])
+          else (shared, regs)
         in
-        let shared, regs =
-          match placement with
-          | A.Regs when shared = [] -> ([], regs)
-          | A.Regs ->
-            (* Registers requested but in-plane offsets force shared. *)
-            (shared, regs)
-          | _ -> (shared, regs)
-        in
+        (* Registers requested but in-plane offsets force shared planes
+           all the same. *)
         Stage_stream { shared_planes = shared; reg_planes = regs;
-                       halo = in_plane_halo rank stream ext })
+                       halo = in_plane_halo rank stream ra.ext })
   in
   (* Folding (Section III-B4): non-leader members of an enabled fold group
      alias the leader's buffer.  Only groups whose leader ends up staged
@@ -176,25 +215,19 @@ let buffers (p : Plan.t) =
         | _ -> None)
       p.fold
   in
-  let read_arrays =
-    List.filter (fun (a, _) -> List.mem_assoc a k.arrays) reads
-  in
   List.map
-    (fun (name, rpp) ->
+    (fun (ra : read_array) ->
       {
-        array = name;
+        array = ra.name;
         staging =
-          (match fold_leader name with
+          (match fold_leader ra.name with
            | Some leader -> Stage_fold_member leader
-           | None -> staging_for name);
-        is_intermediate = List.mem name inter;
-        extent =
-          (match Hashtbl.find_opt exts name with
-           | Some e -> e
-           | None -> An.zero_extent rank);
-        reads_per_point = rpp;
+           | None -> staging_for ra);
+        is_intermediate = ra.inter;
+        extent = ra.ext;
+        reads_per_point = ra.reads;
       })
-    read_arrays
+    f.read_arrays
 
 (** Shared-memory bytes per block implied by the staging layout. *)
 let shared_bytes_per_block (p : Plan.t) (g : geometry) bufs =

@@ -46,13 +46,13 @@ let stepped (p : Plan.t) =
 
 let measure_stepped (p : Plan.t) = Measure_cache.try_measure (stepped p)
 
-(* The pure, side-effect-light part of considering a candidate: lint it,
-   then measure through the cache.  Safe to run on pool workers — all
-   search accounting (metrics, trace decisions, best-so-far folds) stays
-   on the main domain, applied in canonical candidate order so parallel
-   runs are bit-identical to serial ones. *)
-let measure_candidate (plan : Plan.t) =
-  let sp = stepped plan in
+(* The pure, side-effect-light part of considering a candidate: lint its
+   register-stepped plan [sp], then measure through the cache.  Safe to
+   run on pool workers — all search accounting (metrics, trace
+   decisions, best-so-far folds) stays on the main domain, applied in
+   canonical candidate order so parallel runs are bit-identical to
+   serial ones. *)
+let measure_candidate (sp : Plan.t) =
   (* Error-carrying candidates are rejected before measurement.  The
      launch lint is exactly Validate's violation set, so this prunes
      precisely the configurations [try_measure] would refuse anyway —
@@ -91,7 +91,9 @@ let prerank_keep = ref default_prerank_keep
    pool (it is pure); the cut happens here with the candidate index as
    tie-break, so equal scores keep canonical order and the kept set is
    order-deterministic.  [None] when the filter is off or trivial; the
-   returned candidates carry their predicted seconds. *)
+   returned candidates carry their predicted seconds, and the kept ones
+   their register-stepped plan too, so measurement does not step them
+   again. *)
 let prerank_split ~label plans =
   let pct = !prerank_keep in
   let n = List.length plans in
@@ -100,19 +102,27 @@ let prerank_split ~label plans =
     (* Score exactly what measurement would run: the register-stepped
        plan, not the raw candidate — occupancy (and with it every
        utilization factor) depends on the register budget. *)
-    let ranked = Pool.map ~label (fun p -> Predict.rank (stepped p)) plans in
+    let ranked =
+      Pool.map ~label
+        (fun p ->
+          let sp = stepped p in
+          (sp, Predict.rank sp))
+        plans
+    in
     let keep_n = max 1 (int_of_float (ceil (float_of_int n *. pct /. 100.0))) in
     let keep = Array.make n false in
-    List.mapi (fun i (s, _) -> (s, i)) ranked
+    List.mapi (fun i (_, (s, _)) -> (s, i)) ranked
     |> List.sort (fun ((a : float), i) (b, j) ->
            match compare a b with 0 -> compare i j | c -> c)
     |> List.iteri (fun rank (_, i) -> if rank < keep_n then keep.(i) <- true);
     let kept, pruned =
-      List.combine plans (List.map snd ranked)
-      |> List.mapi (fun i ps -> (i, ps))
+      List.combine plans ranked
+      |> List.mapi (fun i c -> (i, c))
       |> List.partition (fun (i, _) -> keep.(i))
     in
-    Some (List.map snd kept, List.map snd pruned)
+    Some
+      ( List.map (fun (_, (p, (sp, (_, t)))) -> (p, sp, t)) kept,
+        List.map (fun (_, (p, (_, (_, t)))) -> (p, t)) pruned )
   end
 
 (* One journal event per temporally-blocked configuration considered: the
@@ -300,7 +310,7 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
   let consider_all ~phase ~label acc plans =
     match prerank_split ~label:(label ^ ".predict") plans with
     | None ->
-      let results = Pool.map ~label measure_candidate plans in
+      let results = Pool.map ~label (fun p -> measure_candidate (stepped p)) plans in
       List.fold_left2 (consider_result ~phase) acc plans results
     | Some (kept, pruned) ->
       if Journal.enabled () then
@@ -322,9 +332,9 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
           journal_temporal ~phase ~decision:"prerank-pruned"
             ~extra:[ ("predicted_time_s", Json.Float s) ] p)
         pruned;
-      let results = Pool.map ~label measure_candidate (List.map fst kept) in
+      let results = Pool.map ~label (fun (_, sp, _) -> measure_candidate sp) kept in
       List.fold_left2
-        (fun acc (plan, s) result -> consider_result ~phase ~predicted:s acc plan result)
+        (fun acc (plan, _, s) result -> consider_result ~phase ~predicted:s acc plan result)
         acc kept results
   in
   Metrics.incr m_tuner_runs;
@@ -385,13 +395,12 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
          only the blocks the model rates survive to a measurement.  The
          cut depends on nothing but the candidates and the model, so
          cold and warm runs promote the same set. *)
-      let cands =
-        match prerank_split ~label:"tune.top.predict" cands with
-        | None -> cands
-        | Some (kept, _) -> List.map fst kept
-      in
       let measured =
-        List.filter_map Fun.id (Pool.map ~label:"tune.top" measure_stepped cands)
+        List.filter_map Fun.id
+          (match prerank_split ~label:"tune.top.predict" cands with
+           | None -> Pool.map ~label:"tune.top" measure_stepped cands
+           | Some (kept, _) ->
+             Pool.map ~label:"tune.top" (fun (_, sp, _) -> Measure_cache.try_measure sp) kept)
       in
       List.stable_sort
         (fun (a : Analytic.measurement) b -> compare b.tflops a.tflops)

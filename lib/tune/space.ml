@@ -56,13 +56,13 @@ let reg_steps = [ 32; 64; 128; 255 ]
 
 (** Smallest register step that avoids spills for a plan, if any: the
     "dynamically increment registers per thread so that only non-spill
-    configurations are explored" rule. *)
+    configurations are explored" rule.  The spill-free requirement does
+    not depend on maxrregcount, and a budget [r] spills nothing exactly
+    when the requirement is at most [r], so one estimate answers for
+    every step. *)
 let min_nonspill_regs (p : Plan.t) =
-  List.find_opt
-    (fun r ->
-      let res = Artemis_ir.Estimate.resources { p with max_regs = r } in
-      res.spilled_doubles = 0)
-    reg_steps
+  let needed = (Artemis_ir.Estimate.resources p).regs_per_thread in
+  List.find_opt (fun r -> needed <= r) reg_steps
 
 (** Concurrent-streaming chunk candidates. *)
 let chunk_candidates ~extent = List.filter (fun c -> c <= extent) [ 16; 32; 64; 128 ]

@@ -20,7 +20,12 @@ val unroll_candidates :
 val reg_steps : int list
 
 (** Smallest register step at which the plan compiles spill-free, if
-    any — the "only non-spill configurations are explored" rule. *)
+    any — the "only non-spill configurations are explored" rule.
+    Closed form: the estimated spill-free requirement
+    ([Estimate.resources]'s [regs_per_thread]) is independent of the
+    plan's [max_regs], and a step [r] spills nothing exactly when that
+    requirement is at most [r] — so one estimate replaces a probe per
+    step, with the same answer. *)
 val min_nonspill_regs : Artemis_ir.Plan.t -> int option
 
 (** Concurrent-streaming chunk candidates within the dimension extent. *)

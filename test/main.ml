@@ -29,4 +29,5 @@ let () =
       Test_driver.tests;
       Test_extensions.tests;
       Test_props.tests;
+      Test_pricing.tests;
     ]

@@ -1,0 +1,163 @@
+(* Tuner per-candidate pricing pin: the register-stepping result, the
+   pre-rank score and the full analytic measurement of every candidate
+   the hierarchical tuner can consider, rendered with %h (exact float
+   bits) and digested.  Per-kernel caching and read merging must leave
+   every one of these values bit-identical: one ulp of drift in one
+   counter of one candidate fails here.
+
+   The candidate set: every suite kernel's phase-1 set (block x unroll)
+   with shared memory on and off, plus every [variant_stride]-th phase-1
+   candidate expanded into its phase-2 variants (prefetch, perspective,
+   retime, concurrent streaming, folding, and temporal degrees on the
+   iterative benchmarks, whose bases name their ping-pong pair). *)
+
+module Plan = Artemis_ir.Plan
+module Estimate = Artemis_ir.Estimate
+module Space = Artemis_tune.Space
+module E = Artemis_exec
+module O = Artemis_codegen.Options
+module Lower = Artemis_codegen.Lower
+module Suite = Artemis_bench.Suite
+module C = Artemis_gpu.Counters
+
+let case name f = Alcotest.test_case name `Quick f
+let dev = Artemis_gpu.Device.p100
+
+(* Sampling keeps the pin to a few seconds: the stepping result is
+   pinned for every phase-1 candidate, the score and measurement for
+   every [priced_stride]-th, and every [variant_stride]-th phase-1
+   candidate is expanded into its phase-2 variants, all priced. *)
+let priced_stride = 8
+let variant_stride = 150
+
+let bases () =
+  List.concat_map
+    (fun (b : Suite.t) ->
+      List.concat_map
+        (fun k ->
+          List.map
+            (fun use_shared ->
+              let p =
+                Lower.lower dev k
+                  { O.default with O.block = None; unroll = None; use_shared }
+              in
+              match b.pingpong with
+              | Some pair when b.iterative ->
+                { p with Plan.temporal = { Plan.no_temporal with Plan.pair = Some pair } }
+              | Some _ | None -> p)
+            [ true; false ])
+        (Suite.kernels b))
+    Suite.all
+
+let phase1 (base : Plan.t) =
+  let rank = Plan.rank base in
+  let blocks =
+    Space.block_candidates ~rank ~scheme:base.scheme
+      ~max_threads:base.device.max_threads_per_block
+  in
+  let unrolls = Space.unroll_candidates ~rank ~scheme:base.scheme ~bound:8 in
+  List.concat_map (fun block -> List.map (fun unroll -> { base with block; unroll }) unrolls) blocks
+
+let variants (c : Plan.t) =
+  let fan f ps = List.concat_map f ps in
+  [ c ]
+  |> fan (fun p -> [ p; { p with Plan.prefetch = true } ])
+  |> fan (fun (p : Plan.t) ->
+         [ p; { p with perspective = Plan.Input_persp }; { p with perspective = Plan.Mixed_persp } ])
+  |> fan (fun (p : Plan.t) ->
+         let dim = match Plan.stream_dim p with Some s -> s | None -> 0 in
+         match Artemis_codegen.Retime.apply p.kernel ~dim_index:dim with
+         | Some k' -> [ p; { p with kernel = k'; retime = true } ]
+         | None -> [ p ])
+  |> fan (fun (p : Plan.t) ->
+         match p.scheme with
+         | Plan.Serial_stream s ->
+           p
+           :: List.map
+                (fun chunk -> { p with scheme = Plan.Concurrent_stream (s, chunk) })
+                (Space.chunk_candidates ~extent:p.kernel.domain.(s))
+         | Plan.Tiled | Plan.Concurrent_stream _ -> [ p ])
+  |> fan (fun (p : Plan.t) ->
+         match Artemis_dsl.Analysis.foldable_groups p.kernel with
+         | [] -> [ p ]
+         | groups -> [ p; { p with fold = groups } ])
+  |> fan (fun (p : Plan.t) ->
+         match p.temporal.pair with
+         | None -> [ p ]
+         | Some _ ->
+           p
+           :: List.concat_map
+                (fun degree ->
+                  List.concat_map
+                    (fun halo ->
+                      List.map
+                        (fun tbuf ->
+                          { p with Plan.temporal = { p.Plan.temporal with degree; halo; tbuf } })
+                        [ Plan.Shared_double; Plan.Register_cycle ])
+                    [ Plan.Halo_recompute; Plan.Halo_exchange ])
+                (Space.degree_candidates ~max_degree:4))
+
+(* Every candidate in a fixed order, flagged when it is to be priced:
+   per base, the phase-1 set, then the variants of every
+   [variant_stride]-th phase-1 candidate. *)
+let candidates () =
+  List.concat_map
+    (fun base ->
+      let p1 = phase1 base in
+      List.mapi (fun i p -> (p, i mod priced_stride = 0)) p1
+      @ List.concat
+          (List.filteri (fun i _ -> i mod variant_stride = 0) p1
+           |> List.map (fun c -> List.map (fun v -> (v, true)) (variants c))))
+    (bases ())
+
+let render_candidate buf ((p : Plan.t), priced) =
+  let h = Printf.bprintf in
+  h buf "%s|" (Plan.label p);
+  let steps = Space.min_nonspill_regs p in
+  (match steps with Some r -> h buf "r%d|" r | None -> h buf "r-|");
+  if priced then begin
+  let sp = { p with max_regs = (match steps with Some r -> r | None -> 255) } in
+  let score, t = E.Predict.rank sp in
+  h buf "%h %h|" score t;
+  (match E.Analytic.try_measure sp with
+   | None -> h buf "invalid"
+   | Some m ->
+     let c = m.counters in
+     h buf "%h %h|" m.time_s m.tflops;
+     List.iter (h buf "%h ")
+       [ c.C.useful_flops; c.total_flops; c.dram_bytes; c.tex_bytes; c.shm_bytes;
+         c.gld_transactions; c.gst_transactions; c.shm_ld; c.shm_st; c.spill_bytes;
+         c.syncs; c.instructions ];
+     let r = m.resources in
+     h buf "|%d %d %d %d %h %h" r.regs_per_thread r.effective_regs r.spilled_doubles
+       r.shared_per_block r.ilp r.occupancy.occupancy)
+  end;
+  Buffer.add_char buf '\n'
+
+let golden = "9a20dcf4a193f3d7991cefc017196ab2"
+
+(* Reference register search: probe every step in order and keep the
+   first spill-free one. *)
+let four_probe (p : Plan.t) =
+  List.find_opt
+    (fun r -> (Estimate.resources { p with max_regs = r }).spilled_doubles = 0)
+    Space.reg_steps
+
+let tests =
+  ( "pricing",
+    [
+      case "per-candidate pricing matches the golden digest" (fun () ->
+          let cands = candidates () in
+          let buf = Buffer.create (1 lsl 20) in
+          List.iter (render_candidate buf) cands;
+          let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+          Printf.printf "pricing pin: %d candidates (%d priced), digest %s\n"
+            (List.length cands) (List.length (List.filter snd cands)) d;
+          Alcotest.(check string) "digest" golden d);
+      case "closed-form stepping equals the four-probe search" (fun () ->
+          List.iter
+            (fun (p, _) ->
+              if Space.min_nonspill_regs p <> four_probe p then
+                Alcotest.failf "stepping differs on %s" (Plan.label p))
+            (candidates ()));
+    ] )
