@@ -41,10 +41,18 @@ trace-smoke:
 	@rm -f examples/jacobi.stc.report.txt examples/jacobi.stc.*-fission.stc
 
 # Lint smoke test (docs/LINT.md): the example program with its baseline
-# plan and every Table-I benchmark must lint with no Error findings.
+# plan and every Table-I benchmark must lint with no Error findings, and
+# a malformed program must end in a located diagnostic with exit status
+# 1 (not an uncaught exception, 125).
 lint-smoke:
 	dune exec bin/artemisc.exe -- lint examples/jacobi.stc --plan
 	dune exec bin/artemisc.exe -- lint --suite --plan
+	@bad=$$(mktemp /tmp/artemis-malformed-XXXXXX); \
+	  printf 'parameter L=8;\niterator i;\ndouble u[L] @;\n' > $$bad.stc; \
+	  dune exec bin/artemisc.exe -- check $$bad.stc 2> $$bad.err; st=$$?; \
+	  cat $$bad.err; grep -q ':3: lexical error' $$bad.err; found=$$?; \
+	  rm -f $$bad $$bad.stc $$bad.err; \
+	  test $$st -eq 1 && test $$found -eq 0 && echo "malformed input: exit 1"
 
 # Affine dataflow smoke test (docs/ANALYSIS.md): the suite and the two
 # pinned fuzz corpora must analyze with no Error findings, and the JSON

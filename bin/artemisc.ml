@@ -22,29 +22,27 @@ open Cmdliner
 module Json = Artemis.Json
 module Trace = Artemis.Trace
 
-let read_program path =
-  try `Ok (Artemis.parse_file path) with
+(** Run a front-end step on [path], turning its failures into located
+    diagnostics (exit status 1) instead of uncaught exceptions. *)
+let diagnose path f =
+  try `Ok (f ()) with
+  | Artemis_dsl.Lexer.Lex_error (msg, line) ->
+    `Error (false, Printf.sprintf "%s:%d: lexical error: %s" path line msg)
   | Artemis.Parser.Parse_error (msg, line) ->
     `Error (false, Printf.sprintf "%s:%d: syntax error: %s" path line msg)
   | Artemis.Check.Semantic_error msg ->
     `Error (false, Printf.sprintf "%s: semantic error: %s" path msg)
+  | Artemis.Instantiate.Instantiation_error msg ->
+    `Error (false, Printf.sprintf "%s: instantiation error: %s" path msg)
   | Sys_error msg -> `Error (false, msg)
+
+let read_program path = diagnose path (fun () -> Artemis.parse_file path)
 
 (** Parse only — no semantic check.  [check] and [lint] run
     [Check.check_all] themselves so they can report every violation. *)
 let read_unchecked path =
-  match
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> `Error (false, msg)
-  | src -> (
-    match Artemis.Parser.parse_program src with
-    | exception Artemis.Parser.Parse_error (msg, line) ->
-      `Error (false, Printf.sprintf "%s:%d: syntax error: %s" path line msg)
-    | prog -> `Ok prog)
+  diagnose path (fun () ->
+      Artemis.Parser.parse_program (In_channel.with_open_bin path In_channel.input_all))
 
 let path_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"PROG.stc"
@@ -1173,7 +1171,7 @@ let () =
       ~doc:"ARTEMIS stencil code generator (OCaml reproduction)"
   in
   exit
-    (Cmd.eval
+    (Cmd.eval ~term_err:1
        (Cmd.group info
           [ check_cmd; lint_cmd; analyze_cmd; compile_cmd; optimize_cmd;
             deep_cmd; bench_cmd;

@@ -1,20 +1,22 @@
 (* Expression evaluation at a domain point: shared by the reference
    executor and the block executor so both compute identical values.
 
-   Two evaluation strategies live here:
+   Three evaluation strategies live here:
 
    - the original tree-walking interpreter ([eval]/[guard]), which
-     resolves names and iterator dimensions at every grid point; and
+     resolves names and iterator dimensions at every grid point;
    - a compile-once lowering ([compile]/[compile_coords]) that resolves
      array/scalar bindings and index offsets a single time per statement
      and returns closures the executors call per point — no per-point
-     [List.find_index]/[Not_found] control flow.
+     [List.find_index]/[Not_found] control flow; and
+   - the flat-index row evaluator ([compile_stmt] under [split_enabled])
+     that sweeps whole rows through float arrays.
 
-   Both produce bit-identical results (the closure tree mirrors the
-   interpreter's float-operation order exactly); the executors use the
-   compiled form unless [use_interpreter] is set, which the benchmark
-   harness flips to time the pre-compilation baseline and the tests use
-   for differential checking. *)
+   All three produce bit-identical results (each mirrors the
+   interpreter's float-operation order exactly).  The executors use the
+   row evaluator; clearing [use_split] selects the closures and setting
+   [use_interpreter] the interpreter — the baselines the benchmark
+   harness times and the tests use for differential checking. *)
 
 module A = Artemis_dsl.Ast
 
@@ -319,17 +321,21 @@ let compile (b : binder) (e : A.expr) : compiled =
    dead weight, and so is recomputing multi-dimensional coordinates: an
    affine access moves through a grid's flat [float array] with a fixed
    stride along the innermost iterator.  [compile_split] lowers a
-   statement to that form — per row, each access resolves to a flat base
-   offset plus [q * step]; per point, the value closures only index float
-   arrays and combine floats.  Point-invariant subexpressions (scalars,
-   constant arithmetic, accesses that do not move along the row) are
-   hoisted to row setup. *)
+   statement to that form.  Per row, each access resolves to a flat base
+   offset (a constant plus one coefficient per iteration dimension);
+   the expression then evaluates a whole row at a time, one tight loop
+   per operation over (array, offset, stride) operands into reused row
+   buffers, so no float is boxed per point.  Row-invariant subtrees
+   (arithmetic over scalars and accesses that do not move along the row)
+   are evaluated once per row and read back with stride 0. *)
 
 type access_path = {
   ap_grid : Grid.t;
   ap_spec : (int * int) array;
       (* per array dimension: (iteration dim, shift); dim = -1 constant *)
   ap_step : int;  (* flat-index stride per unit of the innermost iterator *)
+  ap_const : int;  (* flat index at the iteration-space origin *)
+  ap_coef : int array;  (* flat-index stride per iteration dimension *)
   mutable ap_base : int;  (* flat index at the current row's start point *)
 }
 
@@ -344,21 +350,46 @@ let spec_of (b : binder) (idx : A.index list) =
 
 let access_path (b : binder) (g : Grid.t) (idx : A.index list) =
   let spec = spec_of b idx in
-  let inner = List.length b.binder_iters - 1 in
-  let step = ref 0 in
-  Array.iteri
-    (fun d (dim, _) -> if dim = inner then step := !step + g.Grid.strides.(d))
-    spec;
-  { ap_grid = g; ap_spec = spec; ap_step = !step; ap_base = 0 }
-
-let path_bind_row (p : access_path) (point : int array) =
-  let idx = ref 0 in
+  let rank = List.length b.binder_iters in
+  let coef = Array.make rank 0 in
+  let const = ref 0 in
   Array.iteri
     (fun d (dim, shift) ->
+      let s = g.Grid.strides.(d) in
+      const := !const + (shift * s);
+      if dim >= 0 then coef.(dim) <- coef.(dim) + s)
+    spec;
+  {
+    ap_grid = g;
+    ap_spec = spec;
+    ap_step = (if rank = 0 then 0 else coef.(rank - 1));
+    ap_const = !const;
+    ap_coef = coef;
+    ap_base = 0;
+  }
+
+let path_bind_row (p : access_path) (point : int array) =
+  let coef = p.ap_coef in
+  let base = ref p.ap_const in
+  for dim = 0 to Array.length coef - 1 do
+    base := !base + (coef.(dim) * point.(dim))
+  done;
+  p.ap_base <- !base
+
+(* Every access of [paths] is in bounds at [point]. *)
+let paths_in_bounds (paths : access_path array) (point : int array) =
+  let ok = ref true and k = ref 0 in
+  while !ok && !k < Array.length paths do
+    let p = paths.(!k) in
+    let dims = p.ap_grid.Grid.dims and spec = p.ap_spec in
+    for d = 0 to Array.length spec - 1 do
+      let dim, shift = spec.(d) in
       let c = if dim < 0 then shift else point.(dim) + shift in
-      idx := !idx + (c * p.ap_grid.Grid.strides.(d)))
-    p.ap_spec;
-  p.ap_base <- !idx
+      if c < 0 || c >= dims.(d) then ok := false
+    done;
+    incr k
+  done;
+  !ok
 
 (** Intersect [box] (over the iteration space) with the region where
     every access of [paths] is in bounds.  Each array dimension
@@ -420,127 +451,304 @@ let order_independent ~rank ~(target : Grid.t) ~(wspec : (int * int) array)
          (not (p.ap_grid.Grid.data == target.Grid.data)) || p.ap_spec = wspec)
        paths
 
-type flat = {
-  fbind : int array -> unit;  (* bind a row: the row's start point *)
-  fat : int -> float;  (* value at offset q along the row *)
+(* An operand of the row evaluator: element [q] of a row is
+   [arr.(at.ap_base + q * stride)].  A read uses its own path; a
+   constant cell (a literal, a scalar, a row-invariant subtree's value)
+   and a row buffer use [origin] (base 0), so rebinding a row touches
+   only the paths. *)
+type operand = {
+  mutable arr : float array;  (* a row buffer's is re-pointed as it grows *)
+  at : access_path;
+  stride : int;
+  reg : int;  (* row-buffer index, or -1 *)
 }
 
-let compile_flat ?target (b : binder) (e : A.expr) : flat =
-  let inner = List.length b.binder_iters - 1 in
+let origin =
+  {
+    ap_grid = { Grid.dims = [||]; strides = [||]; data = [||] };
+    ap_spec = [||];
+    ap_step = 0;
+    ap_const = 0;
+    ap_coef = [||];
+    ap_base = 0;
+  }
+
+let mem_operand p = { arr = p.ap_grid.Grid.data; at = p; stride = p.ap_step; reg = -1 }
+let cell_operand v = { arr = [| v |]; at = origin; stride = 0; reg = -1 }
+let reg_operand r = { arr = [||]; at = origin; stride = 1; reg = r }
+
+type opcode =
+  | Neg
+  | Add
+  | Sub
+  | Mul
+  | Div
+  | Sqrt
+  | Fabs
+  | Exp
+  | Log
+  | Sin
+  | Cos
+  | Min
+  | Max
+  | Pow
+  | Fma
+
+(* [dst] is a row buffer, or a cell for the root of a row-invariant
+   subtree (evaluated over [0, 1) only).  Unused operands are a dummy
+   cell. *)
+type instr = { op : opcode; dst : operand; a : operand; b : operand; c : operand }
+
+type flat = {
+  fl_paths : access_path array;  (* distinct reads, rebound per row *)
+  fl_setup : instr array;  (* row-invariant subtrees, over [0, 1) *)
+  fl_body : instr array;  (* the rest, over the requested range *)
+  fl_root : operand;
+  fl_in_order : bool;
+      (* evaluate and store point by point: a read may see a cell an
+         earlier point of the same row writes *)
+  fl_regs : float array array;  (* row buffers, >= row length *)
+  fl_reg_operands : operand list;  (* every row-buffer operand *)
+}
+
+(* Elements [lo, hi) of one instruction.  Each float operation and its
+   operand order mirror [compile_value], so every element is
+   bit-identical to the guarded per-point evaluation. *)
+let exec_instr lo hi (i : instr) =
+  let (o : float array) = i.dst.arr in
+  let (x : float array) = i.a.arr in
+  let xo = i.a.at.ap_base and xs = i.a.stride in
+  let (y : float array) = i.b.arr in
+  let yo = i.b.at.ap_base and ys = i.b.stride in
+  match i.op with
+  | Neg ->
+    for q = lo to hi - 1 do
+      o.(q) <- -.x.(xo + (q * xs))
+    done
+  | Add ->
+    for q = lo to hi - 1 do
+      o.(q) <- x.(xo + (q * xs)) +. y.(yo + (q * ys))
+    done
+  | Sub ->
+    for q = lo to hi - 1 do
+      o.(q) <- x.(xo + (q * xs)) -. y.(yo + (q * ys))
+    done
+  | Mul ->
+    for q = lo to hi - 1 do
+      o.(q) <- x.(xo + (q * xs)) *. y.(yo + (q * ys))
+    done
+  | Div ->
+    for q = lo to hi - 1 do
+      o.(q) <- x.(xo + (q * xs)) /. y.(yo + (q * ys))
+    done
+  | Sqrt ->
+    for q = lo to hi - 1 do
+      o.(q) <- sqrt x.(xo + (q * xs))
+    done
+  | Fabs ->
+    for q = lo to hi - 1 do
+      o.(q) <- Float.abs x.(xo + (q * xs))
+    done
+  | Exp ->
+    for q = lo to hi - 1 do
+      o.(q) <- exp x.(xo + (q * xs))
+    done
+  | Log ->
+    for q = lo to hi - 1 do
+      o.(q) <- log x.(xo + (q * xs))
+    done
+  | Sin ->
+    for q = lo to hi - 1 do
+      o.(q) <- sin x.(xo + (q * xs))
+    done
+  | Cos ->
+    for q = lo to hi - 1 do
+      o.(q) <- cos x.(xo + (q * xs))
+    done
+  | Min ->
+    for q = lo to hi - 1 do
+      o.(q) <- Float.min x.(xo + (q * xs)) y.(yo + (q * ys))
+    done
+  | Max ->
+    for q = lo to hi - 1 do
+      o.(q) <- Float.max x.(xo + (q * xs)) y.(yo + (q * ys))
+    done
+  | Pow ->
+    for q = lo to hi - 1 do
+      o.(q) <- Float.pow x.(xo + (q * xs)) y.(yo + (q * ys))
+    done
+  | Fma ->
+    let (z : float array) = i.c.arr in
+    let zo = i.c.at.ap_base and zs = i.c.stride in
+    for q = lo to hi - 1 do
+      o.(q) <- Float.fma x.(xo + (q * xs)) y.(yo + (q * ys)) z.(zo + (q * zs))
+    done
+
+let exec_prog (prog : instr array) lo hi =
+  for k = 0 to Array.length prog - 1 do
+    exec_instr lo hi prog.(k)
+  done
+
+let opcode_of_call f nargs =
+  match (f, nargs) with
+  | "sqrt", 1 -> Sqrt
+  | "fabs", 1 -> Fabs
+  | "exp", 1 -> Exp
+  | "log", 1 -> Log
+  | "sin", 1 -> Sin
+  | "cos", 1 -> Cos
+  | "min", 2 -> Min
+  | "max", 2 -> Max
+  | "pow", 2 -> Pow
+  | "fma", 3 -> Fma
+  | _ -> raise (Unknown_intrinsic f)
+
+(* Expression tree annotated for emission.  An operation is hoisted to
+   row setup when it is row-invariant (no operand moves along the row)
+   and reads nothing aliasing the written grid (an earlier point of the
+   sweep may have updated it). *)
+type node = Leaf of operand | Op of opcode * node array * bool
+
+(* The distinct array reads of an expression, first occurrence first,
+   each lowered once: the statement's in-bounds constraints and the row
+   evaluator's operands share them. *)
+type read_paths = {
+  rp_list : access_path list;
+  rp_table : (string * A.index list, access_path) Hashtbl.t;
+}
+
+let read_paths (b : binder) (e : A.expr) =
+  let table = Hashtbl.create 16 in
+  let list =
+    List.filter_map
+      (fun ((a, idx) as key) ->
+        if Hashtbl.mem table key then None
+        else begin
+          let p = access_path b (b.bind_array a) idx in
+          Hashtbl.replace table key p;
+          Some p
+        end)
+      (A.reads_of_expr e)
+  in
+  { rp_list = list; rp_table = table }
+
+(* [wstep] is the write's stride along the row and [wavefront] marks a
+   schedule with in-row dependences: both make the row evaluate point
+   by point (a write step of 0 with a target-aliased read means every
+   point updates the cell the next one reads). *)
+let compile_flat (b : binder) ~(target : Grid.t) ~(reads : read_paths) ~wstep
+    ~wavefront (e : A.expr) : flat =
   let identity_idx = List.map (fun it -> A.index ~iter:it 0) b.binder_iters in
-  let paths = ref [] in
-  let setups = ref [] in
-  let new_path g idx =
-    let p = access_path b g idx in
-    paths := p :: !paths;
-    p
-  in
-  let aliases_target (g : Grid.t) =
-    match target with Some t -> g.Grid.data == t.Grid.data | None -> false
-  in
-  (* (varies along the row, reads the written grid) of a subtree. *)
-  let rec info e =
-    match e with
-    | A.Const _ -> (false, false)
-    | A.Scalar_ref s -> (
-      match b.bind_temp s with
-      | Some g -> (true, aliases_target g)  (* identity access: step >= 1 *)
-      | None -> (false, false))
-    | A.Access (a, idx) ->
-      let g = b.bind_array a in
-      let varies =
-        List.exists
-          (fun (i : A.index) ->
-            match i.iter with
-            | Some it -> iter_dim b it = inner
-            | None -> false)
-          idx
+  let temp_paths = ref [] in
+  (* One leaf per distinct read: (node, varies along the row, reads the
+     written grid). *)
+  let leaves = Hashtbl.create 16 in
+  let mem key path_of =
+    match Hashtbl.find_opt leaves key with
+    | Some leaf -> leaf
+    | None ->
+      let p = path_of () in
+      let leaf =
+        ( Leaf (mem_operand p),
+          p.ap_step <> 0,
+          p.ap_grid.Grid.data == target.Grid.data )
       in
-      (varies, aliases_target g)
-    | A.Neg e1 -> info e1
-    | A.Bin (_, e1, e2) ->
-      let v1, h1 = info e1 and v2, h2 = info e2 in
-      (v1 || v2, h1 || h2)
-    | A.Call (_, args) ->
-      List.fold_left
-        (fun (v, h) arg ->
-          let v', h' = info arg in
-          (v || v', h || h'))
-        (false, false) args
+      Hashtbl.replace leaves key leaf;
+      leaf
   in
-  (* A row-invariant subtree is hoisted to row setup — computed once from
-     the same memory, so the per-point result is bit-identical.  Subtrees
-     reading the written grid stay per-point (an earlier point of the
-     sweep may have updated them). *)
-  let worth_hoisting = function
-    | A.Const _ -> false
-    | A.Scalar_ref s -> b.bind_temp s <> None
-    | A.Access _ | A.Neg _ | A.Bin _ | A.Call _ -> true
-  in
-  let rec go ~hoist e =
-    let varies, hazard = info e in
-    if hoist && (not varies) && (not hazard) && worth_hoisting e then begin
-      let at = go_raw ~hoist:false e in
-      let cache = ref 0.0 in
-      setups := (fun () -> cache := at 0) :: !setups;
-      fun _ -> !cache
-    end
-    else go_raw ~hoist e
-  and go_raw ~hoist e : int -> float =
+  let rec annotate e =
     match e with
-    | A.Const f -> fun _ -> f
+    | A.Const f -> (Leaf (cell_operand f), false, false)
     | A.Scalar_ref s -> (
+      (* Temps shadow scalars; a per-point temporary is a domain-shaped
+         grid read at the point itself — an identity access. *)
       match b.bind_temp s with
       | Some g ->
-        (* A per-point temporary is a domain-shaped grid read at the
-           point itself — an identity access, stride 1 along the row. *)
-        let p = new_path g identity_idx in
-        let data = g.Grid.data in
-        fun q -> data.(p.ap_base + q)
-      | None ->
-        let v = b.bind_scalar s in
-        fun _ -> v)
+        mem (true, s, identity_idx) (fun () ->
+            let p = access_path b g identity_idx in
+            temp_paths := p :: !temp_paths;
+            p)
+      | None -> (Leaf (cell_operand (b.bind_scalar s)), false, false))
     | A.Access (a, idx) ->
-      let g = b.bind_array a in
-      let p = new_path g idx in
-      let data = g.Grid.data in
-      let step = p.ap_step in
-      if step = 0 then fun _ -> data.(p.ap_base)
-      else if step = 1 then fun q -> data.(p.ap_base + q)
-      else fun q -> data.(p.ap_base + (q * step))
-    | A.Neg e1 ->
-      let f1 = go ~hoist e1 in
-      fun q -> -.f1 q
-    | A.Bin (op, e1, e2) -> (
-      let f1 = go ~hoist e1 and f2 = go ~hoist e2 in
-      match op with
-      | A.Add -> fun q -> f1 q +. f2 q
-      | A.Sub -> fun q -> f1 q -. f2 q
-      | A.Mul -> fun q -> f1 q *. f2 q
-      | A.Div -> fun q -> f1 q /. f2 q)
-    | A.Call (f, args) -> (
-      match (f, List.map (go ~hoist) args) with
-      | "sqrt", [ x ] -> fun q -> sqrt (x q)
-      | "fabs", [ x ] -> fun q -> Float.abs (x q)
-      | "exp", [ x ] -> fun q -> exp (x q)
-      | "log", [ x ] -> fun q -> log (x q)
-      | "sin", [ x ] -> fun q -> sin (x q)
-      | "cos", [ x ] -> fun q -> cos (x q)
-      | "min", [ x; y ] -> fun q -> Float.min (x q) (y q)
-      | "max", [ x; y ] -> fun q -> Float.max (x q) (y q)
-      | "pow", [ x; y ] -> fun q -> Float.pow (x q) (y q)
-      | "fma", [ x; y; z ] -> fun q -> Float.fma (x q) (y q) (z q)
-      | _ -> raise (Unknown_intrinsic f))
+      mem (false, a, idx) (fun () -> Hashtbl.find reads.rp_table (a, idx))
+    | A.Neg e1 -> op Neg [ e1 ]
+    | A.Bin (o, e1, e2) ->
+      let code =
+        match o with A.Add -> Add | A.Sub -> Sub | A.Mul -> Mul | A.Div -> Div
+      in
+      op code [ e1; e2 ]
+    | A.Call (f, args) -> op (opcode_of_call f (List.length args)) args
+  and op code args =
+    let args = List.map annotate args in
+    let varies = List.exists (fun (_, v, _) -> v) args in
+    let hazard = List.exists (fun (_, _, h) -> h) args in
+    let nodes = Array.of_list (List.map (fun (n, _, _) -> n) args) in
+    (Op (code, nodes, (not varies) && not hazard), varies, hazard)
   in
-  let fat = go ~hoist:true e in
-  let all_paths = !paths and all_setups = !setups in
+  let root, _, hazard = annotate e in
+  (* Registers are allocated stack-wise: argument [k] of an operation
+     at register [base] lands in the next free register, and the result
+     overwrites the first (elementwise, after reading it).  Setup runs
+     before the body, so the two programs share registers. *)
+  let setup = ref [] and body = ref [] and nregs = ref 0 in
+  let reg_operands = ref [] in
+  let unused = cell_operand 0.0 in
+  let rec emit ~in_setup ~base node =
+    match node with
+    | Leaf o -> o
+    | Op (code, args, hoisted) ->
+      if hoisted && not in_setup then begin
+        let cell = cell_operand 0.0 in
+        emit_op ~in_setup:true ~base:0 ~dst:cell code args;
+        cell
+      end
+      else begin
+        let dst = reg_operand base in
+        reg_operands := dst :: !reg_operands;
+        nregs := max !nregs (base + 1);
+        emit_op ~in_setup ~base ~dst code args;
+        dst
+      end
+  and emit_op ~in_setup ~base ~dst code args =
+    let next = ref base in
+    let srcs =
+      Array.map
+        (fun n ->
+          let o = emit ~in_setup ~base:!next n in
+          if o.reg >= 0 then incr next;
+          o)
+        args
+    in
+    let arg k = if k < Array.length srcs then srcs.(k) else unused in
+    let i = { op = code; dst; a = arg 0; b = arg 1; c = arg 2 } in
+    if in_setup then setup := i :: !setup else body := i :: !body
+  in
+  let root = emit ~in_setup:false ~base:0 root in
   {
-    fbind =
-      (fun point ->
-        List.iter (fun p -> path_bind_row p point) all_paths;
-        List.iter (fun s -> s ()) all_setups);
-    fat;
+    fl_paths = Array.of_list (reads.rp_list @ !temp_paths);
+    fl_setup = Array.of_list (List.rev !setup);
+    fl_body = Array.of_list (List.rev !body);
+    fl_root = root;
+    fl_in_order = wavefront || (wstep = 0 && hazard);
+    fl_regs = Array.make !nregs [||];
+    fl_reg_operands = !reg_operands;
   }
+
+(* Bind the row starting at [point] for [n] points: rebase every read,
+   grow the row buffers, evaluate the row-invariant subtrees. *)
+let bind_row (fl : flat) (point : int array) n =
+  let paths = fl.fl_paths in
+  for k = 0 to Array.length paths - 1 do
+    path_bind_row paths.(k) point
+  done;
+  let regs = fl.fl_regs in
+  if Array.length regs > 0 && Array.length regs.(0) < n then begin
+    for r = 0 to Array.length regs - 1 do
+      regs.(r) <- Array.make n 0.0
+    done;
+    List.iter (fun o -> o.arr <- regs.(o.reg)) fl.fl_reg_operands
+  end;
+  exec_prog fl.fl_setup 0 1
 
 type split_stmt = {
   ss_write : access_path;
@@ -559,26 +767,25 @@ let rec expr_reads_temp (b : binder) (e : A.expr) =
   | A.Bin (_, e1, e2) -> expr_reads_temp b e1 || expr_reads_temp b e2
   | A.Call (_, args) -> List.exists (expr_reads_temp b) args
 
+let split_of (b : binder) ~target ~wavefront wpath reads e =
+  {
+    ss_write = wpath;
+    ss_expr = compile_flat b ~target ~reads ~wstep:wpath.ap_step ~wavefront e;
+    ss_paths = wpath :: reads.rp_list;
+  }
+
 let compile_split (b : binder) ~(target : Grid.t) (idx : A.index list)
     (e : A.expr) : split_stmt option =
   let rank = List.length b.binder_iters in
   let wpath = access_path b target idx in
-  let rpaths =
-    List.map (fun (a, ridx) -> access_path b (b.bind_array a) ridx)
-      (A.reads_of_expr e)
-  in
+  let reads = read_paths b e in
   let reads_temp = expr_reads_temp b e in
   if
     not
-      (order_independent ~rank ~target ~wspec:wpath.ap_spec ~reads_temp rpaths)
+      (order_independent ~rank ~target ~wspec:wpath.ap_spec ~reads_temp
+         reads.rp_list)
   then None
-  else
-    Some
-      {
-        ss_write = wpath;
-        ss_expr = compile_flat ~target b e;
-        ss_paths = wpath :: rpaths;
-      }
+  else Some (split_of b ~target ~wavefront:false wpath reads e)
 
 let split_interior (ss : split_stmt) (region : Region.box) =
   clip_in_bounds ss.ss_paths region
@@ -599,37 +806,36 @@ let elim_proven (ss : split_stmt) ~(region : Region.box)
             (List.map (fun p -> (p.ap_grid.Grid.dims, p.ap_spec)) ss.ss_paths))
        interior
 
-let run_row_assign (ss : split_stmt) (point : int array) (n : int) =
-  ss.ss_expr.fbind point;
+let run_row ~accum (ss : split_stmt) (point : int array) (n : int) =
+  let fl = ss.ss_expr in
+  bind_row fl point n;
   path_bind_row ss.ss_write point;
-  let data = ss.ss_write.ap_grid.Grid.data in
+  let (data : float array) = ss.ss_write.ap_grid.Grid.data in
   let base = ss.ss_write.ap_base and step = ss.ss_write.ap_step in
-  let fat = ss.ss_expr.fat in
-  if step = 1 then
+  let (v : float array) = fl.fl_root.arr in
+  let vo = fl.fl_root.at.ap_base and vs = fl.fl_root.stride in
+  if fl.fl_in_order then
     for q = 0 to n - 1 do
-      data.(base + q) <- fat q
-    done
-  else
-    for q = 0 to n - 1 do
-      data.(base + (q * step)) <- fat q
-    done
-
-let run_row_accum (ss : split_stmt) (point : int array) (n : int) =
-  ss.ss_expr.fbind point;
-  path_bind_row ss.ss_write point;
-  let data = ss.ss_write.ap_grid.Grid.data in
-  let base = ss.ss_write.ap_base and step = ss.ss_write.ap_step in
-  let fat = ss.ss_expr.fat in
-  if step = 1 then
-    for q = 0 to n - 1 do
-      let w = base + q in
-      data.(w) <- data.(w) +. fat q
-    done
-  else
-    for q = 0 to n - 1 do
+      exec_prog fl.fl_body q (q + 1);
       let w = base + (q * step) in
-      data.(w) <- data.(w) +. fat q
+      if accum then data.(w) <- data.(w) +. v.(vo + (q * vs))
+      else data.(w) <- v.(vo + (q * vs))
     done
+  else begin
+    exec_prog fl.fl_body 0 n;
+    if accum then
+      for q = 0 to n - 1 do
+        let w = base + (q * step) in
+        data.(w) <- data.(w) +. v.(vo + (q * vs))
+      done
+    else
+      for q = 0 to n - 1 do
+        data.(base + (q * step)) <- v.(vo + (q * vs))
+      done
+  end
+
+let run_row_assign ss point n = run_row ~accum:false ss point n
+let run_row_accum ss point n = run_row ~accum:true ss point n
 
 (* ------------------------------------------------------------------ *)
 (* Unified statement compilation                                       *)
@@ -697,48 +903,34 @@ let compile_stmt (b : binder) ~(target : Grid.t) ~(accum : bool)
     { sx_class = Sc_guarded; sx_guarded = guarded; sx_row = no_row }
   end
   else begin
-    let plan_of = plan_cache b in
-    let coords_at = access_plan b idx in
-    let cguard = compile_guard ~plan_of e in
-    let cvalue = compile_value ~plan_of b e in
-    let guarded p =
-      let w = coords_at p in
-      if Grid.in_bounds target w && cguard p then
-        if accum then Grid.set target w (Grid.get target w +. cvalue p)
-        else Grid.set target w (cvalue p)
-    in
     let rank = List.length b.binder_iters in
     let wpath = access_path b target idx in
-    let rpaths =
-      List.map (fun (a, ridx) -> access_path b (b.bind_array a) ridx)
-        (A.reads_of_expr e)
-    in
+    let reads = read_paths b e in
+    let rpaths = reads.rp_list in
     let reads_temp = expr_reads_temp b e in
-    let mk_split () =
-      {
-        ss_write = wpath;
-        ss_expr = compile_flat ~target b e;
-        ss_paths = wpath :: rpaths;
-      }
-    in
-    let cls =
+    let schedule =
       if
         order_independent ~rank ~target ~wspec:wpath.ap_spec ~reads_temp rpaths
-      then Sc_split (mk_split ())
+      then `Split
       else if wavefront_enabled () then (
         match self_deltas ~rank ~target ~wspec:wpath.ap_spec rpaths with
         | Some deltas -> (
           match Wavefront.hyperplane ~rank deltas with
-          | Some vec -> Sc_wavefront (mk_split (), vec)
-          | None -> Sc_guarded)
-        | None -> Sc_guarded)
-      else Sc_guarded
+          | Some vec -> `Wavefront vec
+          | None -> `Guarded)
+        | None -> `Guarded)
+      else `Guarded
     in
-    let row =
-      match cls with
-      | Sc_split ss | Sc_wavefront (ss, _) ->
-        if accum then run_row_accum ss else run_row_assign ss
-      | Sc_guarded -> no_row
-    in
-    { sx_class = cls; sx_guarded = guarded; sx_row = row }
+    let wavefront = match schedule with `Wavefront _ -> true | `Split | `Guarded -> false in
+    let ss = split_of b ~target ~wavefront wpath reads e in
+    let row = run_row ~accum ss in
+    (* A guarded point is a row of length 1 once the write and every
+       read are in bounds there, so its flat indices are valid. *)
+    let checks = Array.of_list ss.ss_paths in
+    let guarded p = if paths_in_bounds checks p then row p 1 in
+    match schedule with
+    | `Split -> { sx_class = Sc_split ss; sx_guarded = guarded; sx_row = row }
+    | `Wavefront vec ->
+      { sx_class = Sc_wavefront (ss, vec); sx_guarded = guarded; sx_row = row }
+    | `Guarded -> { sx_class = Sc_guarded; sx_guarded = guarded; sx_row = no_row }
   end

@@ -1,10 +1,10 @@
 (** Expression evaluation at a domain point — shared by the reference
     executor and the block executor so both compute identical values.
 
-    The executors evaluate through {!compile}, which resolves bindings
-    and index offsets once per statement; the point-wise interpreter
-    ({!eval}/{!guard}) remains as the differential baseline and is what
-    the compiled closures fall back to under {!use_interpreter}. *)
+    The executors evaluate through {!compile_stmt}'s flat-index row
+    evaluator; the per-point closures of {!compile} (under a cleared
+    {!use_split}) and the point-wise interpreter ({!eval}/{!guard}, under
+    {!use_interpreter}) remain as the differential baselines. *)
 
 (** Raised when an array read falls outside its grid; callers treat the
     statement as guarded off at that point. *)
@@ -121,24 +121,30 @@ val compile_coords :
 
     Inside a guaranteed-in-bounds interior box an affine access moves
     through its grid's flat [float array] with a fixed stride along the
-    innermost iterator, so the interior sweeps as tight [for] loops over
-    flat offsets with zero per-point checks — see [Region] for the
-    region decomposition and docs/PERF.md for the full picture. *)
+    innermost iterator, so the interior sweeps a row at a time: each
+    expression operation is one tight [for] loop over flat offsets into
+    a reused row buffer, with zero per-point checks and no boxed floats
+    — see [Region] for the region decomposition and docs/PERF.md for the
+    full picture. *)
 
 (** One access lowered to flat-index form: a per-row base offset plus a
-    fixed per-point stride along the innermost iterator. *)
+    fixed per-point stride along the innermost iterator.  The base is
+    affine in the iteration point: [ap_const + sum_d ap_coef.(d) * p.(d)]. *)
 type access_path = {
   ap_grid : Grid.t;
   ap_spec : (int * int) array;
       (** per array dimension: [(iteration dim, shift)]; dim [-1] means a
           constant index *)
   ap_step : int;  (** flat-index stride per unit of the innermost iterator *)
+  ap_const : int;  (** flat index at the iteration-space origin *)
+  ap_coef : int array;  (** flat-index stride per iteration dimension *)
   mutable ap_base : int;  (** flat index at the current row's start point *)
 }
 
 val access_path : binder -> Grid.t -> Artemis_dsl.Ast.index list -> access_path
 
-(** Recompute [ap_base] for the row starting at [point]. *)
+(** Recompute [ap_base] for the row starting at [point] (closed form, no
+    allocation). *)
 val path_bind_row : access_path -> int array -> unit
 
 (** Intersect an iteration-space box with the region where every access
@@ -155,10 +161,13 @@ type split_stmt = {
       (** write plus reads — the in-bounds constraints for {!split_interior} *)
 }
 
-and flat = {
-  fbind : int array -> unit;  (** bind a row by its start point *)
-  fat : int -> float;  (** value at offset [q] along the bound row *)
-}
+(** The statement's expression compiled for row-at-a-time evaluation:
+    row-invariant subtrees run once per row, the rest as one loop per
+    operation over the row.  Rows whose reads may see a cell written
+    earlier in the same row (wavefront schedules, or a write that does
+    not move along the row) evaluate one point at a time through the
+    same program. *)
+and flat
 
 (** Lower [target[idx] = e] (or [+=]) for split execution, or [None]
     when splitting could reorder observable effects: the write index
@@ -229,11 +238,13 @@ val self_deltas :
   int array list option
 
 (** Compile [target[idx] = e] (or [+=] under [accum]) into its guarded
-    closure plus schedule class.  All closures share one plan cache —
-    the guarded fallback no longer rebuilds the plans the split decision
-    already constructed.  Like {!compile}, the result reuses internal
-    buffers and belongs to one sequential sweep: parallel wavefront
-    bands each compile their own instance. *)
+    closure plus schedule class.  Under {!split_enabled} every path —
+    interior rows, wavefront rows and guarded points (a row of length 1
+    once the write and every read are in bounds) — runs the one
+    row-at-a-time evaluator; otherwise the guarded closure is
+    {!compile}'s.  Like {!compile}, the result reuses internal buffers
+    and belongs to one sequential sweep: parallel wavefront bands each
+    compile their own instance. *)
 val compile_stmt :
   binder ->
   target:Grid.t ->

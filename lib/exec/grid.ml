@@ -39,30 +39,38 @@ let linear g coords =
 let get g coords = g.data.(linear g coords)
 let set g coords v = g.data.(linear g coords) <- v
 
-(** Linear element index of [coords] — used by the coalescing model. *)
-let element_index = linear
-
 (** Initialize with a deterministic smooth-plus-noise pattern so stencil
-    outputs are sensitive to every input point (tests rely on this). *)
+    outputs are sensitive to every input point (tests rely on this).  The
+    smooth part is a sum of one [sin] term per dimension, so each
+    dimension gets one table and the partial sums accumulate down the
+    loop nest, in the same dimension order as a per-point sum. *)
 let init_pattern ?(seed = 1) g =
   let r = rank g in
-  let coords = Array.make r 0 in
-  let n = size g in
-  for lin = 0 to n - 1 do
-    let rem = ref lin in
-    for d = 0 to r - 1 do
-      coords.(d) <- !rem / g.strides.(d);
-      rem := !rem mod g.strides.(d)
-    done;
-    let smooth = ref 0.0 in
-    Array.iteri
-      (fun d c ->
-        smooth := !smooth +. sin (float_of_int ((d + seed) * (c + 1)) *. 0.17))
-      coords;
-    (* A small multiplicative hash decorrelates neighbouring points. *)
-    let h = (lin * 2654435761) land 0xFFFF in
-    g.data.(lin) <- !smooth +. (float_of_int h /. 65536.0)
-  done
+  let tables =
+    Array.init r (fun d ->
+        Array.init g.dims.(d) (fun c ->
+            sin (float_of_int ((d + seed) * (c + 1)) *. 0.17)))
+  in
+  (* A small multiplicative hash decorrelates neighbouring points. *)
+  let[@inline] noise lin = float_of_int ((lin * 2654435761) land 0xFFFF) /. 65536.0 in
+  (* [partial.(d)]: the smooth sum over the dimensions before [d]. *)
+  let partial = Array.make r 0.0 in
+  let rec go d lin =
+    let table = tables.(d) and stride = g.strides.(d) in
+    if d = r - 1 then begin
+      let smooth = partial.(d) in
+      for c = 0 to g.dims.(d) - 1 do
+        let l = lin + (c * stride) in
+        g.data.(l) <- smooth +. table.(c) +. noise l
+      done
+    end
+    else
+      for c = 0 to g.dims.(d) - 1 do
+        partial.(d + 1) <- partial.(d) +. table.(c);
+        go (d + 1) (lin + (c * stride))
+      done
+  in
+  if r = 0 then g.data.(0) <- 0.0 +. noise 0 else go 0 0
 
 let fill g v = Array.fill g.data 0 (Array.length g.data) v
 

@@ -18,9 +18,6 @@ val in_bounds : t -> int array -> bool
 val get : t -> int array -> float
 val set : t -> int array -> float -> unit
 
-(** Linear element index of a coordinate — used by the coalescing model. *)
-val element_index : t -> int array -> int
-
 (** Fill with a deterministic smooth-plus-noise pattern so stencil
     outputs are sensitive to every input point (tests rely on this). *)
 val init_pattern : ?seed:int -> t -> unit

@@ -144,4 +144,35 @@ let tests =
                 {|parameter L=8; iterator i; double u[L], v[1]; copyin v;
                   stencil s0 (x, y) { x[i] = y[i+1]; } s0 (u, v); copyout u;|} );
             ]);
+      case "malformed input is a located diagnostic with exit 1" (fun () ->
+          let artemisc = "../bin/artemisc.exe" in
+          List.iter
+            (fun (src, expected) ->
+              let path = Filename.temp_file "artemis_cli" ".stc" in
+              let err = Filename.temp_file "artemis_cli" ".err" in
+              Fun.protect
+                ~finally:(fun () ->
+                  Sys.remove path;
+                  Sys.remove err)
+                (fun () ->
+                  Out_channel.with_open_bin path (fun oc -> output_string oc src);
+                  List.iter
+                    (fun cmd ->
+                      let st =
+                        Sys.command
+                          (Printf.sprintf "%s %s %s > /dev/null 2> %s" artemisc cmd
+                             (Filename.quote path) (Filename.quote err))
+                      in
+                      Alcotest.(check int) (cmd ^ " exit status") 1 st;
+                      let msg = In_channel.with_open_bin err In_channel.input_all in
+                      let prefix = "artemisc: " ^ path ^ expected in
+                      Alcotest.(check bool)
+                        (Printf.sprintf "%s: %S starts with %S" cmd msg prefix)
+                        true
+                        (String.starts_with ~prefix msg))
+                    [ "check"; "lint"; "compile" ]))
+            [
+              ("parameter L=8;\niterator i;\ndouble u[L] @;\n", ":3: lexical error");
+              ("parameter L=8;\niterator i;\ndouble u[L;\n", ":3: syntax error");
+            ]);
     ] )

@@ -248,6 +248,41 @@ let prop_box_volume =
       let v = T.box_volume (T.box_inter b1 b2) in
       v <= T.box_volume b1 && v <= T.box_volume b2)
 
+(* The per-point store initializer the separable [Grid.init_pattern]
+   replaced: decompose each linear index, sum one [sin] term per
+   dimension, add the hash noise.  Kept as the oracle. *)
+let init_pattern_per_point ~seed (g : Artemis_exec.Grid.t) =
+  let r = Array.length g.dims in
+  let coords = Array.make r 0 in
+  for lin = 0 to Array.length g.data - 1 do
+    let rem = ref lin in
+    for d = 0 to r - 1 do
+      coords.(d) <- !rem / g.strides.(d);
+      rem := !rem mod g.strides.(d)
+    done;
+    let smooth = ref 0.0 in
+    Array.iteri
+      (fun d c ->
+        smooth := !smooth +. sin (float_of_int ((d + seed) * (c + 1)) *. 0.17))
+      coords;
+    let h = (lin * 2654435761) land 0xFFFF in
+    g.data.(lin) <- !smooth +. (float_of_int h /. 65536.0)
+  done
+
+let prop_init_pattern_matches_per_point =
+  Q.Test.make ~name:"separable init_pattern is bit-identical to per-point"
+    ~count:300
+    Q.(pair (int_range (-2) 9) (list_of_size (Q.Gen.int_range 0 4) (int_range 1 7)))
+    (fun (seed, dims) ->
+      let module G = Artemis_exec.Grid in
+      let dims = Array.of_list dims in
+      let a = G.create dims and b = G.create dims in
+      G.init_pattern ~seed a;
+      init_pattern_per_point ~seed b;
+      Array.for_all2
+        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+        a.data b.data)
+
 let tests =
   ( "properties",
     List.map to_alcotest
@@ -255,4 +290,5 @@ let tests =
         prop_decompose_preserves_flops; prop_decompose_preserves_semantics;
         prop_required_extents_cover_reads; prop_pad_exact;
         prop_occupancy_monotone_regs; prop_occupancy_monotone_shared;
-        prop_run_sectors_bounds; prop_dp_matches_bruteforce; prop_box_volume ] )
+        prop_run_sectors_bounds; prop_dp_matches_bruteforce; prop_box_volume;
+        prop_init_pattern_matches_per_point ] )

@@ -166,30 +166,123 @@ let interior_tests =
           (Region.is_empty (Eval.split_interior ss (Region.of_dims [| 12; 12 |]))));
     case "flat rows equal guarded evaluation on the interior" (fun () ->
         let rng = Rng.make 99 in
-        for _ = 1 to 50 do
-          let n0 = 4 + Rng.int rng 6 and n1 = 4 + Rng.int rng 6 in
-          let u = E.Grid.create [| n0; n1 |] and v = E.Grid.create [| n0; n1 |] in
-          E.Grid.init_pattern ~seed:1 v;
-          let b = mk_binder [ ("u", u); ("v", v) ] [ ("c", 0.5) ] [ "i"; "j" ] in
-          let s0 = Rng.int rng 5 - 2 and s1 = Rng.int rng 5 - 2 in
-          let e =
-            A.Bin
-              ( A.Add,
-                A.Bin (A.Mul, A.Scalar_ref "c", A.Access ("v", ij s0 s1)),
-                A.Access ("v", ij 0 0) )
+        let swept = ref 0 in
+        for trial = 1 to 400 do
+          (* Even trials write u[i][j] (rows evaluate a whole row at a
+             time); odd trials write u1[i], which does not move along the
+             row, so a self-read makes the row evaluate point by point. *)
+          let covering = trial mod 2 = 0 in
+          let n0 = 1 + Rng.int rng 8 and n1 = 1 + Rng.int rng 9 in
+          let grid dims seed =
+            let g = E.Grid.create dims in
+            E.Grid.init_pattern ~seed g;
+            g
           in
-          let region = Region.of_dims [| n0; n1 |] in
-          let ss = Option.get (Eval.compile_split b ~target:u (ij 0 0) e) in
-          let interior = Eval.split_interior ss region in
-          Region.iter_rows interior (fun p n -> Eval.run_row_assign ss p n);
-          (* replay with the guarded compiled closures on a fresh grid *)
-          let u' = E.Grid.create [| n0; n1 |] in
-          let b' = mk_binder [ ("u", u'); ("v", v) ] [ ("c", 0.5) ] [ "i"; "j" ] in
-          let c = Eval.compile b' e in
-          Region.iter_points interior (fun p ->
-              if c.Eval.cguard p then E.Grid.set u' p (c.cvalue p));
-          Alcotest.(check (float 0.0)) "identical" 0.0 (E.Grid.max_abs_diff u u')
-        done);
+          let v = grid [| n0; n1 |] 1 and w = grid [| n1; n0 |] 2 in
+          let t = grid [| n0; n1 |] 3 in
+          let shift () = Rng.int rng 5 - 2 in
+          let leaf () =
+            match Rng.int rng 8 with
+            | 0 -> A.Const (float_of_int (Rng.int rng 17 - 8) *. 0.375)
+            | 1 -> A.Scalar_ref "c"
+            | 2 -> A.Scalar_ref "t"
+            | 3 -> A.Access ("v", ij (shift ()) (shift ()))
+            | 4 ->
+              (* transposed: stride n0 along the row *)
+              A.Access
+                ("w", [ A.index ~iter:"j" (shift ()); A.index ~iter:"i" (shift ()) ])
+            | 5 ->
+              (* constant index: stride 0 along i *)
+              A.Access ("v", [ A.index (Rng.int rng n0); A.index ~iter:"j" (shift ()) ])
+            | 6 ->
+              (* self-read of the written cell *)
+              if covering then A.Access ("u", ij 0 0)
+              else A.Access ("u1", [ A.index ~iter:"i" 0 ])
+            | _ -> A.Access ("v", ij 0 0)
+          in
+          (* The non-covering write may only read what does not move
+             along j (else the statement does not split). *)
+          let leaf () =
+            if covering then leaf ()
+            else
+              match Rng.int rng 4 with
+              | 0 -> A.Const (float_of_int (Rng.int rng 17 - 8) *. 0.375)
+              | 1 -> A.Scalar_ref "c"
+              | 2 -> A.Access ("v", [ A.index ~iter:"i" (shift ()); A.index (Rng.int rng n1) ])
+              | _ -> A.Access ("u1", [ A.index ~iter:"i" 0 ])
+          in
+          let rec expr depth =
+            if depth = 0 || Rng.int rng 4 = 0 then leaf ()
+            else
+              let sub () = expr (depth - 1) in
+              match Rng.int rng 15 with
+              | 0 -> A.Neg (sub ())
+              | 1 -> A.Bin (A.Add, sub (), sub ())
+              | 2 -> A.Bin (A.Sub, sub (), sub ())
+              | 3 -> A.Bin (A.Mul, sub (), sub ())
+              | 4 -> A.Bin (A.Div, sub (), sub ())
+              | 5 -> A.Call ("min", [ sub (); sub () ])
+              | 6 -> A.Call ("max", [ sub (); sub () ])
+              | 7 -> A.Call ("pow", [ sub (); sub () ])
+              | 8 -> A.Call ("fma", [ sub (); sub (); sub () ])
+              | k ->
+                A.Call
+                  ( List.nth [ "sqrt"; "fabs"; "exp"; "log"; "sin"; "cos" ] (k - 9),
+                    [ sub () ] )
+          in
+          let e = expr 5 in
+          let accum = Rng.bool rng in
+          (* Sweep a random sub-box so row lengths range over 1..n1. *)
+          let sub_range n =
+            let lo = Rng.int rng n in
+            (lo, lo + Rng.int rng (n - lo))
+          in
+          let region = [| sub_range n0; sub_range n1 |] in
+          let run ~flat =
+            let u = grid [| n0; n1 |] 4 and u1 = grid [| n0 |] 5 in
+            let b =
+              {
+                Eval.bind_array =
+                  (fun a -> List.assoc a [ ("u", u); ("u1", u1); ("v", v); ("w", w) ]);
+                bind_temp = (fun s -> if s = "t" then Some t else None);
+                bind_scalar = (fun _ -> 0.5);
+                binder_iters = [ "i"; "j" ];
+              }
+            in
+            let target, widx =
+              if covering then (u, ij 0 0) else (u1, [ A.index ~iter:"i" 0 ])
+            in
+            let ss = Option.get (Eval.compile_split b ~target widx e) in
+            let interior = Eval.split_interior ss region in
+            if flat then
+              Region.iter_rows interior (fun p n ->
+                  if accum then Eval.run_row_accum ss p n
+                  else Eval.run_row_assign ss p n)
+            else begin
+              (* the per-point closure evaluator, independent of rows *)
+              let c = Eval.compile b e and coords = Eval.compile_coords b widx in
+              Region.iter_points interior (fun p ->
+                  if c.Eval.cguard p then begin
+                    let cell = coords p in
+                    if accum then
+                      E.Grid.set target cell (E.Grid.get target cell +. c.cvalue p)
+                    else E.Grid.set target cell (c.cvalue p)
+                  end)
+            end;
+            (target, Region.volume interior)
+          in
+          let rows, pts = run ~flat:true and guarded, _ = run ~flat:false in
+          if pts > 0 then incr swept;
+          Array.iteri
+            (fun k x ->
+              let y = guarded.E.Grid.data.(k) in
+              if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+              then
+                Alcotest.failf "trial %d, cell %d: rows %h, guarded %h (%s)" trial
+                  k x y (Artemis_dsl.Pretty.expr_to_string e))
+            rows.E.Grid.data
+        done;
+        Alcotest.(check bool) "most trials sweep an interior" true (!swept > 200));
   ]
 
 (* ---------------- order-dependence fallback ---------------- *)
