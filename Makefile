@@ -111,7 +111,8 @@ model-smoke:
 # in canonical order, independent of pool scheduling), and the committed
 # bench baselines must pass the regression gate against themselves.  The
 # rhs4center run puts a heavy spatial kernel, with its retime and fold
-# variants, through the per-kernel analysis caches on pool workers.
+# variants, through the per-kernel analysis caches on pool workers; the
+# 27pt-smoother run prices temporal-degree variants there.
 obs-smoke:
 	dune exec bin/artemisc.exe -- explain --bench 7pt-smoother --max-tile 2 \
 	  --json -j 1 > /tmp/artemis-explain-j1.json
@@ -125,10 +126,17 @@ obs-smoke:
 	  > /tmp/artemis-explain-rhs-j4.json
 	cmp /tmp/artemis-explain-rhs-j1.json /tmp/artemis-explain-rhs-j4.json \
 	  && echo "rhs4center explain deterministic across jobs"
+	dune exec bin/artemisc.exe -- explain --bench 27pt-smoother --max-tile 2 \
+	  --max-degree 4 --json -j 1 > /tmp/artemis-explain-tb-j1.json
+	dune exec bin/artemisc.exe -- explain --bench 27pt-smoother --max-tile 2 \
+	  --max-degree 4 --json -j 2 > /tmp/artemis-explain-tb-j2.json
+	cmp /tmp/artemis-explain-tb-j1.json /tmp/artemis-explain-tb-j2.json \
+	  && echo "27pt-smoother temporal explain deterministic across jobs"
 	dune exec bin/artemisc.exe -- bench-diff BENCH_exec.json BENCH_exec.json
 	dune exec bin/artemisc.exe -- bench-diff BENCH_tuner.json BENCH_tuner.json
 	@rm -f /tmp/artemis-explain-j1.json /tmp/artemis-explain-j4.json \
-	  /tmp/artemis-explain-rhs-j1.json /tmp/artemis-explain-rhs-j4.json
+	  /tmp/artemis-explain-rhs-j1.json /tmp/artemis-explain-rhs-j4.json \
+	  /tmp/artemis-explain-tb-j1.json /tmp/artemis-explain-tb-j2.json
 
 clean:
 	dune clean

@@ -295,7 +295,7 @@ let kernel_retimable (k : I.kernel) dim =
     always combined with the same pointwise operator can be folded into a
     single staged value.  [foldable_groups k] returns groups of arrays
     that are only read as [A op B op ...] at identical offsets. *)
-let foldable_groups (k : I.kernel) =
+let foldable_groups_uncached (k : I.kernel) =
   (* Collect maximal product/sum chains whose factors are single reads of
      distinct arrays at equal offsets. *)
   let chains = Hashtbl.create 8 in
@@ -346,4 +346,7 @@ let foldable_groups (k : I.kernel) =
              per_member * List.length arrays = group_read_count)
            arrays)
     candidates
-  |> List.map (fun (op, arrays) -> (op, arrays))
+
+(* Phase-2 tuning asks once per variant, and every variant shares its
+   base plan's kernel value. *)
+let foldable_groups = Kernel_memo.memo foldable_groups_uncached

@@ -22,10 +22,8 @@ type measurement = {
   tflops : float;
 }
 
-(** Measure a plan analytically.
-    @raise Invalid_argument when the plan violates device limits. *)
-let measure (plan : Plan.t) =
-  Validate.check plan;
+(* Measure a plan already known to be launchable. *)
+let measure_valid (plan : Plan.t) =
   Metrics.incr m_measures;
   let ctx = Traffic.make_ctx plan in
   let counters = Traffic.total_counters ctx in
@@ -51,12 +49,18 @@ let measure (plan : Plan.t) =
     tflops = Timing.tflops workload breakdown;
   }
 
+(** Measure a plan analytically.
+    @raise Invalid_argument when the plan violates device limits. *)
+let measure plan =
+  Validate.check plan;
+  measure_valid plan
+
 (** Measure, returning [None] instead of raising on invalid plans — the
-    shape the tuner's search loops want. *)
+    shape the tuner's search loops want.  Validates once. *)
 let try_measure plan =
   match Validate.violations plan with
   | [] -> (
-    try Some (measure plan) with
+    try Some (measure_valid plan) with
     | Invalid_argument _ | Kernel_exec.Unsupported _ -> None)
   | _ :: _ -> None
 

@@ -203,7 +203,7 @@ let run_plain (plan : Plan.t) (store : Reference.store) ~scalars =
         ( si, is_final, sx, wavefront,
           (* per-statement scratch: swept region and point buffer *)
           Array.make rank (0, 0), Array.make rank 0 ))
-      (List.map (fun (sc : Traffic.stmt_cost) -> sc.info) ctx.stmts)
+      (Array.to_list (Array.map (fun (sc : Traffic.stmt_cost) -> sc.info) ctx.stmts))
   in
   let exec_block (block : int array) =
     let tile = Traffic.tile_box ctx block in

@@ -44,8 +44,6 @@ let with_model m f =
   model := m;
   Fun.protect ~finally:(fun () -> model := saved) f
 
-let halo_miss () = !model.halo_miss
-
 (* Per-statement static description: a function of the kernel alone. *)
 type stmt_info = {
   stmt : A.stmt;
@@ -81,7 +79,7 @@ type stmt_cost = {
   saved_flops : int;  (** combine ops moved to staging by folding *)
   guard : (int * int) array;  (** region where the statement's guard holds *)
   store : store;
-  charges : charge list;  (** reads that cost anything, in read order *)
+  charges : charge array;  (** reads that cost anything, in read order *)
 }
 
 (* A staged (or fold-member) buffer's once-per-block load. *)
@@ -98,8 +96,8 @@ type ctx = {
   geom : Launch.geometry;
   bufs : Launch.buffer list;
   res : Estimate.resources;
-  stmts : stmt_cost list;
-  loads : load list;
+  stmts : stmt_cost array;
+  loads : load array;
   global_arrays : string array;  (** slot -> array of the [Global] charges *)
   inplane_reads : int;  (** number of [Shared_once] keys *)
   concurrent_blocks : int;
@@ -329,9 +327,10 @@ let make_ctx (p : Plan.t) =
                 let lo, hi = si.guard_ext.(d) in
                 (max 0 (-lo), geom.domain.(d) - 1 - max 0 hi));
           store;
-          charges = List.filter_map charge si.reads;
+          charges = Array.of_list (List.filter_map charge si.reads);
         })
       f.infos
+    |> Array.of_list
   in
   let loads =
     List.filter_map
@@ -358,6 +357,7 @@ let make_ctx (p : Plan.t) =
         | Launch.Stage_fold_member _ -> load ~shared_store:false
         | Launch.Stage_global | Launch.Stage_const -> None)
       bufs
+    |> Array.of_list
   in
   let concurrent_blocks =
     min geom.total_blocks (max 1 (res.occupancy.blocks_per_sm * p.device.sms))
@@ -407,16 +407,9 @@ let tile_box ctx (block : int array) : box =
       let hi = min (ctx.geom.domain.(d) - 1) (lo + ctx.geom.tile.(d) - 1) in
       (lo, hi))
 
-(* Extend a box by an extent, clipping to the domain. *)
-let extend_clip ctx (b : box) (e : An.extent) : box =
-  Array.init ctx.geom.rank (fun d ->
-      let lo, hi = b.(d) in
-      let elo, ehi = e.(d) in
-      (max 0 (lo + elo), min (ctx.geom.domain.(d) - 1) (hi + ehi)))
-
-(* In-place [extend_clip] into a caller-owned scratch box: the block
-   executor calls this once per statement per block, so it must not
-   allocate. *)
+(* Extend a box by an extent, clipping to the domain, into a
+   caller-owned scratch box: the block executor calls this once per
+   statement per block, so it must not allocate. *)
 let extend_clip_into ctx (b : box) (e : An.extent) (out : box) =
   for d = 0 to ctx.geom.rank - 1 do
     let lo, hi = b.(d) in
@@ -425,77 +418,275 @@ let extend_clip_into ctx (b : box) (e : An.extent) (out : box) =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Transactions                                                        *)
+(* Per-block accounting over per-dimension class tables                *)
 (* ------------------------------------------------------------------ *)
 
-(* 32-byte sectors to read/write box [b] translated by [shift] in an
+(* Every box a block's accounting looks at has, along dimension d, an
+   interval that depends only on the block's coordinate along d: the
+   tile, each load's staged box and its overlap with the tile, each
+   statement's region (the tile extended, clipped and guarded) and that
+   region's overlap with the tile.  A summation tabulates these
+   intervals once per dimension and block class; evaluating a block
+   copies its classes' intervals into flat lo/hi arrays and does all
+   arithmetic there, in scratch the domain reuses, without allocating a
+   box.
+
+   Items of the flat arrays: 0 is the tile, [1 + 2l] and [2 + 2l] load
+   [l]'s staged box and its overlap with the tile, [1 + 2L + 2s] and
+   [2 + 2L + 2s] statement [s]'s region and its useful part (L loads).
+   Item [k]'s interval along dimension [d] sits at [k * rank + d]. *)
+type sum = {
+  ctx : ctx;
+  rank : int;
+  segments : int array;
+      (** per load: Output-perspective halo segments issued per staged
+          row (0 when the load pays none) *)
+  nitems : int;
+  counts : int array array;  (** per dimension: blocks in each class *)
+  tab : int array array;
+      (** per dimension: class [c]'s item [k] spans
+          [tab.((c * nitems + k) * 2)] .. [tab.((c * nitems + k) * 2 + 1)] *)
+  lo : int array;  (** the block being evaluated *)
+  hi : int array;
+  (* launch constants *)
+  halo_miss : float;
+  l2_hit_floor : float;
+  l2 : float;
+  syncs : float;  (** [Launch.syncs_per_block] *)
+  stream_dim : int option;
+  tb_ext : int array;  (** per-side halo of the staged inputs, per dimension *)
+  (* per-block scratch, reset by [eval] *)
+  n_global : int;
+  ulo : int array;  (** per global array: union of its shifted read boxes *)
+  uhi : int array;
+  uses : float array;
+  read_any : bool array;
+  seen_inplane : bool array;
+  touched : (string, int) Hashtbl.t;
+  order : int array;  (** [touched]'s slots in its iteration order *)
+}
+
+(* The arrays behind [tab], [lo], [hi] and the per-block scratch belong
+   to the domain and are reused by every summation on it, grown on
+   demand: a summation leaves no array behind for the major heap, however
+   many items and classes it tabulates. *)
+type workspace = {
+  mutable w_tab : int array array;
+  mutable w_lo : int array;
+  mutable w_hi : int array;
+  mutable w_ulo : int array;
+  mutable w_uhi : int array;
+  mutable w_uses : float array;
+  mutable w_read_any : bool array;
+  mutable w_seen_inplane : bool array;
+  mutable w_order : int array;
+  w_touched : (string, int) Hashtbl.t;
+}
+
+let workspace =
+  Domain.DLS.new_key (fun () ->
+      {
+        w_tab = [||]; w_lo = [||]; w_hi = [||]; w_ulo = [||]; w_uhi = [||];
+        w_uses = [||]; w_read_any = [||]; w_seen_inplane = [||]; w_order = [||];
+        w_touched = Hashtbl.create 8;
+      })
+
+(* [a] if it holds [n] elements, else a fresh array of at least [n]. *)
+let grow a n x = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) x
+
+let item_load l = 1 + (2 * l)
+let item_stmt nl s = 1 + (2 * nl) + (2 * s)
+
+(* Per-side halo of the staged inputs along each dimension: the width a
+   temporal step grows the tile by. *)
+let temporal_ext ctx =
+  Array.init ctx.geom.rank (fun d ->
+      List.fold_left
+        (fun acc (buf : Launch.buffer) ->
+          let lo, hi = buf.extent.(d) in
+          max acc (max (-lo) hi))
+        0 ctx.bufs)
+
+(* Tabulate the intervals of every class; [classes.(d)] lists the
+   (representative block coordinate, block count) of dimension [d]. *)
+let make_sum ctx (classes : (int * int) list array) =
+  let p = ctx.plan and g = ctx.geom in
+  let rank = g.rank in
+  let loads = ctx.loads and stmts = ctx.stmts in
+  let nl = Array.length loads in
+  let nitems = 1 + (2 * nl) + (2 * Array.length stmts) in
+  let n_global = Array.length ctx.global_arrays in
+  let ws = Domain.DLS.get workspace in
+  if Array.length ws.w_tab < rank then
+    ws.w_tab <- Array.init rank (fun d -> if d < Array.length ws.w_tab then ws.w_tab.(d) else [||]);
+  ws.w_lo <- grow ws.w_lo (nitems * rank) 0;
+  ws.w_hi <- grow ws.w_hi (nitems * rank) 0;
+  ws.w_ulo <- grow ws.w_ulo (n_global * rank) 0;
+  ws.w_uhi <- grow ws.w_uhi (n_global * rank) 0;
+  ws.w_uses <- grow ws.w_uses n_global 0.0;
+  ws.w_read_any <- grow ws.w_read_any n_global false;
+  ws.w_seen_inplane <- grow ws.w_seen_inplane ctx.inplane_reads false;
+  ws.w_order <- grow ws.w_order n_global 0;
+  Array.iteri
+    (fun d cls ->
+      let t = grow ws.w_tab.(d) (List.length cls * nitems * 2) 0 in
+      ws.w_tab.(d) <- t;
+      let dmax = g.domain.(d) - 1 in
+      List.iteri
+        (fun c (rep, _) ->
+          let set k lo hi =
+            t.((c * nitems + k) * 2) <- lo;
+            t.(((c * nitems + k) * 2) + 1) <- hi
+          in
+          let tlo = rep * g.tile.(d) in
+          let thi = min dmax (tlo + g.tile.(d) - 1) in
+          set 0 tlo thi;
+          Array.iteri
+            (fun l (ld : load) ->
+              let elo, ehi = ld.buf.extent.(d) in
+              let slo = max 0 (tlo + elo) and shi = min dmax (thi + ehi) in
+              set (item_load l) slo shi;
+              set (item_load l + 1) (max slo tlo) (min shi thi))
+            loads;
+          Array.iteri
+            (fun s (sc : stmt_cost) ->
+              let elo, ehi = sc.info.region_ext.(d) and glo, ghi = sc.guard.(d) in
+              let rlo = max (max 0 (tlo + elo)) glo
+              and rhi = min (min dmax (thi + ehi)) ghi in
+              let k = item_stmt nl s in
+              set k rlo rhi;
+              set (k + 1) (max rlo tlo) (min rhi thi))
+            stmts)
+        cls)
+    classes;
+  {
+    ctx; rank;
+    segments =
+      Array.map
+        (fun (ld : load) ->
+          (* Output perspective issues the x-halo of each staged row as
+             separate narrow transactions (boundary threads re-load);
+             input and mixed perspectives cover the whole input row with
+             contiguous threads (Section III-B3). *)
+          let lo_x, hi_x = ld.buf.extent.(rank - 1) in
+          match p.perspective with
+          | Plan.Output_persp when ld.staged && not (lo_x = 0 && hi_x = 0) ->
+            (if lo_x < 0 then 1 else 0) + if hi_x > 0 then 1 else 0
+          | Plan.Output_persp | Plan.Input_persp | Plan.Mixed_persp -> 0)
+        loads;
+    nitems;
+    counts = Array.map (fun cls -> Array.of_list (List.map snd cls)) classes;
+    tab = ws.w_tab;
+    lo = ws.w_lo;
+    hi = ws.w_hi;
+    halo_miss = !model.halo_miss;
+    l2_hit_floor = !model.l2_hit_floor;
+    l2 = float_of_int p.device.l2_bytes;
+    syncs = float_of_int (Launch.syncs_per_block p g ctx.bufs);
+    stream_dim = Plan.stream_dim p;
+    tb_ext = temporal_ext ctx;
+    n_global;
+    ulo = ws.w_ulo;
+    uhi = ws.w_uhi;
+    uses = ws.w_uses;
+    read_any = ws.w_read_any;
+    seen_inplane = ws.w_seen_inplane;
+    touched = ws.w_touched;
+    order = ws.w_order;
+  }
+
+(* Make class [c] of dimension [d] the current block's. *)
+let select st d c =
+  let t = st.tab.(d) in
+  for k = 0 to st.nitems - 1 do
+    st.lo.((k * st.rank) + d) <- t.((c * st.nitems + k) * 2);
+    st.hi.((k * st.rank) + d) <- t.(((c * st.nitems + k) * 2) + 1)
+  done
+
+let volume st k =
+  let v = ref 1 in
+  for d = 0 to st.rank - 1 do
+    let lo = st.lo.((k * st.rank) + d) and hi = st.hi.((k * st.rank) + d) in
+    v := if hi < lo then 0 else !v * (hi - lo + 1)
+  done;
+  !v
+
+(* The tile grown by [m] halo widths per side, clipped: the region a
+   temporal step computes. *)
+let trapezoid st m =
+  let v = ref 1 in
+  for d = 0 to st.rank - 1 do
+    let lo = max 0 (st.lo.(d) - (m * st.tb_ext.(d)))
+    and hi = min (st.ctx.geom.domain.(d) - 1) (st.hi.(d) + (m * st.tb_ext.(d))) in
+    v := if hi < lo then 0 else !v * (hi - lo + 1)
+  done;
+  !v
+
+(* 32-byte sectors to read/write item [k] translated by [shift] in an
    array with row-major [strides], row by row (runs along the innermost
    array dimension); no strides (not an array) costs nothing.  Arrays of
    lower rank than the domain are addressed by their own trailing
    dimensions. *)
-let box_sectors ctx strides ~(shift : int array) (b : box) =
+let sectors st strides (shift : int array) k =
   match strides with
   | None -> 0
   | Some strides ->
+    let r = st.rank in
     let arank = Array.length strides in
-    let r = ctx.geom.rank in
-    (* Use the trailing [arank] dimensions of the box. *)
     let off = r - arank in
-    if off < 0 then 0
+    let base = k * r in
+    let width = st.hi.(base + r - 1) - st.lo.(base + r - 1) + 1 in
+    if off < 0 || width <= 0 then 0
     else begin
-      let width =
-        let lo, hi = b.(r - 1) in
-        hi - lo + 1
-      in
-      if width <= 0 then 0
+      let rows = ref 1 in
+      for d = off to r - 2 do
+        let lo = st.lo.(base + d) and hi = st.hi.(base + d) in
+        if hi < lo then rows := 0 else rows := !rows * (hi - lo + 1)
+      done;
+      if !rows = 0 then 0
       else begin
-        let rows = ref 1 in
-        for d = off to r - 2 do
-          let lo, hi = b.(d) in
-          if hi < lo then rows := 0 else rows := !rows * (hi - lo + 1)
+        (* Row alignment repeats with the array's x-stride; sample one
+           row start per distinct alignment class instead of looping all
+           rows (exact when the y-stride is sector-aligned, which holds
+           for all power-of-two and 320-sized domains). *)
+        let first_in_row = ref 0 in
+        for d = off to r - 1 do
+          first_in_row := !first_in_row + ((st.lo.(base + d) + shift.(d)) * strides.(d - off))
         done;
-        if !rows = 0 then 0
+        let per = Coalesce.elems_per_sector ~elem_bytes in
+        let ystride = if arank >= 2 then strides.(arank - 2) else 0 in
+        if arank >= 2 && ystride mod per = 0 then
+          !rows * Coalesce.run_sectors ~elem_bytes ~first:!first_in_row ~n:width
         else begin
-          (* Row alignment repeats with the array's x-stride; sample one
-             row start per distinct alignment class instead of looping all
-             rows (exact when the y-stride is sector-aligned, which holds
-             for all power-of-two and 320-sized domains). *)
-          let first_in_row =
-            let idx = ref 0 in
-            for d = off to r - 1 do
-              idx := !idx + ((fst b.(d) + shift.(d)) * strides.(d - off))
-            done;
-            !idx
-          in
-          let per = Coalesce.elems_per_sector ~elem_bytes in
-          let ystride = if arank >= 2 then strides.(arank - 2) else 0 in
-          if arank >= 2 && ystride mod per = 0 then
-            !rows * Coalesce.run_sectors ~elem_bytes ~first:first_in_row ~n:width
-          else begin
-            (* Misaligned rows: mix of the two possible sector counts. *)
-            let s0 = Coalesce.run_sectors ~elem_bytes ~first:0 ~n:width in
-            let s1 = Coalesce.run_sectors ~elem_bytes ~first:1 ~n:width in
-            let even = (!rows + 1) / 2 in
-            (even * s0) + ((!rows - even) * s1)
-          end
+          (* Misaligned rows: mix of the two possible sector counts. *)
+          let s0 = Coalesce.run_sectors ~elem_bytes ~first:0 ~n:width in
+          let s1 = Coalesce.run_sectors ~elem_bytes ~first:1 ~n:width in
+          let even = (!rows + 1) / 2 in
+          (even * s0) + ((!rows - even) * s1)
         end
       end
     end
 
-(* ------------------------------------------------------------------ *)
-(* Per-block accounting                                                *)
-(* ------------------------------------------------------------------ *)
+(* Rows of item [k] across every dimension but the innermost. *)
+let outer_rows st k =
+  let rows = ref 1 in
+  for d = 0 to st.rank - 2 do
+    let lo = st.lo.((k * st.rank) + d) and hi = st.hi.((k * st.rank) + d) in
+    if hi < lo then rows := 0 else rows := !rows * (hi - lo + 1)
+  done;
+  !rows
 
-(** Counters charged to one block.  Every addition to the load, store
-    and shared counters is an integer-valued float far below 2^53, so a
-    read charged once with its multiplicity sums exactly as its repeated
-    occurrences did. *)
-let block_counters ctx (block : int array) =
+(** Counters charged to the current block.  Every addition to the load,
+    store and shared counters is an integer-valued float far below 2^53,
+    so a read charged once with its multiplicity sums exactly as its
+    repeated occurrences did. *)
+let eval st =
+  let ctx = st.ctx and r = st.rank in
   let p = ctx.plan in
-  let rank = ctx.geom.rank in
-  let tile = tile_box ctx block in
-  if box_volume tile = 0 then Counters.zero
+  let tile_pts = volume st 0 in
+  if tile_pts = 0 then Counters.zero
   else begin
+    let eb = float_of_int elem_bytes in
     let fl = ref 0.0 and ufl = ref 0.0 in
     let gld_elems = ref 0.0 and gst_elems = ref 0.0 in
     let gld_tx = ref 0.0 and gst_tx = ref 0.0 in
@@ -503,153 +694,134 @@ let block_counters ctx (block : int array) =
     (* Load- and store-side DRAM kept apart: temporal blocking scales them
        differently (inputs staged once per b steps, output stored once). *)
     let dram_ld = ref 0.0 and dram_st = ref 0.0 in
-    let sectors strides b = float_of_int (box_sectors ctx strides ~shift:ctx.no_shift b) in
-    (* Output perspective issues the x-halo of each staged row as separate
-       narrow transactions (boundary threads re-load); input and mixed
-       perspectives cover the whole input row with contiguous threads
-       (Section III-B3). *)
-    let persp_extra_tx sbox (b : Launch.buffer) =
-      match p.perspective with
-      | Plan.Input_persp | Plan.Mixed_persp -> 0
-      | Plan.Output_persp ->
-        let lo_x, hi_x = b.extent.(rank - 1) in
-        if lo_x = 0 && hi_x = 0 then 0
-        else begin
-          let rows = ref 1 in
-          for d = 0 to rank - 2 do
-            let lo, hi = sbox.(d) in
-            if hi < lo then rows := 0 else rows := !rows * (hi - lo + 1)
-          done;
-          let segments = (if lo_x < 0 then 1 else 0) + (if hi_x > 0 then 1 else 0) in
-          !rows * segments
-        end
-    in
     (* --- staged loads (and fold members, loaded during their leader's
        staging pass): once per block.  The staged box is the tile
        extended by the array's read extent (planes load once per block
        when streaming, the full halo tile otherwise). --- *)
-    List.iter
-      (fun (l : load) ->
-        let sbox = extend_clip ctx tile l.buf.extent in
-        let v = float_of_int (box_volume sbox) in
-        gld_elems := !gld_elems +. v;
-        let extra = if l.staged then persp_extra_tx sbox l.buf else 0 in
-        gld_tx :=
-          !gld_tx +. float_of_int (box_sectors ctx l.lstrides ~shift:ctx.no_shift sbox + extra);
-        (* pointer-rotated window: each value enters shared once *)
-        if l.shared_store then shm_st := !shm_st +. v;
-        (* staging-time folding combines *)
-        if l.fold_ops > 0 then fl := !fl +. (float_of_int l.fold_ops *. v);
-        (* DRAM: unique footprint; the halo share beyond the tile may be
-           refetched by neighbours without hitting L2. *)
-        let vt = float_of_int (box_volume (box_inter sbox tile)) in
-        dram_ld := !dram_ld +. ((vt +. (halo_miss () *. (v -. vt))) *. float_of_int elem_bytes))
-      ctx.loads;
+    for l = 0 to Array.length ctx.loads - 1 do
+      let ld = ctx.loads.(l) in
+      let k = item_load l in
+      let v = float_of_int (volume st k) in
+      gld_elems := !gld_elems +. v;
+      let extra = if st.segments.(l) = 0 then 0 else outer_rows st k * st.segments.(l) in
+      gld_tx := !gld_tx +. float_of_int (sectors st ld.lstrides ctx.no_shift k + extra);
+      (* pointer-rotated window: each value enters shared once *)
+      if ld.shared_store then shm_st := !shm_st +. v;
+      (* staging-time folding combines *)
+      if ld.fold_ops > 0 then fl := !fl +. (float_of_int ld.fold_ops *. v);
+      (* DRAM: unique footprint; the halo share beyond the tile may be
+         refetched by neighbours without hitting L2. *)
+      let vt = float_of_int (volume st (k + 1)) in
+      dram_ld := !dram_ld +. ((vt +. (st.halo_miss *. (v -. vt))) *. eb)
+    done;
     (* --- per-statement compute and per-use traffic --- *)
     (* Unstaged reads: per globally read array, the union of its shifted
-       read boxes and its total uses, for the L2 model below. *)
-    let n_global = Array.length ctx.global_arrays in
-    let ulo = Array.make (n_global * rank) 0 and uhi = Array.make (n_global * rank) 0 in
-    let uses = Array.make n_global 0.0 in
-    let read_any = Array.make n_global false in
-    (* Arrays in first-read order.  The L2 sum below walks this table, so
-       the DRAM terms add up in one fixed order however reads merge. *)
-    let touched : (string, int) Hashtbl.t = Hashtbl.create 8 in
+       read boxes and its total uses, for the L2 model below.  [touched]
+       lists the arrays in first-read order; the L2 sum walks it, so the
+       DRAM terms add up in one fixed order however reads merge. *)
+    Array.fill st.uses 0 st.n_global 0.0;
+    Array.fill st.read_any 0 st.n_global false;
     (* Retimed kernels read each incoming plane once per distinct in-plane
        offset, feeding every accumulator: dedupe across the whole body. *)
-    let seen_inplane = Array.make ctx.inplane_reads false in
-    List.iter
-      (fun sc ->
-        let si = sc.info in
-        let region = box_inter (extend_clip ctx tile si.region_ext) sc.guard in
-        let n = box_volume region in
-        if n > 0 then begin
-          let nf = float_of_int n in
-          let useful_box = box_inter region tile in
-          let nu = float_of_int (box_volume useful_box) in
-          fl := !fl +. (float_of_int (si.flops - sc.saved_flops) *. nf);
-          ufl := !ufl +. (float_of_int si.flops *. nu);
-          (match sc.store with
-           | Store_none -> ()
-           | Store_final strides ->
-             gst_elems := !gst_elems +. nu;
-             gst_tx := !gst_tx +. sectors strides useful_box;
-             dram_st := !dram_st +. (nu *. float_of_int elem_bytes)
-           | Store_scratch -> shm_st := !shm_st +. nf
-           | Store_global strides ->
-             (* intermediate in global memory: redundant halo stores too *)
-             gst_elems := !gst_elems +. nf;
-             gst_tx := !gst_tx +. sectors strides region;
-             dram_st := !dram_st +. (nf *. float_of_int elem_bytes));
-          List.iter
-            (function
-              | Shared m -> shm_ld := !shm_ld +. (float_of_int m *. nf)
-              | Shared_once id ->
-                if not seen_inplane.(id) then begin
-                  seen_inplane.(id) <- true;
-                  shm_ld := !shm_ld +. nf
-                end
-              | Global g ->
-                let m = float_of_int g.uses in
-                gld_elems := !gld_elems +. (m *. nf);
-                gld_tx :=
-                  !gld_tx +. float_of_int (g.uses * box_sectors ctx g.strides ~shift:g.off region);
-                let base = g.slot * rank in
-                let first = not read_any.(g.slot) in
-                if first then begin
-                  read_any.(g.slot) <- true;
-                  Hashtbl.replace touched ctx.global_arrays.(g.slot) g.slot
-                end;
-                for d = 0 to rank - 1 do
-                  let lo, hi = region.(d) in
-                  let lo = lo + g.off.(d) and hi = hi + g.off.(d) in
-                  if first then begin
-                    ulo.(base + d) <- lo;
-                    uhi.(base + d) <- hi
-                  end
-                  else begin
-                    ulo.(base + d) <- min ulo.(base + d) lo;
-                    uhi.(base + d) <- max uhi.(base + d) hi
-                  end
-                done;
-                uses.(g.slot) <- uses.(g.slot) +. (m *. nf))
-            sc.charges
-        end)
-      ctx.stmts;
+    Array.fill st.seen_inplane 0 st.ctx.inplane_reads false;
+    Hashtbl.reset st.touched;
+    for s = 0 to Array.length ctx.stmts - 1 do
+      let sc = ctx.stmts.(s) in
+      let si = sc.info in
+      let k = item_stmt (Array.length ctx.loads) s in
+      let n = volume st k in
+      if n > 0 then begin
+        let nf = float_of_int n in
+        let nu = float_of_int (volume st (k + 1)) in
+        fl := !fl +. (float_of_int (si.flops - sc.saved_flops) *. nf);
+        ufl := !ufl +. (float_of_int si.flops *. nu);
+        (match sc.store with
+         | Store_none -> ()
+         | Store_final strides ->
+           gst_elems := !gst_elems +. nu;
+           gst_tx := !gst_tx +. float_of_int (sectors st strides ctx.no_shift (k + 1));
+           dram_st := !dram_st +. (nu *. eb)
+         | Store_scratch -> shm_st := !shm_st +. nf
+         | Store_global strides ->
+           (* intermediate in global memory: redundant halo stores too *)
+           gst_elems := !gst_elems +. nf;
+           gst_tx := !gst_tx +. float_of_int (sectors st strides ctx.no_shift k);
+           dram_st := !dram_st +. (nf *. eb));
+        let charges = sc.charges in
+        for j = 0 to Array.length charges - 1 do
+          match charges.(j) with
+          | Shared m -> shm_ld := !shm_ld +. (float_of_int m *. nf)
+          | Shared_once id ->
+            if not st.seen_inplane.(id) then begin
+              st.seen_inplane.(id) <- true;
+              shm_ld := !shm_ld +. nf
+            end
+          | Global g ->
+            let m = float_of_int g.uses in
+            gld_elems := !gld_elems +. (m *. nf);
+            gld_tx := !gld_tx +. float_of_int (g.uses * sectors st g.strides g.off k);
+            let base = g.slot * r in
+            let first = not st.read_any.(g.slot) in
+            if first then begin
+              st.read_any.(g.slot) <- true;
+              Hashtbl.replace st.touched ctx.global_arrays.(g.slot) g.slot
+            end;
+            for d = 0 to r - 1 do
+              let lo = st.lo.((k * r) + d) + g.off.(d) and hi = st.hi.((k * r) + d) + g.off.(d) in
+              if first then begin
+                st.ulo.(base + d) <- lo;
+                st.uhi.(base + d) <- hi
+              end
+              else begin
+                st.ulo.(base + d) <- min st.ulo.(base + d) lo;
+                st.uhi.(base + d) <- max st.uhi.(base + d) hi
+              end
+            done;
+            st.uses.(g.slot) <- st.uses.(g.slot) +. (m *. nf)
+        done
+      end
+    done;
     (* --- L2 / DRAM model for unstaged reads --- *)
-    let l2 = float_of_int p.device.l2_bytes in
+    let n_touched = Hashtbl.length st.touched in
+    let i = ref 0 in
     Hashtbl.iter
       (fun _ slot ->
-        let ubox = Array.init rank (fun d -> (ulo.((slot * rank) + d), uhi.((slot * rank) + d))) in
-        let unique = float_of_int (box_volume ubox) in
-        let reuse = Float.max 0.0 (uses.(slot) -. unique) in
-        (* working set: every concurrently resident block keeps its reuse
-           window live in L2 *)
-        let window_bytes =
-          match Plan.stream_dim p with
-          | Some s ->
-            (* live planes of this array per block *)
-            let lo, hi = ubox.(s) in
-            let planes = float_of_int (min (hi - lo + 1) 9) in
-            let slice =
-              float_of_int (box_volume ubox)
-              /. float_of_int (max 1 (hi - lo + 1))
-            in
-            planes *. slice *. float_of_int elem_bytes
-          | None -> unique *. float_of_int elem_bytes
-        in
-        let ws = float_of_int ctx.concurrent_blocks *. window_bytes in
-        let miss =
-          if ws <= l2 then !model.l2_hit_floor
-          else Float.min 1.0 ((ws -. l2) /. ws)
-        in
-        let vt = float_of_int (box_volume (box_inter ubox tile)) in
-        let halo_unique = Float.max 0.0 (unique -. vt) in
-        dram_ld :=
-          !dram_ld
-          +. ((vt +. (halo_miss () *. halo_unique) +. (miss *. reuse)) *. float_of_int elem_bytes))
-      touched;
-    let syncs = ref (float_of_int (Launch.syncs_per_block p ctx.geom ctx.bufs)) in
+        st.order.(!i) <- slot;
+        incr i)
+      st.touched;
+    for i = 0 to n_touched - 1 do
+      let slot = st.order.(i) in
+      let base = slot * r in
+      let ubox_volume = ref 1 and inter_volume = ref 1 in
+      for d = 0 to r - 1 do
+        let lo = st.ulo.(base + d) and hi = st.uhi.(base + d) in
+        ubox_volume := if hi < lo then 0 else !ubox_volume * (hi - lo + 1);
+        let lo = max lo st.lo.(d) and hi = min hi st.hi.(d) in
+        inter_volume := if hi < lo then 0 else !inter_volume * (hi - lo + 1)
+      done;
+      let unique = float_of_int !ubox_volume in
+      let reuse = Float.max 0.0 (st.uses.(slot) -. unique) in
+      (* working set: every concurrently resident block keeps its reuse
+         window live in L2 *)
+      let window_bytes =
+        match st.stream_dim with
+        | Some s ->
+          (* live planes of this array per block *)
+          let extent = st.uhi.(base + s) - st.ulo.(base + s) + 1 in
+          let planes = float_of_int (min extent 9) in
+          let slice = float_of_int !ubox_volume /. float_of_int (max 1 extent) in
+          planes *. slice *. eb
+        | None -> unique *. eb
+      in
+      let ws = float_of_int ctx.concurrent_blocks *. window_bytes in
+      let miss =
+        if ws <= st.l2 then st.l2_hit_floor else Float.min 1.0 ((ws -. st.l2) /. ws)
+      in
+      let vt = float_of_int !inter_volume in
+      let halo_unique = Float.max 0.0 (unique -. vt) in
+      dram_ld := !dram_ld +. ((vt +. (st.halo_miss *. halo_unique) +. (miss *. reuse)) *. eb)
+    done;
+    let syncs = ref st.syncs in
     let spill_scale = ref 1.0 in
     (* --- degree-N temporal blocking (AN5D): one launch covers [degree]
        inner time steps.  Compute repeats per step — inflated by the
@@ -660,25 +832,7 @@ let block_counters ctx (block : int array) =
     let tb = p.temporal in
     if tb.degree > 1 then begin
       let b = tb.degree in
-      let r = ctx.geom.rank in
-      (* per-side halo of the staged inputs along each dimension *)
-      let ext =
-        Array.init r (fun d ->
-            List.fold_left
-              (fun acc (buf : Launch.buffer) ->
-                let lo, hi = buf.extent.(d) in
-                max acc (max (-lo) hi))
-              0 ctx.bufs)
-      in
-      let vol m =
-        float_of_int
-          (box_volume
-             (Array.init r (fun d ->
-                  let lo, hi = tile.(d) in
-                  ( max 0 (lo - (m * ext.(d))),
-                    min (ctx.geom.domain.(d) - 1) (hi + (m * ext.(d))) ))))
-      in
-      let tile_v = vol 0 in
+      let tile_v = float_of_int (trapezoid st 0) in
       let flop_scale, load_scale, ring_elems =
         match tb.halo with
         | Plan.Halo_recompute ->
@@ -686,13 +840,13 @@ let block_counters ctx (block : int array) =
              staged once with its halo grown to b x ext *)
           let sum = ref 0.0 in
           for s = 1 to b do
-            sum := !sum +. (vol (b - s) /. tile_v)
+            sum := !sum +. (float_of_int (trapezoid st (b - s)) /. tile_v)
           done;
-          (!sum, vol b /. vol 1, 0.0)
+          (!sum, float_of_int (trapezoid st b) /. float_of_int (trapezoid st 1), 0.0)
         | Plan.Halo_exchange ->
           (* every step computes exactly the tile; each of the b-1
              intermediate steps exchanges the one-deep halo ring *)
-          (float_of_int b, 1.0, float_of_int (b - 1) *. (vol 1 -. tile_v))
+          (float_of_int b, 1.0, float_of_int (b - 1) *. (float_of_int (trapezoid st 1) -. tile_v))
       in
       let ring_tx =
         ring_elems /. float_of_int (Coalesce.elems_per_sector ~elem_bytes)
@@ -703,24 +857,23 @@ let block_counters ctx (block : int array) =
       shm_st := !shm_st *. flop_scale;
       gld_elems := (!gld_elems *. load_scale) +. ring_elems;
       gld_tx := (!gld_tx *. load_scale) +. ring_tx;
-      dram_ld := (!dram_ld *. load_scale) +. (ring_elems *. float_of_int elem_bytes);
+      dram_ld := (!dram_ld *. load_scale) +. (ring_elems *. eb);
       gst_elems := !gst_elems +. ring_elems;
       gst_tx := !gst_tx +. ring_tx;
-      dram_st := !dram_st +. (ring_elems *. float_of_int elem_bytes);
+      dram_st := !dram_st +. (ring_elems *. eb);
       syncs := !syncs *. float_of_int b;
       spill_scale := flop_scale
     end;
     (* --- spills --- *)
-    let out_pts = float_of_int (box_volume tile) in
     let spill =
-      float_of_int ctx.res.spilled_doubles *. 16.0 *. out_pts *. !spill_scale
+      float_of_int ctx.res.spilled_doubles *. 16.0 *. float_of_int tile_pts *. !spill_scale
     in
     {
       Counters.useful_flops = !ufl;
       total_flops = !fl;
       dram_bytes = !dram_ld +. !dram_st;
       tex_bytes = (!gld_tx +. !gst_tx) *. 32.0;
-      shm_bytes = (!shm_ld +. !shm_st) *. float_of_int elem_bytes;
+      shm_bytes = (!shm_ld +. !shm_st) *. eb;
       gld_transactions = !gld_tx;
       gst_transactions = !gst_tx;
       shm_ld = !shm_ld;
@@ -732,38 +885,43 @@ let block_counters ctx (block : int array) =
     }
   end
 
+(* Sum [eval] over every class combination, dimension 0 outermost, each
+   scaled by its block count. *)
+let sum_classes ctx classes =
+  let st = make_sum ctx classes in
+  let acc = ref Counters.zero in
+  let rec go d mult =
+    if d = st.rank then
+      acc := Counters.add !acc (Counters.scale (float_of_int mult) (eval st))
+    else
+      for c = 0 to Array.length st.counts.(d) - 1 do
+        select st d c;
+        go (d + 1) (mult * st.counts.(d).(c))
+      done
+  in
+  go 0 1;
+  !acc
+
+let block_counters ctx (block : int array) =
+  let st = make_sum ctx (Array.map (fun c -> [ (c, 1) ]) block) in
+  for d = 0 to st.rank - 1 do
+    select st d 0
+  done;
+  eval st
+
 (* ------------------------------------------------------------------ *)
 (* Whole-grid summation via block classes                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Blocks fall into at most 3 classes per dimension (first, middle, last);
-   all middle blocks see identical clipping and row alignments whenever
-   tile extents keep sector alignment, so one representative per class
-   combination suffices.  [exact] forces the full per-block loop. *)
+(* Blocks fall into at most a few classes per dimension (boundary blocks
+   individually, one representative for the identical middle); [exact]
+   makes every block its own class. *)
 let total_counters ?(exact = false) ctx =
   let g = ctx.geom in
   let r = g.rank in
-  (* Class summation is exact when inner-row alignments repeat across
-     middle blocks: domains whose trailing extents are sector multiples
-     (all benchmark sizes) with a sector-aligned innermost tile.  A
-     non-aligned innermost tile perturbs at most one sector per row; the
-     tested cross-validation path passes [exact]. *)
-  if exact then begin
-    (* Full loop: exact for any alignment. *)
-    let acc = ref Counters.zero in
-    let block = Array.make r 0 in
-    let rec go d =
-      if d = r then acc := Counters.add !acc (block_counters ctx block)
-      else
-        for c = 0 to g.grid.(d) - 1 do
-          block.(d) <- c;
-          go (d + 1)
-        done
-    in
-    go 0;
-    !acc
-  end
+  if exact then sum_classes ctx (Array.init r (fun d -> List.init g.grid.(d) (fun i -> (i, 1))))
   else begin
+    let tb_ext = temporal_ext ctx in
     (* Boundary influence width in blocks: how many blocks from each face
        see clipped regions (halo may span several tiles). *)
     let max_ext =
@@ -772,39 +930,37 @@ let total_counters ?(exact = false) ctx =
             let lo, hi = e.(d) in
             max (-lo) hi
           in
-          let of_bufs =
-            List.fold_left
-              (fun acc (b : Launch.buffer) -> max acc (from_ext b.extent))
-              0 ctx.bufs
-          in
-          List.fold_left
+          Array.fold_left
             (fun acc sc ->
               max acc (max (from_ext sc.info.region_ext) (from_ext sc.info.guard_ext)))
-            of_bufs ctx.stmts)
+            tb_ext.(d) ctx.stmts)
+    in
+    (* Under halo recompute at degree b, step 1 computes the tile grown by
+       b halo widths per side: blocks that close to a face see that
+       trapezoid clipped.  Streamed plans with narrow tiles need the same
+       widening, but it changes counters the tuner has priced them with
+       (ROADMAP, open items), so only tiled plans get it here. *)
+    let trapezoid_steps =
+      match ctx.plan.temporal, ctx.plan.scheme with
+      | { degree; halo = Plan.Halo_recompute; _ }, Plan.Tiled when degree > 1 -> degree
+      | _ -> 0
     in
     let classes_of_dim d =
-      let n = g.grid.(d) in
+      let n = g.grid.(d) and t = g.tile.(d) in
       (* Boundary influence reaches one block beyond the halo span: a
          middle block's extended region can still hit the guard boundary
          when the last tile is partial, so be conservative. *)
-      let w = 1 + (((2 * max_ext.(d)) + g.tile.(d) - 1) / g.tile.(d)) in
+      let w = 1 + (((2 * max_ext.(d)) + t - 1) / t) in
+      let w_trapezoid =
+        (((trapezoid_steps * tb_ext.(d)) + t - 1) / t)
+        + if g.domain.(d) mod t = 0 then 0 else 1
+      in
+      let w = max w w_trapezoid in
       if n <= (2 * w) + 1 then List.init n (fun i -> (i, 1))
       else
         List.init w (fun i -> (i, 1))
         @ [ (w, n - (2 * w)) ]
         @ List.init w (fun i -> (n - w + i, 1))
     in
-    let acc = ref Counters.zero in
-    let block = Array.make r 0 in
-    let rec go d mult =
-      if d = r then acc := Counters.add !acc (Counters.scale (float_of_int mult) (block_counters ctx block))
-      else
-        List.iter
-          (fun (rep, count) ->
-            block.(d) <- rep;
-            go (d + 1) (mult * count))
-          (classes_of_dim d)
-    in
-    go 0 1;
-    !acc
+    sum_classes ctx (Array.init r classes_of_dim)
   end

@@ -54,7 +54,7 @@ type stmt_cost = {
   saved_flops : int;  (** combine ops moved to staging by folding *)
   guard : (int * int) array;  (** region where the statement's guard holds *)
   store : store;
-  charges : charge list;  (** reads that cost anything, in read order *)
+  charges : charge array;  (** reads that cost anything, in read order *)
 }
 
 type ctx = {
@@ -62,8 +62,8 @@ type ctx = {
   geom : Artemis_ir.Launch.geometry;
   bufs : Artemis_ir.Launch.buffer list;
   res : Artemis_ir.Estimate.resources;
-  stmts : stmt_cost list;
-  loads : load list;
+  stmts : stmt_cost array;
+  loads : load array;
   global_arrays : string array;  (** arrays read from global memory *)
   inplane_reads : int;  (** distinct retimed in-plane reads *)
   concurrent_blocks : int;
@@ -92,21 +92,32 @@ val box_inter : box -> box -> box
 (** The block's output tile, clipped to the domain. *)
 val tile_box : ctx -> int array -> box
 
-(** Extend a box by an extent, clipping to the domain. *)
-val extend_clip : ctx -> box -> Artemis_dsl.Analysis.extent -> box
-
-(** [extend_clip] into a caller-owned scratch box — allocation-free, for
-    per-block hot paths. *)
+(** Extend a box by an extent, clipping to the domain, into a
+    caller-owned scratch box. *)
 val extend_clip_into :
   ctx -> box -> Artemis_dsl.Analysis.extent -> box -> unit
 
 (** {1 Accounting} *)
 
+(** One evaluator prices a block for all three entry points below.  A
+    call tabulates, per dimension and block class, the intervals of the
+    tile, of each staged load and of each statement's region (and their
+    overlaps with the tile), then evaluates blocks from those intervals
+    in scratch owned by the calling domain, without allocating a box. *)
+
 (** Counters charged to one block. *)
 val block_counters : ctx -> int array -> Artemis_gpu.Counters.t
 
-(** Whole-launch counters.  Summed over block equivalence classes (at
-    most a few per dimension: boundary-influenced blocks individually,
-    one representative for the identical middle); [exact] forces the full
-    per-block loop (the class sum equals it — tested). *)
+(** Whole-launch counters: [block_counters] summed over block classes,
+    each scaled by its block count, dimension 0 outermost.  A class is
+    one block near a face (as far in as a halo, an extended region or a
+    guard reaches, and on tiled plans a halo-recompute trapezoid), or
+    the middle blocks together, priced by one representative.  [exact]
+    makes every block its own class.  The two agree to rounding when
+    the middle blocks see the clipping and row alignment of their
+    representative; tests check it on tiled suite plans at partial-tile
+    sizes, temporal degrees included.  Streamed halo-recompute plans
+    whose tiles are narrower than degree x halo are a known exception:
+    the representative's trapezoid is clipped where its blocks' are
+    not. *)
 val total_counters : ?exact:bool -> ctx -> Artemis_gpu.Counters.t

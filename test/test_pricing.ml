@@ -30,22 +30,28 @@ let dev = Artemis_gpu.Device.p100
 let priced_stride = 8
 let variant_stride = 150
 
-let bases () =
+(* Every suite kernel's base plan per scheme hint, shared memory on and
+   off, optionally rescaled to [size]. *)
+let bases ?size ?(schemes = [ O.Auto ]) () =
   List.concat_map
     (fun (b : Suite.t) ->
+      let b = match size with Some n -> Suite.at_size n b | None -> b in
       List.concat_map
         (fun k ->
-          List.map
-            (fun use_shared ->
-              let p =
-                Lower.lower dev k
-                  { O.default with O.block = None; unroll = None; use_shared }
-              in
-              match b.pingpong with
-              | Some pair when b.iterative ->
-                { p with Plan.temporal = { Plan.no_temporal with Plan.pair = Some pair } }
-              | Some _ | None -> p)
-            [ true; false ])
+          List.concat_map
+            (fun scheme ->
+              List.map
+                (fun use_shared ->
+                  let p =
+                    Lower.lower dev k
+                      { O.default with O.block = None; unroll = None; use_shared; scheme }
+                  in
+                  match b.pingpong with
+                  | Some pair when b.iterative ->
+                    { p with Plan.temporal = { Plan.no_temporal with Plan.pair = Some pair } }
+                  | Some _ | None -> p)
+                [ true; false ])
+            schemes)
         (Suite.kernels b))
     Suite.all
 
@@ -136,6 +142,66 @@ let render_candidate buf ((p : Plan.t), priced) =
 
 let golden = "9a20dcf4a193f3d7991cefc017196ab2"
 
+(* Per-block pin: every block's counters and the exhaustive launch sum
+   of small suite plans (sizes 45 and 48, so last tiles are partial and
+   rows misaligned), rendered with %h.  The plans cover tiled and
+   streamed bases with shared memory on and off, every
+   [block_stride]-th phase-1 candidate, and every [fan_stride]-th
+   phase-2 variant (temporal degrees included) of every
+   [block_variant_stride]-th.  Valid plans with at most [max_blocks]
+   blocks are rendered; the rest only by label. *)
+let block_stride = 48
+let block_variant_stride = 120
+let fan_stride = 7
+let max_blocks = 256
+
+let block_plans () =
+  let every n l = List.filteri (fun i _ -> i mod n = 0) l in
+  List.concat_map
+    (fun size ->
+      List.concat_map
+        (fun base ->
+          let p1 = phase1 base in
+          every block_stride p1
+          @ List.concat_map (fun c -> every fan_stride (variants c)) (every block_variant_stride p1))
+        (bases ~size ~schemes:[ O.Auto; O.Force_tiled ] ()))
+    [ 45; 48 ]
+
+let render_counters buf (c : C.t) =
+  List.iter (Printf.bprintf buf "%h ")
+    [ c.useful_flops; c.total_flops; c.dram_bytes; c.tex_bytes; c.shm_bytes;
+      c.gld_transactions; c.gst_transactions; c.shm_ld; c.shm_st; c.spill_bytes;
+      c.syncs; c.instructions ];
+  Buffer.add_char buf '\n'
+
+(* One digest per plan, so the rendering of a large grid never sits in
+   memory whole. *)
+let render_blocks buf (p : Plan.t) =
+  let one = Buffer.create 4096 in
+  Printf.bprintf one "%s|" (Plan.label p);
+  (match Artemis_ir.Validate.violations p with
+   | _ :: _ -> Buffer.add_string one "invalid"
+   | [] ->
+     let ctx = E.Traffic.make_ctx p in
+     let grid = ctx.geom.grid in
+     if ctx.geom.total_blocks > max_blocks then Buffer.add_string one "large"
+     else begin
+       let block = Array.make (Array.length grid) 0 in
+       let rec go d =
+         if d = Array.length grid then render_counters one (E.Traffic.block_counters ctx block)
+         else
+           for c = 0 to grid.(d) - 1 do
+             block.(d) <- c;
+             go (d + 1)
+           done
+       in
+       go 0;
+       render_counters one (E.Traffic.total_counters ~exact:true ctx)
+     end);
+  Buffer.add_string buf (Digest.to_hex (Digest.string (Buffer.contents one)))
+
+let block_golden = "8eccb86874dc9f5dd33ecbedf9a65f5d"
+
 (* Reference register search: probe every step in order and keep the
    first spill-free one. *)
 let four_probe (p : Plan.t) =
@@ -154,6 +220,13 @@ let tests =
           Printf.printf "pricing pin: %d candidates (%d priced), digest %s\n"
             (List.length cands) (List.length (List.filter snd cands)) d;
           Alcotest.(check string) "digest" golden d);
+      case "per-block counters match the golden digest" (fun () ->
+          let plans = block_plans () in
+          let buf = Buffer.create (1 lsl 16) in
+          List.iter (render_blocks buf) plans;
+          let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+          Printf.printf "block pin: %d plans, digest %s\n" (List.length plans) d;
+          Alcotest.(check string) "digest" block_golden d);
       case "closed-form stepping equals the four-probe search" (fun () ->
           List.iter
             (fun (p, _) ->

@@ -42,9 +42,67 @@ let invariants (m : E.Analytic.measurement) =
   Alcotest.(check bool) "non-negative" true
     (c.shm_bytes >= 0.0 && c.spill_bytes >= 0.0 && c.syncs >= 0.0)
 
+(* Tiled plans of every iterative suite kernel at sizes 45 and 48 (last
+   tile partial or not), every other tiled block shape, shared memory on
+   and off, temporal degree 2 with halo recompute and degree 4 under
+   both halo policies.  The recompute trapezoid reaches degree x halo
+   blocks in from each face. *)
+let tiled_temporal_plans () =
+  List.concat_map
+    (fun size ->
+      List.concat_map
+        (fun (b : Suite.t) ->
+          match b.pingpong with
+          | Some pair when b.iterative ->
+            let b = Suite.at_size size b in
+            List.concat_map
+              (fun k ->
+                List.concat_map
+                  (fun use_shared ->
+                    let base =
+                      Lower.lower dev k { O.default with O.scheme = O.Force_tiled; use_shared }
+                    in
+                    let blocks =
+                      Artemis_tune.Space.block_candidates ~rank:(Plan.rank base)
+                        ~scheme:base.scheme ~max_threads:dev.max_threads_per_block
+                    in
+                    List.concat_map
+                      (fun block ->
+                        List.concat_map
+                          (fun (degree, halos) ->
+                            List.map
+                              (fun halo ->
+                                { base with
+                                  Plan.block;
+                                  temporal = { Plan.no_temporal with degree; halo; pair = Some pair } })
+                              halos)
+                          [ (2, [ Plan.Halo_recompute ]);
+                            (4, [ Plan.Halo_recompute; Plan.Halo_exchange ]) ])
+                      (List.filteri (fun i _ -> i mod 2 = 0) blocks))
+                  [ true; false ])
+              (Suite.kernels b)
+          | Some _ | None -> [])
+        Suite.all)
+    [ 45; 48 ]
+  |> List.filter Artemis_ir.Validate.is_valid
+
 let tests =
   ( "traffic",
     [
+      case "class sum equals the block loop on tiled temporal plans" (fun () ->
+          let plans = tiled_temporal_plans () in
+          let wrong =
+            List.filter
+              (fun p ->
+                let ctx = E.Traffic.make_ctx p in
+                not (C.approx_equal (E.Traffic.total_counters ctx)
+                       (E.Traffic.total_counters ~exact:true ctx)))
+              plans
+          in
+          Printf.printf "%d tiled temporal plans, %d class sums differ\n" (List.length plans)
+            (List.length wrong);
+          List.iter (fun p -> print_endline (Plan.label p)) (List.filteri (fun i _ -> i < 5) wrong);
+          Alcotest.(check int) "class sums off the block loop" 0 (List.length wrong));
       case "invariants hold across benchmarks and plans" (fun () ->
           List.iter
             (fun bname ->
