@@ -3,7 +3,7 @@
 TRACE   := /tmp/artemis-trace.json
 REPORT  := /tmp/artemis-report.json
 
-.PHONY: all build test check bench trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke wavefront-smoke tb-smoke model-smoke obs-smoke clean
+.PHONY: all build test check bench trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke cache-smoke wavefront-smoke tb-smoke model-smoke obs-smoke clean
 
 all: build
 
@@ -23,6 +23,7 @@ check:
 	$(MAKE) analyze-smoke
 	$(MAKE) fuzz-smoke
 	$(MAKE) perf-smoke
+	$(MAKE) cache-smoke
 	$(MAKE) wavefront-smoke
 	$(MAKE) tb-smoke
 	$(MAKE) model-smoke
@@ -84,6 +85,22 @@ fuzz-smoke:
 perf-smoke:
 	dune exec bench/main.exe -- tuner-smoke
 	dune exec bench/main.exe -- exec-smoke
+
+# Measurement-cache smoke test (docs/PERF.md): a second optimize run
+# against the same cache directory must print byte-identical output, and
+# with every cache file truncated a third run must still exit 0 with the
+# same output (a damaged entry is a miss, not an error).
+cache-smoke:
+	@dir=$$(mktemp -d); \
+	  run() { dune exec bin/artemisc.exe -- optimize examples/jacobi.stc \
+	    --cache-dir $$dir > $$dir/$$1.out; }; \
+	  run first && run second && cmp $$dir/first.out $$dir/second.out \
+	  && echo "warm cache: identical output" \
+	  && for f in $$dir/*.cache; do head -c 24 $$f > $$f.cut && mv $$f.cut $$f; done \
+	  && run third && cmp $$dir/first.out $$dir/third.out \
+	  && echo "truncated cache: exit 0, identical output"; \
+	  st=$$?; rm -rf $$dir examples/jacobi.stc.report.txt examples/jacobi.stc.*-fission.stc; \
+	  exit $$st
 
 # Wavefront smoke test (docs/PERF.md): a Gauss-Seidel case through the
 # wavefront schedule must match the guarded per-point fallback bit for

@@ -464,6 +464,11 @@ type sum = {
   seen_inplane : bool array;
   touched : (string, int) Hashtbl.t;
   order : int array;  (** [touched]'s slots in its iteration order *)
+  (* the memo over class combinations, see [sum_classes] *)
+  ids : int array array;  (** per dimension: each class's id *)
+  nids : int array;  (** per dimension: number of distinct ids *)
+  cur : int array;  (** per dimension: the class being summed *)
+  memo : Counters.t array;  (** per id combination, mixed-radix: its [eval] *)
 }
 
 (* The arrays behind [tab], [lo], [hi] and the per-block scratch belong
@@ -481,7 +486,15 @@ type workspace = {
   mutable w_seen_inplane : bool array;
   mutable w_order : int array;
   w_touched : (string, int) Hashtbl.t;
+  mutable w_ids : int array array;
+  mutable w_nids : int array;
+  mutable w_cur : int array;
+  mutable w_reps : int array;  (** per id: its first class, while numbering *)
+  mutable w_memo : Counters.t array;
 }
+
+(* An empty memo slot, told apart by physical equality. *)
+let unset = { Counters.zero with syncs = -1.0 }
 
 let workspace =
   Domain.DLS.new_key (fun () ->
@@ -489,6 +502,7 @@ let workspace =
         w_tab = [||]; w_lo = [||]; w_hi = [||]; w_ulo = [||]; w_uhi = [||];
         w_uses = [||]; w_read_any = [||]; w_seen_inplane = [||]; w_order = [||];
         w_touched = Hashtbl.create 8;
+        w_ids = [||]; w_nids = [||]; w_cur = [||]; w_reps = [||]; w_memo = [||];
       })
 
 (* [a] if it holds [n] elements, else a fresh array of at least [n]. *)
@@ -507,6 +521,48 @@ let temporal_ext ctx =
           max acc (max (-lo) hi))
         0 ctx.bufs)
 
+(* Whether classes [a] and [b] of dimension table [t] look the same to
+   [eval]: every item's interval relative to the tile start agrees; along
+   the innermost dimension ([aligned]) the tile start agrees modulo a
+   sector, which is all [sectors] sees of absolute positions; and the
+   tile's distances to the two domain faces agree up to [cap], the
+   farthest a temporal trapezoid reaches. *)
+let same_class t ~nitems ~dmax ~aligned ~cap a b =
+  let base_a = a * nitems * 2 and base_b = b * nitems * 2 in
+  let tlo_a = t.(base_a) and tlo_b = t.(base_b) in
+  let per = Coalesce.elems_per_sector ~elem_bytes in
+  ((not aligned) || tlo_a mod per = tlo_b mod per)
+  && min tlo_a cap = min tlo_b cap
+  && min (dmax - t.(base_a + 1)) cap = min (dmax - t.(base_b + 1)) cap
+  &&
+  (let j = ref 0 in
+   while !j < 2 * nitems && t.(base_a + !j) - tlo_a = t.(base_b + !j) - tlo_b do
+     incr j
+   done;
+   !j = 2 * nitems)
+
+(* Give each of the [ncls] classes just tabulated for dimension [d] an
+   id, numbered in first-occurrence order: two classes share an id when
+   [same_class] holds. *)
+let number_classes ws d ~dmax ~nitems ~ncls ~aligned ~cap =
+  let t = ws.w_tab.(d) in
+  let ids = grow ws.w_ids.(d) ncls 0 in
+  ws.w_ids.(d) <- ids;
+  ws.w_reps <- grow ws.w_reps ncls 0;
+  let n = ref 0 in
+  for c = 0 to ncls - 1 do
+    let i = ref 0 in
+    while !i < !n && not (same_class t ~nitems ~dmax ~aligned ~cap ws.w_reps.(!i) c) do
+      incr i
+    done;
+    if !i = !n then begin
+      ws.w_reps.(!n) <- c;
+      incr n
+    end;
+    ids.(c) <- !i
+  done;
+  ws.w_nids.(d) <- !n
+
 (* Tabulate the intervals of every class; [classes.(d)] lists the
    (representative block coordinate, block count) of dimension [d]. *)
 let make_sum ctx (classes : (int * int) list array) =
@@ -516,9 +572,14 @@ let make_sum ctx (classes : (int * int) list array) =
   let nl = Array.length loads in
   let nitems = 1 + (2 * nl) + (2 * Array.length stmts) in
   let n_global = Array.length ctx.global_arrays in
+  let tb_ext = temporal_ext ctx in
   let ws = Domain.DLS.get workspace in
-  if Array.length ws.w_tab < rank then
+  if Array.length ws.w_tab < rank then begin
     ws.w_tab <- Array.init rank (fun d -> if d < Array.length ws.w_tab then ws.w_tab.(d) else [||]);
+    ws.w_ids <- Array.init rank (fun d -> if d < Array.length ws.w_ids then ws.w_ids.(d) else [||])
+  end;
+  ws.w_nids <- grow ws.w_nids rank 0;
+  ws.w_cur <- grow ws.w_cur rank 0;
   ws.w_lo <- grow ws.w_lo (nitems * rank) 0;
   ws.w_hi <- grow ws.w_hi (nitems * rank) 0;
   ws.w_ulo <- grow ws.w_ulo (n_global * rank) 0;
@@ -557,8 +618,18 @@ let make_sum ctx (classes : (int * int) list array) =
               set k rlo rhi;
               set (k + 1) (max rlo tlo) (min rhi thi))
             stmts)
-        cls)
+        cls;
+      number_classes ws d ~dmax ~nitems ~ncls:(List.length cls)
+        ~aligned:(d = rank - 1)
+        ~cap:(if p.temporal.degree > 1 then p.temporal.degree * tb_ext.(d) else 0))
     classes;
+  let combos = ref 1 in
+  for d = 0 to rank - 1 do
+    combos := !combos * ws.w_nids.(d)
+  done;
+  let combos = !combos in
+  ws.w_memo <- grow ws.w_memo combos unset;
+  Array.fill ws.w_memo 0 combos unset;
   {
     ctx; rank;
     segments =
@@ -584,7 +655,7 @@ let make_sum ctx (classes : (int * int) list array) =
     l2 = float_of_int p.device.l2_bytes;
     syncs = float_of_int (Launch.syncs_per_block p g ctx.bufs);
     stream_dim = Plan.stream_dim p;
-    tb_ext = temporal_ext ctx;
+    tb_ext;
     n_global;
     ulo = ws.w_ulo;
     uhi = ws.w_uhi;
@@ -593,6 +664,10 @@ let make_sum ctx (classes : (int * int) list array) =
     seen_inplane = ws.w_seen_inplane;
     touched = ws.w_touched;
     order = ws.w_order;
+    ids = ws.w_ids;
+    nids = ws.w_nids;
+    cur = ws.w_cur;
+    memo = ws.w_memo;
   }
 
 (* Make class [c] of dimension [d] the current block's. *)
@@ -886,20 +961,35 @@ let eval st =
   end
 
 (* Sum [eval] over every class combination, dimension 0 outermost, each
-   scaled by its block count. *)
+   scaled by its block count.  A combination whose class ids were seen
+   before reuses that evaluation: same ids, same inputs to [eval], so the
+   same counters, and the sum adds them in the same order. *)
 let sum_classes ctx classes =
   let st = make_sum ctx classes in
   let acc = ref Counters.zero in
-  let rec go d mult =
-    if d = st.rank then
-      acc := Counters.add !acc (Counters.scale (float_of_int mult) (eval st))
+  let rec go d mult slot =
+    if d = st.rank then begin
+      let c = st.memo.(slot) in
+      let c =
+        if c != unset then c
+        else begin
+          for d = 0 to st.rank - 1 do
+            select st d st.cur.(d)
+          done;
+          let c = eval st in
+          st.memo.(slot) <- c;
+          c
+        end
+      in
+      acc := Counters.add !acc (Counters.scale (float_of_int mult) c)
+    end
     else
       for c = 0 to Array.length st.counts.(d) - 1 do
-        select st d c;
-        go (d + 1) (mult * st.counts.(d).(c))
+        st.cur.(d) <- c;
+        go (d + 1) (mult * st.counts.(d).(c)) ((slot * st.nids.(d)) + st.ids.(d).(c))
       done
   in
-  go 0 1;
+  go 0 1 0;
   !acc
 
 let block_counters ctx (block : int array) =
@@ -913,54 +1003,56 @@ let block_counters ctx (block : int array) =
 (* Whole-grid summation via block classes                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Blocks fall into at most a few classes per dimension (boundary blocks
-   individually, one representative for the identical middle); [exact]
-   makes every block its own class. *)
-let total_counters ?(exact = false) ctx =
+(* Blocks fall into at most a few classes per dimension: boundary blocks
+   individually, one representative for the identical middle. *)
+let classes ctx =
   let g = ctx.geom in
   let r = g.rank in
-  if exact then sum_classes ctx (Array.init r (fun d -> List.init g.grid.(d) (fun i -> (i, 1))))
-  else begin
-    let tb_ext = temporal_ext ctx in
-    (* Boundary influence width in blocks: how many blocks from each face
-       see clipped regions (halo may span several tiles). *)
-    let max_ext =
-      Array.init r (fun d ->
-          let from_ext (e : An.extent) =
-            let lo, hi = e.(d) in
-            max (-lo) hi
-          in
-          Array.fold_left
-            (fun acc sc ->
-              max acc (max (from_ext sc.info.region_ext) (from_ext sc.info.guard_ext)))
-            tb_ext.(d) ctx.stmts)
+  let tb_ext = temporal_ext ctx in
+  (* Boundary influence width in blocks: how many blocks from each face
+     see clipped regions (halo may span several tiles). *)
+  let max_ext =
+    Array.init r (fun d ->
+        let from_ext (e : An.extent) =
+          let lo, hi = e.(d) in
+          max (-lo) hi
+        in
+        Array.fold_left
+          (fun acc sc ->
+            max acc (max (from_ext sc.info.region_ext) (from_ext sc.info.guard_ext)))
+          tb_ext.(d) ctx.stmts)
+  in
+  (* Under halo recompute at degree b, step 1 computes the tile grown by
+     b halo widths per side: blocks that close to a face see that
+     trapezoid clipped.  Streamed plans with narrow tiles need the same
+     widening, but it changes counters the tuner has priced them with
+     (ROADMAP, open items), so only tiled plans get it here. *)
+  let trapezoid_steps =
+    match ctx.plan.temporal, ctx.plan.scheme with
+    | { degree; halo = Plan.Halo_recompute; _ }, Plan.Tiled when degree > 1 -> degree
+    | _ -> 0
+  in
+  let classes_of_dim d =
+    let n = g.grid.(d) and t = g.tile.(d) in
+    (* Boundary influence reaches one block beyond the halo span: a
+       middle block's extended region can still hit the guard boundary
+       when the last tile is partial, so be conservative. *)
+    let w = 1 + (((2 * max_ext.(d)) + t - 1) / t) in
+    let w_trapezoid =
+      (((trapezoid_steps * tb_ext.(d)) + t - 1) / t)
+      + if g.domain.(d) mod t = 0 then 0 else 1
     in
-    (* Under halo recompute at degree b, step 1 computes the tile grown by
-       b halo widths per side: blocks that close to a face see that
-       trapezoid clipped.  Streamed plans with narrow tiles need the same
-       widening, but it changes counters the tuner has priced them with
-       (ROADMAP, open items), so only tiled plans get it here. *)
-    let trapezoid_steps =
-      match ctx.plan.temporal, ctx.plan.scheme with
-      | { degree; halo = Plan.Halo_recompute; _ }, Plan.Tiled when degree > 1 -> degree
-      | _ -> 0
-    in
-    let classes_of_dim d =
-      let n = g.grid.(d) and t = g.tile.(d) in
-      (* Boundary influence reaches one block beyond the halo span: a
-         middle block's extended region can still hit the guard boundary
-         when the last tile is partial, so be conservative. *)
-      let w = 1 + (((2 * max_ext.(d)) + t - 1) / t) in
-      let w_trapezoid =
-        (((trapezoid_steps * tb_ext.(d)) + t - 1) / t)
-        + if g.domain.(d) mod t = 0 then 0 else 1
-      in
-      let w = max w w_trapezoid in
-      if n <= (2 * w) + 1 then List.init n (fun i -> (i, 1))
-      else
-        List.init w (fun i -> (i, 1))
-        @ [ (w, n - (2 * w)) ]
-        @ List.init w (fun i -> (n - w + i, 1))
-    in
-    sum_classes ctx (Array.init r classes_of_dim)
-  end
+    let w = max w w_trapezoid in
+    if n <= (2 * w) + 1 then List.init n (fun i -> (i, 1))
+    else
+      List.init w (fun i -> (i, 1))
+      @ [ (w, n - (2 * w)) ]
+      @ List.init w (fun i -> (n - w + i, 1))
+  in
+  Array.init r classes_of_dim
+
+(* [exact] makes every block its own class. *)
+let total_counters ?(exact = false) ctx =
+  sum_classes ctx
+    (if exact then Array.map (fun n -> List.init n (fun i -> (i, 1))) ctx.geom.grid
+     else classes ctx)

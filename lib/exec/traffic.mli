@@ -108,16 +108,23 @@ val extend_clip_into :
 (** Counters charged to one block. *)
 val block_counters : ctx -> int array -> Artemis_gpu.Counters.t
 
-(** Whole-launch counters: [block_counters] summed over block classes,
-    each scaled by its block count, dimension 0 outermost.  A class is
+(** The block classes [total_counters] sums over: per dimension, each
+    class's representative block coordinate and block count.  A class is
     one block near a face (as far in as a halo, an extended region or a
-    guard reaches, and on tiled plans a halo-recompute trapezoid), or
-    the middle blocks together, priced by one representative.  [exact]
-    makes every block its own class.  The two agree to rounding when
-    the middle blocks see the clipping and row alignment of their
-    representative; tests check it on tiled suite plans at partial-tile
-    sizes, temporal degrees included.  Streamed halo-recompute plans
-    whose tiles are narrower than degree x halo are a known exception:
-    the representative's trapezoid is clipped where its blocks' are
-    not. *)
+    guard reaches, and on tiled plans a halo-recompute trapezoid), or the
+    middle blocks together, priced by one representative. *)
+val classes : ctx -> (int * int) list array
+
+(** Whole-launch counters: [block_counters] summed over [classes ctx],
+    each scaled by its block count, dimension 0 outermost.  [exact]
+    makes every block its own class.  Classes that look the same to a
+    block's accounting (the same intervals relative to the tile, the
+    same sector alignment, the same clipping of temporal trapezoids)
+    share one evaluation; the sum is bit-identical to evaluating each.
+    The class sum and the exact sum agree to rounding when the middle
+    blocks see the clipping and row alignment of their representative;
+    tests check it on tiled suite plans at partial-tile sizes, temporal
+    degrees included.  Streamed halo-recompute plans whose tiles are
+    narrower than degree x halo are a known exception: the
+    representative's trapezoid is clipped where its blocks' are not. *)
 val total_counters : ?exact:bool -> ctx -> Artemis_gpu.Counters.t

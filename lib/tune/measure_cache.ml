@@ -5,15 +5,19 @@
    prefixes at every fusion depth, and the benchmark harness replays whole
    searches.  A measurement is a pure function of (traffic model, plan) —
    the device is part of the plan, and the traffic model is the only other
-   global input — so we key on the canonical [Marshal] bytes of exactly
-   that pair.
+   global input — so the key is built from exactly that pair.
 
-   [Marshal.No_sharing] makes the byte string canonical: structurally
-   equal plans serialize identically regardless of in-memory sharing, so
-   the full key string doubles as a collision-free in-memory hash key.
-   The on-disk store (enabled via [set_dir]) names files by digest but
-   verifies the stored key bytes before trusting an entry, so digest
-   collisions degrade to misses, never wrong results. *)
+   The kernel is most of a plan's bytes and is the same value across a
+   whole search, so it enters the key as a digest of its canonical
+   ([Marshal.No_sharing]) bytes, computed once per kernel value through
+   [Kernel_memo].  The rest of the key is the canonical bytes of the
+   model and the plan with its kernel field blanked.  Structurally equal
+   plans therefore share a key whatever their sharing, and two plans
+   collide only if their kernels' MD5 digests do.
+
+   The on-disk store (enabled via [set_dir]) names files by the key's
+   digest and keeps the key next to the result; a load whose stored key
+   differs, or a file that is truncated or unreadable, is a miss. *)
 
 module Plan = Artemis_ir.Plan
 module Metrics = Artemis_obs.Metrics
@@ -22,10 +26,23 @@ module Trace = Artemis_obs.Trace
 let m_hits = Metrics.counter "tuner.cache_hit"
 let m_misses = Metrics.counter "tuner.cache_miss"
 
-(** Canonical content key of a measurement request: the traffic model in
-    force plus the full plan, as canonical (sharing-free) marshal bytes. *)
+let kernel_digest =
+  Artemis_dsl.Kernel_memo.memo (fun k -> Digest.string (Marshal.to_string k [ Marshal.No_sharing ]))
+
+let blank_kernel : Artemis_dsl.Instantiate.kernel =
+  {
+    kname = ""; body = []; iters = []; domain = [||]; arrays = []; scalars = []; assign = [];
+    pragma = Artemis_dsl.Ast.empty_pragma;
+  }
+
+(** Content key of a measurement request: the kernel's digest (fixed
+    length), then the canonical bytes of the traffic model in force and
+    the plan with its kernel blanked. *)
 let key_of (plan : Plan.t) =
-  Marshal.to_string (!Artemis_exec.Traffic.model, plan) [ Marshal.No_sharing ]
+  kernel_digest plan.kernel
+  ^ Marshal.to_string
+      (!Artemis_exec.Traffic.model, { plan with kernel = blank_kernel })
+      [ Marshal.No_sharing ]
 
 let lock = Mutex.create ()
 let table : (string, Artemis_exec.Analytic.measurement option) Hashtbl.t =
@@ -38,11 +55,20 @@ let set_dir d =
   (try if not (Sys.file_exists d) then Sys.mkdir d 0o755 with Sys_error _ -> ());
   dir := Some d
 
+(** [set_dir d] for the duration of [f], then the previous setting. *)
+let with_dir d f =
+  let saved = !dir in
+  set_dir d;
+  Fun.protect ~finally:(fun () -> dir := saved) f
+
 let disk_path key =
   Option.map (fun d -> Filename.concat d (Digest.to_hex (Digest.string key) ^ ".cache")) !dir
 
-(* Disk entries are (key, result) pairs; any read problem — missing file,
-   truncation, format drift, digest collision — is just a miss. *)
+(* Disk entries are (key, result) pairs.  A missing or unreadable file
+   ([Sys_error]), a truncated one ([End_of_file], or [Failure] from
+   [Marshal]), one that is not marshalled data at all ([Failure]) and one
+   stored under another key are all just misses; the measurement that
+   follows rewrites the entry. *)
 let disk_find key =
   match disk_path key with
   | None -> None
@@ -56,7 +82,7 @@ let disk_find key =
             Marshal.from_channel ic
           in
           if String.equal stored_key key then Some result else None)
-    with _ -> None)
+    with Sys_error _ | End_of_file | Failure _ -> None)
 
 let disk_store key result =
   match disk_path key with
@@ -69,7 +95,7 @@ let disk_store key result =
         ~finally:(fun () -> close_out_noerr oc)
         (fun () -> Marshal.to_channel oc (key, result) []);
       Sys.rename tmp path
-    with _ -> ())
+    with Sys_error _ -> ())
 
 let record outcome =
   (match outcome with

@@ -1,18 +1,21 @@
 (** Content-addressed memoization of {!Artemis_exec.Analytic.try_measure}.
 
     A measurement is a pure function of the traffic model in force and the
-    plan (the device lives inside the plan), so entries are keyed on the
-    canonical [Marshal.No_sharing] bytes of that pair — structurally equal
-    plans share an entry, and the full key string is collision-free by
-    construction.  Hits and misses feed the [tuner.cache_hit] /
+    plan (the device lives inside the plan).  Entries are keyed on a
+    digest of the plan's kernel, computed once per kernel value, followed
+    by the canonical [Marshal.No_sharing] bytes of the model and the plan
+    with its kernel blanked: structurally equal plans share an entry, and
+    two different plans share one only if their kernels' MD5 digests
+    collide.  Hits and misses feed the [tuner.cache_hit] /
     [tuner.cache_miss] counters and, when tracing is on, "tuner.cache"
     instant events.
 
     Domain-safe: the table is mutex-guarded, so pool workers measuring
     candidates concurrently share one cache. *)
 
-(** Canonical content key for a plan under the current traffic model.
-    Exposed for the cache-correctness tests. *)
+(** Content key for a plan under the current traffic model; its length
+    does not grow with the kernel.  Exposed for the cache-correctness
+    tests. *)
 val key_of : Artemis_ir.Plan.t -> string
 
 (** Memoized [try_measure]: a repeated (model, plan) pair — including one
@@ -31,8 +34,13 @@ val bypass : bool ref
 
 (** Also persist entries under this directory (created if missing).
     Stored entries carry their full key and are verified on load, so
-    digest collisions or stale formats degrade to misses. *)
+    file-name collisions, truncated or unreadable files and entries of
+    an older key format degrade to misses that rewrite the entry. *)
 val set_dir : string -> unit
+
+(** Run [f] with entries persisted under [d], then restore the previous
+    directory (or none). *)
+val with_dir : string -> (unit -> 'a) -> 'a
 
 (** Drop all in-memory entries; the on-disk store is untouched. *)
 val clear : unit -> unit

@@ -157,6 +157,46 @@ let determinism_tests =
         check_deterministic "fuzz artifact" fuzz_artifact);
   ]
 
+let coeff_src c =
+  Printf.sprintf
+    {|parameter L=16; iterator i, j; double u[L,L], v[L,L]; copyin v;
+      stencil s0 (x, y) { x[i][j] = %s * (y[i-1][j] + y[i+1][j]); }
+      s0 (u, v); copyout u;|}
+    c
+
+let lower_src src =
+  Artemis_codegen.Lower.lower dev (Artemis.first_kernel (Artemis.parse_string src)) O.default
+
+(* Run [f] on a fresh cache directory and an empty in-memory table, then
+   remove the directory. *)
+let with_cache_dir f =
+  let d = Filename.temp_dir "artemis-cache-test" "" in
+  let files () = Array.to_list (Sys.readdir d) |> List.map (Filename.concat d) in
+  Cache.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter Sys.remove (files ());
+      Sys.rmdir d;
+      Cache.clear ())
+    (fun () -> Cache.with_dir d (fun () -> f files))
+
+let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* Ways a cache file can go bad; each must read as a miss. *)
+let corruptions =
+  [
+    ( "truncated",
+      fun path ->
+        let s = In_channel.with_open_bin path In_channel.input_all in
+        write_file path (String.sub s 0 (String.length s / 2)) );
+    ("garbage", fun path -> write_file path "this is not a marshalled cache entry\n");
+    ( "key mismatch",
+      fun path ->
+        Out_channel.with_open_bin path (fun oc ->
+            Marshal.to_channel oc ("another key", (None : E.Analytic.measurement option)) [])
+    );
+  ]
+
 let cache_tests =
   [
     case "structurally equal plans share a key" (fun () ->
@@ -171,6 +211,48 @@ let cache_tests =
         let q = { p with Plan.block } in
         Alcotest.(check bool) "keys differ" true
           (Cache.key_of p <> Cache.key_of q));
+    case "structurally equal kernels share a key" (fun () ->
+        let p = lower_src (coeff_src "0.5") and q = lower_src (coeff_src "0.5") in
+        Alcotest.(check bool) "physically distinct kernels" true (p.kernel != q.kernel);
+        Alcotest.(check bool) "same key" true (Cache.key_of p = Cache.key_of q));
+    case "kernels differing in one coefficient get distinct keys" (fun () ->
+        Alcotest.(check bool) "keys differ" true
+          (Cache.key_of (lower_src (coeff_src "0.5")) <> Cache.key_of (lower_src (coeff_src "0.25"))));
+    case "key length does not grow with the kernel" (fun () ->
+        let plan name =
+          Artemis_codegen.Lower.lower dev (List.hd (Suite.kernels (Suite.find name))) O.default
+        in
+        let small = plan "7pt-smoother" and big = plan "rhs4sgcurv" in
+        let bytes (p : Plan.t) = String.length (Marshal.to_string p.kernel [ Marshal.No_sharing ]) in
+        let ks = String.length (Cache.key_of small) and kb = String.length (Cache.key_of big) in
+        Printf.printf "key bytes: 7pt-smoother %d, rhs4sgcurv %d (kernels %d, %d)\n" ks kb
+          (bytes small) (bytes big);
+        (* The placement map still names each array, so the keys differ
+           a little; the kernels differ a hundredfold. *)
+        Alcotest.(check bool) "kernels differ a hundredfold" true (bytes big > 100 * bytes small);
+        Alcotest.(check bool) "keys within a factor of two" true (kb < 2 * ks));
+    case "corrupt cache files read as misses and are rewritten" (fun () ->
+        let p = lower_src (coeff_src "0.5") in
+        List.iter
+          (fun (what, corrupt) ->
+            with_cache_dir (fun files ->
+                let r, o = Cache.try_measure_outcome p in
+                Alcotest.(check bool) (what ^ ": cold miss") true (o = `Miss);
+                let path =
+                  match List.filter (fun f -> Filename.check_suffix f ".cache") (files ()) with
+                  | [ f ] -> f
+                  | fs -> Alcotest.failf "%s: expected one cache file, found %d" what (List.length fs)
+                in
+                corrupt path;
+                Cache.clear ();
+                let r', o' = Cache.try_measure_outcome p in
+                Alcotest.(check bool) (what ^ ": reads as a miss") true (o' = `Miss);
+                Alcotest.(check bool) (what ^ ": same result") true (r = r');
+                Cache.clear ();
+                let r'', o'' = Cache.try_measure_outcome p in
+                Alcotest.(check bool) (what ^ ": rewritten entry hits") true (o'' = `Hit);
+                Alcotest.(check bool) (what ^ ": same result after rewrite") true (r = r'')))
+          corruptions);
     case "warm tune measures zero new configurations" (fun () ->
         with_globals ~jobs:1 (fun () ->
             Cache.clear ();

@@ -202,6 +202,56 @@ let render_blocks buf (p : Plan.t) =
 
 let block_golden = "8eccb86874dc9f5dd33ecbedf9a65f5d"
 
+(* Plans for the memo check: every size-45/48 base, tiled and streamed,
+   shared memory on and off; each again with a 6-wide innermost block, so
+   innermost tiles start off sector boundaries; and, where the base names
+   a ping-pong pair, each at temporal degrees 2 and 4 under both halo
+   policies. *)
+let memo_plans () =
+  List.concat_map
+    (fun size ->
+      List.concat_map
+        (fun (base : Plan.t) ->
+          let r = Plan.rank base in
+          let block = Array.copy base.block in
+          block.(r - 1) <- 6;
+          List.concat_map
+            (fun (p : Plan.t) ->
+              match p.temporal.pair with
+              | None -> [ p ]
+              | Some _ ->
+                p
+                :: List.concat_map
+                     (fun degree ->
+                       List.map
+                         (fun halo -> { p with Plan.temporal = { p.Plan.temporal with degree; halo } })
+                         [ Plan.Halo_recompute; Plan.Halo_exchange ])
+                     [ 2; 4 ])
+            [ base; { base with block } ])
+        (bases ~size ~schemes:[ O.Auto; O.Force_tiled ] ()))
+    [ 45; 48 ]
+
+(* [block_counters] folded over every combination of [classes], dimension
+   0 outermost, each scaled by the product of its classes' counts. *)
+let fold_blocks ctx (classes : (int * int) list array) =
+  let r = Array.length classes in
+  let block = Array.make r 0 in
+  let rec go d mult acc =
+    if d = r then C.add acc (C.scale (float_of_int mult) (E.Traffic.block_counters ctx block))
+    else
+      List.fold_left
+        (fun acc (rep, n) ->
+          block.(d) <- rep;
+          go (d + 1) (mult * n) acc)
+        acc classes.(d)
+  in
+  go 0 1 C.zero
+
+let rendered c =
+  let buf = Buffer.create 256 in
+  render_counters buf c;
+  Buffer.contents buf
+
 (* Reference register search: probe every step in order and keep the
    first spill-free one. *)
 let four_probe (p : Plan.t) =
@@ -227,6 +277,26 @@ let tests =
           let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
           Printf.printf "block pin: %d plans, digest %s\n" (List.length plans) d;
           Alcotest.(check string) "digest" block_golden d);
+      case "memoized class sums equal per-block folds bit for bit" (fun () ->
+          let plans = memo_plans () in
+          let checked = ref 0 in
+          List.iter
+            (fun (p : Plan.t) ->
+              if Artemis_ir.Validate.violations p = [] then begin
+                incr checked;
+                let ctx = E.Traffic.make_ctx p in
+                let every = Array.map (fun n -> List.init n (fun i -> (i, 1))) ctx.geom.grid in
+                let check what sum folded =
+                  if rendered sum <> rendered folded then
+                    Alcotest.failf "%s on %s:\n  sum  %s  fold %s" what (Plan.label p)
+                      (rendered sum) (rendered folded)
+                in
+                check "exact sum" (E.Traffic.total_counters ~exact:true ctx) (fold_blocks ctx every);
+                check "class sum" (E.Traffic.total_counters ctx)
+                  (fold_blocks ctx (E.Traffic.classes ctx))
+              end)
+            plans;
+          Printf.printf "memo check: %d plans, %d valid\n" (List.length plans) !checked);
       case "closed-form stepping equals the four-probe search" (fun () ->
           List.iter
             (fun (p, _) ->
