@@ -3,7 +3,7 @@
 TRACE   := /tmp/artemis-trace.json
 REPORT  := /tmp/artemis-report.json
 
-.PHONY: all build test check bench trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke cache-smoke wavefront-smoke tb-smoke model-smoke obs-smoke clean
+.PHONY: all build test check bench trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke cache-smoke wavefront-smoke tb-smoke model-smoke obs-smoke bench-gate clean
 
 all: build
 
@@ -28,6 +28,7 @@ check:
 	$(MAKE) tb-smoke
 	$(MAKE) model-smoke
 	$(MAKE) obs-smoke
+	$(MAKE) bench-gate
 
 bench:
 	dune exec bench/main.exe
@@ -77,11 +78,11 @@ fuzz-smoke:
 	dune exec bin/artemisc.exe -- fuzz --seed 42 --cases 25 --lint
 	dune exec bin/artemisc.exe -- fuzz --seed 7 --cases 25 --lint
 
-# Host-side performance smoke test (docs/PERF.md): a tiny tuner/fuzzer
-# workload at jobs=2 must beat the pre-PR serial configuration and
-# produce byte-identical artifacts, and the split-interior executor must
-# match the guarded baseline bit for bit while actually sweeping an
-# interior.
+# Host-side determinism smoke test (docs/PERF.md): a tiny tuner/fuzzer
+# workload must produce byte-identical artifacts serially and at
+# jobs=2, and the split-interior executor must match the point-wise
+# interpreter bit for bit while actually sweeping an interior.  Host
+# wall time is perf/'s job (sh perf/run.sh), not this target's.
 perf-smoke:
 	dune exec bench/main.exe -- tuner-smoke
 	dune exec bench/main.exe -- exec-smoke
@@ -154,6 +155,21 @@ obs-smoke:
 	@rm -f /tmp/artemis-explain-j1.json /tmp/artemis-explain-j4.json \
 	  /tmp/artemis-explain-rhs-j1.json /tmp/artemis-explain-rhs-j4.json \
 	  /tmp/artemis-explain-tb-j1.json /tmp/artemis-explain-tb-j2.json
+
+# Bench regression gate (docs/OBSERVABILITY.md): regenerate the tuner
+# and executor indicators in a scratch directory and compare them with
+# the committed BENCH_tuner.json/BENCH_exec.json; any regression (a
+# numeric drop past the threshold, a true -> false flip, a vanished
+# indicator) fails.
+bench-gate:
+	dune build bench/main.exe bin/artemisc.exe
+	@dir=$$(mktemp -d); root=$$(pwd); st=0; \
+	  (cd $$dir && $$root/_build/default/bench/main.exe tuner exec) || st=1; \
+	  for b in tuner exec; do \
+	    dune exec bin/artemisc.exe -- bench-diff BENCH_$$b.json $$dir/BENCH_$$b.json \
+	      || st=1; \
+	  done; \
+	  rm -rf $$dir; exit $$st
 
 clean:
 	dune clean

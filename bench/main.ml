@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section VIII) on the simulated P100, plus the tuning-cost
-   comparison of Section V and Bechamel micro-benchmarks of the framework
-   itself.
+   comparison of Section V and the deterministic tuner/executor
+   indicators gated by [artemisc bench-diff].  Nothing here reads a
+   clock: host wall time is measured by perf/ (docs/PERF.md).
 
      dune exec bench/main.exe             # everything
      dune exec bench/main.exe -- fig5     # one experiment
@@ -55,29 +56,30 @@ let record_bench name ~time_s ~tflops ~bottleneck =
   M.set (M.gauge "bench.time_s" ~labels:[ ("bench", name) ]) time_s;
   M.incr (M.counter "bench.runs" ~labels:[ ("bench", name); ("bottleneck", bottleneck) ])
 
+let write_json file doc =
+  let oc = open_out file in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () -> output_string oc (Artemis.Json.to_string ~indent:true doc));
+  Printf.printf "wrote %s\n%!" file
+
 let write_bench_results () =
   match List.rev !bench_results with
   | [] -> ()
   | results ->
     let module J = Artemis.Json in
-    let doc =
-      J.Obj
-        [ ("meta", bench_meta ());
-          ("results",
-           J.List
-             (List.map
-                (fun (name, time_s, tflops, bottleneck) ->
-                  J.Obj
-                    [ ("name", J.Str name); ("time_s", J.Float time_s);
-                      ("tflops", J.Float tflops); ("bottleneck", J.Str bottleneck) ])
-                results));
-          ("metrics", Artemis.Metrics.snapshot ()) ]
-    in
-    let oc = open_out "BENCH_results.json" in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () -> output_string oc (J.to_string ~indent:true doc));
-    Printf.printf "\nwrote BENCH_results.json (%d benchmarks)\n%!" (List.length results)
+    write_json "BENCH_results.json"
+      (J.Obj
+         [ ("meta", bench_meta ());
+           ("results",
+            J.List
+              (List.map
+                 (fun (name, time_s, tflops, bottleneck) ->
+                   J.Obj
+                     [ ("name", J.Str name); ("time_s", J.Float time_s);
+                       ("tflops", J.Float tflops); ("bottleneck", J.Str bottleneck) ])
+                 results));
+           ("metrics", Artemis.Metrics.snapshot ()) ])
 
 (* ------------------------------------------------------------------ *)
 (* Shared tuning wrappers                                               *)
@@ -475,51 +477,6 @@ let tuningcost () =
   | None -> print_endline "tuning failed"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the framework                           *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  header "Bechamel: framework phase costs (monotonic clock, ns/run)";
-  let open Bechamel in
-  let b7 = Suite.find "7pt-smoother" in
-  let src = Artemis.Pretty.program_to_string b7.prog in
-  let k = List.hd (Suite.kernels b7) in
-  let krhs = List.hd (Suite.kernels (Suite.find "rhs4center")) in
-  let tests =
-    Test.make_grouped ~name:"artemis"
-      [
-        Test.make ~name:"parse+check jacobi"
-          (Staged.stage (fun () -> ignore (Artemis.parse_string src)));
-        Test.make ~name:"analysis rhs4center"
-          (Staged.stage (fun () ->
-               ignore (An.flops_per_point krhs);
-               ignore (An.required_extents krhs)));
-        Test.make ~name:"lower 7pt"
-          (Staged.stage (fun () -> ignore (Artemis.Lower.lower dev k O.default)));
-        Test.make ~name:"analytic counters 7pt (512^3)"
-          (Staged.stage (fun () ->
-               ignore
-                 (Artemis_exec.Analytic.measure (Artemis.Lower.lower dev k O.default))));
-        Test.make ~name:"cuda emission rhs4center"
-          (Staged.stage (fun () ->
-               ignore (Artemis.Cuda.emit (Artemis.Lower.lower dev krhs O.default))));
-      ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-40s %12.1f ns/run\n" name est
-      | Some _ | None -> Printf.printf "%-40s (no estimate)\n" name)
-    results
-
-(* ------------------------------------------------------------------ *)
 (* Ablations of the machine-model calibration (DESIGN.md, Section 5)    *)
 (* ------------------------------------------------------------------ *)
 
@@ -629,82 +586,48 @@ let v100 () =
     \ the tuner picks different block shapes per device)\n%!"
 
 (* ------------------------------------------------------------------ *)
-(* Tuner & executor wall clock: serial vs jobs=N, cache cold vs warm    *)
+(* Tuner determinism: serial vs jobs=4, cache cold vs warm, pre-rank    *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock comparison of the whole tuning/verification stack across
-   execution configurations.  The "pre-pr" row is the historical code
-   path — serial, interpreter-backed evaluation, no measurement cache —
-   kept runnable through [Eval.use_interpreter] and
-   [Measure_cache.bypass].  On a single-core host the jobs=4 rows win on
-   the compiled evaluator and the cache alone; on a multicore host the
-   domain pool compounds that.  Every row must produce byte-identical
-   tuning artifacts — that equality is asserted and reported. *)
+(* The whole tuning/verification stack across execution configurations.
+   Every pre-rank-off row must produce byte-identical tuning artifacts,
+   and the pre-rank rows must choose the same plans from fewer analytic
+   measurements — both asserted and reported. *)
 
 type tuner_cfg = {
   cfg_name : string;
   cfg_jobs : int;
-  cfg_interp : bool;  (* interpreter-backed evaluation (pre-PR) *)
-  cfg_bypass : bool;  (* measurement cache off (pre-PR) *)
   cfg_warm : bool;  (* keep the cache from the previous row *)
   cfg_prerank : float;  (* warp-model pre-rank keep %% (100 = off) *)
 }
 
 let tuner_configs =
-  [ { cfg_name = "pre-pr-serial"; cfg_jobs = 1; cfg_interp = true; cfg_bypass = true;
-      cfg_warm = false; cfg_prerank = 100.0 };
-    { cfg_name = "serial-cold"; cfg_jobs = 1; cfg_interp = false; cfg_bypass = false;
-      cfg_warm = false; cfg_prerank = 100.0 };
-    { cfg_name = "jobs4-cold"; cfg_jobs = 4; cfg_interp = false; cfg_bypass = false;
-      cfg_warm = false; cfg_prerank = 100.0 };
-    { cfg_name = "jobs4-warm"; cfg_jobs = 4; cfg_interp = false; cfg_bypass = false;
-      cfg_warm = true; cfg_prerank = 100.0 };
-    { cfg_name = "prerank-serial-cold"; cfg_jobs = 1; cfg_interp = false;
-      cfg_bypass = false; cfg_warm = false;
-      cfg_prerank = Artemis.Hierarchical.default_prerank_keep };
-    { cfg_name = "prerank-jobs4-cold"; cfg_jobs = 4; cfg_interp = false;
-      cfg_bypass = false; cfg_warm = false;
-      cfg_prerank = Artemis.Hierarchical.default_prerank_keep };
-    { cfg_name = "prerank-jobs4-warm"; cfg_jobs = 4; cfg_interp = false;
-      cfg_bypass = false; cfg_warm = true;
-      cfg_prerank = Artemis.Hierarchical.default_prerank_keep } ]
+  let prerank = Artemis.Hierarchical.default_prerank_keep in
+  [ { cfg_name = "serial-cold"; cfg_jobs = 1; cfg_warm = false; cfg_prerank = 100.0 };
+    { cfg_name = "jobs4-cold"; cfg_jobs = 4; cfg_warm = false; cfg_prerank = 100.0 };
+    { cfg_name = "jobs4-warm"; cfg_jobs = 4; cfg_warm = true; cfg_prerank = 100.0 };
+    { cfg_name = "prerank-serial-cold"; cfg_jobs = 1; cfg_warm = false;
+      cfg_prerank = prerank };
+    { cfg_name = "prerank-jobs4-cold"; cfg_jobs = 4; cfg_warm = false;
+      cfg_prerank = prerank };
+    { cfg_name = "prerank-jobs4-warm"; cfg_jobs = 4; cfg_warm = true;
+      cfg_prerank = prerank } ]
 
 let with_tuner_cfg cfg f =
   let saved_jobs = Artemis.Pool.jobs () in
-  let saved_interp = !Artemis_exec.Eval.use_interpreter in
-  let saved_bypass = !Artemis.Measure_cache.bypass in
   let saved_prerank = !Artemis.Hierarchical.prerank_keep in
   Artemis.Pool.set_jobs cfg.cfg_jobs;
-  Artemis_exec.Eval.use_interpreter := cfg.cfg_interp;
-  Artemis.Measure_cache.bypass := cfg.cfg_bypass;
   Artemis.Hierarchical.prerank_keep := cfg.cfg_prerank;
   if not cfg.cfg_warm then Artemis.Measure_cache.clear ();
   Fun.protect
     ~finally:(fun () ->
       Artemis.Pool.set_jobs saved_jobs;
-      Artemis_exec.Eval.use_interpreter := saved_interp;
-      Artemis.Measure_cache.bypass := saved_bypass;
       Artemis.Hierarchical.prerank_keep := saved_prerank)
     f
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (Unix.gettimeofday () -. t0, r)
-
-(* A small executable program: big enough that executor time dominates
-   setup, small enough that the interpreted baseline stays affordable. *)
-let exec_src =
-  {|parameter L=96; iterator i, j; double u[L,L], v[L,L]; copyin v;
-    stencil s0 (x, y) {
-      double t = 0.25 * (y[i-1][j] + y[i+1][j] + y[i][j-1] + y[i][j+1]);
-      x[i][j] = t + sqrt(fabs(t)) + min(t, fma(t, t, 0.5));
-    }
-    s0 (u, v); copyout u;|}
-
-(* The four measured components.  Each returns a printable artifact that
-   must be identical across configurations. *)
-let tuner_components ~fuzz_cases ~max_tile ~exec_reps =
+(* The three components.  Each returns a printable artifact that must be
+   identical across configurations. *)
+let tuner_components ~fuzz_cases ~max_tile =
   let opt () =
     let k = List.hd (Suite.kernels (Suite.find "7pt-smoother")) in
     let r = Artemis.optimize_kernel k in
@@ -726,65 +649,32 @@ let tuner_components ~fuzz_cases ~max_tile ~exec_reps =
     Printf.sprintf "trials=%d plans=%d findings=%d" s.trials_run s.plans_checked
       (List.length s.findings)
   in
-  let exec () =
-    let prog = Artemis.parse_string exec_src in
-    let k = Artemis.first_kernel prog in
-    let scalars = Artemis.Reference.scalars_of_program prog in
-    let plan = Artemis.Lower.lower dev k O.default in
-    let counters = ref 0.0 in
-    for _ = 1 to exec_reps do
-      let store = Artemis.Reference.store_of_program prog in
-      Artemis.Reference.run_kernel store ~scalars k;
-      let store2 = Artemis.Reference.store_of_program prog in
-      let c = Artemis.Kernel_exec.run plan store2 ~scalars in
-      counters := !counters +. c.C.useful_flops
-    done;
-    Printf.sprintf "flops=%.0f" !counters
-  in
-  [ ("optimize", opt); ("deep", deep); ("fuzz", fuzz); ("exec", exec) ]
+  [ ("optimize", opt); ("deep", deep); ("fuzz", fuzz) ]
 
-(* Run every configuration; returns per-config (component, seconds,
-   artifact, analytic measures) rows — the measure count is the
-   [exec.analytic_measures] delta over the component, the denominator of
-   the pre-rank savings indicator. *)
+(* One configuration's (component, artifact, analytic measures) rows —
+   the measure count is the [exec.analytic_measures] delta over the
+   component, the denominator of the pre-rank savings indicator. *)
 let m_measures = Artemis.Metrics.counter "exec.analytic_measures"
 
 let measured_row (name, f) =
   let before = Artemis.Metrics.counter_value m_measures in
-  let s, artifact = wall f in
-  let measures = Artemis.Metrics.counter_value m_measures -. before in
-  (name, s, artifact, measures)
+  let artifact = f () in
+  (name, artifact, Artemis.Metrics.counter_value m_measures -. before)
 
-let tuner_matrix ~fuzz_cases ~max_tile ~exec_reps =
-  List.map
-    (fun cfg ->
-      let rows =
-        with_tuner_cfg cfg (fun () ->
-            List.map measured_row
-              (tuner_components ~fuzz_cases ~max_tile ~exec_reps))
-      in
-      (cfg, rows))
-    tuner_configs
-
-let total rows = List.fold_left (fun acc (_, s, _, _) -> acc +. s) 0.0 rows
-
-(* The memoized components — the ones a warm cache can short-circuit. *)
-let cached_total rows =
-  List.fold_left
-    (fun acc (name, s, _, _) ->
-      if name = "optimize" || name = "deep" then acc +. s else acc)
-    0.0 rows
+let tuner_rows ~fuzz_cases ~max_tile cfg =
+  with_tuner_cfg cfg (fun () ->
+      List.map measured_row (tuner_components ~fuzz_cases ~max_tile))
 
 (* Analytic measurements spent on the tuning components — the work the
-   warp-model pre-rank is meant to save.  The fuzz and exec components
-   never enter the tuner, so they are excluded on both sides. *)
+   warp-model pre-rank is meant to save.  The fuzz component never
+   enters the tuner, so it is excluded on both sides. *)
 let tuned_measures rows =
   List.fold_left
-    (fun acc (name, _, _, m) ->
+    (fun acc (name, _, m) ->
       if name = "optimize" || name = "deep" then acc +. m else acc)
     0.0 rows
 
-let artifacts rows = List.map (fun (name, _, a, _) -> (name, a)) rows
+let artifacts rows = List.map (fun (name, a, _) -> (name, a)) rows
 
 (* Plan-identity view of a row's artifacts: the optimize artifact
    carries the measurement count ("explored=N"), which pre-ranking is
@@ -800,135 +690,90 @@ let strip_explored a =
   in
   find 0
 
-let plan_artifacts rows =
-  List.map (fun (name, _, a, _) -> (name, strip_explored a)) rows
+let plan_artifacts rows = List.map (fun (name, a, _) -> (name, strip_explored a)) rows
 
 let tuner_report matrix =
-  let find name = List.find (fun (c, _) -> c.cfg_name = name) matrix in
-  let pre = snd (find "pre-pr-serial") in
-  let cold4 = snd (find "jobs4-cold") in
-  let warm4 = snd (find "jobs4-warm") in
-  let speedup = total pre /. Float.max (total cold4) 1e-9 in
-  let warm_speedup = cached_total cold4 /. Float.max (cached_total warm4) 1e-9 in
+  let find name = snd (List.find (fun (c, _) -> c.cfg_name = name) matrix) in
+  let serial = find "serial-cold" in
   (* Full-artifact byte-identity across the prerank-off rows (the
-     original jobs/cache invariant), plan identity for the prerank rows
-     (same winner from a fraction of the measurements). *)
+     jobs/cache invariant), plan identity for the prerank rows (same
+     winner from a fraction of the measurements). *)
   let plans_equal =
     List.for_all
-      (fun (cfg, rows) -> cfg.cfg_prerank < 100.0 || artifacts rows = artifacts pre)
+      (fun (cfg, rows) -> cfg.cfg_prerank < 100.0 || artifacts rows = artifacts serial)
       matrix
   in
   let prerank_plan_equal =
     List.for_all
       (fun (cfg, rows) ->
-        cfg.cfg_prerank >= 100.0 || plan_artifacts rows = plan_artifacts pre)
+        cfg.cfg_prerank >= 100.0 || plan_artifacts rows = plan_artifacts serial)
       matrix
   in
   let measurements_saved_pct =
-    let off = tuned_measures (snd (find "serial-cold")) in
-    let on = tuned_measures (snd (find "prerank-serial-cold")) in
+    let off = tuned_measures serial in
+    let on = tuned_measures (find "prerank-serial-cold") in
     if off <= 0.0 then 0.0 else (off -. on) /. off *. 100.0
   in
-  (speedup, warm_speedup, plans_equal, prerank_plan_equal, measurements_saved_pct)
+  (plans_equal, prerank_plan_equal, measurements_saved_pct)
 
 let write_tuner_json matrix =
   let module J = Artemis.Json in
-  let speedup, warm_speedup, plans_equal, prerank_plan_equal,
-      measurements_saved_pct =
-    tuner_report matrix
-  in
-  let doc =
-    J.Obj
-      [ ("meta", bench_meta ());
-        ("configs",
-         J.List
-           (List.map
-              (fun (cfg, rows) ->
-                J.Obj
-                  [ ("name", J.Str cfg.cfg_name); ("jobs", J.Int cfg.cfg_jobs);
-                    ("interpreter", J.Bool cfg.cfg_interp);
-                    ("cache",
-                     J.Str
-                       (if cfg.cfg_bypass then "off"
-                        else if cfg.cfg_warm then "warm"
-                        else "cold"));
-                    ("prerank_keep_pct", J.Float cfg.cfg_prerank);
-                    ("total_wall_s", J.Float (total rows));
-                    ("components",
-                     J.List
-                       (List.map
-                          (fun (name, s, artifact, measures) ->
-                            J.Obj
-                              [ ("name", J.Str name); ("wall_s", J.Float s);
-                                ("artifact", J.Str artifact);
-                                ("analytic_measures", J.Float measures) ])
-                          rows)) ])
-              matrix));
-        ("speedup_jobs4_vs_pre", J.Float speedup);
-        ("warm_speedup", J.Float warm_speedup);
-        ("plans_equal", J.Bool plans_equal);
-        ("prerank_plan_equal", J.Bool prerank_plan_equal);
-        ("measurements_saved_pct", J.Float measurements_saved_pct) ]
-  in
-  let oc = open_out "BENCH_tuner.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (J.to_string ~indent:true doc));
-  Printf.printf "wrote BENCH_tuner.json\n%!"
+  let plans_equal, prerank_plan_equal, measurements_saved_pct = tuner_report matrix in
+  write_json "BENCH_tuner.json"
+    (J.Obj
+       [ ("meta", bench_meta ());
+         ("configs",
+          J.List
+            (List.map
+               (fun (cfg, rows) ->
+                 J.Obj
+                   [ ("name", J.Str cfg.cfg_name); ("jobs", J.Int cfg.cfg_jobs);
+                     ("cache", J.Str (if cfg.cfg_warm then "warm" else "cold"));
+                     ("prerank_keep_pct", J.Float cfg.cfg_prerank);
+                     ("components",
+                      J.List
+                        (List.map
+                           (fun (name, artifact, measures) ->
+                             J.Obj
+                               [ ("name", J.Str name); ("artifact", J.Str artifact);
+                                 ("analytic_measures", J.Float measures) ])
+                           rows)) ])
+               matrix));
+         ("plans_equal", J.Bool plans_equal);
+         ("prerank_plan_equal", J.Bool prerank_plan_equal);
+         ("measurements_saved_pct", J.Float measurements_saved_pct) ])
 
 let tuner () =
-  header "Tuner & executor wall clock (serial vs jobs=4, cache cold vs warm)";
-  let matrix = tuner_matrix ~fuzz_cases:60 ~max_tile:3 ~exec_reps:20 in
+  header "Tuner determinism (serial vs jobs=4, cache cold vs warm, pre-rank)";
+  let matrix =
+    List.map (fun cfg -> (cfg, tuner_rows ~fuzz_cases:60 ~max_tile:3 cfg)) tuner_configs
+  in
   List.iter
     (fun (cfg, rows) ->
       Printf.printf "%-19s" cfg.cfg_name;
-      List.iter (fun (name, s, _, _) -> Printf.printf "  %s %6.2fs" name s) rows;
-      Printf.printf "  | total %6.2fs\n%!" (total rows))
+      List.iter (fun (name, _, m) -> Printf.printf "  %s %5.0f measures" name m) rows;
+      print_newline ())
     matrix;
-  let speedup, warm_speedup, plans_equal, prerank_plan_equal,
-      measurements_saved_pct =
-    tuner_report matrix
-  in
-  Printf.printf "speedup jobs4-cold vs pre-PR : %.2fx\n" speedup;
-  Printf.printf "warm-cache speedup (tuning)  : %.2fx\n" warm_speedup;
+  let plans_equal, prerank_plan_equal, measurements_saved_pct = tuner_report matrix in
   Printf.printf "artifacts identical          : %b\n" plans_equal;
   Printf.printf "prerank same plans           : %b\n" prerank_plan_equal;
   Printf.printf "prerank measurements saved   : %.1f%%\n%!" measurements_saved_pct;
   write_tuner_json matrix
 
 (* Hidden smoke variant (resolvable by name only, not part of the
-   default run): tiny scale, jobs=2, hard assertions — the `make
-   perf-smoke` gate. *)
+   default run): tiny scale, serial vs jobs=2, hard assertion on
+   artifact identity — the `make perf-smoke` gate. *)
 let tuner_smoke () =
-  header "perf smoke: jobs=2 vs pre-PR serial on a tiny workload";
-  let configs =
-    [ List.nth tuner_configs 0;
-      { cfg_name = "jobs2-cold"; cfg_jobs = 2; cfg_interp = false;
-        cfg_bypass = false; cfg_warm = false; cfg_prerank = 100.0 } ]
+  header "perf smoke: serial vs jobs=2 on a tiny workload";
+  let serial = List.hd tuner_configs in
+  let artifacts_of cfg = artifacts (tuner_rows ~fuzz_cases:12 ~max_tile:2 cfg) in
+  let equal =
+    artifacts_of serial
+    = artifacts_of { serial with cfg_name = "jobs2-cold"; cfg_jobs = 2 }
   in
-  let matrix =
-    List.map
-      (fun cfg ->
-        let rows =
-          with_tuner_cfg cfg (fun () ->
-              List.map measured_row
-                (tuner_components ~fuzz_cases:12 ~max_tile:2 ~exec_reps:4))
-        in
-        (cfg, rows))
-      configs
-  in
-  let pre = snd (List.nth matrix 0) in
-  let jobs2 = snd (List.nth matrix 1) in
-  let speedup = total pre /. Float.max (total jobs2) 1e-9 in
-  let equal = artifacts pre = artifacts jobs2 in
-  Printf.printf "pre-PR %6.2fs, jobs2 %6.2fs -> speedup %.2fx; identical %b\n%!"
-    (total pre) (total jobs2) speedup equal;
+  Printf.printf "serial vs jobs2 artifacts identical %b\n%!" equal;
   if not equal then begin
     prerr_endline "perf-smoke FAILED: artifacts differ between serial and jobs=2";
-    exit 1
-  end;
-  if speedup < 1.0 then begin
-    Printf.eprintf "perf-smoke FAILED: speedup %.2fx < 1.0x\n" speedup;
     exit 1
   end
 
@@ -1001,33 +846,14 @@ let model_smoke () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Executor wall clock: interpreter vs compiled vs split-interior       *)
+(* Executor agreement: reference executor vs block executor             *)
 (* ------------------------------------------------------------------ *)
 
-(* Wall-clock comparison of the three executor modes over the whole
-   suite plus a fuzz-corpus replay, through both the reference executor
-   and the block executor.  The "interpreter" row is the pre-PR-4
-   baseline ([Eval.use_interpreter]), "compiled" is PR 4's compile-once
-   evaluator with splitting off, and "split" adds the interior/halo
-   decomposition with flat-index rows (docs/PERF.md).  Copyout arrays
-   must be bit-identical across all three — asserted and reported. *)
-
-type exec_mode = { em_name : string; em_interp : bool; em_split : bool }
-
-let exec_modes =
-  [ { em_name = "interpreter"; em_interp = true; em_split = false };
-    { em_name = "compiled"; em_interp = false; em_split = false };
-    { em_name = "split"; em_interp = false; em_split = true } ]
-
-let with_exec_mode m f =
-  let si = !Artemis.Eval.use_interpreter and ss = !Artemis.Eval.use_split in
-  Artemis.Eval.use_interpreter := m.em_interp;
-  Artemis.Eval.use_split := m.em_split;
-  Fun.protect
-    ~finally:(fun () ->
-      Artemis.Eval.use_interpreter := si;
-      Artemis.Eval.use_split := ss)
-    f
+(* The whole suite plus a fuzz-corpus replay, through both the reference
+   executor and the block executor: copyout arrays must be bit-identical
+   — asserted and reported.  The point-wise interpreter comparison lives
+   in the tests (test/test_split.ml), the fuzz oracle and
+   [make perf-smoke]. *)
 
 (* Default plan with the block shape shrunk until launchable — the
    tuner's validity filter, so heavy kernels run at bench sizes. *)
@@ -1048,30 +874,34 @@ let exec_plan_of k =
   in
   shrink p 12
 
-(* One program end to end under the current mode: reference executor and
-   block executor wall seconds, plus the copyout grids of each. *)
-let exec_run (prog : Artemis.Ast.program) =
+(* Copyout grids of [prog] after [run] executes on a fresh store. *)
+let copyouts (prog : Artemis.Ast.program) run =
+  let store = Artemis.Reference.store_of_program prog in
+  run store;
+  List.map
+    (fun n -> (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
+    prog.copyout
+
+(* The reference executor's copyouts after [reps] runs of the schedule. *)
+let reference_copyouts ?(reps = 1) (prog : Artemis.Ast.program) =
   let scalars = Artemis.Reference.scalars_of_program prog in
   let sched = I.schedule prog in
-  let copyouts store =
-    List.map
-      (fun n -> (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
-      prog.copyout
-  in
-  let ref_s, ref_out =
-    wall (fun () ->
-        let store = Artemis.Reference.store_of_program prog in
-        Artemis.Reference.run_schedule store ~scalars sched;
-        copyouts store)
-  in
-  let blk_s, blk_out =
-    wall (fun () ->
-        let store = Artemis.Reference.store_of_program prog in
-        let steps = Artemis.Runner.configure ~plan_of:exec_plan_of sched in
-        let _ = Artemis.Runner.run_schedule steps store ~scalars in
-        copyouts store)
-  in
-  (ref_s, blk_s, ref_out @ blk_out)
+  copyouts prog (fun store ->
+      for _ = 1 to reps do
+        Artemis.Reference.run_schedule store ~scalars sched
+      done)
+
+(* The block executor's copyouts over configured [steps]. *)
+let block_copyouts prog steps =
+  let scalars = Artemis.Reference.scalars_of_program prog in
+  copyouts prog (fun store -> ignore (Artemis.Runner.run_schedule steps store ~scalars))
+
+(* One program end to end: the copyout grids of the reference executor
+   and of the block executor. *)
+let exec_run prog =
+  let reference = reference_copyouts prog in
+  let steps = Artemis.Runner.configure ~plan_of:exec_plan_of (I.schedule prog) in
+  (reference, block_copyouts prog steps)
 
 let outputs_equal a b =
   List.length a = List.length b
@@ -1080,64 +910,29 @@ let outputs_equal a b =
          n = n' && Artemis_exec.Grid.max_abs_diff g g' = 0.0)
        a b
 
-(* The per-mode matrix: suite programs then a fuzz-corpus replay through
-   the reference executor. *)
-let exec_matrix ~size ~fuzz_cases =
+(* Suite programs then a fuzz-corpus replay: per program, whether the
+   two executors agree. *)
+let executor_agreement ~size ~fuzz_cases =
   let progs =
     List.map (fun (b : Suite.t) -> (b.name, (Suite.at_size size b).prog)) Suite.all
-  in
-  let fuzz_progs =
-    List.init fuzz_cases (fun index ->
-        (Artemis_verify.Gen.generate ~seed:23 ~index).prog)
+    @ List.init fuzz_cases (fun index ->
+          ( Printf.sprintf "fuzz-%d" index,
+            (Artemis_verify.Gen.generate ~seed:23 ~index).prog ))
   in
   List.map
-    (fun m ->
-      with_exec_mode m (fun () ->
-          let rows =
-            List.map
-              (fun (name, prog) ->
-                let ref_s, blk_s, outs = exec_run prog in
-                (name, ref_s, blk_s, outs))
-              progs
-          in
-          let fuzz_s, fuzz_outs =
-            wall (fun () ->
-                List.concat_map
-                  (fun prog ->
-                    let _, _, outs = exec_run prog in
-                    outs)
-                  fuzz_progs)
-          in
-          (m, rows, fuzz_s, fuzz_outs)))
-    exec_modes
-
-let exec_report matrix =
-  let find name =
-    List.find (fun ({ em_name; _ }, _, _, _) -> em_name = name) matrix
-  in
-  let total (_, rows, fuzz_s, _) =
-    List.fold_left (fun acc (_, r, b, _) -> acc +. r +. b) fuzz_s rows
-  in
-  let all_outs (_, rows, _, fuzz_outs) =
-    List.concat_map (fun (_, _, _, outs) -> outs) rows @ fuzz_outs
-  in
-  let interp = find "interpreter" and compiled = find "compiled" and split = find "split" in
-  let speedup_vs_compiled = total compiled /. Float.max (total split) 1e-9 in
-  let speedup_vs_interp = total interp /. Float.max (total split) 1e-9 in
-  let equal =
-    outputs_equal (all_outs split) (all_outs compiled)
-    && outputs_equal (all_outs split) (all_outs interp)
-  in
-  (speedup_vs_compiled, speedup_vs_interp, equal)
+    (fun (name, prog) ->
+      let reference, blocks = exec_run prog in
+      (name, outputs_equal reference blocks))
+    progs
 
 (* ------------------------------------------------------------------ *)
 (* Dependent stencils: wavefront schedule vs guarded fallback           *)
 (* ------------------------------------------------------------------ *)
 
 (* Gauss-Seidel and SOR bodies carry a uniform self-dependence, so the
-   split executor runs them as anti-diagonal wavefronts: the rows of
-   each hyperplane are mutually independent (parallelized across the
-   pool) and swept with the flat-index bounds-check-free inner loop.
+   executors run them as anti-diagonal wavefronts: the rows of each
+   hyperplane are mutually independent (parallelized across the pool)
+   and swept with the flat-index bounds-check-free inner loop.
    [Eval.with_wavefront false] forces the guarded per-point fallback
    over the same region.  Both traversals realize the same
    dependence-respecting order, so every copyout grid must be
@@ -1168,40 +963,17 @@ let dependent_cases ~size2 ~size3 =
   [ ("gs2d", Artemis.parse_string (gs2d_src ~n:size2 ~m:size2));
     ("sor3d", Artemis.parse_string (sor3d_src ~n:size3)) ]
 
-(* Reference-executor wall seconds for [reps] sweeps under each schedule
-   (both measured in split mode — only the wavefront toggle differs);
-   returns (wavefront_s, guarded_s, bit_equal). *)
-let dependent_run (prog : Artemis.Ast.program) ~reps =
-  let scalars = Artemis.Reference.scalars_of_program prog in
-  let sched = I.schedule prog in
-  let run_once () =
-    let store = Artemis.Reference.store_of_program prog in
-    for _ = 1 to reps do
-      Artemis.Reference.run_schedule store ~scalars sched
-    done;
-    List.map
-      (fun n -> (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
-      prog.copyout
-  in
-  let wf_s, wf_out = wall run_once in
-  let gd_s, gd_out =
-    Artemis_exec.Eval.with_wavefront false (fun () -> wall run_once)
-  in
-  (wf_s, gd_s, outputs_equal wf_out gd_out)
+(* Reference-executor copyouts after [reps] sweeps under each schedule
+   must be bit-identical. *)
+let dependent_equal prog ~reps =
+  let wavefront = reference_copyouts ~reps prog in
+  outputs_equal wavefront
+    (Artemis_exec.Eval.with_wavefront false (fun () -> reference_copyouts ~reps prog))
 
-let dependent_matrix ~size2 ~size3 ~reps =
-  let m_split = List.find (fun m -> m.em_name = "split") exec_modes in
-  with_exec_mode m_split (fun () ->
-      List.map
-        (fun (name, prog) ->
-          let wf_s, gd_s, equal = dependent_run prog ~reps in
-          (name, wf_s, gd_s, equal))
-        (dependent_cases ~size2 ~size3))
-
-let dependent_report rows =
-  let wf = List.fold_left (fun a (_, w, _, _) -> a +. w) 0.0 rows in
-  let gd = List.fold_left (fun a (_, _, g, _) -> a +. g) 0.0 rows in
-  (gd /. Float.max wf 1e-9, List.for_all (fun (_, _, _, e) -> e) rows)
+let dependent_rows ~size2 ~size3 ~reps =
+  List.map
+    (fun (name, prog) -> (name, dependent_equal prog ~reps))
+    (dependent_cases ~size2 ~size3)
 
 (* ------------------------------------------------------------------ *)
 (* Guard elimination: proven-bounds shells vs the PR-7 guarded halo     *)
@@ -1224,28 +996,16 @@ let unguarded_fraction t = tally_unguarded t /. Float.max (tally_total t) 1.0
 
 let elimination_rows ~size =
   let names = [ "7pt-smoother"; "27pt-smoother"; "helmholtz"; "denoise" ] in
-  let m_split = List.find (fun m -> m.em_name = "split") exec_modes in
-  with_exec_mode m_split (fun () ->
-      List.map
-        (fun name ->
-          let prog = (Suite.at_size size (Suite.find name)).prog in
-          let scalars = Artemis.Reference.scalars_of_program prog in
-          let sched = I.schedule prog in
-          let run () =
-            let store = Artemis.Reference.store_of_program prog in
-            Artemis.Reference.run_schedule store ~scalars sched;
-            List.map
-              (fun n ->
-                (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
-              prog.copyout
-          in
-          let out_on, t_on = Artemis_exec.Region.with_tally run in
-          let out_off, t_off =
-            Artemis.Eval.with_static_elim false (fun () ->
-                Artemis_exec.Region.with_tally run)
-          in
-          (name, t_on, t_off, outputs_equal out_on out_off))
-        names)
+  List.map
+    (fun name ->
+      let prog = (Suite.at_size size (Suite.find name)).prog in
+      let run () = reference_copyouts prog in
+      let out_on, t_on = Artemis_exec.Region.with_tally run in
+      let out_off, t_off =
+        Artemis.Eval.with_static_elim false (fun () -> Artemis_exec.Region.with_tally run)
+      in
+      (name, t_on, t_off, outputs_equal out_on out_off))
+    names
 
 let elimination_report rows =
   let sum f = List.fold_left (fun a (_, t1, t2, _) -> a +. f t1 t2) 0.0 rows in
@@ -1269,30 +1029,28 @@ let elimination_report rows =
    events at canonical points.  Both the copyout grids and the recorded
    journal must be byte-identical at any worker count. *)
 let jobs_determinism () =
-  let m_split = List.find (fun m -> m.em_name = "split") exec_modes in
   let progs =
     [ (Suite.at_size 24 (Suite.find "7pt-smoother")).prog;
       Artemis.parse_string (gs2d_src ~n:96 ~m:96) ]
   in
-  with_exec_mode m_split (fun () ->
-      let run jobs =
-        Artemis.Pool.set_jobs jobs;
-        Artemis.Journal.start ();
-        let outs =
-          List.concat_map
-            (fun p ->
-              let _, _, outs = exec_run p in
-              outs)
-            progs
-        in
-        let jl = Artemis.Journal.to_jsonl () in
-        Artemis.Journal.stop ();
-        (outs, jl)
-      in
-      let o1, j1 = run 1 in
-      let o4, j4 = run 4 in
-      Artemis.Pool.set_jobs 1;
-      (outputs_equal o1 o4, j1 = j4))
+  let run jobs =
+    Artemis.Pool.set_jobs jobs;
+    Artemis.Journal.start ();
+    let outs =
+      List.concat_map
+        (fun p ->
+          let reference, blocks = exec_run p in
+          reference @ blocks)
+        progs
+    in
+    let jl = Artemis.Journal.to_jsonl () in
+    Artemis.Journal.stop ();
+    (outs, jl)
+  in
+  let o1, j1 = run 1 in
+  let o4, j4 = run 4 in
+  Artemis.Pool.set_jobs 1;
+  (outputs_equal o1 o4, j1 = j4)
 
 (* ------------------------------------------------------------------ *)
 (* Degree-N temporal blocking: traffic reduction and exactness          *)
@@ -1315,24 +1073,10 @@ let rec shrink_blocked steps =
 
 let temporal_blocked_equal (b : Suite.t) ~size ~degree =
   let prog = (Suite.at_size size b).prog in
-  let scalars = Artemis.Reference.scalars_of_program prog in
-  let sched = I.schedule prog in
-  let copyouts store =
-    List.map
-      (fun n -> (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
-      prog.copyout
-  in
-  let run steps =
-    let store = Artemis.Reference.store_of_program prog in
-    let _ = Artemis.Runner.run_schedule steps store ~scalars in
-    copyouts store
-  in
-  let steps = Artemis.Runner.configure ~plan_of:exec_plan_of sched in
-  let plain = run steps in
-  let blocked =
-    run (shrink_blocked (Artemis.Runner.temporal_rewrite ~degree steps))
-  in
-  outputs_equal plain blocked
+  let steps = Artemis.Runner.configure ~plan_of:exec_plan_of (I.schedule prog) in
+  let plain = block_copyouts prog steps in
+  outputs_equal plain
+    (block_copyouts prog (shrink_blocked (Artemis.Runner.temporal_rewrite ~degree steps)))
 
 (* The smoother-family benchmarks deep-tuned with the temporal dimension
    enabled.  Per benchmark: the chosen (fusion width x degree), the
@@ -1380,122 +1124,71 @@ let temporal_equal_rows () =
       else None)
     Suite.all
 
-let write_exec_json matrix dep_rows elim_rows (jobs_outs_eq, jobs_journal_eq)
+let all_equal rows = List.for_all snd rows
+
+let write_exec_json exec_rows dep_rows elim_rows (jobs_outs_eq, jobs_journal_eq)
     temporal_rows temporal_eq =
   let module J = Artemis.Json in
-  let speedup_vs_compiled, speedup_vs_interp, equal = exec_report matrix in
-  let dep_speedup, dep_equal = dependent_report dep_rows in
   let _, _, elim_ratio, elim_increased, elim_equal = elimination_report elim_rows in
-  let doc =
-    J.Obj
-      [ ("meta", bench_meta ());
-        ("modes",
-         J.List
-           (List.map
-              (fun (m, rows, fuzz_s, _) ->
-                J.Obj
-                  [ ("name", J.Str m.em_name);
-                    ("benchmarks",
-                     J.List
-                       (List.map
-                          (fun (name, ref_s, blk_s, _) ->
-                            J.Obj
-                              [ ("name", J.Str name);
-                                ("reference_wall_s", J.Float ref_s);
-                                ("blocks_wall_s", J.Float blk_s) ])
-                          rows));
-                    ("fuzz_replay_wall_s", J.Float fuzz_s);
-                    ("total_wall_s",
-                     J.Float
-                       (List.fold_left
-                          (fun acc (_, r, b, _) -> acc +. r +. b)
-                          fuzz_s rows)) ])
-              matrix));
-        ("dependent",
-         J.List
-           (List.map
-              (fun (name, wf_s, gd_s, equal) ->
-                J.Obj
-                  [ ("name", J.Str name);
-                    ("wavefront_wall_s", J.Float wf_s);
-                    ("guarded_wall_s", J.Float gd_s);
-                    ("speedup_wavefront_vs_guarded",
-                     J.Float (gd_s /. Float.max wf_s 1e-9));
-                    ("outputs_equal", J.Bool equal) ])
-              dep_rows));
-        ("elimination",
-         J.List
-           (List.map
-              (fun (name, t_on, t_off, eq) ->
-                J.Obj
-                  [ ("name", J.Str name);
-                    ("unguarded_fraction_elim", J.Float (unguarded_fraction t_on));
-                    ("unguarded_fraction_noelim",
-                     J.Float (unguarded_fraction t_off));
-                    ("eliminated_points",
-                     J.Float t_on.Artemis_exec.Region.t_eliminated);
-                    ("outputs_equal", J.Bool eq) ])
-              elim_rows));
-        ("speedup_split_vs_compiled", J.Float speedup_vs_compiled);
-        ("speedup_split_vs_interpreter", J.Float speedup_vs_interp);
-        ("speedup_wavefront_vs_guarded", J.Float dep_speedup);
-        ("speedup_unguarded_points", J.Float elim_ratio);
-        ("unguarded_fraction_increased", J.Bool elim_increased);
-        ("elimination_outputs_equal", J.Bool elim_equal);
-        ("temporal",
-         J.List
-           (List.map
-              (fun (name, tile, degree, reduction, speedup) ->
-                J.Obj
-                  [ ("name", J.Str name);
-                    ("chosen_tile", J.Str (string_of_int tile));
-                    ("chosen_degree", J.Str (string_of_int degree));
-                    ("chosen_degree_gt1", J.Bool (degree > 1));
-                    ("dram_traffic_reduction", J.Float reduction);
-                    ("speedup_temporal_vs_unblocked", J.Float speedup) ])
-              temporal_rows));
-        ("temporal_blocked",
-         J.List
-           (List.map
-              (fun (name, eq) ->
-                J.Obj
-                  [ ("name", J.Str name); ("blocked_outputs_equal", J.Bool eq) ])
-              temporal_eq));
-        ("jobs_outputs_equal", J.Bool jobs_outs_eq);
-        ("jobs_journal_equal", J.Bool jobs_journal_eq);
-        ("outputs_equal", J.Bool equal);
-        ("wavefront_outputs_equal", J.Bool dep_equal) ]
-  in
-  let oc = open_out "BENCH_exec.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (J.to_string ~indent:true doc));
-  Printf.printf "wrote BENCH_exec.json\n%!"
+  write_json "BENCH_exec.json"
+    (J.Obj
+       [ ("meta", bench_meta ());
+         ("dependent",
+          J.List
+            (List.map
+               (fun (name, equal) ->
+                 J.Obj [ ("name", J.Str name); ("outputs_equal", J.Bool equal) ])
+               dep_rows));
+         ("elimination",
+          J.List
+            (List.map
+               (fun (name, t_on, t_off, eq) ->
+                 J.Obj
+                   [ ("name", J.Str name);
+                     ("unguarded_fraction_elim", J.Float (unguarded_fraction t_on));
+                     ("unguarded_fraction_noelim", J.Float (unguarded_fraction t_off));
+                     ("eliminated_points",
+                      J.Float t_on.Artemis_exec.Region.t_eliminated);
+                     ("outputs_equal", J.Bool eq) ])
+               elim_rows));
+         ("speedup_unguarded_points", J.Float elim_ratio);
+         ("unguarded_fraction_increased", J.Bool elim_increased);
+         ("elimination_outputs_equal", J.Bool elim_equal);
+         ("temporal",
+          J.List
+            (List.map
+               (fun (name, tile, degree, reduction, speedup) ->
+                 J.Obj
+                   [ ("name", J.Str name);
+                     ("chosen_tile", J.Str (string_of_int tile));
+                     ("chosen_degree", J.Str (string_of_int degree));
+                     ("chosen_degree_gt1", J.Bool (degree > 1));
+                     ("dram_traffic_reduction", J.Float reduction);
+                     ("speedup_temporal_vs_unblocked", J.Float speedup) ])
+               temporal_rows));
+         ("temporal_blocked",
+          J.List
+            (List.map
+               (fun (name, eq) ->
+                 J.Obj [ ("name", J.Str name); ("blocked_outputs_equal", J.Bool eq) ])
+               temporal_eq));
+         ("jobs_outputs_equal", J.Bool jobs_outs_eq);
+         ("jobs_journal_equal", J.Bool jobs_journal_eq);
+         ("outputs_equal", J.Bool (all_equal exec_rows));
+         ("wavefront_outputs_equal", J.Bool (all_equal dep_rows)) ])
 
 let exec_bench () =
-  header "Executor wall clock: interpreter vs compiled vs split-interior";
-  let matrix = exec_matrix ~size:28 ~fuzz_cases:12 in
+  header "Executor agreement: reference executor vs block executor";
+  let exec_rows = executor_agreement ~size:28 ~fuzz_cases:12 in
   List.iter
-    (fun (m, rows, fuzz_s, _) ->
-      let r = List.fold_left (fun acc (_, r, _, _) -> acc +. r) 0.0 rows in
-      let b = List.fold_left (fun acc (_, _, b, _) -> acc +. b) 0.0 rows in
-      Printf.printf "%-12s reference %6.2fs  blocks %6.2fs  fuzz %6.2fs  | total %6.2fs\n%!"
-        m.em_name r b fuzz_s (r +. b +. fuzz_s))
-    matrix;
-  let speedup_vs_compiled, speedup_vs_interp, equal = exec_report matrix in
-  Printf.printf "speedup split vs compiled    : %.2fx\n" speedup_vs_compiled;
-  Printf.printf "speedup split vs interpreter : %.2fx\n" speedup_vs_interp;
-  Printf.printf "outputs bit-identical        : %b\n%!" equal;
+    (fun (name, eq) -> if not eq then Printf.printf "%-14s outputs DIFFER\n" name)
+    exec_rows;
+  Printf.printf "outputs bit-identical        : %b (%d programs)\n%!"
+    (all_equal exec_rows) (List.length exec_rows);
   header "Dependent stencils: wavefront schedule vs guarded fallback";
-  let dep_rows = dependent_matrix ~size2:256 ~size3:40 ~reps:4 in
-  List.iter
-    (fun (name, wf_s, gd_s, dep_eq) ->
-      Printf.printf "%-8s wavefront %6.3fs  guarded %6.3fs  speedup %5.2fx  equal %b\n%!"
-        name wf_s gd_s (gd_s /. Float.max wf_s 1e-9) dep_eq)
-    dep_rows;
-  let dep_speedup, dep_equal = dependent_report dep_rows in
-  Printf.printf "speedup wavefront vs guarded : %.2fx\n" dep_speedup;
-  Printf.printf "outputs bit-identical        : %b\n%!" dep_equal;
+  let dep_rows = dependent_rows ~size2:256 ~size3:40 ~reps:4 in
+  List.iter (fun (name, eq) -> Printf.printf "%-8s equal %b\n" name eq) dep_rows;
+  Printf.printf "outputs bit-identical        : %b\n%!" (all_equal dep_rows);
   header "Guard elimination: proven-bounds shells vs guarded halo";
   let elim_rows = elimination_rows ~size:28 in
   List.iter
@@ -1528,28 +1221,31 @@ let exec_bench () =
   List.iter
     (fun (name, eq) -> Printf.printf "%-14s blocked outputs equal %b\n%!" name eq)
     temporal_eq;
-  write_exec_json matrix dep_rows elim_rows jobs_eq temporal_rows temporal_eq
+  write_exec_json exec_rows dep_rows elim_rows jobs_eq temporal_rows temporal_eq
 
-(* Hidden smoke variant (`make perf-smoke`): one suite program, split vs
-   compiled baseline, hard assertions on output equality and on the
-   interior actually being exercised. *)
+(* Hidden smoke variant (`make perf-smoke`): one suite program through
+   both executors, split vs the point-wise interpreter, hard assertions
+   on output equality and on the interior actually being exercised. *)
 let exec_smoke () =
-  header "exec smoke: split vs compiled baseline on 7pt-smoother";
+  header "exec smoke: split vs interpreter on 7pt-smoother";
   let prog = (Suite.at_size 12 (Suite.find "7pt-smoother")).prog in
+  let outs () =
+    let reference, blocks = exec_run prog in
+    reference @ blocks
+  in
   let m_int = Artemis.Metrics.counter "exec.interior_points" in
   let before = Artemis.Metrics.counter_value m_int in
-  let run name =
-    let m = List.find (fun m -> m.em_name = name) exec_modes in
-    with_exec_mode m (fun () ->
-        let _, _, outs = exec_run prog in
-        outs)
-  in
-  let split = run "split" and compiled = run "compiled" in
-  let equal = outputs_equal split compiled in
+  let split = outs () in
   let interior = Artemis.Metrics.counter_value m_int -. before in
+  let interp =
+    let saved = !Artemis.Eval.use_interpreter in
+    Artemis.Eval.use_interpreter := true;
+    Fun.protect ~finally:(fun () -> Artemis.Eval.use_interpreter := saved) outs
+  in
+  let equal = outputs_equal split interp in
   Printf.printf "outputs identical %b; interior points swept %.0f\n%!" equal interior;
   if not equal then begin
-    prerr_endline "exec-smoke FAILED: split outputs differ from the baseline";
+    prerr_endline "exec-smoke FAILED: split outputs differ from the interpreter";
     exit 1
   end;
   if interior <= 0.0 then begin
@@ -1603,14 +1299,9 @@ let wavefront_smoke () =
   let prog = Artemis.parse_string (gs2d_src ~n:64 ~m:64) in
   let m_wf = Artemis.Metrics.counter "exec.wavefront_points" in
   let before = Artemis.Metrics.counter_value m_wf in
-  let m_split = List.find (fun m -> m.em_name = "split") exec_modes in
-  let wf_s, gd_s, equal =
-    with_exec_mode m_split (fun () -> dependent_run prog ~reps:2)
-  in
+  let equal = dependent_equal prog ~reps:2 in
   let swept = Artemis.Metrics.counter_value m_wf -. before in
-  Printf.printf
-    "outputs identical %b; wavefront points swept %.0f (wavefront %.3fs guarded %.3fs)\n%!"
-    equal swept wf_s gd_s;
+  Printf.printf "outputs identical %b; wavefront points swept %.0f\n%!" equal swept;
   if not equal then begin
     prerr_endline
       "wavefront-smoke FAILED: wavefront outputs differ from the guarded fallback";
@@ -1627,8 +1318,7 @@ let all_experiments =
   [ ("table1", table1); ("fig4", fig4); ("table2", table2); ("table3", table3);
     ("fission", fission); ("assign", assign); ("fig5", fig5); ("fig6", fig6);
     ("tuningcost", tuningcost); ("ablation", ablation); ("extras", extras);
-    ("v100", v100); ("bechamel", bechamel); ("tuner", tuner);
-    ("exec", exec_bench) ]
+    ("v100", v100); ("tuner", tuner); ("exec", exec_bench) ]
 
 (* Runnable by explicit name only — not part of the default sweep. *)
 let hidden_experiments =

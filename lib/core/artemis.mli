@@ -37,8 +37,8 @@ module Reference = Artemis_exec.Reference
 module Kernel_exec = Artemis_exec.Kernel_exec
 module Runner = Artemis_exec.Runner
 
-(** Statement compilation and its interior/halo split switches
-    ([use_split], [use_interpreter] — see docs/PERF.md). *)
+(** Statement compilation and its schedule switches ([use_interpreter],
+    [use_wavefront] — see docs/PERF.md). *)
 module Eval = Artemis_exec.Eval
 
 (** Iteration-space boxes and the interior/shell decomposition. *)

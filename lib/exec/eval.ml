@@ -1,22 +1,18 @@
 (* Expression evaluation at a domain point: shared by the reference
    executor and the block executor so both compute identical values.
 
-   Three evaluation strategies live here:
+   Two evaluation strategies live here:
 
-   - the original tree-walking interpreter ([eval]/[guard]), which
-     resolves names and iterator dimensions at every grid point;
-   - a compile-once lowering ([compile]/[compile_coords]) that resolves
-     array/scalar bindings and index offsets a single time per statement
-     and returns closures the executors call per point — no per-point
-     [List.find_index]/[Not_found] control flow; and
+   - the tree-walking interpreter ([eval]/[guard]), which resolves names
+     and iterator dimensions at every grid point; and
    - the flat-index row evaluator ([compile_stmt] under [split_enabled])
      that sweeps whole rows through float arrays.
 
-   All three produce bit-identical results (each mirrors the
+   Both produce bit-identical results (the row evaluator mirrors the
    interpreter's float-operation order exactly).  The executors use the
-   row evaluator; clearing [use_split] selects the closures and setting
-   [use_interpreter] the interpreter — the baselines the benchmark
-   harness times and the tests use for differential checking. *)
+   row evaluator; setting [use_interpreter] selects the interpreter —
+   the point-wise reference the tests and the fuzz oracle check the row
+   evaluator against. *)
 
 module A = Artemis_dsl.Ast
 
@@ -95,14 +91,13 @@ let guard env point (e : A.expr) =
     (A.reads_of_expr e)
 
 (* ------------------------------------------------------------------ *)
-(* Compile-once lowering                                               *)
+(* Schedule switches                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let use_interpreter = ref false
-let use_split = ref true
 let use_wavefront = ref true
 
-let split_enabled () = !use_split && not !use_interpreter
+let split_enabled () = not !use_interpreter
 
 (* The fuzz oracle flips the wavefront schedule off *inside pool
    workers* to compare it against the guarded fallback, so the override
@@ -125,18 +120,14 @@ let with_wavefront v f =
 
 (* Static guard elimination: skip boundary shells (and wavefront
    exteriors) outright when the affine analyzer independently proves
-   every shell point a guard-failing no-op.  Same domain-scoped override
-   discipline as the wavefront toggle — the bench harness compares both
-   settings inside pool workers. *)
-let use_static_elim = ref true
-
+   every shell point a guard-failing no-op.  On by default; the
+   override is domain-scoped for the same reason as the wavefront
+   toggle's. *)
 let static_elim_override : bool option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
 let static_elim_enabled () =
-  (match !(Domain.DLS.get static_elim_override) with
-  | Some v -> v
-  | None -> !use_static_elim)
+  Option.value ~default:true !(Domain.DLS.get static_elim_override)
   && split_enabled ()
 
 let with_static_elim v f =
@@ -152,14 +143,8 @@ type binder = {
   binder_iters : string list;
 }
 
-type compiled = {
-  cguard : int array -> bool;  (** all array reads in bounds at the point *)
-  cvalue : int array -> float;  (** value; may raise [Out_of_bounds] *)
-}
-
-(* Interpreter-backed env over a binder: the per-point temp lookup needs
-   the current point, threaded through a ref exactly as the executors
-   did before compilation existed. *)
+(* Interpreter env over a binder: the per-point temp lookup needs the
+   current point, threaded through a ref. *)
 let env_of_binder (b : binder) =
   let env_point = ref [||] in
   let env =
@@ -184,135 +169,6 @@ let iter_dim (b : binder) it =
   in
   find 0 b.binder_iters
 
-(* Per-access plan: each array dimension is (iterator dim, shift), with
-   dim = -1 for constant indices.  The coords buffer is reused across
-   points, so each compiled closure belongs to one sequential sweep. *)
-let access_plan b (idx : A.index list) =
-  let spec =
-    Array.of_list
-      (List.map
-         (fun (i : A.index) ->
-           match i.iter with
-           | None -> (-1, i.shift)
-           | Some it -> (iter_dim b it, i.shift))
-         idx)
-  in
-  let coords = Array.make (Array.length spec) 0 in
-  fun (point : int array) ->
-    Array.iteri
-      (fun d (dim, shift) ->
-        coords.(d) <- (if dim < 0 then shift else point.(dim) + shift))
-      spec;
-    coords
-
-(** Absolute coordinates of a write target, with bindings and iterator
-    dimensions resolved once.  The returned array is a reused buffer —
-    valid until the next call. *)
-let compile_coords (b : binder) (idx : A.index list) =
-  if !use_interpreter then begin
-    let env, env_point = env_of_binder b in
-    fun point ->
-      env_point := point;
-      access_coords env point idx
-  end
-  else access_plan b idx
-
-(* One plan per (array, index) pair, shared between the guard and value
-   closures of a compiled statement: the guard checks bounds through the
-   same coordinate buffer the value then reads through, so each pair
-   resolves its binding and offsets exactly once. *)
-let plan_cache (b : binder) =
-  let plans : (string * A.index list, Grid.t * (int array -> int array)) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  fun a idx ->
-    match Hashtbl.find_opt plans (a, idx) with
-    | Some p -> p
-    | None ->
-      let p = (b.bind_array a, access_plan b idx) in
-      Hashtbl.replace plans (a, idx) p;
-      p
-
-let compile_value ~plan_of (b : binder) (e : A.expr) : int array -> float =
-  let rec go e =
-    match e with
-    | A.Const f -> fun _ -> f
-    | A.Scalar_ref s -> (
-      (* Temps shadow scalars, as in the interpreter's lookup order. *)
-      match b.bind_temp s with
-      | Some g -> fun point -> Grid.get g point
-      | None ->
-        let v = b.bind_scalar s in
-        fun _ -> v)
-    | A.Access (a, idx) ->
-      let g, coords_at = plan_of a idx in
-      fun point ->
-        let c = coords_at point in
-        if Grid.in_bounds g c then Grid.get g c else raise Out_of_bounds
-    | A.Neg e1 ->
-      let f1 = go e1 in
-      fun point -> -.f1 point
-    | A.Bin (op, e1, e2) -> (
-      let f1 = go e1 and f2 = go e2 in
-      match op with
-      | A.Add -> fun point -> f1 point +. f2 point
-      | A.Sub -> fun point -> f1 point -. f2 point
-      | A.Mul -> fun point -> f1 point *. f2 point
-      | A.Div -> fun point -> f1 point /. f2 point)
-    | A.Call (f, args) -> (
-      match (f, List.map go args) with
-      | "sqrt", [ x ] -> fun p -> sqrt (x p)
-      | "fabs", [ x ] -> fun p -> Float.abs (x p)
-      | "exp", [ x ] -> fun p -> exp (x p)
-      | "log", [ x ] -> fun p -> log (x p)
-      | "sin", [ x ] -> fun p -> sin (x p)
-      | "cos", [ x ] -> fun p -> cos (x p)
-      | "min", [ x; y ] -> fun p -> Float.min (x p) (y p)
-      | "max", [ x; y ] -> fun p -> Float.max (x p) (y p)
-      | "pow", [ x; y ] -> fun p -> Float.pow (x p) (y p)
-      | "fma", [ x; y; z ] -> fun p -> Float.fma (x p) (y p) (z p)
-      | _ -> raise (Unknown_intrinsic f))
-  in
-  go e
-
-let compile_guard ~plan_of (e : A.expr) : int array -> bool =
-  let checks =
-    List.map
-      (fun (a, idx) ->
-        let g, coords_at = plan_of a idx in
-        fun point -> Grid.in_bounds g (coords_at point))
-      (A.reads_of_expr e)
-  in
-  match checks with
-  | [] -> fun _ -> true
-  | checks -> fun point -> List.for_all (fun c -> c point) checks
-
-(** Lower [e] against pre-resolved bindings.  Name resolution, iterator
-    dimension lookup, and intrinsic dispatch happen once, here; the
-    returned closures only index grids and combine floats.  Under
-    [use_interpreter] the closures fall back to per-point [eval]/[guard]
-    (the pre-compilation baseline the benchmark times).
-    @raise Unknown_intrinsic on an undiagnosed intrinsic (lint code A104)
-    @raise Invalid_argument on unbound names or iterators *)
-let compile (b : binder) (e : A.expr) : compiled =
-  if !use_interpreter then begin
-    let env, env_point = env_of_binder b in
-    {
-      cguard =
-        (fun point ->
-          env_point := point;
-          guard env point e);
-      cvalue =
-        (fun point ->
-          env_point := point;
-          eval env point e);
-    }
-  end
-  else begin
-    let plan_of = plan_cache b in
-    { cguard = compile_guard ~plan_of e; cvalue = compile_value ~plan_of b e }
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Flat-index compilation for interior sweeps                          *)
 (* ------------------------------------------------------------------ *)
@@ -320,7 +176,7 @@ let compile (b : binder) (e : A.expr) : compiled =
 (* Inside a guaranteed-in-bounds interior box every per-point check is
    dead weight, and so is recomputing multi-dimensional coordinates: an
    affine access moves through a grid's flat [float array] with a fixed
-   stride along the innermost iterator.  [compile_split] lowers a
+   stride along the innermost iterator.  [compile_stmt] lowers a
    statement to that form.  Per row, each access resolves to a flat base
    offset (a constant plus one coefficient per iteration dimension);
    the expression then evaluates a whole row at a time, one tight loop
@@ -512,8 +368,8 @@ type flat = {
 }
 
 (* Elements [lo, hi) of one instruction.  Each float operation and its
-   operand order mirror [compile_value], so every element is
-   bit-identical to the guarded per-point evaluation. *)
+   operand order mirror [eval], so every element is bit-identical to the
+   point-wise interpreter. *)
 let exec_instr lo hi (i : instr) =
   let (o : float array) = i.dst.arr in
   let (x : float array) = i.a.arr in
@@ -774,19 +630,6 @@ let split_of (b : binder) ~target ~wavefront wpath reads e =
     ss_paths = wpath :: reads.rp_list;
   }
 
-let compile_split (b : binder) ~(target : Grid.t) (idx : A.index list)
-    (e : A.expr) : split_stmt option =
-  let rank = List.length b.binder_iters in
-  let wpath = access_path b target idx in
-  let reads = read_paths b e in
-  let reads_temp = expr_reads_temp b e in
-  if
-    not
-      (order_independent ~rank ~target ~wspec:wpath.ap_spec ~reads_temp
-         reads.rp_list)
-  then None
-  else Some (split_of b ~target ~wavefront:false wpath reads e)
-
 let split_interior (ss : split_stmt) (region : Region.box) =
   clip_in_bounds ss.ss_paths region
 
@@ -833,9 +676,6 @@ let run_row ~accum (ss : split_stmt) (point : int array) (n : int) =
         data.(base + (q * step)) <- v.(vo + (q * vs))
       done
   end
-
-let run_row_assign ss point n = run_row ~accum:false ss point n
-let run_row_accum ss point n = run_row ~accum:true ss point n
 
 (* ------------------------------------------------------------------ *)
 (* Unified statement compilation                                       *)
@@ -886,19 +726,18 @@ let self_deltas ~rank ~(target : Grid.t) ~(wspec : (int * int) array) paths =
 (** One statement compiled for sweeping: the guarded per-point closure
     (always available — boundary shells, wavefront row ends, and the
     full fallback all use it) plus the schedule class the executors
-    dispatch on.  All closures share one plan cache, so the guarded
-    fallback no longer rebuilds the plans the split decision already
-    constructed. *)
+    dispatch on.  Under [use_interpreter] every point goes through
+    [eval]/[guard] and the statement classifies [Sc_guarded]. *)
 let compile_stmt (b : binder) ~(target : Grid.t) ~(accum : bool)
     (idx : A.index list) (e : A.expr) : stmt_exec =
   if not (split_enabled ()) then begin
-    let coords_at = compile_coords b idx in
-    let c = compile b e in
+    let env, env_point = env_of_binder b in
     let guarded p =
-      let w = coords_at p in
-      if Grid.in_bounds target w && c.cguard p then
-        if accum then Grid.set target w (Grid.get target w +. c.cvalue p)
-        else Grid.set target w (c.cvalue p)
+      env_point := p;
+      let w = access_coords env p idx in
+      if Grid.in_bounds target w && guard env p e then
+        if accum then Grid.set target w (Grid.get target w +. eval env p e)
+        else Grid.set target w (eval env p e)
     in
     { sx_class = Sc_guarded; sx_guarded = guarded; sx_row = no_row }
   end

@@ -2,9 +2,8 @@
     executor and the block executor so both compute identical values.
 
     The executors evaluate through {!compile_stmt}'s flat-index row
-    evaluator; the per-point closures of {!compile} (under a cleared
-    {!use_split}) and the point-wise interpreter ({!eval}/{!guard}, under
-    {!use_interpreter}) remain as the differential baselines. *)
+    evaluator; the point-wise interpreter ({!eval}/{!guard}, under
+    {!use_interpreter}) is the reference it is checked against. *)
 
 (** Raised when an array read falls outside its grid; callers treat the
     statement as guarded off at that point. *)
@@ -35,21 +34,14 @@ val eval : env -> int array -> Artemis_dsl.Ast.expr -> float
     guard the generated CUDA emits. *)
 val guard : env -> int array -> Artemis_dsl.Ast.expr -> bool
 
-(** {1 Compile-once lowering} *)
+(** {1 Schedule switches} *)
 
-(** When set, {!compile} and {!compile_coords} return closures backed by
-    the point-wise interpreter instead of the pre-resolved lowering —
-    the pre-compilation baseline the benchmark harness times and the
-    differential tests compare against.  Results are bit-identical
-    either way. *)
+(** When set, {!compile_stmt} runs every statement point by point
+    through {!eval}/{!guard} (classified [Sc_guarded]) instead of the
+    row evaluator — the point-wise reference the differential tests and
+    the fuzz oracle compare against.  Results are bit-identical either
+    way. *)
 val use_interpreter : bool ref
-
-(** When set (the default), the executors carve a guaranteed-in-bounds
-    interior box out of each statement's region and sweep it through
-    {!compile_split}'s flat-index rows; boundary shells keep the guarded
-    per-point path.  Clear to force the guarded path everywhere (the
-    PR-4 baseline).  Results are bit-identical either way. *)
-val use_split : bool ref
 
 (** When set (the default), statements whose self-dependences are
     uniform sweep through the wavefront schedule ({!Wavefront}) instead
@@ -57,8 +49,8 @@ val use_split : bool ref
     bit-identical either way — pinned by the fuzz oracle. *)
 val use_wavefront : bool ref
 
-(** Splitting is active: {!use_split} and not {!use_interpreter} (the
-    interpreter baseline must stay pure per-point). *)
+(** Splitting is active: not {!use_interpreter} (the interpreter
+    reference must stay pure per-point). *)
 val split_enabled : unit -> bool
 
 (** The wavefront schedule is active: {!use_wavefront} (or a scoped
@@ -70,17 +62,15 @@ val wavefront_enabled : unit -> bool
     can flip it inside pool workers without racing concurrent cases). *)
 val with_wavefront : bool -> (unit -> 'a) -> 'a
 
-(** When set (the default), the executors skip boundary shells (and
-    wavefront exteriors) whose points the affine analyzer
-    ({!Artemis_static.Static}) proves to be guard-failing no-ops,
-    charging them to [exec.eliminated_points] instead of sweeping them.
-    Elimination only engages where the analyzer's independently computed
-    footprint agrees exactly with the executor's own clipping
-    ({!elim_proven}); results are bit-identical either way. *)
-val use_static_elim : bool ref
-
-(** Static guard elimination is active: {!use_static_elim} (or a scoped
-    {!with_static_elim} override) and {!split_enabled}. *)
+(** Static guard elimination is active: on unless a scoped
+    {!with_static_elim} override clears it, and {!split_enabled}.  The
+    executors then skip boundary shells (and wavefront exteriors) whose
+    points the affine analyzer ({!Artemis_static.Static}) proves to be
+    guard-failing no-ops, charging them to [exec.eliminated_points]
+    instead of sweeping them.  Elimination only engages where the
+    analyzer's independently computed footprint agrees exactly with the
+    executor's own clipping ({!elim_proven}); results are bit-identical
+    either way. *)
 val static_elim_enabled : unit -> bool
 
 (** [with_static_elim v f] runs [f] with static elimination forced to
@@ -98,24 +88,6 @@ type binder = {
   bind_scalar : string -> float;
   binder_iters : string list;  (** kernel iterators, outermost first *)
 }
-
-type compiled = {
-  cguard : int array -> bool;  (** all array reads in bounds at the point *)
-  cvalue : int array -> float;  (** value; may raise [Out_of_bounds] *)
-}
-
-(** Lower an expression to closures with pre-resolved bindings and
-    precomputed index offsets.  Compile once per statement per sweep;
-    the closures reuse internal coordinate buffers, so they belong to
-    one sequential sweep (each pool task compiles its own).
-    @raise Unknown_intrinsic on an unknown intrinsic or wrong arity
-    @raise Invalid_argument on unbound names or iterators *)
-val compile : binder -> Artemis_dsl.Ast.expr -> compiled
-
-(** Write-target coordinates with bindings resolved once.  The returned
-    array is a reused buffer — valid until the next call. *)
-val compile_coords :
-  binder -> Artemis_dsl.Ast.index list -> int array -> int array
 
 (** {1 Flat-index split compilation}
 
@@ -169,19 +141,6 @@ type split_stmt = {
     same program. *)
 and flat
 
-(** Lower [target[idx] = e] (or [+=]) for split execution, or [None]
-    when splitting could reorder observable effects: the write index
-    must cover every iteration dimension (writes are then injective) and
-    any read aliasing [target]'s storage must use the write's own index.
-    Such statements stay entirely on the guarded path.
-    @raise Unknown_intrinsic / [Invalid_argument] as {!compile} *)
-val compile_split :
-  binder ->
-  target:Grid.t ->
-  Artemis_dsl.Ast.index list ->
-  Artemis_dsl.Ast.expr ->
-  split_stmt option
-
 (** The sub-box of [region] where every access of the statement is in
     bounds (its unguarded interior). *)
 val split_interior : split_stmt -> Region.box -> Region.box
@@ -195,13 +154,6 @@ val split_interior : split_stmt -> Region.box -> Region.box
     dropped; disagreement falls back to sweeping them. *)
 val elim_proven :
   split_stmt -> region:Region.box -> interior:Region.box -> bool
-
-(** Row bodies for [Region.sweep]'s [~row] argument: bind the row at
-    [point], then assign (or accumulate) [n] points through flat
-    indices. *)
-val run_row_assign : split_stmt -> int array -> int -> unit
-
-val run_row_accum : split_stmt -> int array -> int -> unit
 
 (** {1 Unified statement compilation}
 
@@ -241,10 +193,17 @@ val self_deltas :
     closure plus schedule class.  Under {!split_enabled} every path —
     interior rows, wavefront rows and guarded points (a row of length 1
     once the write and every read are in bounds) — runs the one
-    row-at-a-time evaluator; otherwise the guarded closure is
-    {!compile}'s.  Like {!compile}, the result reuses internal buffers
-    and belongs to one sequential sweep: parallel wavefront bands each
-    compile their own instance. *)
+    row-at-a-time evaluator.  A statement splits ([Sc_split]) when
+    reordering cannot be observed: the write index covers every
+    iteration dimension a read varies along, and any read aliasing
+    [target]'s storage uses the write's own index.  Otherwise the guarded
+    closure is the interpreter's ({!eval}/{!guard}) and the class is
+    [Sc_guarded].  The result reuses internal buffers and belongs to one
+    sequential sweep: parallel wavefront bands each compile their own
+    instance.
+    @raise Unknown_intrinsic on an unknown intrinsic or wrong arity (at
+    compile time under {!split_enabled}, per point otherwise)
+    @raise Invalid_argument on unbound names or iterators *)
 val compile_stmt :
   binder ->
   target:Grid.t ->

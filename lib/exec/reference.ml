@@ -82,9 +82,9 @@ let run_kernel (store : store) ~scalars (k : I.kernel) =
 
      Under [Eval.split_enabled] an order-independent statement sweeps its
      guaranteed-in-bounds interior through flat-index rows and pays the
-     guard only on boundary shells; otherwise (and for statements
-     [compile_split] declines) the whole domain takes the guarded
-     per-point path, exactly as before. *)
+     guard only on boundary shells, and a uniformly self-dependent one
+     takes the wavefront schedule; otherwise the whole domain takes the
+     guarded per-point path. *)
   let rank = Array.length k.domain in
   let domain_box = Region.of_dims k.domain in
   let point = Array.make (max rank 1) 0 in

@@ -31,7 +31,7 @@ type report = { threshold_pct : float; checks : check list; regressions : int }
 (* An indicator is classified by its key name alone, so new benchmarks
    gate automatically without touching this module. *)
 let higher_better key =
-  key = "tflops" || key = "warm_speedup" || key = "dram_traffic_reduction"
+  key = "tflops" || key = "dram_traffic_reduction"
   || key = "measurements_saved_pct"
   || (String.length key >= 7 && String.sub key 0 7 = "speedup")
 

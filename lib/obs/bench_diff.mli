@@ -7,9 +7,9 @@
     seconds, which are noise on shared machines.  An indicator is found
     by key name anywhere in the document (the [meta] subtree excluded):
 
-    - numeric ["tflops"], ["warm_speedup"], or any key starting with
-      ["speedup"]: higher is better; a drop past the threshold is a
-      regression;
+    - numeric ["tflops"], ["dram_traffic_reduction"],
+      ["measurements_saved_pct"], or any key starting with ["speedup"]:
+      higher is better; a drop past the threshold is a regression;
     - boolean keys (e.g. ["plans_equal"], ["outputs_equal"]): a
       [true -> false] flip is a regression regardless of threshold.
 

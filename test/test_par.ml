@@ -280,43 +280,27 @@ let eval_src =
     }
     s0 (u, v); copyout u;|}
 
-(* Run [f] with the evaluator pinned to one of its three modes. *)
-let with_eval_mode ~interp ~split f =
-  let si = !E.Eval.use_interpreter and ss = !E.Eval.use_split in
-  E.Eval.use_interpreter := interp;
-  E.Eval.use_split := split;
-  Fun.protect
-    ~finally:(fun () ->
-      E.Eval.use_interpreter := si;
-      E.Eval.use_split := ss)
-    f
-
 let eval_tests =
   [
-    case "interpreter / compiled / split evaluators match bit-for-bit"
-      (fun () ->
+    case "interpreter and split evaluators match bit-for-bit" (fun () ->
         let prog = Artemis.parse_string eval_src in
         let k = Artemis.first_kernel prog in
         let scalars = E.Reference.scalars_of_program prog in
-        let run ~interp ~split =
-          with_eval_mode ~interp ~split (fun () ->
+        let run interp =
+          Util.with_interpreter interp (fun () ->
               let store = E.Reference.store_of_program prog in
               E.Reference.run_kernel store ~scalars k;
               E.Reference.find_array store "u")
         in
-        let split = run ~interp:false ~split:true in
         Alcotest.(check (float 0.0))
           "split == interpreter" 0.0
-          (E.Grid.max_abs_diff split (run ~interp:true ~split:false));
-        Alcotest.(check (float 0.0))
-          "split == compiled" 0.0
-          (E.Grid.max_abs_diff split (run ~interp:false ~split:false)));
+          (E.Grid.max_abs_diff (run false) (run true)));
     case "fuzz: split on/off summaries identical at jobs=4" (fun () ->
-        let summary split =
+        let summary interp =
           with_globals ~jobs:4 ~force:true (fun () ->
-              with_eval_mode ~interp:false ~split fuzz_artifact)
+              Util.with_interpreter interp fuzz_artifact)
         in
-        Alcotest.(check string) "identical" (summary true) (summary false));
+        Alcotest.(check string) "identical" (summary false) (summary true));
   ]
 
 let tests = ("par", pool_tests @ determinism_tests @ cache_tests @ eval_tests)

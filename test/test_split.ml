@@ -2,9 +2,9 @@
    partitions exactly (randomized over ranks/extents), the in-bounds
    interior matches the guard set, order-dependent statements take the
    wavefront schedule (or the guarded path when no hyperplane applies),
-   and all three executor modes — interpreter, compiled baseline, split
-   — produce bit-identical outputs on suite programs, the fuzz corpus,
-   and through the block executor.  The wavefront section pins the
+   and both executor modes — the point-wise interpreter and split —
+   produce bit-identical outputs on suite programs, the fuzz corpus, and
+   through the block executor.  The wavefront section pins the
    Gauss-Seidel/SOR matrix: interpreter vs guarded fallback vs wavefront
    schedule, at jobs=1 and forced jobs=4, bit for bit. *)
 
@@ -20,34 +20,12 @@ module Metrics = Artemis_obs.Metrics
 module Suite = Artemis_bench.Suite
 
 let case name f = Alcotest.test_case name `Quick f
-let dev = Artemis_gpu.Device.p100
 
 (* ---------------- modes ---------------- *)
 
-type mode = Interp | Compiled | Split
+type mode = Interp | Split
 
-let mode_name = function
-  | Interp -> "interpreter"
-  | Compiled -> "compiled"
-  | Split -> "split"
-
-let with_mode mode f =
-  let si = !Eval.use_interpreter and ss = !Eval.use_split in
-  (match mode with
-  | Interp ->
-    Eval.use_interpreter := true;
-    Eval.use_split := false
-  | Compiled ->
-    Eval.use_interpreter := false;
-    Eval.use_split := false
-  | Split ->
-    Eval.use_interpreter := false;
-    Eval.use_split := true);
-  Fun.protect
-    ~finally:(fun () ->
-      Eval.use_interpreter := si;
-      Eval.use_split := ss)
-    f
+let with_mode mode f = Util.with_interpreter (mode = Interp) f
 
 (* ---------------- partition property ---------------- *)
 
@@ -147,13 +125,21 @@ let mk_binder grids scalars iters =
 
 let ij shift_i shift_j = [ A.index ~iter:"i" shift_i; A.index ~iter:"j" shift_j ]
 
+(* [target[idx] = e] through the one statement-compilation entry point:
+   the split lowering when the statement splits, [None] when it takes
+   the wavefront schedule or the guarded path. *)
+let split_of b ~target idx e =
+  match (Eval.compile_stmt b ~target ~accum:false idx e).sx_class with
+  | Eval.Sc_split ss -> Some ss
+  | Eval.Sc_wavefront _ | Eval.Sc_guarded -> None
+
 let interior_tests =
   [
     case "split interior is exactly the in-bounds box" (fun () ->
         let u = E.Grid.create [| 12; 12 |] and v = E.Grid.create [| 12; 12 |] in
         let b = mk_binder [ ("u", u); ("v", v) ] [] [ "i"; "j" ] in
         let e = A.Access ("v", ij (-1) 2) in
-        let ss = Option.get (Eval.compile_split b ~target:u (ij 0 0) e) in
+        let ss = Option.get (split_of b ~target:u (ij 0 0) e) in
         let interior = Eval.split_interior ss (Region.of_dims [| 12; 12 |]) in
         Alcotest.(check bool) "clipped to the read's reach" true
           (interior = [| (1, 11); (0, 9) |]));
@@ -161,7 +147,7 @@ let interior_tests =
         let u = E.Grid.create [| 12; 12 |] and v = E.Grid.create [| 12; 12 |] in
         let b = mk_binder [ ("u", u); ("v", v) ] [] [ "i"; "j" ] in
         let e = A.Access ("v", [ A.index 12; A.index ~iter:"j" 0 ]) in
-        let ss = Option.get (Eval.compile_split b ~target:u (ij 0 0) e) in
+        let ss = Option.get (split_of b ~target:u (ij 0 0) e) in
         Alcotest.(check bool) "empty" true
           (Region.is_empty (Eval.split_interior ss (Region.of_dims [| 12; 12 |]))));
     case "flat rows equal guarded evaluation on the interior" (fun () ->
@@ -252,23 +238,21 @@ let interior_tests =
             let target, widx =
               if covering then (u, ij 0 0) else (u1, [ A.index ~iter:"i" 0 ])
             in
-            let ss = Option.get (Eval.compile_split b ~target widx e) in
+            let sx = Eval.compile_stmt b ~target ~accum widx e in
+            let ss =
+              match sx.sx_class with
+              | Eval.Sc_split ss -> ss
+              | _ -> Alcotest.failf "trial %d: statement does not split" trial
+            in
             let interior = Eval.split_interior ss region in
-            if flat then
-              Region.iter_rows interior (fun p n ->
-                  if accum then Eval.run_row_accum ss p n
-                  else Eval.run_row_assign ss p n)
-            else begin
-              (* the per-point closure evaluator, independent of rows *)
-              let c = Eval.compile b e and coords = Eval.compile_coords b widx in
-              Region.iter_points interior (fun p ->
-                  if c.Eval.cguard p then begin
-                    let cell = coords p in
-                    if accum then
-                      E.Grid.set target cell (E.Grid.get target cell +. c.cvalue p)
-                    else E.Grid.set target cell (c.cvalue p)
-                  end)
-            end;
+            if flat then Region.iter_rows interior sx.sx_row
+            else
+              (* the point-wise interpreter ([eval]/[guard]), independent
+                 of rows *)
+              Region.iter_points interior
+                (with_mode Interp (fun () ->
+                     Eval.compile_stmt b ~target ~accum widx e))
+                  .sx_guarded;
             (target, Region.volume interior)
           in
           let rows, pts = run ~flat:true and guarded, _ = run ~flat:false in
@@ -293,20 +277,18 @@ let fallback_tests =
         let u = E.Grid.create [| 8; 8 |] in
         let b = mk_binder [ ("u", u) ] [] [ "i"; "j" ] in
         Alcotest.(check bool) "None" true
-          (Eval.compile_split b ~target:u (ij 0 0) (A.Access ("u", ij 0 (-1)))
-          = None));
+          (split_of b ~target:u (ij 0 0) (A.Access ("u", ij 0 (-1))) = None));
     case "self-read at the written cell still splits" (fun () ->
         let u = E.Grid.create [| 8; 8 |] in
         let b = mk_binder [ ("u", u) ] [] [ "i"; "j" ] in
         Alcotest.(check bool) "Some" true
-          (Eval.compile_split b ~target:u (ij 0 0) (A.Access ("u", ij 0 0))
-          <> None));
+          (split_of b ~target:u (ij 0 0) (A.Access ("u", ij 0 0)) <> None));
     case "write not covering every iterator declines to split" (fun () ->
         let u = E.Grid.create [| 8; 8 |] and v = E.Grid.create [| 8; 8 |] in
         let b = mk_binder [ ("u", u); ("v", v) ] [] [ "i"; "j" ] in
         let widx = [ A.index ~iter:"i" 0; A.index ~iter:"i" 0 ] in
         Alcotest.(check bool) "None" true
-          (Eval.compile_split b ~target:u widx (A.Access ("v", ij 0 0)) = None));
+          (split_of b ~target:u widx (A.Access ("v", ij 0 0)) = None));
     case "write not covering every iterator still splits when order-free"
       (fun () ->
         (* u[j] = f(u[j]) under iters (i, j): the free iterator i varies
@@ -317,14 +299,14 @@ let fallback_tests =
         let b = mk_binder [ ("u", u) ] [] [ "i"; "j" ] in
         let j0 = [ A.index ~iter:"j" 0 ] in
         Alcotest.(check bool) "Some" true
-          (Eval.compile_split b ~target:u j0 (A.Access ("u", j0)) <> None));
+          (split_of b ~target:u j0 (A.Access ("u", j0)) <> None));
     case "free iterator varying a read still declines to split" (fun () ->
         (* u[j] = v[i]: successive i-iterations write different values
            to the same cell, so the last-writer order matters. *)
         let u = E.Grid.create [| 8 |] and v = E.Grid.create [| 8 |] in
         let b = mk_binder [ ("u", u); ("v", v) ] [] [ "i"; "j" ] in
         Alcotest.(check bool) "None" true
-          (Eval.compile_split b ~target:u
+          (split_of b ~target:u
              [ A.index ~iter:"j" 0 ]
              (A.Access ("v", [ A.index ~iter:"i" 0 ]))
           = None));
@@ -366,29 +348,11 @@ let reference_outputs mode (prog : A.program) =
 
 (* Same through the block executor, one plan per kernel; block shapes
    shrink until launchable, as the tuner's validity filter would. *)
-let plan_of_opts opts k =
-  let module Plan = Artemis_ir.Plan in
-  let p = Artemis_codegen.Lower.lower dev k opts in
-  let rec shrink (p : Plan.t) tries =
-    if tries = 0 || Artemis_ir.Validate.is_valid p then p
-    else begin
-      let block = Array.copy p.block in
-      let d = ref (-1) in
-      Array.iteri (fun i e -> if e > 1 && (!d < 0 || e > block.(!d)) then d := i) block;
-      if !d < 0 then p
-      else begin
-        block.(!d) <- max 1 (block.(!d) / 2);
-        shrink { p with Plan.block } (tries - 1)
-      end
-    end
-  in
-  shrink p 12
-
 let runner_outputs mode opts (prog : A.program) =
   with_mode mode (fun () ->
       let store = E.Reference.store_of_program prog in
       let steps =
-        E.Runner.configure ~plan_of:(plan_of_opts opts) (I.schedule prog)
+        E.Runner.configure ~plan_of:(fun k -> Util.valid_lower k opts) (I.schedule prog)
       in
       let _ =
         E.Runner.run_schedule steps store
@@ -406,13 +370,7 @@ let check_identical label outs outs' =
     outs outs'
 
 let modes_identical ~outputs what =
-  let base = outputs Split in
-  List.iter
-    (fun mode ->
-      check_identical
-        (Printf.sprintf "%s: split vs %s" what (mode_name mode))
-        base (outputs mode))
-    [ Interp; Compiled ]
+  check_identical (what ^ ": split vs interpreter") (outputs Split) (outputs Interp)
 
 let suite_mode_cases =
   List.map
@@ -481,10 +439,10 @@ let metrics_tests =
           (Metrics.counter_value m_halo > before_halo);
         Alcotest.(check (float 0.0)) "elimination off adds none" after_elim
           (Metrics.counter_value m_elim);
-        (* the guarded baseline never touches the interior counter *)
+        (* the point-wise interpreter never touches the interior counter *)
         let after_int = Metrics.counter_value m_int in
-        ignore (reference_outputs Compiled b.prog);
-        Alcotest.(check (float 0.0)) "baseline adds none" after_int
+        ignore (reference_outputs Interp b.prog);
+        Alcotest.(check (float 0.0)) "interpreter adds none" after_int
           (Metrics.counter_value m_int));
     case "elimination on/off bit-identical on suite programs" (fun () ->
         List.iter
@@ -642,8 +600,73 @@ let wavefront_tests =
           (Metrics.counter_value m_gd > before_gd));
   ]
 
+(* ---------------- the reference stays point-wise ---------------- *)
+
+(* Schedule class of every statement of [prog]'s first kernel, compiled
+   under [mode] against its initial store (temporaries join the store,
+   where [bind_temp] finds them). *)
+let statement_classes mode (prog : A.program) =
+  let k = Artemis.first_kernel prog in
+  let store = E.Reference.store_of_program prog in
+  let scalars = E.Reference.scalars_of_program prog in
+  let b =
+    {
+      Eval.bind_array = E.Reference.find_array store;
+      bind_temp = Hashtbl.find_opt store;
+      bind_scalar = (fun s -> List.assoc s scalars);
+      binder_iters = k.iters;
+    }
+  in
+  let identity = List.map (fun it -> A.index ~iter:it 0) k.iters in
+  with_mode mode (fun () ->
+      List.map
+        (fun stmt ->
+          let target, accum, idx, e =
+            match stmt with
+            | A.Decl_temp (t, e) ->
+              Hashtbl.replace store t (E.Grid.create k.domain);
+              (t, false, identity, e)
+            | A.Assign (a, idx, e) -> (a, false, idx, e)
+            | A.Accum (a, idx, e) -> (a, true, idx, e)
+          in
+          (Eval.compile_stmt b ~target:(b.bind_array target) ~accum idx e).sx_class)
+        k.body)
+
+let reference_tests =
+  [
+    case "interpreter classifies every statement guarded and sweeps no rows"
+      (fun () ->
+        (* The reference the split path is checked against must not share
+           the row evaluator: under the interpreter no statement splits or
+           takes the wavefront schedule, and no point is charged to an
+           interior, wavefront or eliminated sweep. *)
+        let counters =
+          List.map Metrics.counter
+            [ "exec.interior_points"; "exec.wavefront_points";
+              "exec.eliminated_points" ]
+        in
+        List.iter
+          (fun (name, prog) ->
+            let is_guarded = function Eval.Sc_guarded -> true | _ -> false in
+            Alcotest.(check bool)
+              (name ^ ": split path has a non-guarded statement") true
+              (not (List.for_all is_guarded (statement_classes Split prog)));
+            Alcotest.(check bool)
+              (name ^ ": every statement guarded under the interpreter") true
+              (List.for_all is_guarded (statement_classes Interp prog));
+            let before = List.map Metrics.counter_value counters in
+            ignore (reference_outputs Interp prog);
+            ignore (runner_outputs Interp Artemis_codegen.Options.default prog);
+            Alcotest.(check (list (float 0.0)))
+              (name ^ ": interior/wavefront/eliminated counters unchanged")
+              before
+              (List.map Metrics.counter_value counters))
+          [ ("7pt-smoother", (Suite.at_size 12 (Suite.find "7pt-smoother")).prog);
+            ("gs2d", Artemis.parse_string wf_gs2d_src) ]);
+  ]
+
 let tests =
   ( "split",
     region_tests @ interior_tests @ fallback_tests @ suite_mode_cases
     @ kernel_exec_mode_cases @ fuzz_mode_cases @ metrics_tests
-    @ wavefront_tests )
+    @ wavefront_tests @ reference_tests )

@@ -1,7 +1,7 @@
 (* Degree-N temporal blocking: a blocked ping-pong loop must be
    bit-identical to the unblocked one — per executor mode (interpreter,
-   compiled, split), per halo policy, per buffer strategy, with and
-   without a streamed interleaved traversal, and with degree remainders.
+   split), per halo policy, per buffer strategy, with and without a
+   streamed interleaved traversal, and with degree remainders.
    Static legality mirrors the affine engine: blocked Gauss-Seidel is
    rejected (A802), legal blocked plans lint as Info (A801). *)
 
@@ -11,7 +11,6 @@ module I = Instantiate
 module Plan = Artemis_ir.Plan
 module Validate = Artemis_ir.Validate
 module E = Artemis_exec
-module Eval = E.Eval
 module F = Artemis_fuse.Fusion
 module Lint = Artemis.Lint
 module O = Artemis_codegen.Options
@@ -74,33 +73,6 @@ let gauss_seidel_src =
     }
     iterate 6 { gs (out, inp); swap (out, inp); }
     copyout out;|}
-
-(* ---------------- executor modes ---------------- *)
-
-type mode = Interp | Compiled | Split
-
-let mode_name = function
-  | Interp -> "interpreter"
-  | Compiled -> "compiled"
-  | Split -> "split"
-
-let with_mode mode f =
-  let si = !Eval.use_interpreter and ss = !Eval.use_split in
-  (match mode with
-  | Interp ->
-    Eval.use_interpreter := true;
-    Eval.use_split := false
-  | Compiled ->
-    Eval.use_interpreter := false;
-    Eval.use_split := false
-  | Split ->
-    Eval.use_interpreter := false;
-    Eval.use_split := true);
-  Fun.protect
-    ~finally:(fun () ->
-      Eval.use_interpreter := si;
-      Eval.use_split := ss)
-    f
 
 (* ---------------- helpers ---------------- *)
 
@@ -219,12 +191,12 @@ let reference_blocked_equal ~degree src =
 let equality_cases =
   [ case "streamed blocked = unblocked, all modes, degrees 2-5" (fun () ->
         List.iter
-          (fun mode ->
-            with_mode mode (fun () ->
+          (fun interp ->
+            Util.with_interpreter interp (fun () ->
                 List.iter
                   (fun degree -> blocked_vs_unblocked ~degree (jacobi_src 12))
                   [ 2; 3; 4; 5 ]))
-          [ Interp; Compiled; Split ]);
+          [ true; false ]);
     case "degree with remainder (T=11, b=3) is exact" (fun () ->
         blocked_vs_unblocked ~degree:3 (jacobi_src 11));
     case "degree = T collapses to one launch and is exact" (fun () ->

@@ -4,6 +4,12 @@ module Plan = Artemis_ir.Plan
 
 let dev = Artemis_gpu.Device.p100
 
+(* Run [f] with the point-wise interpreter on or off (split execution). *)
+let with_interpreter on f =
+  let saved = !Artemis_exec.Eval.use_interpreter in
+  Artemis_exec.Eval.use_interpreter := on;
+  Fun.protect ~finally:(fun () -> Artemis_exec.Eval.use_interpreter := saved) f
+
 (* Lower and shrink the block shape until the plan is launchable, as the
    tuner's validity filter would. *)
 let valid_lower ?(device = dev) k opts =
