@@ -3,7 +3,7 @@
 TRACE   := /tmp/artemis-trace.json
 REPORT  := /tmp/artemis-report.json
 
-.PHONY: all build test check bench trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke cache-smoke wavefront-smoke tb-smoke model-smoke obs-smoke bench-gate clean
+.PHONY: all build test check bench pricing-pin trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke cache-smoke wavefront-smoke tb-smoke model-smoke obs-smoke bench-gate clean
 
 all: build
 
@@ -32,6 +32,13 @@ check:
 
 bench:
 	dune exec bench/main.exe
+
+# Bit-identity gate for changes to the counter model (docs/PERF.md): the
+# `pricing` test group alone, its golden digests of tuner-candidate
+# pricing, per-block counters and edge layouts, and the warm-vs-cold
+# staging memo check.  A few seconds, against minutes for the full suite.
+pricing-pin:
+	dune exec test/main.exe -- test pricing
 
 # End-to-end observability smoke test: record a trace + JSON report on
 # the Jacobi example, then validate both by parsing them back.

@@ -36,13 +36,20 @@ let inputs_of_plan (p : Plan.t) =
     serial_waves = ctx.Traffic.serial_waves;
   }
 
-(** Predicted runtime of a plan in seconds; [infinity] for plans the
-    sketch cannot price (unlaunchable geometry, zero occupancy) — they
-    sort last, exactly where the measurement path would reject them. *)
-let time_s (p : Plan.t) =
+(** The warp model's prediction alongside its inputs; [None] for plans
+    the sketch cannot price (unlaunchable geometry, zero occupancy). *)
+let sketch (p : Plan.t) =
   match inputs_of_plan p with
-  | w -> (Warp_model.predict p.device w).Warp_model.time_s
-  | exception (Invalid_argument _ | Division_by_zero | Not_found) -> infinity
+  | w -> Some (w, Warp_model.predict p.device w)
+  | exception (Invalid_argument _ | Division_by_zero | Not_found) -> None
+
+(** Predicted runtime of a plan in seconds; [infinity] for plans the
+    sketch cannot price — they sort last, exactly where the measurement
+    path would reject them. *)
+let time_s (p : Plan.t) =
+  match sketch p with
+  | Some (_, pr) -> pr.Warp_model.time_s
+  | None -> infinity
 
 (** Ranking score (lower is better) and predicted seconds.  The score is
     seconds per useful FLOP, not raw time: candidates covering different
@@ -51,19 +58,14 @@ let time_s (p : Plan.t) =
     maximizes — or a degree-2 plan doing two sweeps' work in 1.5x the
     time would rank below the plan it beats. *)
 let rank (p : Plan.t) =
-  match inputs_of_plan p with
-  | w ->
-    let pr = Warp_model.predict p.device w in
+  match sketch p with
+  | Some (w, pr) ->
     let score =
       if w.useful_flops > 0.0 then pr.Warp_model.time_s /. w.useful_flops
       else pr.Warp_model.time_s
     in
     (score, pr.Warp_model.time_s)
-  | exception (Invalid_argument _ | Division_by_zero | Not_found) ->
-    (infinity, infinity)
+  | None -> (infinity, infinity)
 
 (** Full prediction alongside its inputs, for explain/report surfaces. *)
-let predict (p : Plan.t) =
-  match inputs_of_plan p with
-  | w -> Some (w, Warp_model.predict p.device w)
-  | exception (Invalid_argument _ | Division_by_zero | Not_found) -> None
+let predict = sketch

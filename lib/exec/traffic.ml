@@ -58,14 +58,21 @@ type stmt_info = {
           order, each with its number of textual occurrences *)
 }
 
-(* How one distinct read is charged per point under a plan. *)
-type charge =
-  | Shared of int  (** one shared load per occurrence *)
-  | Shared_once of int
-      (** retimed: one shared load per distinct in-plane offset across the
-          whole body; the payload numbers that (array, in-plane offset) *)
-  | Global of { slot : int; off : int array; uses : int; strides : int array option }
-      (** [slot] numbers the array among the plan's globally read ones *)
+(* One globally read array's reads in one statement, charged together.
+   Within a statement every read covers the same region, so the reads'
+   union box is that region shifted by the bounding box of their
+   offsets, and their sector count depends on an offset only through its
+   innermost residue modulo a sector: one representative offset per
+   residue prices them all. *)
+type group = {
+  slot : int;  (** numbers the array among the plan's globally read ones *)
+  uses : int;  (** occurrences of the array in the statement *)
+  off_lo : int array;  (** per dimension: least read offset *)
+  off_hi : int array;  (** per dimension: greatest read offset *)
+  strides : int array option;
+  residue_uses : int array;  (** per innermost sector residue read: its occurrences *)
+  residue_off : int array array;  (** per residue: one of its offsets *)
+}
 
 (* Where a statement's result goes. *)
 type store =
@@ -79,7 +86,11 @@ type stmt_cost = {
   saved_flops : int;  (** combine ops moved to staging by folding *)
   guard : (int * int) array;  (** region where the statement's guard holds *)
   store : store;
-  charges : charge array;  (** reads that cost anything, in read order *)
+  shared_uses : int;  (** shared loads per point of the unretimed staged reads *)
+  shared_once : int array;
+      (** retimed: one shared load per distinct in-plane offset across the
+          whole body; each id numbers an (array, in-plane offset) *)
+  groups : group array;  (** globally read arrays, in first-read order *)
 }
 
 (* A staged (or fold-member) buffer's once-per-block load. *)
@@ -91,6 +102,21 @@ type load = {
   fold_ops : int;  (** staging-time fold combines per element *)
 }
 
+(* The part of a launch's pricing that the kernel and the plan's staging
+   choices fix: every tuner candidate that differs only in block, unroll,
+   scheme chunk, perspective, prefetch, registers or temporal blocking
+   shares one, see [staging]. *)
+type staging = {
+  bufs : Launch.buffer list;
+  stmts : stmt_cost array;
+  loads : load array;
+  global_arrays : string array;  (** slot -> array of the [groups] *)
+  inplane_reads : int;  (** number of [shared_once] ids *)
+  no_shift : int array;  (** zero offset: an unshifted box *)
+}
+
+(* A staging value's fields, then what the candidate's geometry and
+   resources decide. *)
 type ctx = {
   plan : Plan.t;
   geom : Launch.geometry;
@@ -98,8 +124,8 @@ type ctx = {
   res : Estimate.resources;
   stmts : stmt_cost array;
   loads : load array;
-  global_arrays : string array;  (** slot -> array of the [Global] charges *)
-  inplane_reads : int;  (** number of [Shared_once] keys *)
+  global_arrays : string array;  (** slot -> array of the [groups] *)
+  inplane_reads : int;  (** number of [shared_once] ids *)
   concurrent_blocks : int;
   serial_waves : int;
       (** launch phases forced by self-dependences: 1 = fully independent
@@ -276,12 +302,46 @@ let read_cost (p : Plan.t) bufs array_name (off : int array) =
       | Some s when (not p.retime) && List.mem off.(s) reg_planes -> `Reg
       | Some _ | None -> `Shared))
 
-let make_ctx (p : Plan.t) =
+(* A statement's global reads [(slot, strides, offset, uses)], in read
+   order, as one group per array in first-read order. *)
+let group_reads ~rank reads =
+  let per = Coalesce.elems_per_sector ~elem_bytes in
+  let residue (off : int array) = ((off.(rank - 1) mod per) + per) mod per in
+  let slots =
+    List.fold_left (fun acc (s, _, _, _) -> if List.mem s acc then acc else s :: acc) [] reads
+  in
+  List.rev_map
+    (fun slot ->
+      let mine = List.filter (fun (s, _, _, _) -> s = slot) reads in
+      let _, strides, _, _ = List.hd mine in
+      let offs = List.map (fun (_, _, off, _) -> off) mine in
+      let uses_where keep =
+        List.fold_left (fun acc (_, _, off, n) -> if keep off then acc + n else acc) 0 mine
+      in
+      let bound pick init =
+        Array.init rank (fun d -> List.fold_left (fun acc off -> pick acc off.(d)) init offs)
+      in
+      let residues = List.sort_uniq compare (List.map residue offs) in
+      let of_residue f =
+        Array.of_list (List.map (fun r -> f (fun off -> residue off = r)) residues)
+      in
+      {
+        slot;
+        uses = uses_where (fun _ -> true);
+        off_lo = bound min max_int;
+        off_hi = bound max min_int;
+        strides;
+        residue_uses = of_residue uses_where;
+        residue_off = of_residue (fun keep -> List.find keep offs);
+      })
+    slots
+
+(* The staging part of [make_ctx]: depends on the kernel and on the
+   plan's placement, stream dimension, retiming and folding only. *)
+let make_staging (p : Plan.t) =
   let f = facts p.kernel in
   let rank = Array.length p.kernel.domain in
-  let geom = Launch.geometry p in
   let bufs = Launch.buffers p in
-  let res = Estimate.resources p in
   let strides_for a = List.assoc_opt a f.strides in
   (* Dense numbering in first-read order, for globally read arrays and
      for retimed in-plane reads. *)
@@ -298,16 +358,6 @@ let make_ctx (p : Plan.t) =
   in
   let global_slots, slot_of = numbering () in
   let inplane_ids, inplane_id = numbering () in
-  let charge (a, off, uses) =
-    match read_cost p bufs a off with
-    | `Free | `Const | `Reg -> None
-    | `Shared when p.retime ->
-      let inplane = Array.copy off in
-      (match Plan.stream_dim p with Some s -> inplane.(s) <- 0 | None -> ());
-      Some (Shared_once (inplane_id (a, inplane)))
-    | `Shared -> Some (Shared uses)
-    | `Global -> Some (Global { slot = slot_of a; off; uses; strides = strides_for a })
-  in
   let stmts =
     List.map
       (fun (si : stmt_info) ->
@@ -319,15 +369,29 @@ let make_ctx (p : Plan.t) =
             | _ -> Store_global (strides_for si.writes)
           else Store_none
         in
+        let shared_uses = ref 0 and shared_once = ref [] and globals = ref [] in
+        List.iter
+          (fun (a, off, uses) ->
+            match read_cost p bufs a off with
+            | `Free | `Const | `Reg -> ()
+            | `Shared when p.retime ->
+              let inplane = Array.copy off in
+              (match Plan.stream_dim p with Some s -> inplane.(s) <- 0 | None -> ());
+              shared_once := inplane_id (a, inplane) :: !shared_once
+            | `Shared -> shared_uses := !shared_uses + uses
+            | `Global -> globals := (slot_of a, strides_for a, off, uses) :: !globals)
+          si.reads;
         {
           info = si;
           saved_flops = fold_savings p si.stmt;
           guard =
             Array.init rank (fun d ->
                 let lo, hi = si.guard_ext.(d) in
-                (max 0 (-lo), geom.domain.(d) - 1 - max 0 hi));
+                (max 0 (-lo), p.kernel.domain.(d) - 1 - max 0 hi));
           store;
-          charges = Array.of_list (List.filter_map charge si.reads);
+          shared_uses = !shared_uses;
+          shared_once = Array.of_list (List.rev !shared_once);
+          groups = Array.of_list (group_reads ~rank (List.rev !globals));
         })
       f.infos
     |> Array.of_list
@@ -359,6 +423,41 @@ let make_ctx (p : Plan.t) =
       bufs
     |> Array.of_list
   in
+  {
+    bufs; stmts; loads;
+    global_arrays =
+      (let names = Array.make (Hashtbl.length global_slots) "" in
+       Hashtbl.iter (fun a i -> names.(i) <- a) global_slots;
+       names);
+    inplane_reads = Hashtbl.length inplane_ids;
+    no_shift = Array.make rank 0;
+  }
+
+(* Staging values per kernel, each under the plan fields it depends on.
+   Tuner candidates share their base plan's kernel value and mostly its
+   staging choices, so a search builds a handful of these, not one per
+   candidate.  The tables are per domain ([Kernel_memo]), so pool
+   workers share nothing. *)
+let staging_tables :
+    Artemis_dsl.Instantiate.kernel ->
+    (Plan.placement_map * int option * bool * (A.binop * string list) list, staging) Hashtbl.t =
+  Artemis_dsl.Kernel_memo.memo (fun _ -> Hashtbl.create 8)
+
+let staging (p : Plan.t) =
+  let tbl = staging_tables p.kernel in
+  let key = (p.placement, Plan.stream_dim p, p.retime, p.fold) in
+  match Hashtbl.find_opt tbl key with
+  | Some s -> s
+  | None ->
+    let s = make_staging p in
+    Hashtbl.replace tbl key s;
+    s
+
+let make_ctx (p : Plan.t) =
+  let s = staging p in
+  let rank = Array.length p.kernel.domain in
+  let geom = Launch.geometry p in
+  let res = Estimate.resources p in
   let concurrent_blocks =
     min geom.total_blocks (max 1 (res.occupancy.blocks_per_sm * p.device.sms))
   in
@@ -368,21 +467,17 @@ let make_ctx (p : Plan.t) =
      dimensions.  Bytes and flops are unchanged — only parallelism per
      phase drops (Timing's wavefront kernel class). *)
   let serial_waves =
+    let dep_dims = (facts p.kernel).dep_dims in
     let waves = ref 1 in
     for d = 0 to rank - 1 do
-      if f.dep_dims.(d) then waves := !waves + (geom.grid.(d) - 1)
+      if dep_dims.(d) then waves := !waves + (geom.grid.(d) - 1)
     done;
     !waves
   in
   {
-    plan = p; geom; bufs; res; stmts; loads;
-    global_arrays =
-      (let names = Array.make (Hashtbl.length global_slots) "" in
-       Hashtbl.iter (fun a i -> names.(i) <- a) global_slots;
-       names);
-    inplane_reads = Hashtbl.length inplane_ids;
-    concurrent_blocks; serial_waves;
-    no_shift = Array.make rank 0;
+    plan = p; geom; bufs = s.bufs; res; stmts = s.stmts; loads = s.loads;
+    global_arrays = s.global_arrays; inplane_reads = s.inplane_reads;
+    concurrent_blocks; serial_waves; no_shift = s.no_shift;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -822,37 +917,42 @@ let eval st =
            gst_elems := !gst_elems +. nf;
            gst_tx := !gst_tx +. float_of_int (sectors st strides ctx.no_shift k);
            dram_st := !dram_st +. (nf *. eb));
-        let charges = sc.charges in
-        for j = 0 to Array.length charges - 1 do
-          match charges.(j) with
-          | Shared m -> shm_ld := !shm_ld +. (float_of_int m *. nf)
-          | Shared_once id ->
-            if not st.seen_inplane.(id) then begin
-              st.seen_inplane.(id) <- true;
-              shm_ld := !shm_ld +. nf
-            end
-          | Global g ->
-            let m = float_of_int g.uses in
-            gld_elems := !gld_elems +. (m *. nf);
-            gld_tx := !gld_tx +. float_of_int (g.uses * sectors st g.strides g.off k);
-            let base = g.slot * r in
-            let first = not st.read_any.(g.slot) in
+        shm_ld := !shm_ld +. (float_of_int sc.shared_uses *. nf);
+        for j = 0 to Array.length sc.shared_once - 1 do
+          let id = sc.shared_once.(j) in
+          if not st.seen_inplane.(id) then begin
+            st.seen_inplane.(id) <- true;
+            shm_ld := !shm_ld +. nf
+          end
+        done;
+        for j = 0 to Array.length sc.groups - 1 do
+          let g = sc.groups.(j) in
+          let m = float_of_int g.uses in
+          gld_elems := !gld_elems +. (m *. nf);
+          let tx = ref 0 in
+          for i = 0 to Array.length g.residue_uses - 1 do
+            tx := !tx + (g.residue_uses.(i) * sectors st g.strides g.residue_off.(i) k)
+          done;
+          gld_tx := !gld_tx +. float_of_int !tx;
+          let base = g.slot * r in
+          let first = not st.read_any.(g.slot) in
+          if first then begin
+            st.read_any.(g.slot) <- true;
+            Hashtbl.replace st.touched ctx.global_arrays.(g.slot) g.slot
+          end;
+          for d = 0 to r - 1 do
+            let lo = st.lo.((k * r) + d) + g.off_lo.(d)
+            and hi = st.hi.((k * r) + d) + g.off_hi.(d) in
             if first then begin
-              st.read_any.(g.slot) <- true;
-              Hashtbl.replace st.touched ctx.global_arrays.(g.slot) g.slot
-            end;
-            for d = 0 to r - 1 do
-              let lo = st.lo.((k * r) + d) + g.off.(d) and hi = st.hi.((k * r) + d) + g.off.(d) in
-              if first then begin
-                st.ulo.(base + d) <- lo;
-                st.uhi.(base + d) <- hi
-              end
-              else begin
-                st.ulo.(base + d) <- min st.ulo.(base + d) lo;
-                st.uhi.(base + d) <- max st.uhi.(base + d) hi
-              end
-            done;
-            st.uses.(g.slot) <- st.uses.(g.slot) +. (m *. nf)
+              st.ulo.(base + d) <- lo;
+              st.uhi.(base + d) <- hi
+            end
+            else begin
+              st.ulo.(base + d) <- min st.ulo.(base + d) lo;
+              st.uhi.(base + d) <- max st.uhi.(base + d) hi
+            end
+          done;
+          st.uses.(g.slot) <- st.uses.(g.slot) +. (m *. nf)
         done
       end
     done;

@@ -37,8 +37,10 @@ type stmt_info = {
           order, each with its number of textual occurrences *)
 }
 
-(** How one distinct read is charged under the plan. *)
-type charge
+(** One globally read array's reads in one statement, charged
+    together: their total uses, the bounding box of their offsets, and
+    their uses per innermost-offset sector residue. *)
+type group
 
 (** Where a statement's result is stored under the plan. *)
 type store
@@ -47,14 +49,30 @@ type store
 type load
 
 (** A statement as one plan prices it: fold savings, guard region, store
-    and read classification are settled once per context, so per-block
-    accounting does no lookups. *)
+    and read classification are settled once per staging layout, so
+    per-block accounting does no lookups.  Reads are charged in bulk:
+    the shared loads of unretimed staged reads as one use count, the
+    retimed in-plane reads as their ids, and the global reads as one
+    {!group} per array in first-read order.
+
+    Grouping is exact.  Every counter addition is an integer-valued
+    float far below 2{^53}, so a sum of uses charged at once equals the
+    same uses charged one read at a time.  A read's region is the
+    statement's region for every read of the statement, so the union of
+    an array's shifted read boxes is that region shifted by the bounding
+    box of the offsets.  A read's sector count depends on its offset
+    only through the innermost offset's residue modulo a sector when the
+    array's rows start sector-aligned (the guard keeps every read index
+    non-negative), and not at all when they do not.  The per-array L2
+    bookkeeping sees its arrays in the same order. *)
 type stmt_cost = {
   info : stmt_info;
   saved_flops : int;  (** combine ops moved to staging by folding *)
   guard : (int * int) array;  (** region where the statement's guard holds *)
   store : store;
-  charges : charge array;  (** reads that cost anything, in read order *)
+  shared_uses : int;  (** shared loads per point of the unretimed staged reads *)
+  shared_once : int array;  (** retimed in-plane read ids, loaded once per body *)
+  groups : group array;  (** globally read arrays, in first-read order *)
 }
 
 type ctx = {
@@ -75,10 +93,20 @@ type ctx = {
   no_shift : int array;  (** zero offset: an unshifted box *)
 }
 
-(** Price a plan's launch: geometry, staging, resources, and each
-    statement's store and read classification.  Kernel-level inputs come
-    from a per-kernel cache, so this does only work that depends on the
-    plan. *)
+(** Price a plan's launch in two parts.
+
+    The staging part is [bufs], [stmts], [loads], [global_arrays],
+    [inplane_reads] and [no_shift]: the staging layout, each statement's
+    store, read classification, fold savings and guard, and the
+    once-per-block loads.  It depends on the kernel and on the plan's
+    placement, stream dimension ([Plan.stream_dim]), retiming and
+    folding only, and is memoized under exactly that key in a table per
+    kernel value ([Artemis_dsl.Kernel_memo], so per domain): candidates
+    that differ in block, unroll, stream chunk, perspective, prefetch,
+    register cap or temporal blocking share one physically.
+
+    The per-candidate part is the geometry, the resources,
+    [concurrent_blocks] and [serial_waves]. *)
 val make_ctx : Artemis_ir.Plan.t -> ctx
 
 (** {1 Box arithmetic} *)

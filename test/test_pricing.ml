@@ -252,6 +252,117 @@ let rendered c =
   render_counters buf c;
   Buffer.contents buf
 
+(* Staging-memo check: a plan's middle-block counters and class sum,
+   priced with the per-kernel staging memo warm from the candidates
+   before it, must equal those of the same plan on a copy of its kernel,
+   which no memo has seen. *)
+let sketch_and_sum (p : Plan.t) =
+  match E.Traffic.make_ctx p with
+  | ctx ->
+    let mid = Array.map (fun n -> n / 2) ctx.geom.grid in
+    rendered (E.Traffic.block_counters ctx mid) ^ rendered (E.Traffic.total_counters ctx)
+  | exception (Invalid_argument _ | Division_by_zero | Not_found) -> "unpriceable"
+
+let on_cold_kernel (p : Plan.t) =
+  { p with kernel = Marshal.from_string (Marshal.to_string p.kernel []) 0 }
+
+(* [c] with each staging field changed on the same kernel value, so a
+   memo key that ignored a field would hand some probe a stale entry. *)
+let staging_probes (c : Plan.t) =
+  [ { c with placement = [] }; { c with retime = not c.retime } ]
+  @ (match Artemis_dsl.Analysis.foldable_groups c.kernel with
+     | [] -> []
+     | groups -> [ { c with fold = groups } ])
+  @ List.map
+      (fun scheme -> { c with scheme })
+      (Plan.Tiled :: List.init (Plan.rank c) (fun d -> Plan.Serial_stream d))
+
+(* The extra benchmarks' base plans, shared memory on and off: gradmag
+   has a foldable group, which no suite kernel has. *)
+let extras_bases () =
+  let module X = Artemis_bench.Extras in
+  List.concat_map
+    (fun b ->
+      List.concat_map
+        (fun k ->
+          List.map
+            (fun use_shared ->
+              Lower.lower dev k { O.default with O.block = None; unroll = None; use_shared })
+            [ true; false ])
+        (X.kernels b))
+    X.all
+
+(* Edge pin for per-array read grouping: the class sum and the exact sum
+   of plans whose layouts the suite pin rarely reaches, rendered with %h
+   and digested.  Suite bases at sizes 45 and 46 have innermost extents
+   off the 4-element sector, so rows are misaligned; their shared-memory
+   off bases read the 1-D coefficient arrays of the SW4 kernels from
+   global memory, arrays of lower rank than the domain.  Generated
+   kernels (seed [edge_seed], native size and size 45) add random bodies
+   with negative innermost read offsets.  Per base: every
+   [edge_stride]-th phase-1 candidate, and every [fan_stride]-th phase-2
+   variant of the first.  The exact sum is rendered for launches of at
+   most [edge_exact_blocks] blocks. *)
+let edge_seed = 1807
+let edge_cases = 12
+let edge_stride = 40
+let edge_exact_blocks = 2048
+
+let program_kernels (prog : Artemis_dsl.Ast.program) =
+  let module I = Artemis_dsl.Instantiate in
+  let rec collect = function
+    | I.Launch k -> [ k ]
+    | I.Exchange _ -> []
+    | I.Repeat (_, sub) -> List.concat_map collect sub
+  in
+  List.concat_map collect (I.schedule prog)
+  |> List.fold_left
+       (fun acc (k : I.kernel) ->
+         if List.exists (fun (k' : I.kernel) -> k'.kname = k.kname) acc then acc else acc @ [ k ])
+       []
+
+let edge_plans () =
+  let resize n (prog : Artemis_dsl.Ast.program) =
+    { prog with params = List.map (fun (name, _) -> (name, n)) prog.params }
+  in
+  let generated =
+    List.init edge_cases (fun index -> (Artemis_verify.Gen.generate ~seed:edge_seed ~index).prog)
+  in
+  let kernels =
+    List.concat_map
+      (fun n -> List.concat_map (fun (b : Suite.t) -> Suite.kernels (Suite.at_size n b)) Suite.all)
+      [ 45; 46 ]
+    @ List.concat_map program_kernels (generated @ List.map (resize 45) generated)
+  in
+  List.concat_map
+    (fun k ->
+      List.concat_map
+        (fun scheme ->
+          List.concat_map
+            (fun use_shared ->
+              let base =
+                Lower.lower dev k
+                  { O.default with O.block = None; unroll = None; use_shared; scheme }
+              in
+              let p1 = phase1 base in
+              List.filteri (fun i _ -> i mod edge_stride = 0) p1
+              @ List.filteri (fun i _ -> i mod fan_stride = 0) (variants (List.hd p1)))
+            [ true; false ])
+        [ O.Auto; O.Force_tiled ])
+    kernels
+
+let render_edge buf (p : Plan.t) =
+  Printf.bprintf buf "%s|" (Plan.label p);
+  match Artemis_ir.Validate.violations p with
+  | _ :: _ -> Buffer.add_string buf "invalid\n"
+  | [] ->
+    let ctx = E.Traffic.make_ctx p in
+    render_counters buf (E.Traffic.total_counters ctx);
+    if ctx.geom.total_blocks <= edge_exact_blocks then
+      render_counters buf (E.Traffic.total_counters ~exact:true ctx)
+
+let edge_golden = "536ad624c7c32b56734e7db593599690"
+
 (* Reference register search: probe every step in order and keep the
    first spill-free one. *)
 let four_probe (p : Plan.t) =
@@ -297,6 +408,52 @@ let tests =
               end)
             plans;
           Printf.printf "memo check: %d plans, %d valid\n" (List.length plans) !checked);
+      case "warm staging memo prices like a cold kernel" (fun () ->
+          let priced = ref 0 in
+          List.iter
+            (fun base ->
+              let p1 = phase1 base in
+              let every n = List.filteri (fun i _ -> i mod n = 0) in
+              let siblings = every priced_stride p1 in
+              let warm =
+                List.map
+                  (fun p -> (p, sketch_and_sum p))
+                  (siblings
+                   @ staging_probes (List.hd p1)
+                   @ List.concat_map variants (every variant_stride p1))
+              in
+              (* Phase-1 siblings differ only in block and unroll: one
+                 staging layout, so one memo entry. *)
+              let staged (p : Plan.t) =
+                match E.Traffic.make_ctx p with
+                | ctx -> Some (p, ctx.stmts)
+                | exception (Invalid_argument _ | Division_by_zero | Not_found) -> None
+              in
+              (match List.filter_map staged siblings with
+               | (a, shared) :: rest ->
+                 List.iter
+                   (fun (b, stmts) ->
+                     if stmts != shared then
+                       Alcotest.failf "%s and %s do not share a staging entry" (Plan.label a)
+                         (Plan.label b))
+                   rest
+               | [] -> ());
+              List.iter
+                (fun (p, w) ->
+                  incr priced;
+                  let c = sketch_and_sum (on_cold_kernel p) in
+                  if c <> w then
+                    Alcotest.failf "warm vs cold on %s:\n  warm %s  cold %s" (Plan.label p) w c)
+                warm)
+            (bases () @ extras_bases ());
+          Printf.printf "staging memo check: %d plans\n" !priced);
+      case "grouped reads at edge layouts match the golden digest" (fun () ->
+          let plans = edge_plans () in
+          let buf = Buffer.create (1 lsl 20) in
+          List.iter (render_edge buf) plans;
+          let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+          Printf.printf "edge pin: %d plans, digest %s\n" (List.length plans) d;
+          Alcotest.(check string) "digest" edge_golden d);
       case "closed-form stepping equals the four-probe search" (fun () ->
           List.iter
             (fun (p, _) ->
