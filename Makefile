@@ -65,17 +65,18 @@ lint-smoke:
 
 # Affine dataflow smoke test (docs/ANALYSIS.md): the suite and the two
 # pinned fuzz corpora must analyze with no Error findings, and the JSON
-# rendering must be byte-stable across repeated runs.
+# rendering must be byte-stable across repeated runs.  Seed 42's corpus
+# has no self-dependent statement; seed 7's and the suite's carry the
+# wavefront hyperplanes.  The digests of these outputs are pinned by the
+# `static` test group.
 analyze-smoke:
-	dune exec bin/artemisc.exe -- analyze --suite --plan > /dev/null
-	dune exec bin/artemisc.exe -- analyze --fuzz-corpus 42 --cases 25 \
-	  --json > /tmp/artemis-analyze-a.json
-	dune exec bin/artemisc.exe -- analyze --fuzz-corpus 42 --cases 25 \
-	  --json > /tmp/artemis-analyze-b.json
-	cmp /tmp/artemis-analyze-a.json /tmp/artemis-analyze-b.json \
-	  && echo "analyze JSON stable"
-	dune exec bin/artemisc.exe -- analyze --fuzz-corpus 7 --cases 25 > /dev/null
-	@rm -f /tmp/artemis-analyze-a.json /tmp/artemis-analyze-b.json
+	@set -e; for args in "--suite --plan" "--fuzz-corpus 42 --cases 25" \
+	    "--fuzz-corpus 7 --cases 25"; do \
+	  dune exec bin/artemisc.exe -- analyze $$args --json > /tmp/artemis-analyze-a.json; \
+	  dune exec bin/artemisc.exe -- analyze $$args --json > /tmp/artemis-analyze-b.json; \
+	  cmp /tmp/artemis-analyze-a.json /tmp/artemis-analyze-b.json; \
+	  echo "analyze $$args: JSON stable"; \
+	done; rm -f /tmp/artemis-analyze-a.json /tmp/artemis-analyze-b.json
 
 # Differential verification smoke test (docs/VERIFY.md): seed 42 is the
 # acceptance seed, seed 7 once crashed the pipeline and stays pinned.

@@ -332,7 +332,6 @@ let lint_cmd =
     always agree on exit status. *)
 let analyze_cmd =
   let module St = Artemis.Static in
-  let module W = Artemis_exec.Wavefront in
   let path_opt_arg =
     Arg.(value & pos 0 (some file) None & info [] ~docv:"PROG.stc"
            ~doc:"Stencil DSL program (omit with $(b,--suite) or \
@@ -407,7 +406,7 @@ let analyze_cmd =
     | St.Unknown -> "position-dependent self-dependence (not uniform)"
     | St.Uniform ds ->
       let hp =
-        match W.hyperplane ~rank ds with
+        match St.hyperplane ~rank ds with
         | Some vec ->
           Printf.sprintf "hyperplane (%s) %s" (vec_str vec)
             (if St.schedule_ok ~rank ~vec ds then "legal" else "ILLEGAL")
@@ -459,7 +458,7 @@ let analyze_cmd =
     | St.Unknown -> Json.Str "unknown"
     | St.Uniform ds ->
       let hp =
-        match W.hyperplane ~rank ds with
+        match St.hyperplane ~rank ds with
         | Some vec ->
           [ ("hyperplane", Json.List
                (Array.to_list (Array.map (fun c -> Json.Int c) vec)));

@@ -15,6 +15,7 @@
    evaluator against. *)
 
 module A = Artemis_dsl.Ast
+module Static = Artemis_static.Static
 
 exception Out_of_bounds
 exception Unknown_intrinsic of string
@@ -643,8 +644,8 @@ let split_interior (ss : split_stmt) (region : Region.box) =
 let elim_proven (ss : split_stmt) ~(region : Region.box)
     ~(interior : Region.box) =
   static_elim_enabled ()
-  && Artemis_static.Static.box_equal
-       (Artemis_static.Static.footprint ~region
+  && Static.box_equal
+       (Static.footprint ~region
           ~accesses:
             (List.map (fun p -> (p.ap_grid.Grid.dims, p.ap_spec)) ss.ss_paths))
        interior
@@ -695,33 +696,20 @@ type stmt_exec = {
 let no_row _ _ = invalid_arg "Eval.compile_stmt: guarded statement has no row body"
 
 (* Uniform self-dependence distances of the statement, or [None] when
-   the wavefront schedule does not apply: the write must cover every
-   iteration dimension (each point writes its own cell exactly once, so
-   "iteration p reads the cell iteration p + delta writes" is
-   well-defined) and every target-aliased read must be a constant
-   offset of the write.  Identity and provably-disjoint reads drop out. *)
+   the wavefront schedule does not apply.  Aliasing is physical: a read
+   counts when it shares [target]'s storage, whatever array name it
+   goes by.  The write must cover every iteration dimension, or the
+   statement stays guarded; the distances themselves are the affine
+   engine's ([Static.distances]). *)
 let self_deltas ~rank ~(target : Grid.t) ~(wspec : (int * int) array) paths =
-  let covered = Array.make (max rank 1) false in
-  Array.iter (fun (dim, _) -> if dim >= 0 then covered.(dim) <- true) wspec;
-  let all_covered =
-    rank = 0 || Array.for_all Fun.id (Array.sub covered 0 rank)
-  in
-  if not all_covered then None
-  else begin
-    let rec collect acc = function
-      | [] -> Some (List.rev acc)
-      | p :: rest ->
-        if not (p.ap_grid.Grid.data == target.Grid.data) then collect acc rest
-        else (
-          match Wavefront.delta_of_specs ~rank ~wspec ~rspec:p.ap_spec with
-          | `Non_uniform -> None
-          | `No_alias -> collect acc rest
-          | `Delta d ->
-            if Array.for_all (fun c -> c = 0) d then collect acc rest
-            else collect (d :: acc) rest)
-    in
-    collect [] paths
-  end
+  if not (Static.write_covers ~rank wspec) then None
+  else
+    Static.distances ~rank ~wspec
+      (List.filter_map
+         (fun p ->
+           if p.ap_grid.Grid.data == target.Grid.data then Some p.ap_spec
+           else None)
+         paths)
 
 (** One statement compiled for sweeping: the guarded per-point closure
     (always available — boundary shells, wavefront row ends, and the
@@ -754,7 +742,7 @@ let compile_stmt (b : binder) ~(target : Grid.t) ~(accum : bool)
       else if wavefront_enabled () then (
         match self_deltas ~rank ~target ~wspec:wpath.ap_spec rpaths with
         | Some deltas -> (
-          match Wavefront.hyperplane ~rank deltas with
+          match Static.hyperplane ~rank deltas with
           | Some vec -> `Wavefront vec
           | None -> `Guarded)
         | None -> `Guarded)

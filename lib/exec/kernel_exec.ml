@@ -17,6 +17,7 @@
    evaluator uses — so executing and analysing a plan agree exactly. *)
 
 module A = Artemis_dsl.Ast
+module Static = Artemis_static.Static
 module Plan = Artemis_ir.Plan
 module Launch = Artemis_ir.Launch
 module Validate = Artemis_ir.Validate
@@ -136,9 +137,9 @@ let run_plain (plan : Plan.t) (store : Reference.store) ~scalars =
   let self_dep_arrays =
     List.filter_map
       (fun st ->
-        match Wavefront.stmt_self_deps ~iters:k.iters st with
-        | Wavefront.No_dep -> None
-        | Wavefront.Uniform _ | Wavefront.Non_uniform -> A.written_array st)
+        match Static.self_dependences ~iters:k.iters st with
+        | Static.No_dep -> None
+        | Static.Uniform _ | Static.Unknown -> A.written_array st)
       k.body
     |> List.sort_uniq compare
   in

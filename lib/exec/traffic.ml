@@ -20,6 +20,7 @@ module Launch = Artemis_ir.Launch
 module Estimate = Artemis_ir.Estimate
 module Counters = Artemis_gpu.Counters
 module Coalesce = Artemis_gpu.Coalesce
+module Static = Artemis_static.Static
 
 let elem_bytes = 8
 
@@ -224,10 +225,10 @@ let facts =
       let dep_dims = Array.make (max rank 1) false in
       List.iter
         (fun stmt ->
-          match Wavefront.stmt_self_deps ~iters:k.iters stmt with
-          | Wavefront.No_dep -> ()
-          | Wavefront.Non_uniform -> Array.fill dep_dims 0 rank true
-          | Wavefront.Uniform deltas ->
+          match Static.self_dependences ~iters:k.iters stmt with
+          | Static.No_dep -> ()
+          | Static.Unknown -> Array.fill dep_dims 0 rank true
+          | Static.Uniform deltas ->
             List.iter
               (fun delta ->
                 Array.iteri

@@ -1,231 +1,19 @@
-(* Wavefront (hyperplane) scheduling for uniform self-dependent
-   statements — the Gauss-Seidel/SOR class the split executor used to
-   surrender to the guarded per-point path.
+(* Wavefront (hyperplane) sweep driver for uniform self-dependent
+   statements — the Gauss-Seidel/SOR class the split executor would
+   otherwise surrender to the guarded per-point path.
 
-   A statement that reads its own output array at constant offsets has a
-   uniform dependence: iteration [p] depends on iteration [p + delta]
-   for each read-offset-minus-write-offset vector [delta].  Treating
-   each innermost-dimension row as a macro-node, only the outer
-   components [delta'] of those vectors order rows; dependences with
-   [delta' = 0] stay inside a row, where the flat-index inner loop
-   already executes points in increasing innermost order — exactly the
-   reference's lexicographic semantics (a backward in-row read sees the
-   freshly written value, a forward one the old value, bit for bit).
+   Each innermost-dimension row is a macro-node.  The hyperplane [vec]
+   over the outer dimensions comes from [Artemis_static.Static.hyperplane],
+   which picks it so that ordering rows by wavefront number
+   [vec . outer] preserves every dependence with a nonzero outer part.
+   Rows sharing a wavefront are then mutually independent: they can run
+   in parallel, and the unguarded flat row loop runs inside each of
+   them.  Dependences inside a row are kept by running every row in
+   increasing innermost order — exactly the reference's lexicographic
+   semantics (a backward in-row read sees the freshly written value, a
+   forward one the old value, bit for bit). *)
 
-   A hyperplane vector [vec] over the outer dimensions is legal when for
-   every outer dependence [delta' <> 0]
-
-     sign (vec . delta') = lexicographic sign of delta'
-
-   so ordering rows by wavefront number [vec . outer] preserves every
-   dependence while rows sharing a wavefront are mutually independent —
-   they can run in parallel, and the unguarded flat row loop runs inside
-   each of them.  For uniform dependences a legal hyperplane always
-   exists: with [B = 2 + max |component|], the base-B vector
-   [vec_d = B^(m-1-d)] makes [vec . delta'] take the sign of the first
-   nonzero component of [delta'], which is its lexicographic sign.  The
-   search below prefers small balanced vectors (more rows per wavefront)
-   and keeps the base-B vector as the guaranteed fallback. *)
-
-module A = Artemis_dsl.Ast
 module Pool = Artemis_par.Pool
-
-(* ------------------------------------------------------------------ *)
-(* Dependence extraction                                               *)
-(* ------------------------------------------------------------------ *)
-
-(** Iteration-space distance of a read from the write of the same array,
-    given both access specs (per array dimension: iteration dim, shift;
-    dim [-1] is a constant index).  [`No_alias] means the two accesses
-    can never touch the same cell (disjoint constant slices, or
-    inconsistent offsets on a repeated iterator); [`Non_uniform] means
-    the dependence distance varies with position (the read indexes some
-    array dimension by a different iterator than the write), which no
-    constant hyperplane can schedule. *)
-let delta_of_specs ~rank ~(wspec : (int * int) array) ~(rspec : (int * int) array) =
-  if Array.length wspec <> Array.length rspec then `Non_uniform
-  else begin
-    let delta = Array.make rank None in
-    let verdict = ref `Ok in
-    Array.iteri
-      (fun d (wdim, wshift) ->
-        let rdim, rshift = rspec.(d) in
-        if !verdict = `Ok then
-          if wdim <> rdim then verdict := `Non_uniform
-          else if wdim < 0 then begin
-            (* constant slice: different constants never alias *)
-            if wshift <> rshift then verdict := `No_alias
-          end
-          else begin
-            let v = rshift - wshift in
-            match delta.(wdim) with
-            | None -> delta.(wdim) <- Some v
-            | Some v' -> if v <> v' then verdict := `No_alias
-          end)
-      wspec;
-    match !verdict with
-    | `Non_uniform -> `Non_uniform
-    | `No_alias -> `No_alias
-    | `Ok -> `Delta (Array.map (function Some v -> v | None -> 0) delta)
-  end
-
-let lex_sign (v : int array) =
-  let s = ref 0 in
-  Array.iter (fun c -> if !s = 0 && c <> 0 then s := compare c 0) v;
-  !s
-
-let all_zero v = Array.for_all (fun c -> c = 0) v
-
-let sign f = compare f 0
-
-let dot (a : int array) (b : int array) =
-  let s = ref 0 in
-  Array.iteri (fun i x -> s := !s + (x * b.(i))) a;
-  !s
-
-(** Outer (row-ordering) components of the full-rank deltas: the last
-    dimension is the innermost iterator, handled by in-row order. *)
-let outer_deps ~rank deltas =
-  let m = max 0 (rank - 1) in
-  List.filter_map
-    (fun d ->
-      let d' = Array.sub d 0 m in
-      if all_zero d' then None else Some d')
-    deltas
-
-let legal ~vec deps' =
-  List.for_all (fun d' -> sign (dot vec d') = lex_sign d') deps'
-
-(** A legal hyperplane over the outer dimensions for the given full-rank
-    dependence distances, or [None] when no constant hyperplane orders
-    them (cannot happen for a uniform cone — the base-B fallback is
-    always legal — but callers stay defensive).  Candidates are searched
-    smallest-sum first so balanced vectors (widest wavefronts, most row
-    parallelism) win; the all-zero vector comes back when every
-    dependence is intra-row, putting all rows in one wavefront. *)
-let hyperplane ~rank deltas =
-  let m = max 0 (rank - 1) in
-  let deps' = outer_deps ~rank deltas in
-  if deps' = [] then Some (Array.make m 0)
-  else begin
-    let candidates = ref [] in
-    let vec = Array.make m 0 in
-    let rec enum d =
-      if d = m then candidates := Array.copy vec :: !candidates
-      else
-        for c = 0 to 3 do
-          vec.(d) <- c;
-          enum (d + 1)
-        done
-    in
-    enum 0;
-    let sum v = Array.fold_left ( + ) 0 v in
-    let sorted =
-      List.sort
-        (fun a b ->
-          match compare (sum a) (sum b) with 0 -> compare a b | c -> c)
-        !candidates
-    in
-    match List.find_opt (fun v -> legal ~vec:v deps') sorted with
-    | Some v -> Some v
-    | None ->
-      let base =
-        2 + List.fold_left
-              (fun acc d' -> Array.fold_left (fun a c -> max a (abs c)) acc d')
-              0 deps'
-      in
-      let fallback =
-        Array.init m (fun d ->
-            let rec pow b n = if n = 0 then 1 else b * pow b (n - 1) in
-            pow base (m - 1 - d))
-      in
-      if legal ~vec:fallback deps' then Some fallback else None
-  end
-
-(* ------------------------------------------------------------------ *)
-(* AST-level self-dependence analysis                                  *)
-(* ------------------------------------------------------------------ *)
-
-type self_dep =
-  | No_dep  (** no self-aliased read, or identity/disjoint reads only *)
-  | Uniform of int array list  (** constant nonzero dependence distances *)
-  | Non_uniform
-      (** position-dependent self-dependence: no constant hyperplane *)
-
-(** Name-based self-dependence classification of one statement, the
-    static mirror of what the executors detect on physical grids (used
-    by [Traffic]'s wavefront kernel class and the linter).  [Uniform]
-    distances are read-point minus write-point in iteration space. *)
-let stmt_self_deps ~(iters : string list) (st : A.stmt) =
-  match st with
-  | A.Decl_temp _ -> No_dep
-  | A.Assign (a, widx, e) | A.Accum (a, widx, e) ->
-    let rank = List.length iters in
-    let dim_of it =
-      let rec find i = function
-        | [] -> -1
-        | x :: _ when String.equal x it -> i
-        | _ :: rest -> find (i + 1) rest
-      in
-      find 0 iters
-    in
-    let spec idx =
-      Array.of_list
-        (List.map
-           (fun (i : A.index) ->
-             match i.A.iter with
-             | None -> (-1, i.shift)
-             | Some it -> (dim_of it, i.shift))
-           idx)
-    in
-    let wspec = spec widx in
-    let self_reads =
-      List.filter_map
-        (fun (a', idx) -> if String.equal a a' then Some (spec idx) else None)
-        (A.reads_of_expr e)
-    in
-    if self_reads = [] then No_dep
-    else begin
-      let covered = Array.make (max rank 1) false in
-      Array.iter (fun (dim, _) -> if dim >= 0 then covered.(dim) <- true) wspec;
-      let all_covered =
-        rank = 0 || Array.for_all Fun.id (Array.sub covered 0 rank)
-      in
-      if not all_covered then
-        (* Multiple iterations write each cell: identity reads are the
-           order-independent split case, anything else has no schedule. *)
-        if List.for_all (fun r -> r = wspec) self_reads then No_dep
-        else Non_uniform
-      else begin
-        let deltas = ref [] in
-        let non_uniform = ref false in
-        List.iter
-          (fun rspec ->
-            match delta_of_specs ~rank ~wspec ~rspec with
-            | `Non_uniform -> non_uniform := true
-            | `No_alias -> ()
-            | `Delta d -> if not (all_zero d) then deltas := d :: !deltas)
-          self_reads;
-        if !non_uniform then Non_uniform
-        else if !deltas = [] then No_dep
-        else Uniform (List.rev !deltas)
-      end
-    end
-
-(** True when every dependence distance is componentwise same-signed
-    (all [<= 0] or all [>= 0]).  Only then does the block executor's
-    tile-lexicographic traversal agree with the reference's point-
-    lexicographic order, so mixed-sign cones are flagged by lint (A602)
-    even though they are formally uniform. *)
-let block_order_compatible deltas =
-  List.for_all
-    (fun d ->
-      Array.for_all (fun c -> c <= 0) d || Array.for_all (fun c -> c >= 0) d)
-    deltas
-
-(* ------------------------------------------------------------------ *)
-(* Wavefront sweep driver                                              *)
-(* ------------------------------------------------------------------ *)
 
 (** One executor instance for the sweep: compiled closures own mutable
     coordinate/base buffers, so rows running concurrently must each use

@@ -1,57 +1,14 @@
-(** Wavefront (hyperplane) scheduling for uniform self-dependent
+(** Wavefront (hyperplane) sweep driver for uniform self-dependent
     statements — Gauss-Seidel/SOR sweeps that the split executor would
     otherwise surrender to the guarded per-point path.
 
-    Treating each innermost row as a macro-node, a legal hyperplane
-    [vec] over the outer dimensions orders rows so every dependence
-    points from an earlier wavefront to a later one; rows sharing a
-    wavefront are mutually independent, so the flat-index unguarded row
-    loop runs inside each wavefront and independent rows fan out across
-    {!Artemis_par.Pool}, while the per-row innermost order preserves
-    intra-row dependences bit for bit. *)
-
-(** Iteration-space distance of a read from the write of the same array,
-    from their access specs (per array dimension: iteration dim, shift;
-    dim [-1] = constant).  [`No_alias]: the accesses never touch the
-    same cell.  [`Non_uniform]: the distance varies with position — no
-    constant hyperplane can schedule it. *)
-val delta_of_specs :
-  rank:int ->
-  wspec:(int * int) array ->
-  rspec:(int * int) array ->
-  [ `Delta of int array | `No_alias | `Non_uniform ]
-
-(** Lexicographic sign of a vector: sign of its first nonzero
-    component, [0] for the zero vector. *)
-val lex_sign : int array -> int
-
-(** A legal hyperplane over the [rank - 1] outer dimensions for the
-    given full-rank dependence distances: for every distance with a
-    nonzero outer part [d'], [sign (vec . d') = lex_sign d'].  Smallest
-    balanced vectors are preferred (widest wavefronts); the all-zero
-    vector comes back when every dependence is intra-row (all rows in
-    one wavefront).  [None] only for a cone no constant hyperplane
-    orders — impossible for uniform distances (a base-B vector is always
-    legal), kept for defensiveness. *)
-val hyperplane : rank:int -> int array list -> int array option
-
-(** AST-level self-dependence classification of one statement (the
-    static mirror of the executors' access-plan detection), used by
-    [Traffic]'s wavefront kernel class and the linter. *)
-type self_dep =
-  | No_dep  (** no self-aliased read, or identity/disjoint reads only *)
-  | Uniform of int array list
-      (** constant nonzero read-minus-write distances *)
-  | Non_uniform
-      (** position-dependent self-dependence: no constant hyperplane *)
-
-val stmt_self_deps : iters:string list -> Artemis_dsl.Ast.stmt -> self_dep
-
-(** True when every distance is componentwise same-signed — the
-    condition under which the block executor's tile-lexicographic order
-    agrees with the reference's point-lexicographic order.  Mixed-sign
-    cones are uniform yet still order-unsafe under tiling (lint A602). *)
-val block_order_compatible : int array list -> bool
+    Treating each innermost row as a macro-node, the hyperplane [vec]
+    chosen by {!Artemis_static.Static.hyperplane} orders rows so every
+    dependence points from an earlier wavefront to a later one.  Rows
+    sharing a wavefront are mutually independent, so the flat-index
+    unguarded row loop runs inside each wavefront and independent rows
+    fan out across {!Artemis_par.Pool}, while the per-row innermost
+    order preserves intra-row dependences bit for bit. *)
 
 (** One executor instance: compiled closures own mutable coordinate and
     base buffers, so concurrent rows each need their own instance. *)

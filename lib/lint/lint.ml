@@ -20,7 +20,6 @@ module Occupancy = Artemis_gpu.Occupancy
 module Coalesce = Artemis_gpu.Coalesce
 module Json = Artemis_obs.Json
 module Metrics = Artemis_obs.Metrics
-module W = Artemis_exec.Wavefront
 module S = Artemis_static.Static
 module F = Artemis_fuse.Fusion
 
@@ -299,8 +298,8 @@ let intrinsic_lints s (k : I.kernel) =
       | A.Decl_temp (_, e) | A.Assign (_, _, e) | A.Accum (_, _, e) -> walk e)
     k.body
 
-(* A601/A602: self-dependence schedulability, the static mirror of the
-   executors' wavefront classification ([Wavefront.stmt_self_deps]).  A
+(* A601/A602: self-dependence schedulability, from the affine engine's
+   verdict ([S.self_dependences]) — the one the executors schedule by.  A
    uniform cone whose distances are componentwise same-signed is handled
    by the wavefront schedule (Info); a position-dependent distance, or a
    mixed-sign cone (legal for the reference's point-lexicographic sweep
@@ -315,10 +314,10 @@ let wavefront_lints s (k : I.kernel) =
         | A.Assign (a, _, _) | A.Accum (a, _, _) -> a
         | A.Decl_temp (t, _) -> t
       in
-      match W.stmt_self_deps ~iters:k.iters st with
-      | W.No_dep -> ()
-      | W.Uniform deltas when W.block_order_compatible deltas -> (
-        match W.hyperplane ~rank deltas with
+      match S.self_dependences ~iters:k.iters st with
+      | S.No_dep -> ()
+      | S.Uniform deltas when S.band_safe deltas -> (
+        match S.hyperplane ~rank deltas with
         | Some vec ->
           emit s ~code:"A601" ~severity:Info ~phase:Dsl ~location:loc
             ~hint:
@@ -338,14 +337,14 @@ let wavefront_lints s (k : I.kernel) =
                "statement %d (writes %s): dependence cone admits no legal \
                 hyperplane"
                n target))
-      | W.Uniform _ ->
+      | S.Uniform _ ->
         emit s ~code:"A602" ~severity:Error ~phase:Dsl ~location:loc
           ~hint:"break the self-dependence with distinct input/output buffers"
           (Printf.sprintf
              "statement %d (writes %s): mixed-sign self-dependence has no \
               hyperplane compatible with the executors' sweep orders"
              n target)
-      | W.Non_uniform ->
+      | S.Unknown ->
         emit s ~code:"A602" ~severity:Error ~phase:Dsl ~location:loc
           ~hint:"break the self-dependence with distinct input/output buffers"
           (Printf.sprintf
@@ -413,51 +412,6 @@ let static_uninit_lints s (prog : A.program) sched =
            (S.box_to_string u.S.un_region)))
     (S.uninit_reads prog sched)
 
-(* A703 (kernel side): the affine engine re-derives every statement's
-   self-dependence distances independently of the executors'
-   classification ([W.stmt_self_deps]) and checks the schedule they
-   would actually run: split rows fan out across the pool only for
-   dependence-free statements, and a wavefront hyperplane must order
-   every statically proven distance.  The two engines agreeing makes
-   both arms unreachable from the parser — this is defense in depth for
-   hand-built or transform-produced kernels, where a disagreement is a
-   race the pool could expose. *)
-let static_race_lints s (k : I.kernel) =
-  let loc = "kernel " ^ k.kname in
-  let rank = Array.length k.domain in
-  List.iteri
-    (fun n st ->
-      match S.self_dependences ~iters:k.iters st with
-      | S.No_dep | S.Unknown -> ()
-      | S.Uniform deltas -> (
-        match W.stmt_self_deps ~iters:k.iters st with
-        | W.No_dep ->
-          emit s ~code:"A703" ~severity:Error ~phase:Dsl ~location:loc
-            ~hint:
-              "the split executor would fan its rows across the pool; break \
-               the dependence with distinct input/output buffers"
-            (Printf.sprintf
-               "statement %d (writes %s): the affine engine proves dependence \
-                distances {%s} but the executors classify the statement as \
-                dependence-free — parallel rows would race"
-               n (stmt_target st) (deltas_str deltas))
-        | W.Uniform wdeltas -> (
-          match W.hyperplane ~rank wdeltas with
-          | Some vec when not (S.schedule_ok ~rank ~vec deltas) ->
-            emit s ~code:"A703" ~severity:Error ~phase:Dsl ~location:loc
-              ~hint:"break the self-dependence with distinct input/output buffers"
-              (Printf.sprintf
-                 "statement %d (writes %s): hyperplane (%s) chosen by the \
-                  executors violates a statically proven dependence distance \
-                  in {%s}"
-                 n (stmt_target st)
-                 (String.concat ", "
-                    (List.map string_of_int (Array.to_list vec)))
-                 (deltas_str deltas))
-          | Some _ | None -> ())
-        | W.Non_uniform -> ()))
-    k.body
-
 let lint_kernel k =
   let s = sink () in
   bounds_lints s k;
@@ -466,7 +420,6 @@ let lint_kernel k =
   intrinsic_lints s k;
   wavefront_lints s k;
   static_oob_lints s k;
-  static_race_lints s k;
   drain s
 
 (* ------------------------------------------------------------------ *)
@@ -681,8 +634,7 @@ let lint_program (prog : A.program) =
       fusion_lints s k;
       dead_statement_lints s k;
       wavefront_lints s k;
-      static_oob_lints s k;
-      static_race_lints s k)
+      static_oob_lints s k)
     (kernels_of_schedule sched);
   drain s
 
@@ -729,9 +681,9 @@ let launch_errors p =
    The block executor fans the plan's tile grid out tile-lexicographically
    and the wavefront schedule fans rows of one wavefront across the pool;
    a statically proven distance set that is not componentwise same-signed
-   breaks the first, and a hyperplane failing [S.schedule_ok] breaks the
-   second.  Everything here comes from the affine engine alone, so the
-   pruning is independent of the executors' own classification. *)
+   breaks the first, and a distance set no constant hyperplane orders
+   breaks the second ([S.hyperplane] returns only vectors passing
+   [S.schedule_ok]). *)
 let static_plan_lints s (p : P.t) =
   let loc = P.label p in
   let k = p.kernel in
@@ -748,26 +700,13 @@ let static_plan_lints s (p : P.t) =
                "statement %d (writes %s): tile fan-out would execute the \
                 mixed-sign dependence distances {%s} out of order"
                n (stmt_target st) (deltas_str deltas))
-        else
-          (match W.hyperplane ~rank deltas with
-          | Some vec when S.schedule_ok ~rank ~vec deltas -> ()
-          | Some vec ->
-            emit s ~code:"A703" ~severity:Error ~phase:Plan ~location:loc
-              ~hint:"break the self-dependence with distinct input/output buffers"
-              (Printf.sprintf
-                 "statement %d (writes %s): wavefront hyperplane (%s) violates \
-                  a statically proven dependence distance in {%s}"
-                 n (stmt_target st)
-                 (String.concat ", "
-                    (List.map string_of_int (Array.to_list vec)))
-                 (deltas_str deltas))
-          | None ->
-            emit s ~code:"A703" ~severity:Error ~phase:Plan ~location:loc
-              ~hint:"break the self-dependence with distinct input/output buffers"
-              (Printf.sprintf
-                 "statement %d (writes %s): no constant hyperplane orders the \
-                  statically proven distances {%s}"
-                 n (stmt_target st) (deltas_str deltas))))
+        else if S.hyperplane ~rank deltas = None then
+          emit s ~code:"A703" ~severity:Error ~phase:Plan ~location:loc
+            ~hint:"break the self-dependence with distinct input/output buffers"
+            (Printf.sprintf
+               "statement %d (writes %s): no constant hyperplane orders the \
+                statically proven distances {%s}"
+               n (stmt_target st) (deltas_str deltas)))
     k.body
 
 (* A802: degree-N temporal blocking across a forbidding dependence.  The

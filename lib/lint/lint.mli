@@ -58,8 +58,9 @@ val semantic_findings : string list -> finding list
 (** Kernel-level findings: out-of-extent accesses (A201 — Warning, not
     Error, because the emitted per-statement guard skips such points),
     empty interior (A202), recompute halo (A203), dead statements
-    (A301), plus the affine analyzer's proven-empty accesses (A701) and
-    engine-disagreement races (A703). *)
+    (A301), self-dependence schedulability (A601/A602), and the affine
+    analyzer's proven-empty accesses (A701).  Static races (A703) are
+    plan-side only: see {!static_plan_errors}. *)
 val lint_kernel : Artemis_dsl.Instantiate.kernel -> finding list
 
 (** Program-level findings: everything [lint_kernel] reports for each

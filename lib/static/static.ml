@@ -12,9 +12,11 @@
    the same iterator; the remaining shapes are reported as unknown, the
    same cases the executors refuse to schedule.
 
-   This module re-derives everything from the AST/spec level without
-   touching [Artemis_exec], so it can serve as a redundant second engine
-   the executors cross-check before eliding guards. *)
+   This module is the one source of self-dependence distances and
+   wavefront hyperplanes for the executors, the traffic model, lint and
+   fusion.  It derives everything from the AST/spec level without
+   touching [Artemis_exec], so its footprints serve as a redundant
+   second engine the executors cross-check before eliding guards. *)
 
 module A = Artemis_dsl.Ast
 module I = Artemis_dsl.Instantiate
@@ -147,7 +149,7 @@ type dep =
   | Uniform of int array list
   | Unknown
 
-let pair_delta ~rank ?domain ~(wspec : spec) ~(rspec : spec) () =
+let pair_delta ~rank ~(wspec : spec) ~(rspec : spec) =
   if Array.length wspec <> Array.length rspec then `Non_uniform
   else begin
     let delta = Array.make (max rank 1) None in
@@ -156,21 +158,7 @@ let pair_delta ~rank ?domain ~(wspec : spec) ~(rspec : spec) () =
       (fun d (wdim, wshift) ->
         let rdim, rshift = rspec.(d) in
         if !verdict = `Ok then
-          if wdim <> rdim then begin
-            (* Banerjee-style interval check: a constant slice outside
-               the other side's reachable index window never aliases. *)
-            let slice_disjoint idim ishift c =
-              match domain with
-              | Some dom when idim >= 0 && idim < Array.length dom ->
-                c < ishift || c > dom.(idim) - 1 + ishift
-              | _ -> false
-            in
-            if wdim < 0 && slice_disjoint rdim rshift wshift then
-              verdict := `No_alias
-            else if rdim < 0 && slice_disjoint wdim wshift rshift then
-              verdict := `No_alias
-            else verdict := `Non_uniform
-          end
+          if wdim <> rdim then verdict := `Non_uniform
           else if wdim < 0 then begin
             if wshift <> rshift then verdict := `No_alias
           end
@@ -192,6 +180,22 @@ let pair_delta ~rank ?domain ~(wspec : spec) ~(rspec : spec) () =
 
 let all_zero v = Array.for_all (fun c -> c = 0) v
 
+let write_covers ~rank (wspec : spec) =
+  let covered = Array.make (max rank 1) false in
+  Array.iter (fun (dim, _) -> if dim >= 0 then covered.(dim) <- true) wspec;
+  rank = 0 || Array.for_all Fun.id (Array.sub covered 0 rank)
+
+let distances ~rank ~(wspec : spec) rspecs =
+  let rec collect acc = function
+    | [] -> Some (List.rev acc)
+    | rspec :: rest -> (
+      match pair_delta ~rank ~wspec ~rspec with
+      | `Non_uniform -> None
+      | `No_alias -> collect acc rest
+      | `Delta d -> collect (if all_zero d then acc else d :: acc) rest)
+  in
+  collect [] rspecs
+
 let self_dependences ~(iters : string list) (st : A.stmt) =
   match st with
   | A.Decl_temp _ -> No_dep
@@ -205,32 +209,16 @@ let self_dependences ~(iters : string list) (st : A.stmt) =
         (A.reads_of_expr e)
     in
     if self_reads = [] then No_dep
-    else begin
-      let covered = Array.make (max rank 1) false in
-      Array.iter (fun (dim, _) -> if dim >= 0 then covered.(dim) <- true) wspec;
-      let all_covered =
-        rank = 0 || Array.for_all Fun.id (Array.sub covered 0 rank)
-      in
-      if not all_covered then
-        (* Several iterations write each cell; only identity reads are
-           order-independent, everything else has no static schedule. *)
-        if List.for_all (fun r -> r = wspec) self_reads then No_dep
-        else Unknown
-      else begin
-        let deltas = ref [] in
-        let unknown = ref false in
-        List.iter
-          (fun rspec ->
-            match pair_delta ~rank ~wspec ~rspec () with
-            | `Non_uniform -> unknown := true
-            | `No_alias -> ()
-            | `Delta d -> if not (all_zero d) then deltas := d :: !deltas)
-          self_reads;
-        if !unknown then Unknown
-        else if !deltas = [] then No_dep
-        else Uniform (List.rev !deltas)
-      end
-    end
+    else if not (write_covers ~rank wspec) then
+      (* Several iterations write each cell; only identity reads are
+         order-independent, everything else has no static schedule. *)
+      if List.for_all (fun r -> r = wspec) self_reads then No_dep
+      else Unknown
+    else
+      match distances ~rank ~wspec self_reads with
+      | None -> Unknown
+      | Some [] -> No_dep
+      | Some ds -> Uniform ds
 
 let lex_sign (v : int array) =
   let s = ref 0 in
@@ -245,15 +233,61 @@ let outer_components ~rank deltas =
       if all_zero d' then None else Some d')
     deltas
 
-let schedule_ok ~rank ~(vec : int array) deltas =
+(* [vec] orders every outer component [d']: sign (vec . d') = lex_sign d'. *)
+let orders ~(vec : int array) outer =
   let dot a b =
     let s = ref 0 in
     Array.iteri (fun i x -> s := !s + (x * b.(i))) a;
     !s
   in
-  List.for_all
-    (fun d' -> compare (dot vec d') 0 = lex_sign d')
-    (outer_components ~rank deltas)
+  List.for_all (fun d' -> compare (dot vec d') 0 = lex_sign d') outer
+
+let schedule_ok ~rank ~(vec : int array) deltas =
+  orders ~vec (outer_components ~rank deltas)
+
+(* Candidates over {0..3}^m are searched smallest-sum first, so balanced
+   vectors (widest wavefronts, most row parallelism) win.  With
+   [B = 2 + max |component|] the base-B vector [vec_d = B^(m-1-d)] makes
+   [vec . d'] take the sign of the first nonzero component of [d'] — its
+   lexicographic sign — so it is the guaranteed fallback. *)
+let hyperplane ~rank deltas =
+  let m = max 0 (rank - 1) in
+  let outer = outer_components ~rank deltas in
+  if outer = [] then Some (Array.make m 0)
+  else begin
+    let candidates = ref [] in
+    let vec = Array.make m 0 in
+    let rec enum d =
+      if d = m then candidates := Array.copy vec :: !candidates
+      else
+        for c = 0 to 3 do
+          vec.(d) <- c;
+          enum (d + 1)
+        done
+    in
+    enum 0;
+    let sum v = Array.fold_left ( + ) 0 v in
+    let sorted =
+      List.sort
+        (fun a b ->
+          match compare (sum a) (sum b) with 0 -> compare a b | c -> c)
+        !candidates
+    in
+    match List.find_opt (fun v -> orders ~vec:v outer) sorted with
+    | Some v -> Some v
+    | None ->
+      let base =
+        2 + List.fold_left
+              (fun acc d' -> Array.fold_left (fun a c -> max a (abs c)) acc d')
+              0 outer
+      in
+      let fallback =
+        Array.init m (fun d ->
+            let rec pow b n = if n = 0 then 1 else b * pow b (n - 1) in
+            pow base (m - 1 - d))
+      in
+      if orders ~vec:fallback outer then Some fallback else None
+  end
 
 let band_safe deltas =
   List.for_all

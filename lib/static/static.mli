@@ -9,11 +9,13 @@
     executors themselves refuse to schedule (position-dependent
     self-dependences).
 
-    The module is deliberately independent of [Artemis_exec]: it
-    recomputes footprints, distance vectors, and hyperplane legality
-    from the AST/spec level alone, so the executors can cross-check
-    their dynamic guard closures against a second, redundant engine
-    (guard elimination only engages when both agree). *)
+    The module is the single source of dependence facts: the
+    executors, the traffic model, lint and fusion legality all take
+    their self-dependence distances and wavefront hyperplanes from
+    here.  It is independent of [Artemis_exec], so for footprints it
+    stays a second, redundant engine the executors cross-check their
+    dynamic guard closures against (guard elimination only engages
+    when both agree). *)
 
 module A = Artemis_dsl.Ast
 module I = Artemis_dsl.Instantiate
@@ -77,25 +79,34 @@ type dep =
 
 val pair_delta :
   rank:int ->
-  ?domain:int array ->
   wspec:spec ->
   rspec:spec ->
-  unit ->
   [ `No_alias | `Delta of int array | `Non_uniform ]
 (** Distance of a read from a write of the same array.  Coefficients in
-    this DSL are all [1], so the GCD test is trivially satisfied and
-    disjointness comes from the Banerjee-style interval checks: distinct
-    constant slices never alias, inconsistent offsets on a repeated
-    iterator never alias, and (when [domain] is given) a constant slice
-    outside an iterator's reachable index window never aliases. *)
+    this DSL are all [1], so the GCD test is trivially satisfied:
+    distinct constant slices never alias, inconsistent offsets on a
+    repeated iterator never alias, and a dimension the two sides index
+    differently has a position-dependent distance. *)
+
+val write_covers : rank:int -> spec -> bool
+(** True when the write indexes every iteration dimension, so each
+    iteration writes its own cell exactly once and "iteration [p] reads
+    the cell iteration [p + delta] writes" is well-defined. *)
+
+val distances : rank:int -> wspec:spec -> spec list -> int array list option
+(** Nonzero distances of the given reads from a covering write, in read
+    order; identity and provably disjoint reads drop out.  [None] when
+    some read's distance is position-dependent. *)
 
 val self_dependences : iters:string list -> A.stmt -> dep
 (** Self-dependence classification of one statement, computed purely
-    from the AST.  Mirrors the executors' gate: when the write does not
-    cover every iteration dimension, identity reads are [No_dep] and
-    anything else [Unknown]. *)
+    from the AST.  When the write does not cover every iteration
+    dimension, identity reads are [No_dep] and anything else
+    [Unknown]; otherwise the verdict is {!distances} over the reads of
+    the written array. *)
 
 val lex_sign : int array -> int
+(** Sign of the first nonzero component, [0] for the zero vector. *)
 
 val outer_components : rank:int -> int array list -> int array list
 (** Row-ordering components of full-rank deltas (innermost dim dropped). *)
@@ -104,6 +115,14 @@ val schedule_ok : rank:int -> vec:int array -> int array list -> bool
 (** True when the hyperplane [vec] over the outer dimensions preserves
     every dependence: [sign (vec . d') = lex_sign d'] for each outer
     component [d'].  Rows sharing a wavefront are then independent. *)
+
+val hyperplane : rank:int -> int array list -> int array option
+(** The wavefront hyperplane over the [rank - 1] outer dimensions: the
+    first vector passing {!schedule_ok}, smallest component sum first
+    (widest wavefronts); the all-zero vector when every dependence is
+    intra-row (all rows in one wavefront).  A base-B vector orders any
+    set of uniform distances, so [None] is kept for defensiveness
+    only. *)
 
 val band_safe : int array list -> bool
 (** True when every distance vector is componentwise same-signed, so a

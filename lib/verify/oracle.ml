@@ -98,16 +98,14 @@ let rec blocked_plans_of steps =
       | _ -> [])
     steps
 
-(* Invariant 5: the affine analyzer ([Artemis_static.Static]) agrees
-   with dynamic behavior on the program's own (plain) schedule.
-
-   Footprints — for every statement, the analyzer's in-bounds box must
-   contain exactly the domain points the executors' guard accepts: the
-   write coordinates land in the target and [Eval.guard] (the executed
-   read guard itself, not a re-derivation) passes.  Dependences — the
-   analyzer's self-dependence verdict must match the executors'
-   classification distance for distance, and any hyperplane the wavefront
-   schedule would choose must satisfy the analyzer's legality test. *)
+(* Invariant 5: the affine analyzer's footprints
+   ([Artemis_static.Static]) agree with dynamic behavior on the
+   program's own (plain) schedule.  For every statement, the analyzer's
+   in-bounds box must contain exactly the domain points the executors'
+   guard accepts: the write coordinates land in the target and
+   [Eval.guard] (the executed read guard itself, not a re-derivation)
+   passes.  Dependence verdicts have one engine; invariants 1 and 4
+   check them by running the code. *)
 let static_mismatches (prog : A.program) =
   let acc = ref [] in
   let kernels = kernels_of_schedule (I.schedule prog) in
@@ -196,38 +194,7 @@ let static_mismatches (prog : A.program) =
                           (List.map string_of_int (Array.to_list p)))
                        (if dyn then "accepts" else "rejects"))
                 end
-              end);
-          (* Dependence-verdict agreement and hyperplane legality. *)
-          match
-            (S.self_dependences ~iters:k.iters st,
-             E.Wavefront.stmt_self_deps ~iters:k.iters st)
-          with
-          | S.No_dep, E.Wavefront.No_dep | S.Unknown, E.Wavefront.Non_uniform -> ()
-          | S.Uniform sd, E.Wavefront.Uniform wd
-            when List.sort compare sd = List.sort compare wd -> (
-            match E.Wavefront.hyperplane ~rank wd with
-            | Some vec when not (S.schedule_ok ~rank ~vec sd) ->
-              push si
-                (Printf.sprintf
-                   "chosen hyperplane (%s) fails the analyzer's legality test"
-                   (String.concat ", "
-                      (List.map string_of_int (Array.to_list vec))))
-            | Some _ | None -> ())
-          | sv, wv ->
-            let s_str = function
-              | S.No_dep -> "No_dep"
-              | S.Uniform ds -> Printf.sprintf "Uniform(%d)" (List.length ds)
-              | S.Unknown -> "Unknown"
-            in
-            let w_str = function
-              | E.Wavefront.No_dep -> "No_dep"
-              | E.Wavefront.Uniform ds -> Printf.sprintf "Uniform(%d)" (List.length ds)
-              | E.Wavefront.Non_uniform -> "Non_uniform"
-            in
-            push si
-              (Printf.sprintf "dependence verdicts disagree: analyzer %s vs \
-                               executors %s"
-                 (s_str sv) (w_str wv)))
+              end))
         k.body)
     kernels;
   List.rev !acc
@@ -371,15 +338,14 @@ let check ?(lint = false) (prog : A.program) (trial : Sampler.trial) =
             (fun (k : I.kernel) ->
               List.exists
                 (fun st ->
-                  match E.Wavefront.stmt_self_deps ~iters:k.iters st with
-                  | E.Wavefront.No_dep -> false
-                  | E.Wavefront.Uniform _ | E.Wavefront.Non_uniform -> true)
+                  match S.self_dependences ~iters:k.iters st with
+                  | S.No_dep -> false
+                  | S.Uniform _ | S.Unknown -> true)
                 k.body)
             kernels
         in
-        (* Invariant 5: analyzer verdicts agree with dynamic behavior —
-           footprints match the executed guards point for point, and
-           dependence verdicts match the executors' classification. *)
+        (* Invariant 5: analyzer footprints match the executed guards
+           point for point. *)
         (match static_mismatches prog with
         | exception e -> push (Crash { detail = Printexc.to_string e })
         | ms -> List.iter push ms);

@@ -24,14 +24,16 @@
     under [Eval.with_wavefront false] (the guarded per-point fallback)
     must reproduce every copied-out grid bit for bit.
 
-    A fifth invariant pins the affine analyzer ([Artemis_static.Static])
-    against dynamic behavior on the program's own schedule: every
-    statement's statically computed in-bounds footprint must contain
-    exactly the domain points the executed guard accepts, and the
-    analyzer's self-dependence verdicts (and hyperplane legality) must
-    match the executors' classification.  This is the soundness proof
-    obligation behind guard elimination ([Eval.elim_proven]), checked on
-    every accepted case. *)
+    A fifth invariant pins the affine analyzer's footprints
+    ([Artemis_static.Static]) against dynamic behavior on the program's
+    own schedule: every statement's statically computed in-bounds
+    footprint must contain exactly the domain points the executed guard
+    accepts.  This is the soundness proof obligation behind guard
+    elimination ([Eval.elim_proven]), checked on every accepted case.
+    Self-dependence verdicts and hyperplanes have a single engine (the
+    executors schedule by [Static]'s), so they are checked by running
+    the code: outputs (invariant 1) and wavefront vs guarded (invariant
+    4). *)
 
 type mismatch =
   | Output_mismatch of { array : string; diff : float; margin : int }
@@ -44,8 +46,8 @@ type mismatch =
   | Wavefront_mismatch of { executor : string; array : string; diff : float }
       (** wavefront vs guarded-fallback runs of the same executor differ *)
   | Static_mismatch of { kernel : string; stmt : int; detail : string }
-      (** the affine analyzer's footprint or dependence verdict
-          contradicts the executed guards *)
+      (** the affine analyzer's footprint contradicts the executed
+          guards *)
   | Crash of { detail : string }
       (** the pipeline raised on a checked program + valid plan *)
 

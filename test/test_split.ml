@@ -459,6 +459,7 @@ let metrics_tests =
 (* ---------------- wavefront schedule ---------------- *)
 
 module W = E.Wavefront
+module Static = Artemis_static.Static
 module Pool = Artemis_par.Pool
 module Journal = Artemis_obs.Journal
 
@@ -525,7 +526,7 @@ let wavefront_tests =
   [
     case "hyperplane: intra-row dependence needs no row ordering" (fun () ->
         Alcotest.(check bool) "zero vector" true
-          (W.hyperplane ~rank:2 [ [| 0; 1 |] ] = Some [| 0 |]));
+          (Static.hyperplane ~rank:2 [ [| 0; 1 |] ] = Some [| 0 |]));
     case "hyperplane: legal for random same-sign cones (randomized)" (fun () ->
         let rng = Rng.make 5 in
         for _ = 1 to 200 do
@@ -539,17 +540,17 @@ let wavefront_tests =
                 if Array.for_all (( = ) 0) d then d.(Rng.int rng rank) <- sign;
                 d)
           in
-          match W.hyperplane ~rank deltas with
+          match Static.hyperplane ~rank deltas with
           | None -> Alcotest.fail "no hyperplane for a same-sign cone"
           | Some vec ->
             List.iter
               (fun d ->
                 let outer = Array.sub d 0 (rank - 1) in
-                if W.lex_sign outer <> 0 then begin
+                if Static.lex_sign outer <> 0 then begin
                   let dot = ref 0 in
                   Array.iteri (fun i v -> dot := !dot + (v * outer.(i))) vec;
                   Alcotest.(check int)
-                    "sign (vec . d') = lex_sign d'" (W.lex_sign outer)
+                    "sign (vec . d') = lex_sign d'" (Static.lex_sign outer)
                     (compare !dot 0)
                 end)
               deltas
