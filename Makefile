@@ -3,7 +3,7 @@
 TRACE   := /tmp/artemis-trace.json
 REPORT  := /tmp/artemis-report.json
 
-.PHONY: all build test check bench pricing-pin trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke cache-smoke wavefront-smoke tb-smoke model-smoke obs-smoke bench-gate clean
+.PHONY: all build test check bench pricing-pin decision-pin trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke cache-smoke wavefront-smoke tb-smoke model-smoke obs-smoke bench-gate clean
 
 all: build
 
@@ -39,6 +39,15 @@ bench:
 # staging memo check.  A few seconds, against minutes for the full suite.
 pricing-pin:
 	dune exec test/main.exe -- test pricing
+
+# Bit-identity gate for changes to the tuner's decisions: the `decision`
+# test group alone, the MD5 of `artemisc explain --json` on four suite
+# benchmarks (deep tuning, pre-rank off, a V100 device record, temporal
+# blocking) at -j 1 and -j 2.  A few seconds.  Runs from the test build
+# directory, where the tests find ../bin/artemisc.exe.
+decision-pin:
+	dune build bin/artemisc.exe test/main.exe
+	cd _build/default/test && ./main.exe test decision
 
 # End-to-end observability smoke test: record a trace + JSON report on
 # the Jacobi example, then validate both by parsing them back.

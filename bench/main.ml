@@ -22,12 +22,17 @@ let dev = Artemis.Device.p100
 
 let header title = Printf.printf "\n=== %s ===\n%!" title
 
+(* Run [f] at [jobs] pool workers, restoring the previous count. *)
+let with_jobs jobs f =
+  let saved = Artemis.Pool.jobs () in
+  Artemis.Pool.set_jobs jobs;
+  Fun.protect ~finally:(fun () -> Artemis.Pool.set_jobs saved) f
+
 (* Shared provenance block stamped into every BENCH_*.json so bench-diff
    can refuse to compare results produced under different machine models
    (docs/OBSERVABILITY.md). *)
 let bench_meta () =
   let module J = Artemis.Json in
-  let tm = !Artemis_exec.Traffic.model in
   let machine_model =
     J.Obj
       [ ("device", J.Str dev.Artemis.Device.name);
@@ -35,8 +40,8 @@ let bench_meta () =
         ("knee_dram", J.Float (Artemis.Device.knee_dram dev));
         ("knee_tex", J.Float (Artemis.Device.knee_tex dev));
         ("knee_shm", J.Float (Artemis.Device.knee_shm dev));
-        ("halo_miss", J.Float tm.Artemis_exec.Traffic.halo_miss);
-        ("l2_hit_floor", J.Float tm.Artemis_exec.Traffic.l2_hit_floor) ]
+        ("halo_miss", J.Float dev.Artemis.Device.halo_miss);
+        ("l2_hit_floor", J.Float dev.Artemis.Device.l2_hit_floor) ]
   in
   Artemis.Bench_diff.meta ~jobs:(Artemis.Pool.jobs ()) ~machine_model
 
@@ -511,11 +516,9 @@ let ablation () =
   Printf.printf "halo L2-miss fraction — inter-block overlap refetch cost:\n";
   List.iter
     (fun hm ->
-      Artemis_exec.Traffic.with_model
-        { Artemis_exec.Traffic.default_model with halo_miss = hm }
-        (fun () ->
-          Printf.printf "  halo_miss %.1f: 7pt %.3f, rhs4center %.3f TFLOPS\n%!" hm
-            (tuned dev k7) (tuned dev kc)))
+      let d = { dev with Artemis.Device.halo_miss = hm } in
+      Printf.printf "  halo_miss %.1f: 7pt %.3f, rhs4center %.3f TFLOPS\n%!" hm
+        (tuned d k7) (tuned d kc))
     [ 0.3; 0.5; 0.7; 1.0 ];
   Printf.printf
     "(the qualitative orderings of Figs 4-6 are stable across these sweeps;\n\
@@ -613,29 +616,17 @@ let tuner_configs =
     { cfg_name = "prerank-jobs4-warm"; cfg_jobs = 4; cfg_warm = true;
       cfg_prerank = prerank } ]
 
-let with_tuner_cfg cfg f =
-  let saved_jobs = Artemis.Pool.jobs () in
-  let saved_prerank = !Artemis.Hierarchical.prerank_keep in
-  Artemis.Pool.set_jobs cfg.cfg_jobs;
-  Artemis.Hierarchical.prerank_keep := cfg.cfg_prerank;
-  if not cfg.cfg_warm then Artemis.Measure_cache.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Artemis.Pool.set_jobs saved_jobs;
-      Artemis.Hierarchical.prerank_keep := saved_prerank)
-    f
-
 (* The three components.  Each returns a printable artifact that must be
    identical across configurations. *)
-let tuner_components ~fuzz_cases ~max_tile =
+let tuner_components ~fuzz_cases ~max_tile ~prerank_keep =
   let opt () =
     let k = List.hd (Suite.kernels (Suite.find "7pt-smoother")) in
-    let r = Artemis.optimize_kernel k in
+    let r = Artemis.optimize_kernel ~prerank_keep k in
     Printf.sprintf "%s explored=%d" (Plan.label r.tuned.plan) r.explored
   in
   let deep () =
     let b = Suite.find "7pt-smoother" in
-    let dr = Artemis.deep_tune ~max_tile b.prog in
+    let dr = Artemis.deep_tune ~max_tile ~prerank_keep b.prog in
     String.concat ";"
       (List.map
          (fun (v : Artemis.Deep.version) ->
@@ -662,8 +653,10 @@ let measured_row (name, f) =
   (name, artifact, Artemis.Metrics.counter_value m_measures -. before)
 
 let tuner_rows ~fuzz_cases ~max_tile cfg =
-  with_tuner_cfg cfg (fun () ->
-      List.map measured_row (tuner_components ~fuzz_cases ~max_tile))
+  with_jobs cfg.cfg_jobs (fun () ->
+      if not cfg.cfg_warm then Artemis.Measure_cache.clear ();
+      List.map measured_row
+        (tuner_components ~fuzz_cases ~max_tile ~prerank_keep:cfg.cfg_prerank))
 
 (* Analytic measurements spent on the tuning components — the work the
    warp-model pre-rank is meant to save.  The fuzz component never
@@ -785,15 +778,10 @@ let tuner_smoke () =
 let model_smoke () =
   header "model smoke: warp-model pre-rank per registry device";
   let k = List.hd (Suite.kernels (Suite.at_size 32 (Suite.find "7pt-smoother"))) in
-  let with_prerank pct f =
-    let saved = !Artemis.Hierarchical.prerank_keep in
-    Artemis.Hierarchical.prerank_keep := pct;
-    Fun.protect ~finally:(fun () -> Artemis.Hierarchical.prerank_keep := saved) f
-  in
   let tune_with pct device =
     Artemis.Measure_cache.clear ();
     let before = Artemis.Metrics.counter_value m_measures in
-    let r = with_prerank pct (fun () -> Artemis.optimize_kernel ~device k) in
+    let r = Artemis.optimize_kernel ~device ~prerank_keep:pct k in
     ( Plan.label r.tuned.plan,
       Artemis.Metrics.counter_value m_measures -. before )
   in
@@ -822,16 +810,12 @@ let model_smoke () =
      prerank decisions are journaled on the main domain in canonical
      order, so fan-out must not show. *)
   let journal_with jobs =
-    let saved_jobs = Artemis.Pool.jobs () in
-    Artemis.Pool.set_jobs jobs;
-    Fun.protect
-      ~finally:(fun () -> Artemis.Pool.set_jobs saved_jobs)
-      (fun () ->
+    with_jobs jobs (fun () ->
         Artemis.Measure_cache.clear ();
         Artemis.Journal.start ();
         ignore
-          (with_prerank Artemis.Hierarchical.default_prerank_keep (fun () ->
-               Artemis.optimize_kernel k));
+          (Artemis.optimize_kernel
+             ~prerank_keep:Artemis.Hierarchical.default_prerank_keep k);
         let out = Artemis.Journal.to_jsonl () in
         Artemis.Journal.stop ();
         out)
@@ -882,26 +866,28 @@ let copyouts (prog : Artemis.Ast.program) run =
     (fun n -> (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
     prog.copyout
 
-(* The reference executor's copyouts after [reps] runs of the schedule. *)
-let reference_copyouts ?(reps = 1) (prog : Artemis.Ast.program) =
+(* The reference executor's copyouts after [reps] runs of the schedule
+   under the executor [schedule]. *)
+let reference_copyouts ?schedule ?(reps = 1) (prog : Artemis.Ast.program) =
   let scalars = Artemis.Reference.scalars_of_program prog in
   let sched = I.schedule prog in
   copyouts prog (fun store ->
       for _ = 1 to reps do
-        Artemis.Reference.run_schedule store ~scalars sched
+        Artemis.Reference.run_schedule ?schedule store ~scalars sched
       done)
 
 (* The block executor's copyouts over configured [steps]. *)
-let block_copyouts prog steps =
+let block_copyouts ?schedule prog steps =
   let scalars = Artemis.Reference.scalars_of_program prog in
-  copyouts prog (fun store -> ignore (Artemis.Runner.run_schedule steps store ~scalars))
+  copyouts prog (fun store ->
+      ignore (Artemis.Runner.run_schedule ?schedule steps store ~scalars))
 
 (* One program end to end: the copyout grids of the reference executor
    and of the block executor. *)
-let exec_run prog =
-  let reference = reference_copyouts prog in
+let exec_run ?schedule prog =
+  let reference = reference_copyouts ?schedule prog in
   let steps = Artemis.Runner.configure ~plan_of:exec_plan_of (I.schedule prog) in
-  (reference, block_copyouts prog steps)
+  (reference, block_copyouts ?schedule prog steps)
 
 let outputs_equal a b =
   List.length a = List.length b
@@ -933,7 +919,8 @@ let executor_agreement ~size ~fuzz_cases =
    executors run them as anti-diagonal wavefronts: the rows of each
    hyperplane are mutually independent (parallelized across the pool)
    and swept with the flat-index bounds-check-free inner loop.
-   [Eval.with_wavefront false] forces the guarded per-point fallback
+   The schedule [Rows { wavefront = false; _ }] forces the guarded
+   per-point fallback
    over the same region.  Both traversals realize the same
    dependence-respecting order, so every copyout grid must be
    bit-identical — asserted here, and pinned case by case by the fuzz
@@ -968,7 +955,9 @@ let dependent_cases ~size2 ~size3 =
 let dependent_equal prog ~reps =
   let wavefront = reference_copyouts ~reps prog in
   outputs_equal wavefront
-    (Artemis_exec.Eval.with_wavefront false (fun () -> reference_copyouts ~reps prog))
+    (reference_copyouts
+       ~schedule:(Artemis.Eval.Rows { wavefront = false; static_elim = true })
+       ~reps prog)
 
 let dependent_rows ~size2 ~size3 ~reps =
   List.map
@@ -983,7 +972,7 @@ let dependent_rows ~size2 ~size3 ~reps =
    so the splitter skips them instead of sweeping them point-guarded.
    The observable effect: a strictly larger fraction of charged points
    takes an unguarded path than under the PR-7 splitter
-   ([Eval.with_static_elim false] — same splitting, no elimination),
+   ([Rows { static_elim = false; _ }] — same splitting, no elimination),
    with bit-identical grids. *)
 
 let tally_total (t : Artemis_exec.Region.tally) =
@@ -999,10 +988,13 @@ let elimination_rows ~size =
   List.map
     (fun name ->
       let prog = (Suite.at_size size (Suite.find name)).prog in
-      let run () = reference_copyouts prog in
-      let out_on, t_on = Artemis_exec.Region.with_tally run in
+      let run schedule () = reference_copyouts ~schedule prog in
+      let out_on, t_on =
+        Artemis_exec.Region.with_tally (run Artemis.Eval.default_schedule)
+      in
       let out_off, t_off =
-        Artemis.Eval.with_static_elim false (fun () -> Artemis_exec.Region.with_tally run)
+        Artemis_exec.Region.with_tally
+          (run (Artemis.Eval.Rows { wavefront = true; static_elim = false }))
       in
       (name, t_on, t_off, outputs_equal out_on out_off))
     names
@@ -1229,19 +1221,15 @@ let exec_bench () =
 let exec_smoke () =
   header "exec smoke: split vs interpreter on 7pt-smoother";
   let prog = (Suite.at_size 12 (Suite.find "7pt-smoother")).prog in
-  let outs () =
-    let reference, blocks = exec_run prog in
+  let outs schedule =
+    let reference, blocks = exec_run ~schedule prog in
     reference @ blocks
   in
   let m_int = Artemis.Metrics.counter "exec.interior_points" in
   let before = Artemis.Metrics.counter_value m_int in
-  let split = outs () in
+  let split = outs Artemis.Eval.default_schedule in
   let interior = Artemis.Metrics.counter_value m_int -. before in
-  let interp =
-    let saved = !Artemis.Eval.use_interpreter in
-    Artemis.Eval.use_interpreter := true;
-    Fun.protect ~finally:(fun () -> Artemis.Eval.use_interpreter := saved) outs
-  in
+  let interp = outs Artemis.Eval.Interpret in
   let equal = outputs_equal split interp in
   Printf.printf "outputs identical %b; interior points swept %.0f\n%!" equal interior;
   if not equal then begin

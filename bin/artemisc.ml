@@ -111,14 +111,23 @@ let device_arg =
                  default p100).  Picks the machine model every plan is \
                  lowered, validated, and timed against.")
 
-let prerank_arg =
-  Arg.(value & opt (some float) None
-       & info [ "prerank-keep" ] ~docv:"PCT"
-           ~doc:"Measure only the top $(docv)%% of each tuning phase's \
-                 candidates as ranked by the measurement-free warp model \
-                 (docs/MODEL.md); 100 disables pre-ranking.  Default 25.")
+(* A keep percentage must be a finite number above 0: NaN, 0 or a
+   negative value would silently measure almost nothing. *)
+let prerank_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when Float.is_finite p && p > 0.0 -> Ok p
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "%S is not a finite percentage above 0" s))
+  in
+  Arg.conv (parse, fun fmt p -> Format.fprintf fmt "%g" p)
 
-let set_prerank pct = Option.iter (fun p -> Artemis.Hierarchical.prerank_keep := p) pct
+let prerank_arg =
+  Arg.(value & opt prerank_conv Artemis.Hierarchical.default_prerank_keep
+       & info [ "prerank-keep" ] ~docv:"PCT"
+           ~doc:"Measure only the top $(docv)% of each tuning phase's \
+                 candidates as ranked by the measurement-free warp model \
+                 (docs/MODEL.md); 100 or more disables pre-ranking.")
 
 (** The ping-pong (out, inp) pair of a program's time loop, if any — what
     temporal blocking needs to attach to a plan. *)
@@ -614,12 +623,11 @@ let optimize_cmd =
     with_trace trace @@ fun () ->
     set_jobs jobs;
     set_cache_dir cache_dir;
-    set_prerank prerank;
     match read_program path with
     | `Ok prog ->
       let k = Artemis.first_kernel prog in
       let r =
-        Artemis.optimize_kernel ~device ~iterative ~max_degree
+        Artemis.optimize_kernel ~device ~iterative ~max_degree ~prerank_keep:prerank
           ?pingpong:(if max_degree > 1 then pingpong_pair_of prog else None)
           k
       in
@@ -700,11 +708,10 @@ let deep_cmd =
     with_trace trace @@ fun () ->
     set_jobs jobs;
     set_cache_dir cache_dir;
-    set_prerank prerank;
     match read_program path with
     | `Ok prog -> (
       try
-        let dr = Artemis.deep_tune ~device ~max_degree prog in
+        let dr = Artemis.deep_tune ~device ~max_degree ~prerank_keep:prerank prog in
         List.iter
           (fun (v : Artemis.Deep.version) ->
             Printf.printf "(%dx%d): %.3f TFLOPS  [%s]\n" v.time_tile v.degree
@@ -744,14 +751,16 @@ let bench_cmd =
   in
   let run trace device prerank name =
     with_trace trace @@ fun () ->
-    set_prerank prerank;
     match Artemis.Suite.find name with
     | exception Invalid_argument msg -> `Error (false, msg)
     | b ->
       let ks = Artemis.Suite.kernels b in
       List.iter
         (fun k ->
-          let r = Artemis.optimize_kernel ~device ~iterative:b.iterative k in
+          let r =
+            Artemis.optimize_kernel ~device ~iterative:b.iterative
+              ~prerank_keep:prerank k
+          in
           Printf.printf "%s: %.3f TFLOPS  %s\n" k.Artemis.Instantiate.kname
             r.tuned.tflops (Artemis.Plan.label r.tuned.plan))
         ks;
@@ -834,7 +843,6 @@ let explain_cmd =
     with_trace trace @@ fun () ->
     set_jobs jobs;
     set_cache_dir cache_dir;
-    set_prerank prerank;
     let source =
       match (bench, path) with
       | Some _, Some _ -> `Error (false, "give PROG.stc or --bench NAME, not both")
@@ -858,7 +866,8 @@ let explain_cmd =
       let results =
         List.map
           (fun k ->
-            Artemis.optimize_kernel ~device ~iterative ~max_degree ?pingpong k)
+            Artemis.optimize_kernel ~device ~iterative ~max_degree
+              ~prerank_keep:prerank ?pingpong k)
           (kernels_of prog)
       in
       (* Iterative benchmarks get the Section VI-A flow too, so the
@@ -866,7 +875,9 @@ let explain_cmd =
          loudly on programs with no ping-pong loop. *)
       let deep_error =
         if deep || iterative then
-          match Artemis.deep_tune ~device ?max_tile ~max_degree prog with
+          match
+            Artemis.deep_tune ~device ?max_tile ~max_degree ~prerank_keep:prerank prog
+          with
           | (_ : Artemis.deep_result) -> None
           | exception Invalid_argument msg -> if deep then Some msg else None
         else None
@@ -985,18 +996,9 @@ let fuzz_cmd =
              ~doc:"Also enforce the lint invariant: no Error-level finding on \
                    any accepted (program, plan) pair")
   in
-  let no_wavefront_arg =
-    Arg.(value & flag
-         & info [ "no-wavefront" ]
-             ~doc:"Disable the wavefront schedule: self-dependent statements \
-                   run on the guarded per-point fallback (also skips the \
-                   wavefront-vs-guarded invariant, which pins the two paths \
-                   against each other)")
-  in
-  let run trace jobs seed cases dump_dir lint no_wavefront =
+  let run trace jobs seed cases dump_dir lint =
     with_trace trace @@ fun () ->
     set_jobs jobs;
-    if no_wavefront then Artemis_exec.Eval.use_wavefront := false;
     let s = Artemis_verify.Harness.run ?dump_dir ~lint ~seed ~cases () in
     print_string (Artemis_verify.Harness.summary_to_string s);
     match s.findings with
@@ -1015,7 +1017,7 @@ let fuzz_cmd =
     Term.(
       ret
         (const run $ trace_arg $ jobs_arg $ seed_arg $ cases_arg $ dump_arg
-         $ lint_arg $ no_wavefront_arg))
+         $ lint_arg))
 
 (* ---------------- trace-info ---------------- *)
 

@@ -92,7 +92,8 @@ let profile_measurement (m : Analytic.measurement) =
 (** Optimize one kernel end to end.  [iterative] enables the fusion
     guideline; use [deep_tune] for the full variable-T flow. *)
 let optimize_kernel ?(device = Device.p100) ?(iterative = false)
-    ?(opts = Options.default) ?(max_degree = 1) ?pingpong
+    ?(opts = Options.default) ?(max_degree = 1)
+    ?(prerank_keep = Hierarchical.default_prerank_keep) ?pingpong
     (kernel : Instantiate.kernel) =
   Trace.with_span "optimize.kernel" ~attrs:[ ("kernel", Str kernel.kname) ]
   @@ fun () ->
@@ -122,7 +123,9 @@ let optimize_kernel ?(device = Device.p100) ?(iterative = false)
   (* Step 2: decisions prune the tuning space. *)
   let decisions = Hints.decide ~iterative baseline baseline_profile in
   let knobs =
-    { (Hierarchical.knobs_of_decisions decisions) with Hierarchical.max_degree }
+    { (Hierarchical.knobs_of_decisions decisions) with
+      Hierarchical.max_degree;
+      prerank_keep }
   in
   (* Temporal blocking needs the ping-pong pair on the base plan; without
      one the degree stays an inert dimension of the space. *)
@@ -205,7 +208,7 @@ type deep_result = {
 }
 
 let deep_tune ?(device = Device.p100) ?(opts = Options.default) ?max_tile
-    ?max_degree (prog : Ast.program) =
+    ?max_degree ?prerank_keep (prog : Ast.program) =
   Trace.with_span "deep.tune" @@ fun () ->
   let sched = Instantiate.schedule prog in
   match List.find_map Fusion.pingpong_of_item sched with
@@ -214,7 +217,7 @@ let deep_tune ?(device = Device.p100) ?(opts = Options.default) ?max_tile
     let plan_of fused =
       Lower.lower device fused { opts with Options.block = None; unroll = None }
     in
-    let deep = Deep.explore ?max_tile ?max_degree ~plan_of k ~out ~inp in
+    let deep = Deep.explore ?max_tile ?max_degree ?prerank_keep ~plan_of k ~out ~inp in
     let schedule, predicted_time = Deep.optimal_schedule deep ~t in
     { deep; schedule; predicted_time }
 

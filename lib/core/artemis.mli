@@ -37,8 +37,8 @@ module Reference = Artemis_exec.Reference
 module Kernel_exec = Artemis_exec.Kernel_exec
 module Runner = Artemis_exec.Runner
 
-(** Statement compilation and its schedule switches ([use_interpreter],
-    [use_wavefront] — see docs/PERF.md). *)
+(** Statement compilation and the executor schedule value
+    ([Eval.schedule] — see docs/PERF.md). *)
 module Eval = Artemis_exec.Eval
 
 (** Iteration-space boxes and the interior/shell decomposition. *)
@@ -98,10 +98,13 @@ val profile_measurement : Analytic.measurement -> Classify.profile
     fission candidates.  [iterative] enables the fusion guideline.  With
     [pingpong] naming the kernel's (out, inp) buffer pair and
     [max_degree] > 1 (default 1), phase 2 also explores degree-N temporal
-    blocking up to that degree. *)
+    blocking up to that degree.  [prerank_keep] (default
+    [Hierarchical.default_prerank_keep]) is the percentage of each
+    candidate batch the warp-model pre-rank keeps for measurement; 100
+    or more measures every candidate. *)
 val optimize_kernel :
   ?device:Device.t -> ?iterative:bool -> ?opts:Options.t ->
-  ?max_degree:int -> ?pingpong:string * string ->
+  ?max_degree:int -> ?prerank_keep:float -> ?pingpong:string * string ->
   Instantiate.kernel -> result
 
 type deep_result = {
@@ -114,10 +117,12 @@ type deep_result = {
     [max_degree] > 1 (default 1) each fused version's tuner also picks a
     temporal-blocking degree, so one launch covers (fusion width x
     degree) time steps and the opt(T) schedule composes over both.
+    [prerank_keep] is each version's pre-rank cut, as for
+    {!optimize_kernel}.
     @raise Invalid_argument when the program has no ping-pong time loop *)
 val deep_tune :
   ?device:Device.t -> ?opts:Options.t -> ?max_tile:int -> ?max_degree:int ->
-  Ast.program -> deep_result
+  ?prerank_keep:float -> Ast.program -> deep_result
 
 (** CUDA source of the tuned plan. *)
 val cuda_of : result -> string

@@ -5,14 +5,14 @@
 
    - the tree-walking interpreter ([eval]/[guard]), which resolves names
      and iterator dimensions at every grid point; and
-   - the flat-index row evaluator ([compile_stmt] under [split_enabled])
-     that sweeps whole rows through float arrays.
+   - the flat-index row evaluator ([compile_stmt] under a [Rows]
+     schedule) that sweeps whole rows through float arrays.
 
    Both produce bit-identical results (the row evaluator mirrors the
    interpreter's float-operation order exactly).  The executors use the
-   row evaluator; setting [use_interpreter] selects the interpreter —
-   the point-wise reference the tests and the fuzz oracle check the row
-   evaluator against. *)
+   row evaluator by default; the [Interpret] schedule selects the
+   interpreter — the point-wise reference the tests and the fuzz oracle
+   check the row evaluator against. *)
 
 module A = Artemis_dsl.Ast
 module Static = Artemis_static.Static
@@ -92,50 +92,12 @@ let guard env point (e : A.expr) =
     (A.reads_of_expr e)
 
 (* ------------------------------------------------------------------ *)
-(* Schedule switches                                                   *)
+(* Schedule                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let use_interpreter = ref false
-let use_wavefront = ref true
+type schedule = Interpret | Rows of { wavefront : bool; static_elim : bool }
 
-let split_enabled () = not !use_interpreter
-
-(* The fuzz oracle flips the wavefront schedule off *inside pool
-   workers* to compare it against the guarded fallback, so the override
-   must be domain-scoped — mutating the global under parallel fuzzing
-   would race across concurrent cases. *)
-let wavefront_override : bool option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let wavefront_enabled () =
-  (match !(Domain.DLS.get wavefront_override) with
-  | Some v -> v
-  | None -> !use_wavefront)
-  && split_enabled ()
-
-let with_wavefront v f =
-  let slot = Domain.DLS.get wavefront_override in
-  let saved = !slot in
-  slot := Some v;
-  Fun.protect ~finally:(fun () -> slot := saved) f
-
-(* Static guard elimination: skip boundary shells (and wavefront
-   exteriors) outright when the affine analyzer independently proves
-   every shell point a guard-failing no-op.  On by default; the
-   override is domain-scoped for the same reason as the wavefront
-   toggle's. *)
-let static_elim_override : bool option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let static_elim_enabled () =
-  Option.value ~default:true !(Domain.DLS.get static_elim_override)
-  && split_enabled ()
-
-let with_static_elim v f =
-  let slot = Domain.DLS.get static_elim_override in
-  let saved = !slot in
-  slot := Some v;
-  Fun.protect ~finally:(fun () -> slot := saved) f
+let default_schedule = Rows { wavefront = true; static_elim = true }
 
 type binder = {
   bind_array : string -> Grid.t;  (** array storage, temp grids included *)
@@ -641,9 +603,9 @@ let split_interior (ss : split_stmt) (region : Region.box) =
     the write bounds check or the read guard, so the guarded body would
     fall through without writing.  Two independent engines must agree
     before a guard is skipped; disagreement falls back to sweeping. *)
-let elim_proven (ss : split_stmt) ~(region : Region.box)
+let elim_proven ~schedule (ss : split_stmt) ~(region : Region.box)
     ~(interior : Region.box) =
-  static_elim_enabled ()
+  (match schedule with Rows { static_elim; _ } -> static_elim | Interpret -> false)
   && Static.box_equal
        (Static.footprint ~region
           ~accesses:
@@ -714,11 +676,12 @@ let self_deltas ~rank ~(target : Grid.t) ~(wspec : (int * int) array) paths =
 (** One statement compiled for sweeping: the guarded per-point closure
     (always available — boundary shells, wavefront row ends, and the
     full fallback all use it) plus the schedule class the executors
-    dispatch on.  Under [use_interpreter] every point goes through
+    dispatch on.  Under [Interpret] every point goes through
     [eval]/[guard] and the statement classifies [Sc_guarded]. *)
-let compile_stmt (b : binder) ~(target : Grid.t) ~(accum : bool)
+let compile_stmt ~schedule (b : binder) ~(target : Grid.t) ~(accum : bool)
     (idx : A.index list) (e : A.expr) : stmt_exec =
-  if not (split_enabled ()) then begin
+  match schedule with
+  | Interpret ->
     let env, env_point = env_of_binder b in
     let guarded p =
       env_point := p;
@@ -728,18 +691,17 @@ let compile_stmt (b : binder) ~(target : Grid.t) ~(accum : bool)
         else Grid.set target w (eval env p e)
     in
     { sx_class = Sc_guarded; sx_guarded = guarded; sx_row = no_row }
-  end
-  else begin
+  | Rows { wavefront = wavefront_on; _ } ->
     let rank = List.length b.binder_iters in
     let wpath = access_path b target idx in
     let reads = read_paths b e in
     let rpaths = reads.rp_list in
     let reads_temp = expr_reads_temp b e in
-    let schedule =
+    let cls =
       if
         order_independent ~rank ~target ~wspec:wpath.ap_spec ~reads_temp rpaths
       then `Split
-      else if wavefront_enabled () then (
+      else if wavefront_on then (
         match self_deltas ~rank ~target ~wspec:wpath.ap_spec rpaths with
         | Some deltas -> (
           match Static.hyperplane ~rank deltas with
@@ -748,16 +710,15 @@ let compile_stmt (b : binder) ~(target : Grid.t) ~(accum : bool)
         | None -> `Guarded)
       else `Guarded
     in
-    let wavefront = match schedule with `Wavefront _ -> true | `Split | `Guarded -> false in
+    let wavefront = match cls with `Wavefront _ -> true | `Split | `Guarded -> false in
     let ss = split_of b ~target ~wavefront wpath reads e in
     let row = run_row ~accum ss in
     (* A guarded point is a row of length 1 once the write and every
        read are in bounds there, so its flat indices are valid. *)
     let checks = Array.of_list ss.ss_paths in
     let guarded p = if paths_in_bounds checks p then row p 1 in
-    match schedule with
+    match cls with
     | `Split -> { sx_class = Sc_split ss; sx_guarded = guarded; sx_row = row }
     | `Wavefront vec ->
       { sx_class = Sc_wavefront (ss, vec); sx_guarded = guarded; sx_row = row }
     | `Guarded -> { sx_class = Sc_guarded; sx_guarded = guarded; sx_row = no_row }
-  end

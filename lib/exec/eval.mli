@@ -2,8 +2,8 @@
     executor and the block executor so both compute identical values.
 
     The executors evaluate through {!compile_stmt}'s flat-index row
-    evaluator; the point-wise interpreter ({!eval}/{!guard}, under
-    {!use_interpreter}) is the reference it is checked against. *)
+    evaluator; the point-wise interpreter ({!eval}/{!guard}, under the
+    [Interpret] {!schedule}) is the reference it is checked against. *)
 
 (** Raised when an array read falls outside its grid; callers treat the
     statement as guarded off at that point. *)
@@ -34,49 +34,26 @@ val eval : env -> int array -> Artemis_dsl.Ast.expr -> float
     guard the generated CUDA emits. *)
 val guard : env -> int array -> Artemis_dsl.Ast.expr -> bool
 
-(** {1 Schedule switches} *)
+(** {1 Schedule} *)
 
-(** When set, {!compile_stmt} runs every statement point by point
-    through {!eval}/{!guard} (classified [Sc_guarded]) instead of the
-    row evaluator — the point-wise reference the differential tests and
-    the fuzz oracle compare against.  Results are bit-identical either
-    way. *)
-val use_interpreter : bool ref
+(** How {!compile_stmt} sweeps statements.  [Interpret] runs every
+    statement point by point through {!eval}/{!guard} (classified
+    [Sc_guarded]) — the point-wise reference the differential tests
+    compare against; it neither splits, nor takes the wavefront
+    schedule, nor eliminates guards.  [Rows] runs the row evaluator:
+    with [wavefront], statements whose self-dependences are uniform
+    sweep through the wavefront schedule ({!Wavefront}) instead of the
+    guarded per-point path; with [static_elim], the executors skip
+    boundary shells (and wavefront exteriors) whose points the affine
+    analyzer ({!Artemis_static.Static}) proves to be guard-failing
+    no-ops, charging them to [exec.eliminated_points] ({!elim_proven}).
+    Results are bit-identical under every schedule — pinned by the fuzz
+    oracle and the tests. *)
+type schedule = Interpret | Rows of { wavefront : bool; static_elim : bool }
 
-(** When set (the default), statements whose self-dependences are
-    uniform sweep through the wavefront schedule ({!Wavefront}) instead
-    of falling back to the guarded per-point path.  Results are
-    bit-identical either way — pinned by the fuzz oracle. *)
-val use_wavefront : bool ref
-
-(** Splitting is active: not {!use_interpreter} (the interpreter
-    reference must stay pure per-point). *)
-val split_enabled : unit -> bool
-
-(** The wavefront schedule is active: {!use_wavefront} (or a scoped
-    {!with_wavefront} override) and {!split_enabled}. *)
-val wavefront_enabled : unit -> bool
-
-(** [with_wavefront v f] runs [f] with the wavefront schedule forced to
-    [v] on the calling domain only (domain-scoped, so the fuzz oracle
-    can flip it inside pool workers without racing concurrent cases). *)
-val with_wavefront : bool -> (unit -> 'a) -> 'a
-
-(** Static guard elimination is active: on unless a scoped
-    {!with_static_elim} override clears it, and {!split_enabled}.  The
-    executors then skip boundary shells (and wavefront exteriors) whose
-    points the affine analyzer ({!Artemis_static.Static}) proves to be
-    guard-failing no-ops, charging them to [exec.eliminated_points]
-    instead of sweeping them.  Elimination only engages where the
-    analyzer's independently computed footprint agrees exactly with the
-    executor's own clipping ({!elim_proven}); results are bit-identical
-    either way. *)
-val static_elim_enabled : unit -> bool
-
-(** [with_static_elim v f] runs [f] with static elimination forced to
-    [v] on the calling domain only (same discipline as
-    {!with_wavefront}). *)
-val with_static_elim : bool -> (unit -> 'a) -> 'a
+(** [Rows { wavefront = true; static_elim = true }]: what the executors
+    run unless told otherwise. *)
+val default_schedule : schedule
 
 (** Name resolution for compilation, fixed before the sweep begins:
     [bind_temp] wins over [bind_scalar] for scalar references (temps
@@ -145,7 +122,7 @@ and flat
     bounds (its unguarded interior). *)
 val split_interior : split_stmt -> Region.box -> Region.box
 
-(** True when static elimination is enabled and the affine analyzer,
+(** True when [schedule] enables static elimination and the affine analyzer,
     recomputing the statement's in-bounds footprint from the raw
     (extents, spec) pairs, lands on exactly [interior] (the executor's
     own {!clip_in_bounds} box for [region]).  Every region point outside
@@ -153,7 +130,7 @@ val split_interior : split_stmt -> Region.box -> Region.box
     be skipped — two independent engines must agree before any guard is
     dropped; disagreement falls back to sweeping them. *)
 val elim_proven :
-  split_stmt -> region:Region.box -> interior:Region.box -> bool
+  schedule:schedule -> split_stmt -> region:Region.box -> interior:Region.box -> bool
 
 (** {1 Unified statement compilation}
 
@@ -190,21 +167,25 @@ val self_deltas :
   int array list option
 
 (** Compile [target[idx] = e] (or [+=] under [accum]) into its guarded
-    closure plus schedule class.  Under {!split_enabled} every path —
+    closure plus schedule class.  Under a [Rows] schedule every path —
     interior rows, wavefront rows and guarded points (a row of length 1
     once the write and every read are in bounds) — runs the one
     row-at-a-time evaluator.  A statement splits ([Sc_split]) when
     reordering cannot be observed: the write index covers every
     iteration dimension a read varies along, and any read aliasing
-    [target]'s storage uses the write's own index.  Otherwise the guarded
-    closure is the interpreter's ({!eval}/{!guard}) and the class is
+    [target]'s storage uses the write's own index.  A uniformly
+    self-dependent statement takes [Sc_wavefront] when the schedule's
+    [wavefront] is set and a legal hyperplane exists; any other is
+    [Sc_guarded].  Under [Interpret] the guarded closure is the
+    interpreter's ({!eval}/{!guard}) and the class is always
     [Sc_guarded].  The result reuses internal buffers and belongs to one
     sequential sweep: parallel wavefront bands each compile their own
     instance.
     @raise Unknown_intrinsic on an unknown intrinsic or wrong arity (at
-    compile time under {!split_enabled}, per point otherwise)
+    compile time under [Rows], per point under [Interpret])
     @raise Invalid_argument on unbound names or iterators *)
 val compile_stmt :
+  schedule:schedule ->
   binder ->
   target:Grid.t ->
   accum:bool ->

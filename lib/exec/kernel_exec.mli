@@ -17,9 +17,10 @@ exception Unsupported of string
     executes [degree] time steps of its ping-pong pair per launch — via
     the streamed interleaved traversal when the body admits it, the
     exact per-step composition otherwise — and is charged the blocked
-    launch's [Traffic] counters.
+    launch's [Traffic] counters.  [schedule] (default
+    {!Eval.default_schedule}) picks how statements sweep.
     @raise Invalid_argument when the plan is not launchable
     @raise Unsupported per above *)
 val run :
-  Artemis_ir.Plan.t -> Reference.store -> scalars:(string * float) list ->
+  ?schedule:Eval.schedule -> Artemis_ir.Plan.t -> Reference.store -> scalars:(string * float) list ->
   Artemis_gpu.Counters.t

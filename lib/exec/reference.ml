@@ -38,10 +38,13 @@ let iter_domain domain f =
 (** Execute one kernel over the arrays in [store], with [scalars] giving
     runtime scalar values.  Kernel arrays absent from the store (the
     scratch intermediates of fused kernels) are materialized locally,
-    zero-initialized. *)
-let run_kernel (store : store) ~scalars (k : I.kernel) =
+    zero-initialized.  [schedule] ({!Eval.schedule}) picks how each
+    statement sweeps. *)
+let run_kernel ?(schedule = Eval.default_schedule) (store : store) ~scalars
+    (k : I.kernel) =
+  let split = schedule <> Eval.Interpret in
   Trace.with_span "exec.reference_kernel"
-    ~attrs:[ ("kernel", Trace.Str k.kname); ("split", Trace.Bool (Eval.split_enabled ())) ]
+    ~attrs:[ ("kernel", Trace.Str k.kname); ("split", Trace.Bool split) ]
   @@ fun () ->
   let temps : (string, Grid.t) Hashtbl.t = Hashtbl.create 8 in
   let overlay : (string, Grid.t) Hashtbl.t = Hashtbl.create 4 in
@@ -80,23 +83,23 @@ let run_kernel (store : store) ~scalars (k : I.kernel) =
      its sweep; the temp grid is registered before compiling so the
      visibility rules match the interpreter exactly.
 
-     Under [Eval.split_enabled] an order-independent statement sweeps its
+     Under a [Rows] schedule an order-independent statement sweeps its
      guaranteed-in-bounds interior through flat-index rows and pays the
      guard only on boundary shells, and a uniformly self-dependent one
-     takes the wavefront schedule; otherwise the whole domain takes the
-     guarded per-point path. *)
+     takes the wavefront schedule when enabled; otherwise the whole
+     domain takes the guarded per-point path. *)
   let rank = Array.length k.domain in
   let domain_box = Region.of_dims k.domain in
   let point = Array.make (max rank 1) 0 in
   let identity_idx = List.map (fun it -> A.index ~iter:it 0) k.iters in
   let sweep_stmt ~accum target idx e =
-    let make () = Eval.compile_stmt binder ~target ~accum idx e in
+    let make () = Eval.compile_stmt ~schedule binder ~target ~accum idx e in
     let sx = make () in
     match sx.Eval.sx_class with
     | Eval.Sc_split ss ->
       let interior = Eval.split_interior ss domain_box in
       Region.sweep ~point
-        ~dead_shells:(Eval.elim_proven ss ~region:domain_box ~interior)
+        ~dead_shells:(Eval.elim_proven ~schedule ss ~region:domain_box ~interior)
         ~region:domain_box ~interior ~guarded:sx.sx_guarded ~row:sx.sx_row ()
     | Eval.Sc_wavefront (ss, vec) ->
       (* Rows of one wavefront are independent; each parallel band
@@ -107,7 +110,7 @@ let run_kernel (store : store) ~scalars (k : I.kernel) =
       in
       let interior = Eval.split_interior ss domain_box in
       Wavefront.sweep
-        ~elide:(Eval.elim_proven ss ~region:domain_box ~interior)
+        ~elide:(Eval.elim_proven ~schedule ss ~region:domain_box ~interior)
         (Wavefront.sweeper ~make_exec)
         ~region:domain_box ~interior ~vec
     | Eval.Sc_guarded ->
@@ -129,7 +132,7 @@ let run_kernel (store : store) ~scalars (k : I.kernel) =
     let (), tally = Region.with_tally (fun () -> List.iter run_sweep k.body) in
     Artemis_obs.Journal.append "exec.split"
       [ ("kernel", Json.Str k.kname); ("executor", Json.Str "reference");
-        ("split", Json.Bool (Eval.split_enabled ()));
+        ("split", Json.Bool split);
         ("interior_points", Json.Float tally.t_interior);
         ("halo_points", Json.Float tally.t_halo);
         ("wavefront_points", Json.Float tally.t_wavefront);
@@ -143,30 +146,31 @@ let run_kernel (store : store) ~scalars (k : I.kernel) =
     [degree] time steps per call with the final exchange hoisted to the
     caller's swap.  This is the semantic ground truth the block
     executor's streamed interleaved traversal must match bit for bit. *)
-let run_blocked (store : store) ~scalars (k : I.kernel) ~out ~inp ~degree =
+let run_blocked ?schedule (store : store) ~scalars (k : I.kernel) ~out ~inp
+    ~degree =
   if degree < 1 then invalid_arg "Reference.run_blocked: degree < 1";
   for _ = 1 to degree - 1 do
-    run_kernel store ~scalars k;
+    run_kernel ?schedule store ~scalars k;
     let go = find_array store out and gi = find_array store inp in
     Hashtbl.replace store out gi;
     Hashtbl.replace store inp go
   done;
-  run_kernel store ~scalars k
+  run_kernel ?schedule store ~scalars k
 
 (** Execute a whole instantiated schedule (launches, swaps, time loops).
     Swaps exchange grid bindings, the ping-pong idiom of iterative
     stencils. *)
-let rec run_schedule (store : store) ~scalars items =
+let rec run_schedule ?schedule (store : store) ~scalars items =
   List.iter
     (function
-      | I.Launch k -> run_kernel store ~scalars k
+      | I.Launch k -> run_kernel ?schedule store ~scalars k
       | I.Exchange (a, b) ->
         let ga = find_array store a and gb = find_array store b in
         Hashtbl.replace store a gb;
         Hashtbl.replace store b ga
       | I.Repeat (n, sub) ->
         for _ = 1 to n do
-          run_schedule store ~scalars sub
+          run_schedule ?schedule store ~scalars sub
         done)
     items
 

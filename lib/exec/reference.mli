@@ -13,22 +13,24 @@ type store = (string, Grid.t) Hashtbl.t
 val find_array : store -> string -> Grid.t
 
 (** Execute one kernel; kernel arrays absent from the store (fused-kernel
-    scratch intermediates) are materialized locally, zero-initialized. *)
+    scratch intermediates) are materialized locally, zero-initialized.
+    [schedule] (default {!Eval.default_schedule}) picks how statements
+    sweep; every schedule computes bit-identical grids. *)
 val run_kernel :
-  store -> scalars:(string * float) list -> Artemis_dsl.Instantiate.kernel -> unit
+  ?schedule:Eval.schedule -> store -> scalars:(string * float) list -> Artemis_dsl.Instantiate.kernel -> unit
 
 (** Degree-[degree] temporally blocked execution of one ping-pong step
     kernel: [(launch; exchange)^(degree-1); launch] — [degree] time
     steps per call, the final exchange hoisted to the caller's swap.
     @raise Invalid_argument on degree < 1 or unbound arrays *)
 val run_blocked :
-  store -> scalars:(string * float) list -> Artemis_dsl.Instantiate.kernel ->
+  ?schedule:Eval.schedule -> store -> scalars:(string * float) list -> Artemis_dsl.Instantiate.kernel ->
   out:string -> inp:string -> degree:int -> unit
 
 (** Execute a whole instantiated schedule; swaps exchange grid bindings
     (the ping-pong idiom). *)
 val run_schedule :
-  store -> scalars:(string * float) list ->
+  ?schedule:Eval.schedule -> store -> scalars:(string * float) list ->
   Artemis_dsl.Instantiate.sched_item list -> unit
 
 (** A store for a program: every declared array filled with the

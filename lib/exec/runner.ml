@@ -102,7 +102,7 @@ let measure_schedule (steps : step list) =
 
 (** Data execution over a store (swaps rebind grids, as the host code's
     pointer exchange does). *)
-let run_schedule (steps : step list) (store : Reference.store) ~scalars =
+let run_schedule ?schedule (steps : step list) (store : Reference.store) ~scalars =
   Trace.with_span "exec.run_schedule" @@ fun () ->
   let counters = ref Counters.zero in
   let launches = ref 0 in
@@ -110,7 +110,7 @@ let run_schedule (steps : step list) (store : Reference.store) ~scalars =
     List.iter
       (function
         | Run_plan p ->
-          counters := Counters.add !counters (Kernel_exec.run p store ~scalars);
+          counters := Counters.add !counters (Kernel_exec.run ?schedule p store ~scalars);
           incr launches;
           Metrics.incr m_launches
         | Swap (a, b) ->
@@ -125,15 +125,3 @@ let run_schedule (steps : step list) (store : Reference.store) ~scalars =
   in
   go steps;
   (!counters, !launches)
-
-(** Convenience: run a whole DSL program end to end with data, comparing
-    against nothing — callers pair it with [Reference.run_schedule]. *)
-let run_program ?(plan_of = fun k -> Plan.default Artemis_gpu.Device.p100 k)
-    (prog : A.program) =
-  Artemis_dsl.Check.check prog;
-  let sched = I.schedule prog in
-  let store = Reference.store_of_program prog in
-  let scalars = Reference.scalars_of_program prog in
-  let steps = configure ~plan_of sched in
-  let counters, launches = run_schedule steps store ~scalars in
-  (store, counters, launches)

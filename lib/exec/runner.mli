@@ -34,14 +34,8 @@ val temporal_rewrite :
 val measure_schedule : step list -> outcome
 
 (** Data execution over a store (swaps rebind grids); returns total
-    counters and the launch count. *)
+    counters and the launch count.  [schedule] (default
+    {!Eval.default_schedule}) picks how statements sweep. *)
 val run_schedule :
-  step list -> Reference.store -> scalars:(string * float) list ->
+  ?schedule:Eval.schedule -> step list -> Reference.store -> scalars:(string * float) list ->
   Artemis_gpu.Counters.t * int
-
-(** Convenience: check, instantiate, and data-execute a whole program
-    with [plan_of] (default plans if omitted); returns the final store,
-    counters, and launch count. *)
-val run_program :
-  ?plan_of:(Artemis_dsl.Instantiate.kernel -> Artemis_ir.Plan.t) ->
-  Artemis_dsl.Ast.program -> Reference.store * Artemis_gpu.Counters.t * int

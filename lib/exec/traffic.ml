@@ -24,26 +24,17 @@ module Static = Artemis_static.Static
 
 let elem_bytes = 8
 
-(** Tunable constants of the DRAM/L2 model, exposed for the ablation
-    benchmarks (bench/main.exe -- ablation).  [halo_miss] is the fraction
-    of a block's halo footprint that misses L2 (neighbouring blocks are
-    rarely co-resident among thousands in flight); [l2_hit_floor] is the
-    residual miss rate even when a reuse working set fits in L2. *)
+(** The DRAM/L2 model constants.  Each plan's device carries its own
+    ([Device.halo_miss]/[Device.l2_hit_floor]); [default_model] is the
+    P100's, for reports that name the calibration without a device. *)
 type model = {
   halo_miss : float;
   l2_hit_floor : float;
 }
 
-let default_model = { halo_miss = 0.7; l2_hit_floor = 0.05 }
-
-(* Mutable so ablation studies can sweep it; every normal path reads the
-   default. *)
-let model = ref default_model
-
-let with_model m f =
-  let saved = !model in
-  model := m;
-  Fun.protect ~finally:(fun () -> model := saved) f
+let default_model =
+  let d = Artemis_gpu.Device.p100 in
+  { halo_miss = d.halo_miss; l2_hit_floor = d.l2_hit_floor }
 
 (* Per-statement static description: a function of the kernel alone. *)
 type stmt_info = {
@@ -746,8 +737,8 @@ let make_sum ctx (classes : (int * int) list array) =
     tab = ws.w_tab;
     lo = ws.w_lo;
     hi = ws.w_hi;
-    halo_miss = !model.halo_miss;
-    l2_hit_floor = !model.l2_hit_floor;
+    halo_miss = p.device.halo_miss;
+    l2_hit_floor = p.device.l2_hit_floor;
     l2 = float_of_int p.device.l2_bytes;
     syncs = float_of_int (Launch.syncs_per_block p g ctx.bufs);
     stream_dim = Plan.stream_dim p;

@@ -9,17 +9,18 @@
     streaming-without-shared-memory lose to plain tiling, Section
     VIII-F). *)
 
-(** Tunable constants of the DRAM/L2 model, exposed for ablation. *)
+(** The constants of the DRAM/L2 model.  Pricing reads them from the
+    plan's device ([Device.halo_miss], [Device.l2_hit_floor]), next to
+    its [l2_bytes]; vary them per device record, e.g.
+    [{ dev with halo_miss }]. *)
 type model = {
   halo_miss : float;  (** fraction of a block's halo footprint missing L2 *)
   l2_hit_floor : float;  (** residual miss rate when the working set fits *)
 }
 
+(** The P100's constants ([Device.p100]), for reports that name the
+    calibration without a device. *)
 val default_model : model
-val model : model ref
-
-(** Run [f] under a temporary model, restoring the previous one. *)
-val with_model : model -> (unit -> 'a) -> 'a
 
 (** Per-statement static description: a function of the kernel alone,
     cached per kernel value with the self-dependence dimensions and the

@@ -17,6 +17,13 @@ type t = {
   shared_per_block : int;  (** bytes, default configuration *)
   shared_alloc_unit : int;  (** bytes *)
   l2_bytes : int;
+  halo_miss : float;
+      (** fraction of a block's halo footprint that misses L2
+          (neighbouring blocks are rarely co-resident among thousands in
+          flight) — a constant of the [Traffic] DRAM/L2 model *)
+  l2_hit_floor : float;
+      (** residual L2 miss rate even when a reuse working set fits —
+          the other [Traffic] DRAM/L2 model constant *)
   clock_ghz : float;
   peak_dp_flops : float;  (** alpha, FLOP/s *)
   dram_bw : float;  (** bytes/s *)

@@ -55,7 +55,9 @@ let still_bandwidth_bound prof =
 (** Generate and tune fused versions of the ping-pong kernel [k] (writing
     [out] from [inp]) until fusion stops paying or [max_tile] is reached.
     [plan_of] builds the base plan (scheme/placement) for a fused kernel. *)
-let explore ?(max_tile = 5) ?(max_degree = 1) ~plan_of (k : I.kernel) ~out ~inp =
+let explore ?(max_tile = 5) ?(max_degree = 1)
+    ?(prerank_keep = Hierarchical.default_prerank_keep) ~plan_of (k : I.kernel) ~out
+    ~inp =
   (* Generate and tune one fused version — the heavy, pure part of each
      step, safe to run speculatively on a pool worker.  The tuner's own
      journal events are captured alongside the outcome so [decide] can
@@ -76,7 +78,9 @@ let explore ?(max_tile = 5) ?(max_degree = 1) ~plan_of (k : I.kernel) ~out ~inp 
             temporal = { Plan.no_temporal with Plan.pair = Some (out, inp) };
           }
         in
-        let knobs = { Hierarchical.default_knobs with Hierarchical.max_degree } in
+        let knobs =
+          { Hierarchical.default_knobs with Hierarchical.max_degree; prerank_keep }
+        in
         match Hierarchical.tune ~knobs base with
         | None -> None
         | Some record -> Some (record, profile_of record.best))

@@ -34,10 +34,13 @@ type result = {
     is reached; [plan_of] lowers each fused kernel to its base plan.
     With [max_degree] > 1 (default 1) each version's base plan names the
     ping-pong pair and the tuner picks the temporal-blocking degree b
-    jointly with the fusion width, so one launch covers x*b steps. *)
+    jointly with the fusion width, so one launch covers x*b steps.
+    [prerank_keep] (default [Hierarchical.default_prerank_keep]) is each
+    version's tuner pre-rank cut. *)
 val explore :
   ?max_tile:int ->
   ?max_degree:int ->
+  ?prerank_keep:float ->
   plan_of:(Artemis_dsl.Instantiate.kernel -> Artemis_ir.Plan.t) ->
   Artemis_dsl.Instantiate.kernel -> out:string -> inp:string -> result
 

@@ -79,23 +79,22 @@ let m_configs_prerank_pruned = Metrics.counter "tuner.configs_prerank_pruned"
 (* Pre-ranking: before paying a full analytic measurement per candidate,
    score every legal candidate with the measurement-free warp model
    ([Predict.time_s]) and only measure the slice predicted fastest.
-   [prerank_keep] is the percentage kept; >= 100 disables the filter.
+   The knobs' [prerank_keep] is the percentage kept; >= 100 disables
+   the filter.
    The default is calibrated on the committed benchmark suite: the
    chosen plan is unchanged while most measurements are skipped (gated
    by [prerank_plan_equal] in BENCH_tuner.json and `make model-smoke`). *)
 let default_prerank_keep = 25.0
-let prerank_keep = ref default_prerank_keep
 
 (* Split candidates into (kept, pruned) by predicted score, keeping the
-   top [!prerank_keep] percent (at least one).  Scoring fans out on the
+   top [pct] percent (at least one).  Scoring fans out on the
    pool (it is pure); the cut happens here with the candidate index as
    tie-break, so equal scores keep canonical order and the kept set is
    order-deterministic.  [None] when the filter is off or trivial; the
    returned candidates carry their predicted seconds, and the kept ones
    their register-stepped plan too, so measurement does not step them
    again. *)
-let prerank_split ~label plans =
-  let pct = !prerank_keep in
+let prerank_split ~pct ~label plans =
   let n = List.length plans in
   if pct >= 100.0 || n <= 1 then None
   else begin
@@ -152,6 +151,7 @@ type knobs = {
   max_degree : int;
       (** largest temporal-blocking degree phase 2 may try (1 = off);
           explored only when the base plan names its ping-pong pair *)
+  prerank_keep : float;  (** pre-rank keep percentage (>= 100 = off) *)
 }
 
 let default_knobs =
@@ -165,6 +165,7 @@ let default_knobs =
     unroll_bound = 8;
     top_n = 4;
     max_degree = 1;
+    prerank_keep = default_prerank_keep;
   }
 
 (** Derive knob settings from profiling decisions (Section IV-A): e.g.
@@ -301,14 +302,14 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
      the candidates' canonical order — same accounting, same winner, and
      the same tie-breaking as a serial sweep.
 
-     With pre-ranking active ([prerank_keep] < 100) the candidates are
+     With pre-ranking active ([knobs.prerank_keep] < 100) the candidates are
      first scored by the measurement-free warp model; only the slice
      predicted fastest is measured.  Scoring is pure and deterministic,
      so it also fans out on the pool; the keep/prune cut, the metrics,
      and every journal event happen here on the main domain in canonical
      candidate order — jobs=1 and jobs=N runs stay byte-identical. *)
   let consider_all ~phase ~label acc plans =
-    match prerank_split ~label:(label ^ ".predict") plans with
+    match prerank_split ~pct:knobs.prerank_keep ~label:(label ^ ".predict") plans with
     | None ->
       let results = Pool.map ~label (fun p -> measure_candidate (stepped p)) plans in
       List.fold_left2 (consider_result ~phase) acc plans results
@@ -319,7 +320,7 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
             ("candidates", Json.Int (List.length plans));
             ("kept", Json.Int (List.length kept));
             ("pruned", Json.Int (List.length pruned));
-            ("keep_pct", Json.Float !prerank_keep) ];
+            ("keep_pct", Json.Float knobs.prerank_keep) ];
       List.iter
         (fun (p, s) ->
           Metrics.incr m_configs_prerank_pruned;
@@ -348,7 +349,7 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
         ("knee_dram", Json.Float (Device.knee_dram base.device));
         ("knee_tex", Json.Float (Device.knee_tex base.device));
         ("knee_shm", Json.Float (Device.knee_shm base.device));
-        ("prerank_keep", Json.Float !prerank_keep) ];
+        ("prerank_keep", Json.Float knobs.prerank_keep) ];
   (* ---- phase 1: block shapes x unroll vectors ---- *)
   let blocks =
     Space.block_candidates ~rank ~scheme:base.scheme
@@ -397,7 +398,7 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
          cold and warm runs promote the same set. *)
       let measured =
         List.filter_map Fun.id
-          (match prerank_split ~label:"tune.top.predict" cands with
+          (match prerank_split ~pct:knobs.prerank_keep ~label:"tune.top.predict" cands with
            | None -> Pool.map ~label:"tune.top" measure_stepped cands
            | Some (kept, _) ->
              Pool.map ~label:"tune.top" (fun (_, sp, _) -> Measure_cache.try_measure sp) kept)

@@ -28,18 +28,20 @@ type knobs = {
   max_degree : int;
       (** largest temporal-blocking degree phase 2 may try (1 = off);
           explored only when the base plan names its ping-pong pair *)
+  prerank_keep : float;
+      (** percentage of each candidate batch the warp-model pre-rank
+          keeps for measurement; >= 100 measures every candidate *)
 }
 
 val default_knobs : knobs
 
-(** Pre-ranking filter: percentage of each candidate batch kept for full
-    analytic measurement after scoring with the measurement-free warp
-    model ([Predict]/[Warp_model]).  Values >= 100 disable the filter.
-    The default is calibrated so the chosen plan is unchanged on the
-    committed suite while most measurements are skipped (see
-    BENCH_tuner.json's prerank rows and `make model-smoke`). *)
-val prerank_keep : float ref
-
+(** Default of the knobs' [prerank_keep]: the percentage of each
+    candidate batch kept for full analytic measurement after scoring
+    with the measurement-free warp model ([Predict]/[Warp_model]).
+    Values >= 100 disable the filter.  The default is calibrated so the
+    chosen plan is unchanged on the committed suite while most
+    measurements are skipped (see BENCH_tuner.json's prerank rows and
+    `make model-smoke`). *)
 val default_prerank_keep : float
 
 (** Derive knob settings from the profiler's guideline decisions

@@ -3,15 +3,15 @@
    The tuner's phases re-measure the same plans many times over — phase-2
    refinement revisits phase-1 winners, deep tuning re-tunes shared
    prefixes at every fusion depth, and the benchmark harness replays whole
-   searches.  A measurement is a pure function of (traffic model, plan) —
-   the device is part of the plan, and the traffic model is the only other
-   global input — so the key is built from exactly that pair.
+   searches.  A measurement is a pure function of the plan — the device,
+   with the constants of the traffic model, is part of it — so the key is
+   built from the plan alone.
 
    The kernel is most of a plan's bytes and is the same value across a
    whole search, so it enters the key as a digest of its canonical
    ([Marshal.No_sharing]) bytes, computed once per kernel value through
    [Kernel_memo].  The rest of the key is the canonical bytes of the
-   model and the plan with its kernel field blanked.  Structurally equal
+   plan with its kernel field blanked.  Structurally equal
    plans therefore share a key whatever their sharing, and two plans
    collide only if their kernels' MD5 digests do.
 
@@ -36,13 +36,11 @@ let blank_kernel : Artemis_dsl.Instantiate.kernel =
   }
 
 (** Content key of a measurement request: the kernel's digest (fixed
-    length), then the canonical bytes of the traffic model in force and
-    the plan with its kernel blanked. *)
+    length), then the canonical bytes of the plan with its kernel
+    blanked. *)
 let key_of (plan : Plan.t) =
   kernel_digest plan.kernel
-  ^ Marshal.to_string
-      (!Artemis_exec.Traffic.model, { plan with kernel = blank_kernel })
-      [ Marshal.No_sharing ]
+  ^ Marshal.to_string { plan with kernel = blank_kernel } [ Marshal.No_sharing ]
 
 let lock = Mutex.create ()
 let table : (string, Artemis_exec.Analytic.measurement option) Hashtbl.t =

@@ -1,10 +1,10 @@
 (** Content-addressed memoization of {!Artemis_exec.Analytic.try_measure}.
 
-    A measurement is a pure function of the traffic model in force and the
-    plan (the device lives inside the plan).  Entries are keyed on a
-    digest of the plan's kernel, computed once per kernel value, followed
-    by the canonical [Marshal.No_sharing] bytes of the model and the plan
-    with its kernel blanked: structurally equal plans share an entry, and
+    A measurement is a pure function of the plan (the device, with the
+    traffic model's constants, lives inside the plan).  Entries are keyed
+    on a digest of the plan's kernel, computed once per kernel value,
+    followed by the canonical [Marshal.No_sharing] bytes of the plan with
+    its kernel blanked: structurally equal plans share an entry, and
     two different plans share one only if their kernels' MD5 digests
     collide.  Hits and misses feed the [tuner.cache_hit] /
     [tuner.cache_miss] counters and, when tracing is on, "tuner.cache"
@@ -13,12 +13,11 @@
     Domain-safe: the table is mutex-guarded, so pool workers measuring
     candidates concurrently share one cache. *)
 
-(** Content key for a plan under the current traffic model; its length
-    does not grow with the kernel.  Exposed for the cache-correctness
-    tests. *)
+(** Content key for a plan; its length does not grow with the kernel.
+    Exposed for the cache-correctness tests. *)
 val key_of : Artemis_ir.Plan.t -> string
 
-(** Memoized [try_measure]: a repeated (model, plan) pair — including one
+(** Memoized [try_measure]: a repeated plan — including one
     that measured invalid — costs a lookup, not a re-evaluation. *)
 val try_measure : Artemis_ir.Plan.t -> Artemis_exec.Analytic.measurement option
 

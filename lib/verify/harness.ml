@@ -60,11 +60,11 @@ let dump_finding ~dir ~seed f =
       path)
     (render_finding ~seed f)
 
-let run ?dump_dir ?(lint = false) ~seed ~cases () =
+let run ?dump_dir ?(lint = false) ?schedule ~seed ~cases () =
   Trace.with_span "verify.run" ~attrs:[ ("seed", Int seed); ("cases", Int cases) ]
   @@ fun () ->
   let fails prog trial =
-    match Oracle.check ~lint prog trial with
+    match Oracle.check ~lint ?schedule prog trial with
     | Oracle.Checked { mismatches = _ :: _; _ } -> true
     | Oracle.Checked { mismatches = []; _ } | Oracle.Skipped _ -> false
   in
@@ -83,7 +83,7 @@ let run ?dump_dir ?(lint = false) ~seed ~cases () =
     let trial_rng = Rng.make2 (seed lxor 0x5eed) index in
     List.map
       (fun trial ->
-        match Oracle.check ~lint case.prog trial with
+        match Oracle.check ~lint ?schedule case.prog trial with
         | Oracle.Skipped reason -> `Skipped reason
         | Oracle.Checked { plans; mismatches = [] } -> `Ok plans
         | Oracle.Checked { plans; mismatches = _ :: _ } ->
@@ -91,7 +91,7 @@ let run ?dump_dir ?(lint = false) ~seed ~cases () =
           (* Report the shrunk repro's own mismatches (the shrinker only
              keeps candidates that still fail). *)
           let mismatches =
-            match Oracle.check ~lint r.prog r.trial with
+            match Oracle.check ~lint ?schedule r.prog r.trial with
             | Oracle.Checked { mismatches = ms; _ } -> ms
             | Oracle.Skipped _ -> []
           in

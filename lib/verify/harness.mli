@@ -29,8 +29,12 @@ type summary = {
     there as a replayable [.stc] (pretty-printed, re-parseable) next to
     a [.repro.txt] with the trial description and mismatch list.  With
     [~lint:true] the oracle also enforces the third invariant: no
-    Error-level lint finding on any accepted (program, plan) pair. *)
-val run : ?dump_dir:string -> ?lint:bool -> seed:int -> cases:int -> unit -> summary
+    Error-level lint finding on any accepted (program, plan) pair.
+    [schedule] (default [Eval.default_schedule]) is the executors'
+    schedule, passed to every {!Oracle.check}. *)
+val run :
+  ?dump_dir:string -> ?lint:bool -> ?schedule:Artemis_exec.Eval.schedule ->
+  seed:int -> cases:int -> unit -> summary
 
 (** Files a finding would be dumped to, and their contents — exposed so
     the CLI and tests share the exact dump format.  Returns

@@ -199,7 +199,8 @@ let static_mismatches (prog : A.program) =
     kernels;
   List.rev !acc
 
-let check ?(lint = false) (prog : A.program) (trial : Sampler.trial) =
+let check ?(lint = false) ?(schedule = E.Eval.default_schedule) (prog : A.program)
+    (trial : Sampler.trial) =
   Trace.with_span "verify.trial" ~attrs:[ ("trial", Str (Sampler.trial_label trial)) ]
   @@ fun () ->
   (* Any exception past this point is a finding: the program checked and
@@ -222,7 +223,7 @@ let check ?(lint = false) (prog : A.program) (trial : Sampler.trial) =
       (* The reference always runs the program's own schedule: fused and
          fissioned trials are compared across the transformation. *)
       let ref_store = E.Reference.store_of_program prog in
-      match E.Reference.run_schedule ref_store ~scalars (I.schedule prog) with
+      match E.Reference.run_schedule ~schedule ref_store ~scalars (I.schedule prog) with
       | exception e -> crash e
       | () ->
       let exec_store = E.Reference.store_of_program prog in
@@ -243,7 +244,7 @@ let check ?(lint = false) (prog : A.program) (trial : Sampler.trial) =
         when not (List.for_all Artemis_ir.Validate.is_valid blocked) ->
         Skipped "no-launchable-blocked-plan"
       | _ -> (
-      match E.Runner.run_schedule steps exec_store ~scalars with
+      match E.Runner.run_schedule ~schedule steps exec_store ~scalars with
       | exception E.Kernel_exec.Unsupported msg -> Skipped ("unsupported: " ^ msg)
       | exception e -> crash e
       | exec_counters, _launches ->
@@ -332,7 +333,8 @@ let check ?(lint = false) (prog : A.program) (trial : Sampler.trial) =
            must be pure acceleration — re-running both executors with it
            disabled (the guarded per-point fallback) must reproduce every
            copied-out grid bit for bit.  Runner steps are store-free, so
-           the same configured plans re-execute on fresh stores. *)
+           the same configured plans re-execute on fresh stores.  Under a
+           schedule without the wavefront there is nothing to compare. *)
         let self_dependent =
           List.exists
             (fun (k : I.kernel) ->
@@ -349,29 +351,31 @@ let check ?(lint = false) (prog : A.program) (trial : Sampler.trial) =
         (match static_mismatches prog with
         | exception e -> push (Crash { detail = Printexc.to_string e })
         | ms -> List.iter push ms);
-        if self_dependent && E.Eval.wavefront_enabled () then
-          E.Eval.with_wavefront false (fun () ->
-              let compare_outputs executor base store =
-                List.iter
-                  (fun a ->
-                    match I.array_dims prog a with
-                    | None -> ()
-                    | Some _ ->
-                      let diff =
-                        E.Grid.max_abs_diff
-                          (E.Reference.find_array base a)
-                          (E.Reference.find_array store a)
-                      in
-                      if diff <> 0.0 then
-                        push (Wavefront_mismatch { executor; array = a; diff }))
-                  prog.copyout
-              in
-              let ref2 = E.Reference.store_of_program prog in
-              (match E.Reference.run_schedule ref2 ~scalars (I.schedule prog) with
-              | exception e -> push (Crash { detail = Printexc.to_string e })
-              | () -> compare_outputs "reference" ref_store ref2);
-              let exec2 = E.Reference.store_of_program prog in
-              match E.Runner.run_schedule steps exec2 ~scalars with
-              | exception e -> push (Crash { detail = Printexc.to_string e })
-              | _ -> compare_outputs "blocks" exec_store exec2);
+        (match schedule with
+         | E.Eval.Rows { wavefront = true; static_elim } when self_dependent ->
+           let schedule = E.Eval.Rows { wavefront = false; static_elim } in
+           let compare_outputs executor base store =
+             List.iter
+               (fun a ->
+                 match I.array_dims prog a with
+                 | None -> ()
+                 | Some _ ->
+                   let diff =
+                     E.Grid.max_abs_diff
+                       (E.Reference.find_array base a)
+                       (E.Reference.find_array store a)
+                   in
+                   if diff <> 0.0 then
+                     push (Wavefront_mismatch { executor; array = a; diff }))
+               prog.copyout
+           in
+           let ref2 = E.Reference.store_of_program prog in
+           (match E.Reference.run_schedule ~schedule ref2 ~scalars (I.schedule prog) with
+           | exception e -> push (Crash { detail = Printexc.to_string e })
+           | () -> compare_outputs "reference" ref_store ref2);
+           let exec2 = E.Reference.store_of_program prog in
+           (match E.Runner.run_schedule ~schedule steps exec2 ~scalars with
+           | exception e -> push (Crash { detail = Printexc.to_string e })
+           | _ -> compare_outputs "blocks" exec_store exec2)
+         | E.Eval.Rows _ | E.Eval.Interpret -> ());
         Checked { plans = List.length plans; mismatches = List.rev !mismatches }))))

@@ -20,9 +20,10 @@
     plans that validate must also lint clean of errors.
 
     On self-dependent programs (Gauss-Seidel/SOR cases) a fourth
-    invariant pins the wavefront schedule: re-running both executors
-    under [Eval.with_wavefront false] (the guarded per-point fallback)
-    must reproduce every copied-out grid bit for bit.
+    invariant pins the wavefront schedule: when [schedule] has the
+    wavefront on, re-running both executors under the same schedule
+    with [wavefront = false] (the guarded per-point fallback) must
+    reproduce every copied-out grid bit for bit.
 
     A fifth invariant pins the affine analyzer's footprints
     ([Artemis_static.Static]) against dynamic behavior on the program's
@@ -61,4 +62,8 @@ type verdict =
 (** Interior margin used for output comparison under this variant. *)
 val margin_of : Artemis_dsl.Ast.program -> Sampler.variant -> int
 
-val check : ?lint:bool -> Artemis_dsl.Ast.program -> Sampler.trial -> verdict
+(** [schedule] (default [Eval.default_schedule]) is how both executors
+    sweep statements. *)
+val check :
+  ?lint:bool -> ?schedule:Artemis_exec.Eval.schedule -> Artemis_dsl.Ast.program ->
+  Sampler.trial -> verdict

@@ -30,4 +30,5 @@ let () =
       Test_extensions.tests;
       Test_props.tests;
       Test_pricing.tests;
+      Test_decision.tests;
     ]

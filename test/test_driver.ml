@@ -102,12 +102,11 @@ let tests =
          finding.  Pinned over a clean, a warning-only, and an
          Error-carrying program. *)
       case "lint and analyze agree on exit codes" (fun () ->
-          let artemisc = "../bin/artemisc.exe" in
-          Alcotest.(check bool) "artemisc built" true (Sys.file_exists artemisc);
+          Alcotest.(check bool) "artemisc built" true
+            (Sys.file_exists "../bin/artemisc.exe");
           let status cmd path =
-            Sys.command
-              (Printf.sprintf "%s %s %s > /dev/null 2>&1" artemisc cmd
-                 (Filename.quote path))
+            let st, _, _ = Util.artemisc (cmd ^ " " ^ Filename.quote path) in
+            st
           in
           List.iter
             (fun (label, errors_expected, src) ->
@@ -145,26 +144,17 @@ let tests =
                   stencil s0 (x, y) { x[i] = y[i+1]; } s0 (u, v); copyout u;|} );
             ]);
       case "malformed input is a located diagnostic with exit 1" (fun () ->
-          let artemisc = "../bin/artemisc.exe" in
           List.iter
             (fun (src, expected) ->
               let path = Filename.temp_file "artemis_cli" ".stc" in
-              let err = Filename.temp_file "artemis_cli" ".err" in
               Fun.protect
-                ~finally:(fun () ->
-                  Sys.remove path;
-                  Sys.remove err)
+                ~finally:(fun () -> Sys.remove path)
                 (fun () ->
                   Out_channel.with_open_bin path (fun oc -> output_string oc src);
                   List.iter
                     (fun cmd ->
-                      let st =
-                        Sys.command
-                          (Printf.sprintf "%s %s %s > /dev/null 2> %s" artemisc cmd
-                             (Filename.quote path) (Filename.quote err))
-                      in
+                      let st, _, msg = Util.artemisc (cmd ^ " " ^ Filename.quote path) in
                       Alcotest.(check int) (cmd ^ " exit status") 1 st;
-                      let msg = In_channel.with_open_bin err In_channel.input_all in
                       let prefix = "artemisc: " ^ path ^ expected in
                       Alcotest.(check bool)
                         (Printf.sprintf "%s: %S starts with %S" cmd msg prefix)
@@ -175,4 +165,22 @@ let tests =
               ("parameter L=8;\niterator i;\ndouble u[L] @;\n", ":3: lexical error");
               ("parameter L=8;\niterator i;\ndouble u[L;\n", ":3: syntax error");
             ]);
+      case "--prerank-keep accepts only finite percentages above 0" (fun () ->
+          let run v =
+            Util.artemisc ("explain --bench 7pt-smoother --json --prerank-keep=" ^ v)
+          in
+          (* A meaningless cut is a usage error naming the flag, not a
+             search that measures almost nothing. *)
+          List.iter
+            (fun v ->
+              let st, _, msg = run v in
+              Alcotest.(check bool) (v ^ ": non-zero exit") true (st <> 0);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %S names the flag" v msg)
+                true
+                (Util.contains ~sub:"--prerank-keep" msg))
+            [ "nan"; "0"; "-5"; "inf" ];
+          (* 100 or more still means "off" *)
+          let st, _, _ = run "100" in
+          Alcotest.(check int) "100: exit 0" 0 st);
     ] )

@@ -98,22 +98,13 @@ let tests =
             (Artemis_gpu.Occupancy.calculate p100 u).blocks_per_sm;
           Alcotest.(check bool) "v100 launches" true
             ((Artemis_gpu.Occupancy.calculate v100 u).blocks_per_sm > 0));
-      case "with_model restores the default on exit" (fun () ->
-          let before = !E.Traffic.model in
-          E.Traffic.with_model
-            { E.Traffic.default_model with halo_miss = 0.1 }
-            (fun () ->
-              Alcotest.(check (float 0.0)) "inside" 0.1 !E.Traffic.model.halo_miss);
-          Alcotest.(check (float 0.0)) "restored" before.halo_miss
-            !E.Traffic.model.halo_miss);
       case "halo miss rate moves DRAM traffic monotonically" (fun () ->
           let b = Artemis_bench.Suite.at_size 32 (Artemis_bench.Suite.find "7pt-smoother") in
           let k = List.hd (Artemis_bench.Suite.kernels b) in
-          let p = Artemis_codegen.Lower.lower p100 k O.default in
           let dram hm =
-            E.Traffic.with_model
-              { E.Traffic.default_model with halo_miss = hm }
-              (fun () -> (E.Analytic.measure p).counters.dram_bytes)
+            let device = { p100 with halo_miss = hm } in
+            (E.Analytic.measure (Artemis_codegen.Lower.lower device k O.default))
+              .counters.dram_bytes
           in
           Alcotest.(check bool) "monotone" true (dram 0.2 < dram 0.8));
       case "extras: every 2-D benchmark executes == reference" (fun () ->

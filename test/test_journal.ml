@@ -7,26 +7,11 @@ module Journal = Artemis_obs.Journal
 module Provenance = Artemis_obs.Provenance
 module Bench_diff = Artemis_obs.Bench_diff
 module Json = Artemis_obs.Json
-module Pool = Artemis_par.Pool
 module Suite = Artemis_bench.Suite
 module Reference = Artemis_exec.Reference
 module I = Artemis_dsl.Instantiate
 
 let case name f = Alcotest.test_case name `Quick f
-
-(* Run [f] under a given pool configuration, restoring the previous one.
-   [force] bypasses the core-count clamp so jobs>1 exercises real
-   domains even on a single-core machine (same hook test_par uses). *)
-let with_pool ~jobs ~force f =
-  let saved_jobs = Pool.jobs () in
-  let saved_force = !Pool.force_parallel in
-  Pool.set_jobs jobs;
-  Pool.force_parallel := force;
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.set_jobs saved_jobs;
-      Pool.force_parallel := saved_force)
-    f
 
 (* The full explain pipeline on a small suite stencil: optimize every
    kernel, deep-tune if iterative, return the journal as JSONL.  The
@@ -133,8 +118,8 @@ let tests =
       ;
       case "explain pipeline journals byte-identically at jobs=1 and jobs=4"
         (fun () ->
-          let serial = with_pool ~jobs:1 ~force:false run_pipeline in
-          let parallel = with_pool ~jobs:4 ~force:true run_pipeline in
+          let serial = Util.with_pool ~jobs:1 run_pipeline in
+          let parallel = Util.with_pool ~jobs:4 run_pipeline in
           Alcotest.(check bool) "journal is non-empty" true
             (String.length serial > 0);
           Alcotest.(check string) "byte-identical JSONL" serial parallel)
@@ -153,14 +138,14 @@ let tests =
             Journal.stop ();
             out
           in
-          let serial = with_pool ~jobs:1 ~force:false run in
-          let parallel = with_pool ~jobs:4 ~force:true run in
+          let serial = Util.with_pool ~jobs:1 run in
+          let parallel = Util.with_pool ~jobs:4 run in
           Alcotest.(check bool) "tuner.temporal events present" true
             (events_of_kind "tuner.temporal" serial <> []);
           Alcotest.(check string) "byte-identical JSONL" serial parallel)
       ;
       case "provenance report accounts for every candidate" (fun () ->
-          let jsonl = with_pool ~jobs:1 ~force:false run_pipeline in
+          let jsonl = Util.with_pool ~jobs:1 run_pipeline in
           let events = Journal.parse_jsonl jsonl in
           let report = Provenance.report ~program:"7pt-smoother" events in
           let s = field "summary" report in
@@ -190,8 +175,8 @@ let tests =
             Journal.stop ();
             s
           in
-          let serial = with_pool ~jobs:1 ~force:false run in
-          let parallel = with_pool ~jobs:4 ~force:true run in
+          let serial = Util.with_pool ~jobs:1 run in
+          let parallel = Util.with_pool ~jobs:4 run in
           Alcotest.(check string) "byte-identical JSONL" serial parallel;
           Alcotest.(check int) "one fuzz.case event per case" 3
             (List.length (events_of_kind "fuzz.case" serial)))

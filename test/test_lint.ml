@@ -7,11 +7,6 @@ module O = Artemis.Options
 
 let case name f = Alcotest.test_case name `Quick f
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
 let codes fs =
   List.sort_uniq compare (List.map (fun (f : Lint.finding) -> f.code) fs)
 
@@ -350,7 +345,7 @@ let a601 =
         Alcotest.(check bool) "names the hyperplane" true
           (List.exists
              (fun (f : Lint.finding) ->
-               f.code = "A601" && contains ~sub:"hyperplane" f.message)
+               f.code = "A601" && Util.contains ~sub:"hyperplane" f.message)
              fs));
     case "A601 clean counterpart (distinct buffers)" (fun () ->
         assert_clean
@@ -466,7 +461,7 @@ let misc =
         let r = Lint.report fs in
         Alcotest.(check string) "error first" "A103" (String.sub r 0 4);
         Alcotest.(check bool) "summary" true
-          (contains ~sub:"1 error(s), 0 warning(s), 1 info" r));
+          (Util.contains ~sub:"1 error(s), 0 warning(s), 1 info" r));
     case "empty report" (fun () ->
         Alcotest.(check string) "none" "no findings\n" (Lint.report []));
     case "json shape" (fun () ->
@@ -573,7 +568,7 @@ let validate_cases =
         ignore (Artemis.Hierarchical.tune p);
         let snap = Artemis.Json.to_string (Artemis.Metrics.snapshot ()) in
         Alcotest.(check bool) "counter present" true
-          (contains ~sub:"tuner.configs_lint_pruned" snap)) ]
+          (Util.contains ~sub:"tuner.configs_lint_pruned" snap)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Affine dataflow backed codes (A7xx)                                 *)
@@ -635,7 +630,7 @@ let a703 =
          | exception _ -> ());
         let snap = Artemis.Json.to_string (Artemis.Metrics.snapshot ()) in
         Alcotest.(check bool) "counter present" true
-          (contains ~sub:"tuner.configs_static_pruned" snap)) ]
+          (Util.contains ~sub:"tuner.configs_static_pruned" snap)) ]
 
 let tests =
   ( "lint",

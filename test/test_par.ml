@@ -15,19 +15,6 @@ module Suite = Artemis_bench.Suite
 let case name f = Alcotest.test_case name `Quick f
 let dev = Artemis_gpu.Device.p100
 
-(* Run [f] with the pool and cache globals pinned, restoring them (and
-   tearing the pool down lazily via set_jobs) afterwards. *)
-let with_globals ~jobs ?(force = false) f =
-  let saved_jobs = Pool.jobs () in
-  let saved_force = !Pool.force_parallel in
-  Pool.force_parallel := force;
-  Pool.set_jobs jobs;
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.force_parallel := saved_force;
-      Pool.set_jobs saved_jobs)
-    f
-
 let smoother_kernel () = List.hd (Suite.kernels (Suite.find "7pt-smoother"))
 
 (* Artifact strings for the determinism checks: every observable output
@@ -50,31 +37,31 @@ let deep_artifact () =
   ^ Printf.sprintf "|cusp=%d|sched=[%s]" dr.deep.cusp
       (String.concat ";" (List.map string_of_int dr.schedule))
 
-let fuzz_artifact () =
+let fuzz_artifact ?schedule () =
   Artemis_verify.Harness.summary_to_string
-    (Artemis_verify.Harness.run ~lint:true ~seed:5 ~cases:6 ())
+    (Artemis_verify.Harness.run ~lint:true ?schedule ~seed:5 ~cases:6 ())
 
 let check_deterministic name artifact =
-  let serial = with_globals ~jobs:1 artifact in
-  let parallel = with_globals ~jobs:4 ~force:true artifact in
+  let serial = Util.with_pool ~jobs:1 artifact in
+  let parallel = Util.with_pool ~jobs:4 artifact in
   Alcotest.(check string) name serial parallel
 
 let pool_tests =
   [
     case "serial map equals List.map in order" (fun () ->
-        with_globals ~jobs:1 (fun () ->
+        Util.with_pool ~jobs:1 (fun () ->
             let xs = List.init 20 Fun.id in
             Alcotest.(check (list int))
               "identical" (List.map (fun x -> (x * x) + 1) xs)
               (Pool.map (fun x -> (x * x) + 1) xs)));
     case "forced-parallel map preserves input order" (fun () ->
-        with_globals ~jobs:4 ~force:true (fun () ->
+        Util.with_pool ~jobs:4 (fun () ->
             let xs = List.init 101 Fun.id in
             Alcotest.(check (list int))
               "identical" (List.map (fun x -> (x * 3) - 7) xs)
               (Pool.map ~label:"test" (fun x -> (x * 3) - 7) xs)));
     case "lowest-index exception is the one re-raised" (fun () ->
-        with_globals ~jobs:4 ~force:true (fun () ->
+        Util.with_pool ~jobs:4 (fun () ->
             match
               Pool.map
                 (fun i ->
@@ -84,7 +71,7 @@ let pool_tests =
             | _ -> Alcotest.fail "expected an exception"
             | exception Failure msg -> Alcotest.(check string) "index" "3" msg));
     case "nested map degrades to serial without deadlock" (fun () ->
-        with_globals ~jobs:4 ~force:true (fun () ->
+        Util.with_pool ~jobs:4 (fun () ->
             let rows =
               Pool.map
                 (fun i -> Pool.map (fun j -> (i * 10) + j) (List.init 5 Fun.id))
@@ -95,7 +82,7 @@ let pool_tests =
               (List.init 4 (fun i -> List.init 5 (fun j -> (i * 10) + j)))
               rows));
     case "parallelism is clamped to the core count" (fun () ->
-        with_globals ~jobs:4 (fun () ->
+        Util.with_pool ~jobs:4 ~force:false (fun () ->
             Alcotest.(check int) "jobs records the request" 4 (Pool.jobs ());
             Alcotest.(check bool) "clamped by cores" true
               (Pool.parallelism () <= Domain.recommended_domain_count ());
@@ -146,7 +133,7 @@ let determinism_tests =
         let work = List.concat (List.init 4 (fun _ -> kernels)) in
         let serial = List.map kernel_analysis work in
         let parallel =
-          with_globals ~jobs:4 ~force:true (fun () -> Pool.map kernel_analysis work)
+          Util.with_pool ~jobs:4 (fun () -> Pool.map kernel_analysis work)
         in
         Alcotest.(check (list string)) "identical" serial parallel);
     case "optimize: jobs=4 plan identical to jobs=1" (fun () ->
@@ -211,6 +198,14 @@ let cache_tests =
         let q = { p with Plan.block } in
         Alcotest.(check bool) "keys differ" true
           (Cache.key_of p <> Cache.key_of q));
+    case "plans differing only in the device's L2 constants get distinct keys"
+      (fun () ->
+        let p = Artemis_codegen.Lower.lower dev (smoother_kernel ()) O.default in
+        let q = { p with Plan.device = { p.device with halo_miss = 0.3 } } in
+        let r = { p with Plan.device = { p.device with l2_hit_floor = 0.1 } } in
+        Alcotest.(check bool) "halo_miss in the key" true (Cache.key_of p <> Cache.key_of q);
+        Alcotest.(check bool) "l2_hit_floor in the key" true
+          (Cache.key_of p <> Cache.key_of r));
     case "structurally equal kernels share a key" (fun () ->
         let p = lower_src (coeff_src "0.5") and q = lower_src (coeff_src "0.5") in
         Alcotest.(check bool) "physically distinct kernels" true (p.kernel != q.kernel);
@@ -254,7 +249,7 @@ let cache_tests =
                 Alcotest.(check bool) (what ^ ": same result after rewrite") true (r = r'')))
           corruptions);
     case "warm tune measures zero new configurations" (fun () ->
-        with_globals ~jobs:1 (fun () ->
+        Util.with_pool ~jobs:1 (fun () ->
             Cache.clear ();
             let m = Metrics.counter "exec.analytic_measures" in
             let base =
@@ -286,21 +281,20 @@ let eval_tests =
         let prog = Artemis.parse_string eval_src in
         let k = Artemis.first_kernel prog in
         let scalars = E.Reference.scalars_of_program prog in
-        let run interp =
-          Util.with_interpreter interp (fun () ->
-              let store = E.Reference.store_of_program prog in
-              E.Reference.run_kernel store ~scalars k;
-              E.Reference.find_array store "u")
+        let run schedule =
+          let store = E.Reference.store_of_program prog in
+          E.Reference.run_kernel ~schedule store ~scalars k;
+          E.Reference.find_array store "u"
         in
         Alcotest.(check (float 0.0))
           "split == interpreter" 0.0
-          (E.Grid.max_abs_diff (run false) (run true)));
+          (E.Grid.max_abs_diff (run E.Eval.default_schedule) (run E.Eval.Interpret)));
     case "fuzz: split on/off summaries identical at jobs=4" (fun () ->
-        let summary interp =
-          with_globals ~jobs:4 ~force:true (fun () ->
-              Util.with_interpreter interp fuzz_artifact)
+        let summary schedule =
+          Util.with_pool ~jobs:4 (fun () -> fuzz_artifact ?schedule ())
         in
-        Alcotest.(check string) "identical" (summary false) (summary true));
+        Alcotest.(check string) "identical" (summary None)
+          (summary (Some E.Eval.Interpret)));
   ]
 
 let tests = ("par", pool_tests @ determinism_tests @ cache_tests @ eval_tests)

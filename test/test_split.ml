@@ -21,11 +21,15 @@ module Suite = Artemis_bench.Suite
 
 let case name f = Alcotest.test_case name `Quick f
 
-(* ---------------- modes ---------------- *)
+(* ---------------- schedules ---------------- *)
 
-type mode = Interp | Split
-
-let with_mode mode f = Util.with_interpreter (mode = Interp) f
+(* The executor schedules compared here: the point-wise interpreter, the
+   default row schedule, and the row schedule without the wavefront or
+   without static guard elimination. *)
+let interp = Eval.Interpret
+let split = Eval.default_schedule
+let no_wavefront = Eval.Rows { wavefront = false; static_elim = true }
+let no_elim = Eval.Rows { wavefront = true; static_elim = false }
 
 (* ---------------- partition property ---------------- *)
 
@@ -129,7 +133,7 @@ let ij shift_i shift_j = [ A.index ~iter:"i" shift_i; A.index ~iter:"j" shift_j 
    the split lowering when the statement splits, [None] when it takes
    the wavefront schedule or the guarded path. *)
 let split_of b ~target idx e =
-  match (Eval.compile_stmt b ~target ~accum:false idx e).sx_class with
+  match (Eval.compile_stmt ~schedule:split b ~target ~accum:false idx e).sx_class with
   | Eval.Sc_split ss -> Some ss
   | Eval.Sc_wavefront _ | Eval.Sc_guarded -> None
 
@@ -238,7 +242,7 @@ let interior_tests =
             let target, widx =
               if covering then (u, ij 0 0) else (u1, [ A.index ~iter:"i" 0 ])
             in
-            let sx = Eval.compile_stmt b ~target ~accum widx e in
+            let sx = Eval.compile_stmt ~schedule:split b ~target ~accum widx e in
             let ss =
               match sx.sx_class with
               | Eval.Sc_split ss -> ss
@@ -250,8 +254,7 @@ let interior_tests =
               (* the point-wise interpreter ([eval]/[guard]), independent
                  of rows *)
               Region.iter_points interior
-                (with_mode Interp (fun () ->
-                     Eval.compile_stmt b ~target ~accum widx e))
+                (Eval.compile_stmt ~schedule:interp b ~target ~accum widx e)
                   .sx_guarded;
             (target, Region.volume interior)
           in
@@ -322,44 +325,39 @@ let fallback_tests =
         let prog = Artemis.parse_string src in
         let k = Artemis.first_kernel prog in
         let scalars = E.Reference.scalars_of_program prog in
-        let run mode =
-          with_mode mode (fun () ->
-              let store = E.Reference.store_of_program prog in
-              E.Reference.run_kernel store ~scalars k;
-              E.Reference.find_array store "u")
+        let run schedule =
+          let store = E.Reference.store_of_program prog in
+          E.Reference.run_kernel ~schedule store ~scalars k;
+          E.Reference.find_array store "u"
         in
         Alcotest.(check (float 0.0))
           "identical" 0.0
-          (E.Grid.max_abs_diff (run Interp) (run Split)));
+          (E.Grid.max_abs_diff (run interp) (run split)));
   ]
 
 (* ---------------- whole-executor bit-identity ---------------- *)
 
 (* Copyout grids after running a program's schedule through the
-   reference executor under [mode]. *)
-let reference_outputs mode (prog : A.program) =
-  with_mode mode (fun () ->
-      let store = E.Reference.store_of_program prog in
-      E.Reference.run_schedule store
-        ~scalars:(E.Reference.scalars_of_program prog)
-        (I.schedule prog);
-      List.map (fun n -> (n, E.Grid.copy (E.Reference.find_array store n)))
-        prog.copyout)
+   reference executor under the executor [schedule]. *)
+let reference_outputs schedule (prog : A.program) =
+  let store = E.Reference.store_of_program prog in
+  E.Reference.run_schedule ~schedule store
+    ~scalars:(E.Reference.scalars_of_program prog)
+    (I.schedule prog);
+  List.map (fun n -> (n, E.Grid.copy (E.Reference.find_array store n))) prog.copyout
 
 (* Same through the block executor, one plan per kernel; block shapes
    shrink until launchable, as the tuner's validity filter would. *)
-let runner_outputs mode opts (prog : A.program) =
-  with_mode mode (fun () ->
-      let store = E.Reference.store_of_program prog in
-      let steps =
-        E.Runner.configure ~plan_of:(fun k -> Util.valid_lower k opts) (I.schedule prog)
-      in
-      let _ =
-        E.Runner.run_schedule steps store
-          ~scalars:(E.Reference.scalars_of_program prog)
-      in
-      List.map (fun n -> (n, E.Grid.copy (E.Reference.find_array store n)))
-        prog.copyout)
+let runner_outputs schedule opts (prog : A.program) =
+  let store = E.Reference.store_of_program prog in
+  let steps =
+    E.Runner.configure ~plan_of:(fun k -> Util.valid_lower k opts) (I.schedule prog)
+  in
+  let _ =
+    E.Runner.run_schedule ~schedule steps store
+      ~scalars:(E.Reference.scalars_of_program prog)
+  in
+  List.map (fun n -> (n, E.Grid.copy (E.Reference.find_array store n))) prog.copyout
 
 let check_identical label outs outs' =
   List.iter2
@@ -370,7 +368,7 @@ let check_identical label outs outs' =
     outs outs'
 
 let modes_identical ~outputs what =
-  check_identical (what ^ ": split vs interpreter") (outputs Split) (outputs Interp)
+  check_identical (what ^ ": split vs interpreter") (outputs split) (outputs interp)
 
 let suite_mode_cases =
   List.map
@@ -422,7 +420,7 @@ let metrics_tests =
         let before_halo = Metrics.counter_value m_halo in
         let before_elim = Metrics.counter_value m_elim in
         let b = Suite.at_size 12 (Suite.find "7pt-smoother") in
-        ignore (reference_outputs Split b.prog);
+        ignore (reference_outputs split b.prog);
         Alcotest.(check bool) "interior points counted" true
           (Metrics.counter_value m_int > before_int);
         (* under static elimination (the default) the shells are proven
@@ -433,15 +431,14 @@ let metrics_tests =
           before_halo (Metrics.counter_value m_halo);
         (* with elimination off, the shells take the guarded halo path *)
         let after_elim = Metrics.counter_value m_elim in
-        Eval.with_static_elim false (fun () ->
-            ignore (reference_outputs Split b.prog));
+        ignore (reference_outputs no_elim b.prog);
         Alcotest.(check bool) "halo points counted without elimination" true
           (Metrics.counter_value m_halo > before_halo);
         Alcotest.(check (float 0.0)) "elimination off adds none" after_elim
           (Metrics.counter_value m_elim);
         (* the point-wise interpreter never touches the interior counter *)
         let after_int = Metrics.counter_value m_int in
-        ignore (reference_outputs Interp b.prog);
+        ignore (reference_outputs interp b.prog);
         Alcotest.(check (float 0.0)) "interpreter adds none" after_int
           (Metrics.counter_value m_int));
     case "elimination on/off bit-identical on suite programs" (fun () ->
@@ -450,9 +447,8 @@ let metrics_tests =
             let b = Suite.at_size 12 (Suite.find bname) in
             check_identical
               (bname ^ ": elim on vs off")
-              (reference_outputs Split b.prog)
-              (Eval.with_static_elim false (fun () ->
-                   reference_outputs Split b.prog)))
+              (reference_outputs split b.prog)
+              (reference_outputs no_elim b.prog))
           [ "7pt-smoother"; "denoise"; "rhs4center" ]);
   ]
 
@@ -460,7 +456,6 @@ let metrics_tests =
 
 module W = E.Wavefront
 module Static = Artemis_static.Static
-module Pool = Artemis_par.Pool
 module Journal = Artemis_obs.Journal
 
 (* Gauss-Seidel with a forcing term: uniform self-dependence with
@@ -483,7 +478,7 @@ let wf_sor3d_src =
     sor (u); copyout u;|}
 
 (* The full executor matrix on one self-dependent program: interpreter,
-   guarded fallback ([with_wavefront false] under split mode), and the
+   guarded fallback (the row schedule without the wavefront), and the
    wavefront schedule, through the reference and block executors — all
    bit-identical. *)
 let wavefront_matrix_case name src =
@@ -491,34 +486,26 @@ let wavefront_matrix_case name src =
     (fun () ->
       let module O = Artemis_codegen.Options in
       let prog = Artemis.parse_string src in
-      let wf = reference_outputs Split prog in
+      let wf = reference_outputs split prog in
       check_identical (name ^ ": wavefront vs interpreter") wf
-        (reference_outputs Interp prog);
+        (reference_outputs interp prog);
       check_identical (name ^ ": wavefront vs guarded") wf
-        (Eval.with_wavefront false (fun () -> reference_outputs Split prog));
-      let bwf = runner_outputs Split O.default prog in
+        (reference_outputs no_wavefront prog);
+      let bwf = runner_outputs split O.default prog in
       check_identical (name ^ ": blocks wavefront vs reference") wf bwf;
       check_identical
         (name ^ ": blocks wavefront vs blocks guarded")
         bwf
-        (Eval.with_wavefront false (fun () ->
-             runner_outputs Split O.default prog)))
+        (runner_outputs no_wavefront O.default prog))
 
-(* [reference_outputs Split] at the given job count, with the pool's
+(* [reference_outputs split] at the given job count, with the pool's
    core-count clamp disabled so jobs=4 exercises the queue even on
    single-core hosts; returns the copyout grids and the decision
    journal. *)
 let wavefront_run_at_jobs prog jobs =
-  let saved = Pool.jobs () and sf = !Pool.force_parallel in
-  Pool.set_jobs jobs;
-  Pool.force_parallel := jobs > 1;
-  Fun.protect
-    ~finally:(fun () ->
-      Pool.set_jobs saved;
-      Pool.force_parallel := sf)
-    (fun () ->
+  Util.with_pool ~jobs (fun () ->
       Journal.start ();
-      let outs = reference_outputs Split prog in
+      let outs = reference_outputs split prog in
       Journal.stop ();
       (outs, Journal.to_jsonl ()))
 
@@ -587,14 +574,13 @@ let wavefront_tests =
         let m_gd = Metrics.counter "exec.guarded_points" in
         let prog = Artemis.parse_string wf_gs2d_src in
         let before_wf = Metrics.counter_value m_wf in
-        ignore (reference_outputs Split prog);
+        ignore (reference_outputs split prog);
         Alcotest.(check bool) "wavefront points counted" true
           (Metrics.counter_value m_wf > before_wf);
         (* the guarded fallback charges the guarded counter instead *)
         let after_wf = Metrics.counter_value m_wf in
         let before_gd = Metrics.counter_value m_gd in
-        Eval.with_wavefront false (fun () ->
-            ignore (reference_outputs Split prog));
+        ignore (reference_outputs no_wavefront prog);
         Alcotest.(check (float 0.0)) "fallback adds no wavefront points"
           after_wf (Metrics.counter_value m_wf);
         Alcotest.(check bool) "fallback charges guarded points" true
@@ -604,9 +590,9 @@ let wavefront_tests =
 (* ---------------- the reference stays point-wise ---------------- *)
 
 (* Schedule class of every statement of [prog]'s first kernel, compiled
-   under [mode] against its initial store (temporaries join the store,
+   under [schedule] against its initial store (temporaries join the store,
    where [bind_temp] finds them). *)
-let statement_classes mode (prog : A.program) =
+let statement_classes schedule (prog : A.program) =
   let k = Artemis.first_kernel prog in
   let store = E.Reference.store_of_program prog in
   let scalars = E.Reference.scalars_of_program prog in
@@ -619,19 +605,18 @@ let statement_classes mode (prog : A.program) =
     }
   in
   let identity = List.map (fun it -> A.index ~iter:it 0) k.iters in
-  with_mode mode (fun () ->
-      List.map
-        (fun stmt ->
-          let target, accum, idx, e =
-            match stmt with
-            | A.Decl_temp (t, e) ->
-              Hashtbl.replace store t (E.Grid.create k.domain);
-              (t, false, identity, e)
-            | A.Assign (a, idx, e) -> (a, false, idx, e)
-            | A.Accum (a, idx, e) -> (a, true, idx, e)
-          in
-          (Eval.compile_stmt b ~target:(b.bind_array target) ~accum idx e).sx_class)
-        k.body)
+  List.map
+    (fun stmt ->
+      let target, accum, idx, e =
+        match stmt with
+        | A.Decl_temp (t, e) ->
+          Hashtbl.replace store t (E.Grid.create k.domain);
+          (t, false, identity, e)
+        | A.Assign (a, idx, e) -> (a, false, idx, e)
+        | A.Accum (a, idx, e) -> (a, true, idx, e)
+      in
+      (Eval.compile_stmt ~schedule b ~target:(b.bind_array target) ~accum idx e).sx_class)
+    k.body
 
 let reference_tests =
   [
@@ -651,13 +636,13 @@ let reference_tests =
             let is_guarded = function Eval.Sc_guarded -> true | _ -> false in
             Alcotest.(check bool)
               (name ^ ": split path has a non-guarded statement") true
-              (not (List.for_all is_guarded (statement_classes Split prog)));
+              (not (List.for_all is_guarded (statement_classes split prog)));
             Alcotest.(check bool)
               (name ^ ": every statement guarded under the interpreter") true
-              (List.for_all is_guarded (statement_classes Interp prog));
+              (List.for_all is_guarded (statement_classes interp prog));
             let before = List.map Metrics.counter_value counters in
-            ignore (reference_outputs Interp prog);
-            ignore (runner_outputs Interp Artemis_codegen.Options.default prog);
+            ignore (reference_outputs interp prog);
+            ignore (runner_outputs interp Artemis_codegen.Options.default prog);
             Alcotest.(check (list (float 0.0)))
               (name ^ ": interior/wavefront/eliminated counters unchanged")
               before

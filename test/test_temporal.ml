@@ -130,14 +130,14 @@ let count_blocked steps =
 (* Run [src]'s schedule unblocked through the reference executor and
    blocked at [degree] through the block executor; every copyout array
    must match bit for bit. *)
-let blocked_vs_unblocked ?(halo = Plan.Halo_recompute)
+let blocked_vs_unblocked ?schedule ?(halo = Plan.Halo_recompute)
     ?(tbuf = Plan.Shared_double) ~degree src =
   let prog = Artemis.parse_string src in
   Check.check prog;
   let sched = I.schedule prog in
   let scalars = E.Reference.scalars_of_program prog in
   let ref_store = E.Reference.store_of_program prog in
-  E.Reference.run_schedule ref_store ~scalars sched;
+  E.Reference.run_schedule ?schedule ref_store ~scalars sched;
   let store = E.Reference.store_of_program prog in
   let plan_of k = Util.valid_lower k O.default in
   let steps = E.Runner.configure ~plan_of sched in
@@ -145,7 +145,7 @@ let blocked_vs_unblocked ?(halo = Plan.Halo_recompute)
   Alcotest.(check bool)
     "rewrite produced a blocked plan" true
     (count_blocked blocked > count_blocked steps);
-  let _counters = E.Runner.run_schedule blocked store ~scalars in
+  let _counters = E.Runner.run_schedule ?schedule blocked store ~scalars in
   List.iter
     (fun name ->
       let a = E.Reference.find_array ref_store name in
@@ -191,12 +191,11 @@ let reference_blocked_equal ~degree src =
 let equality_cases =
   [ case "streamed blocked = unblocked, all modes, degrees 2-5" (fun () ->
         List.iter
-          (fun interp ->
-            Util.with_interpreter interp (fun () ->
-                List.iter
-                  (fun degree -> blocked_vs_unblocked ~degree (jacobi_src 12))
-                  [ 2; 3; 4; 5 ]))
-          [ true; false ]);
+          (fun schedule ->
+            List.iter
+              (fun degree -> blocked_vs_unblocked ~schedule ~degree (jacobi_src 12))
+              [ 2; 3; 4; 5 ])
+          [ E.Eval.Interpret; E.Eval.default_schedule ]);
     case "degree with remainder (T=11, b=3) is exact" (fun () ->
         blocked_vs_unblocked ~degree:3 (jacobi_src 11));
     case "degree = T collapses to one launch and is exact" (fun () ->

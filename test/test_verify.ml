@@ -15,11 +15,6 @@ let case name f = Alcotest.test_case name `Quick f
    below), and 42 is the acceptance seed replayed by `make fuzz-smoke`. *)
 let corpus = [ (1, 8); (7, 50); (13, 8); (42, 15); (99, 8) ]
 
-let contains haystack needle =
-  let nh = String.length haystack and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
-  go 0
-
 let total_stmts (p : A.program) =
   List.fold_left (fun acc (d : A.stencil_def) -> acc + List.length d.body) 0 p.stencils
 
@@ -144,7 +139,7 @@ let tests =
               (Filename.check_suffix txt_name ".repro.txt");
             Artemis_dsl.Check.check (Artemis_dsl.Parser.parse_program stc);
             Alcotest.(check bool) "replay command present" true
-              (contains txt "artemisc fuzz --seed 1")
+              (Util.contains ~sub:"artemisc fuzz --seed 1" txt)
           | files -> Alcotest.failf "expected 2 dump files, got %d" (List.length files));
       (* -------------------------------------------------------------- *)
       (* Regression pins for bugs this harness caught or shipped with.   *)

@@ -15,7 +15,6 @@ module Space = Artemis_tune.Space
 module H = Artemis_tune.Hierarchical
 module O = Artemis_codegen.Options
 module Lower = Artemis_codegen.Lower
-module Pool = Artemis_par.Pool
 module Journal = Artemis_obs.Journal
 module Suite = Artemis_bench.Suite
 
@@ -184,30 +183,16 @@ let tests =
             (List.length (List.sort_uniq compare keys)));
       case "pre-ranked tuning journals byte-identically at jobs=1 and jobs=4"
         (fun () ->
-          let with_pool ~jobs f =
-            let saved_jobs = Pool.jobs () in
-            let saved_force = !Pool.force_parallel in
-            Pool.set_jobs jobs;
-            Pool.force_parallel := jobs > 1;
-            Fun.protect
-              ~finally:(fun () ->
-                Pool.set_jobs saved_jobs;
-                Pool.force_parallel := saved_force)
-              f
-          in
           let run jobs =
-            with_pool ~jobs (fun () ->
-                let saved = !H.prerank_keep in
-                H.prerank_keep := H.default_prerank_keep;
-                Fun.protect
-                  ~finally:(fun () -> H.prerank_keep := saved)
-                  (fun () ->
-                    Artemis.Measure_cache.clear ();
-                    Journal.start ();
-                    ignore (Artemis.optimize_kernel (jacobi ()));
-                    let out = Journal.to_jsonl () in
-                    Journal.stop ();
-                    out))
+            Util.with_pool ~jobs (fun () ->
+                Artemis.Measure_cache.clear ();
+                Journal.start ();
+                ignore
+                  (Artemis.optimize_kernel ~prerank_keep:H.default_prerank_keep
+                     (jacobi ()));
+                let out = Journal.to_jsonl () in
+                Journal.stop ();
+                out)
           in
           let serial = run 1 in
           let fanned = run 4 in
