@@ -35,19 +35,19 @@ bench:
 
 # Bit-identity gate for changes to the counter model (docs/PERF.md): the
 # `pricing` test group alone, its golden digests of tuner-candidate
-# pricing, per-block counters and edge layouts, and the warm-vs-cold
-# staging memo check.  A few seconds, against minutes for the full suite.
+# pricing, pre-rank scores, per-block counters and edge layouts, and the
+# warm-vs-cold staging memo check.  A few seconds, against minutes for
+# the full suite.
 pricing-pin:
 	dune exec test/main.exe -- test pricing
 
 # Bit-identity gate for changes to the tuner's decisions: the `decision`
 # test group alone, the MD5 of `artemisc explain --json` on four suite
 # benchmarks (deep tuning, pre-rank off, a V100 device record, temporal
-# blocking) at -j 1 and -j 2.  A few seconds.  Runs from the test build
-# directory, where the tests find ../bin/artemisc.exe.
+# blocking) at -j 1 and -j 2.  A few seconds.
 decision-pin:
-	dune build bin/artemisc.exe test/main.exe
-	cd _build/default/test && ./main.exe test decision
+	dune build bin/artemisc.exe
+	dune exec test/main.exe -- test decision
 
 # End-to-end observability smoke test: record a trace + JSON report on
 # the Jacobi example, then validate both by parsing them back.
@@ -133,11 +133,12 @@ wavefront-smoke:
 tb-smoke:
 	dune exec bench/main.exe -- tb-smoke
 
-# Warp-model smoke test (docs/MODEL.md): on every registry device the
-# measurement-free pre-rank must pick the same winning plan as
-# exhaustive measurement from strictly fewer measurements, and the
-# decision journal with pre-ranking on must be byte-identical at jobs=1
-# and jobs=4.
+# Pre-rank smoke test (docs/MODEL.md): on every registry device, every
+# suite benchmark tuned as `artemisc explain --bench` tunes it must end
+# in the same plans at the same TFLOPS under the default pre-rank cut as
+# with every candidate measured, from strictly fewer measurements, and
+# the decision journal with pre-ranking on must be byte-identical at
+# jobs=1 and jobs=4.
 model-smoke:
 	dune exec bench/main.exe -- model-smoke
 

@@ -601,7 +601,7 @@ type tuner_cfg = {
   cfg_name : string;
   cfg_jobs : int;
   cfg_warm : bool;  (* keep the cache from the previous row *)
-  cfg_prerank : float;  (* warp-model pre-rank keep %% (100 = off) *)
+  cfg_prerank : float;  (* pre-rank keep %% (100 = off) *)
 }
 
 let tuner_configs =
@@ -659,7 +659,7 @@ let tuner_rows ~fuzz_cases ~max_tile cfg =
         (tuner_components ~fuzz_cases ~max_tile ~prerank_keep:cfg.cfg_prerank))
 
 (* Analytic measurements spent on the tuning components — the work the
-   warp-model pre-rank is meant to save.  The fuzz component never
+   pre-rank is meant to save.  The fuzz component never
    enters the tuner, so it is excluded on both sides. *)
 let tuned_measures rows =
   List.fold_left
@@ -771,34 +771,56 @@ let tuner_smoke () =
   end
 
 (* Hidden smoke variant (`make model-smoke`): on every registry device,
-   tuning with the warp-model pre-rank must pick the same plan as
-   exhaustive measurement while measuring strictly fewer
-   configurations, and the decision journal with pre-ranking on must be
-   byte-identical between jobs=1 and jobs=4. *)
+   every suite benchmark at full size, tuned as `artemisc explain --bench
+   B --device D` tunes it ([optimize_kernel] per kernel, then [deep_tune]
+   on the iterative ones), must end in the same plans at the same TFLOPS
+   under the default pre-rank cut as with every candidate measured, from
+   strictly fewer measurements per device; and the decision journal with
+   pre-ranking on must be byte-identical between jobs=1 and jobs=4. *)
 let model_smoke () =
-  header "model smoke: warp-model pre-rank per registry device";
-  let k = List.hd (Suite.kernels (Suite.at_size 32 (Suite.find "7pt-smoother"))) in
-  let tune_with pct device =
-    Artemis.Measure_cache.clear ();
-    let before = Artemis.Metrics.counter_value m_measures in
-    let r = Artemis.optimize_kernel ~device ~prerank_keep:pct k in
-    ( Plan.label r.tuned.plan,
-      Artemis.Metrics.counter_value m_measures -. before )
+  header "model smoke: pre-rank cut vs every candidate measured, suite x devices";
+  (* Every chosen plan and its TFLOPS, in tuning order, and the analytic
+     measurements spent choosing them. *)
+  let tune_suite pct device =
+    with_jobs 2 (fun () ->
+        Artemis.Measure_cache.clear ();
+        let before = Artemis.Metrics.counter_value m_measures in
+        let chosen =
+          List.concat_map
+            (fun (b : Suite.t) ->
+              let tune k =
+                Artemis.optimize_kernel ~device ~iterative:b.iterative ~prerank_keep:pct k
+              in
+              let tuned = List.map (fun k -> (tune k).tuned) (Suite.kernels b) in
+              let deep =
+                if b.iterative then
+                  List.map
+                    (fun (v : Artemis.Deep.version) -> v.record.best)
+                    (Artemis.deep_tune ~device ~prerank_keep:pct b.prog).deep.versions
+                else []
+              in
+              List.map
+                (fun (m : Artemis.Analytic.measurement) ->
+                  Printf.sprintf "%s %s %.17g" b.name (Plan.label m.plan) m.tflops)
+                (tuned @ deep))
+            Suite.all
+        in
+        (chosen, Artemis.Metrics.counter_value m_measures -. before))
   in
   List.iter
     (fun (alias, device) ->
-      let plan_off, n_off = tune_with 100.0 device in
-      let plan_on, n_on =
-        tune_with Artemis.Hierarchical.default_prerank_keep device
-      in
-      Printf.printf "%-5s measures %4.0f -> %4.0f  %s\n%!" alias n_off n_on
-        plan_on;
-      if plan_off <> plan_on then begin
-        Printf.eprintf
-          "model-smoke FAILED: %s winner changed under pre-rank (%s vs %s)\n"
-          alias plan_off plan_on;
-        exit 1
-      end;
+      let off, n_off = tune_suite 100.0 device in
+      let on, n_on = tune_suite Artemis.Hierarchical.default_prerank_keep device in
+      Printf.printf "%-5s measures %6.0f -> %6.0f  %d choices\n%!" alias n_off n_on
+        (List.length on);
+      List.iter2
+        (fun a b ->
+          if a <> b then begin
+            Printf.eprintf
+              "model-smoke FAILED: %s choice changed under pre-rank (%s vs %s)\n" alias a b;
+            exit 1
+          end)
+        off on;
       if n_on >= n_off then begin
         Printf.eprintf
           "model-smoke FAILED: %s pre-rank saved no measurements (%.0f >= %.0f)\n"
@@ -806,6 +828,7 @@ let model_smoke () =
         exit 1
       end)
     Artemis.Device.registry;
+  let k = List.hd (Suite.kernels (Suite.at_size 32 (Suite.find "7pt-smoother"))) in
   (* Journal byte-identity at jobs=1 vs jobs=4 with pre-ranking on: the
      prerank decisions are journaled on the main domain in canonical
      order, so fan-out must not show. *)

@@ -22,6 +22,15 @@ open Cmdliner
 module Json = Artemis.Json
 module Trace = Artemis.Trace
 
+(* The exit statuses every subcommand documents; the entry point at the
+   bottom maps evaluation results onto them. *)
+let exits =
+  [ Cmd.Exit.info Cmd.Exit.ok ~doc:"on success.";
+    Cmd.Exit.info 1
+      ~doc:"on a command-line error, malformed input, a check that finds \
+            errors or a failed write.";
+    Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on an unexpected internal error (a bug)." ]
+
 (** Run a front-end step on [path], turning its failures into located
     diagnostics (exit status 1) instead of uncaught exceptions. *)
 let diagnose path f =
@@ -126,8 +135,8 @@ let prerank_arg =
   Arg.(value & opt prerank_conv Artemis.Hierarchical.default_prerank_keep
        & info [ "prerank-keep" ] ~docv:"PCT"
            ~doc:"Measure only the top $(docv)% of each tuning phase's \
-                 candidates as ranked by the measurement-free warp model \
-                 (docs/MODEL.md); 100 or more disables pre-ranking.")
+                 candidates as ranked by the measurement-free one-block \
+                 sketch (docs/MODEL.md); 100 or more disables pre-ranking.")
 
 (** The ping-pong (out, inp) pair of a program's time loop, if any — what
     temporal blocking needs to attach to a plan. *)
@@ -273,7 +282,7 @@ let check_cmd =
     | `Error _ as e -> e
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info "check" ~exits
        ~doc:"Parse and semantically check a DSL program (reports every violation)")
     Term.(ret (const run $ trace_arg $ path_arg))
 
@@ -325,7 +334,7 @@ let lint_cmd =
         | `Error _ as e -> e)
   in
   Cmd.v
-    (Cmd.info "lint"
+    (Cmd.info "lint" ~exits
        ~doc:"Whole-pipeline diagnostics: hazards, bounds, liveness, and \
              resource feasibility (codes catalogued in docs/LINT.md); exits \
              non-zero when any Error-level finding is reported")
@@ -583,7 +592,7 @@ let analyze_cmd =
        | es -> `Error (false, Printf.sprintf "%d lint error(s)" (List.length es)))
   in
   Cmd.v
-    (Cmd.info "analyze"
+    (Cmd.info "analyze" ~exits
        ~doc:"Affine dataflow analysis: per-statement footprints (symbolic and \
              concrete), exact dependence distances with hyperplane legality, \
              and the A7xx findings they back (docs/ANALYSIS.md); exit status \
@@ -607,7 +616,7 @@ let compile_cmd =
     | `Error _ as e -> e
   in
   Cmd.v
-    (Cmd.info "compile"
+    (Cmd.info "compile" ~exits
        ~doc:"Generate the baseline CUDA version from the program's pragma")
     Term.(ret (const run $ trace_arg $ device_arg $ path_arg $ out_arg))
 
@@ -663,7 +672,7 @@ let optimize_cmd =
     | `Error _ as e -> e
   in
   Cmd.v
-    (Cmd.info "optimize"
+    (Cmd.info "optimize" ~exits
        ~doc:"Profile, hierarchically autotune, and emit the best CUDA version")
     Term.(
       ret
@@ -734,7 +743,7 @@ let deep_cmd =
     | `Error _ as e -> e
   in
   Cmd.v
-    (Cmd.info "deep"
+    (Cmd.info "deep" ~exits
        ~doc:"Deep-tune an iterative ping-pong program (Section VI-A)")
     Term.(
       ret
@@ -766,7 +775,7 @@ let bench_cmd =
         ks;
       `Ok ()
   in
-  Cmd.v (Cmd.info "bench" ~doc:"Optimize one Table-I benchmark end to end")
+  Cmd.v (Cmd.info "bench" ~exits ~doc:"Optimize one Table-I benchmark end to end")
     Term.(ret (const run $ trace_arg $ device_arg $ prerank_arg $ name_arg))
 
 let list_cmd =
@@ -781,7 +790,7 @@ let list_cmd =
       Artemis.Suite.all;
     `Ok ()
   in
-  Cmd.v (Cmd.info "list" ~doc:"List the Table-I benchmarks")
+  Cmd.v (Cmd.info "list" ~exits ~doc:"List the Table-I benchmarks")
     Term.(ret (const run $ trace_arg $ const ()))
 
 (* ---------------- explain ---------------- *)
@@ -914,7 +923,7 @@ let explain_cmd =
         `Ok ())
   in
   Cmd.v
-    (Cmd.info "explain"
+    (Cmd.info "explain" ~exits
        ~doc:"Plan provenance from the decision journal: every candidate \
              ranked (won / lost with margin / lint-pruned with code / \
              failed), cache economics, and the winner's roofline-style \
@@ -967,7 +976,7 @@ let bench_diff_cmd =
                 r.regressions threshold ))
   in
   Cmd.v
-    (Cmd.info "bench-diff"
+    (Cmd.info "bench-diff" ~exits
        ~doc:"Gate a bench artifact against a baseline: compares the \
              deterministic indicators (TFLOP/s, speedups, equality flags) \
              and exits non-zero on regressions past the threshold")
@@ -1010,7 +1019,7 @@ let fuzz_cmd =
       `Error (false, Printf.sprintf "%d differential finding(s)" (List.length fs))
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info "fuzz" ~exits
        ~doc:"Differential fuzzing: random programs x sampled plans, checked \
              bit-exactly against the reference executor and the analytic \
              counter model")
@@ -1161,19 +1170,27 @@ let trace_info_cmd =
         `Ok ())
   in
   Cmd.v
-    (Cmd.info "trace-info"
+    (Cmd.info "trace-info" ~exits
        ~doc:"Validate a recorded trace file and summarize its most expensive \
              spans (cumulative and self time, call counts)")
     Term.(ret (const run $ file_arg $ json_arg $ top_arg))
 
+(* Every error a user can cause — an unknown subcommand or option, a
+   value a flag's converter rejects, malformed input, a failed check —
+   exits 1; only an uncaught exception (a bug) exits 125. *)
 let () =
   let info =
-    Cmd.info "artemisc" ~version:Artemis.version
+    Cmd.info "artemisc" ~version:Artemis.version ~exits
       ~doc:"ARTEMIS stencil code generator (OCaml reproduction)"
   in
   exit
-    (Cmd.eval ~term_err:1
-       (Cmd.group info
-          [ check_cmd; lint_cmd; analyze_cmd; compile_cmd; optimize_cmd;
-            deep_cmd; bench_cmd;
-            list_cmd; explain_cmd; bench_diff_cmd; fuzz_cmd; trace_info_cmd ]))
+    (match
+       Cmd.eval_value
+         (Cmd.group info
+            [ check_cmd; lint_cmd; analyze_cmd; compile_cmd; optimize_cmd;
+              deep_cmd; bench_cmd;
+              list_cmd; explain_cmd; bench_diff_cmd; fuzz_cmd; trace_info_cmd ])
+     with
+     | Ok (`Ok () | `Help | `Version) -> Cmd.Exit.ok
+     | Error (`Parse | `Term) -> 1
+     | Error `Exn -> Cmd.Exit.internal_error)

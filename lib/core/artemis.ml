@@ -22,7 +22,6 @@ module Analysis = Artemis_dsl.Analysis
 module Pretty = Artemis_dsl.Pretty
 module Device = Artemis_gpu.Device
 module Counters = Artemis_gpu.Counters
-module Warp_model = Artemis_gpu.Warp_model
 module Predict = Artemis_exec.Predict
 module Plan = Artemis_ir.Plan
 module Validate = Artemis_ir.Validate

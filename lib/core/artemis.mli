@@ -16,10 +16,8 @@ module Pretty = Artemis_dsl.Pretty
 module Device = Artemis_gpu.Device
 module Counters = Artemis_gpu.Counters
 
-(** Warp-level measurement-free runtime estimator and its Plan adapter:
-    the tuner's pre-ranking model (see docs/MODEL.md).  *)
-module Warp_model = Artemis_gpu.Warp_model
-
+(** Measurement-free pre-ranking: [Timing.evaluate] on a one-block
+    counter sketch (see docs/MODEL.md). *)
 module Predict = Artemis_exec.Predict
 module Plan = Artemis_ir.Plan
 module Validate = Artemis_ir.Validate
@@ -100,8 +98,8 @@ val profile_measurement : Analytic.measurement -> Classify.profile
     [max_degree] > 1 (default 1), phase 2 also explores degree-N temporal
     blocking up to that degree.  [prerank_keep] (default
     [Hierarchical.default_prerank_keep]) is the percentage of each
-    candidate batch the warp-model pre-rank keeps for measurement; 100
-    or more measures every candidate. *)
+    candidate batch the pre-rank ([Predict.rank]) keeps for
+    measurement; 100 or more measures every candidate. *)
 val optimize_kernel :
   ?device:Device.t -> ?iterative:bool -> ?opts:Options.t ->
   ?max_degree:int -> ?prerank_keep:float -> ?pingpong:string * string ->

@@ -22,28 +22,30 @@ type measurement = {
   tflops : float;
 }
 
+(* The timing model's view of a priced launch: [ctx]'s resources,
+   geometry and dependence phases with whole-grid [counters]. *)
+let workload (ctx : Traffic.ctx) counters =
+  {
+    Timing.counters;
+    occupancy = ctx.res.occupancy;
+    ilp = ctx.res.ilp;
+    blocks = ctx.geom.total_blocks;
+    threads_per_block = Plan.threads_per_block ctx.plan;
+    prefetch = ctx.plan.prefetch;
+    serial_waves = ctx.serial_waves;
+  }
+
 (* Measure a plan already known to be launchable. *)
 let measure_valid (plan : Plan.t) =
   Metrics.incr m_measures;
   let ctx = Traffic.make_ctx plan in
   let counters = Traffic.total_counters ctx in
-  let res = ctx.res in
-  let workload =
-    {
-      Timing.counters;
-      occupancy = res.occupancy;
-      ilp = res.ilp;
-      blocks = ctx.geom.total_blocks;
-      threads_per_block = Plan.threads_per_block plan;
-      prefetch = plan.prefetch;
-      serial_waves = ctx.serial_waves;
-    }
-  in
+  let workload = workload ctx counters in
   let breakdown = Timing.evaluate plan.device workload in
   {
     plan;
     counters;
-    resources = res;
+    resources = ctx.res;
     breakdown;
     time_s = breakdown.t_total;
     tflops = Timing.tflops workload breakdown;

@@ -15,6 +15,14 @@ type measurement = {
   tflops : float;  (** useful FLOPs / time *)
 }
 
+(** The timing model's view of a priced launch: occupancy, ILP, block
+    count, threads per block, prefetch and dependence phases from the
+    context, with the given whole-grid counters.  The one builder of
+    [Timing.workload]: measurement passes the exact class sum,
+    pre-ranking ([Predict]) the scaled one-block sketch, and code
+    differencing a variant's reduced counters. *)
+val workload : Traffic.ctx -> Artemis_gpu.Counters.t -> Artemis_gpu.Timing.workload
+
 (** Measure a plan.
     @raise Invalid_argument when the plan violates device limits. *)
 val measure : Artemis_ir.Plan.t -> measurement

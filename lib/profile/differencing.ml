@@ -36,17 +36,7 @@ let threshold = 1.15
 (** Run the differencing experiment for [level] on a measured plan. *)
 let test (m : Analytic.measurement) (level : Classify.level) =
   let reduced = reduce_level level m.plan m.counters in
-  let workload =
-    {
-      Timing.counters = reduced;
-      occupancy = m.resources.occupancy;
-      ilp = m.resources.ilp;
-      blocks = (Artemis_ir.Launch.geometry m.plan).total_blocks;
-      threads_per_block = Plan.threads_per_block m.plan;
-      prefetch = m.plan.prefetch;
-      serial_waves = (Artemis_exec.Traffic.make_ctx m.plan).serial_waves;
-    }
-  in
+  let workload = Analytic.workload (Artemis_exec.Traffic.make_ctx m.plan) reduced in
   let b = Timing.evaluate m.plan.device workload in
   let speedup = if b.t_total > 0.0 then m.time_s /. b.t_total else 1.0 in
   {

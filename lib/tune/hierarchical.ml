@@ -77,8 +77,8 @@ let m_tuner_runs = Metrics.counter "tuner.runs"
 let m_configs_prerank_pruned = Metrics.counter "tuner.configs_prerank_pruned"
 
 (* Pre-ranking: before paying a full analytic measurement per candidate,
-   score every legal candidate with the measurement-free warp model
-   ([Predict.time_s]) and only measure the slice predicted fastest.
+   score every legal candidate with the measurement-free one-block
+   sketch ([Predict.rank]) and only measure the slice predicted fastest.
    The knobs' [prerank_keep] is the percentage kept; >= 100 disables
    the filter.
    The default is calibrated on the committed benchmark suite: the
@@ -302,12 +302,13 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
      the candidates' canonical order — same accounting, same winner, and
      the same tie-breaking as a serial sweep.
 
-     With pre-ranking active ([knobs.prerank_keep] < 100) the candidates are
-     first scored by the measurement-free warp model; only the slice
-     predicted fastest is measured.  Scoring is pure and deterministic,
-     so it also fans out on the pool; the keep/prune cut, the metrics,
-     and every journal event happen here on the main domain in canonical
-     candidate order — jobs=1 and jobs=N runs stay byte-identical. *)
+     With pre-ranking active ([knobs.prerank_keep] < 100) the candidates
+     are first scored by the measurement-free sketch ([Predict.rank]);
+     only the slice predicted fastest is measured.  Scoring is pure and
+     deterministic, so it also fans out on the pool; the keep/prune cut,
+     the metrics, and every journal event happen here on the main domain
+     in canonical candidate order — jobs=1 and jobs=N runs stay
+     byte-identical. *)
   let consider_all ~phase ~label acc plans =
     match prerank_split ~pct:knobs.prerank_keep ~label:(label ^ ".predict") plans with
     | None ->

@@ -29,7 +29,7 @@ type knobs = {
       (** largest temporal-blocking degree phase 2 may try (1 = off);
           explored only when the base plan names its ping-pong pair *)
   prerank_keep : float;
-      (** percentage of each candidate batch the warp-model pre-rank
+      (** percentage of each candidate batch the pre-rank ([Predict])
           keeps for measurement; >= 100 measures every candidate *)
 }
 
@@ -37,7 +37,7 @@ val default_knobs : knobs
 
 (** Default of the knobs' [prerank_keep]: the percentage of each
     candidate batch kept for full analytic measurement after scoring
-    with the measurement-free warp model ([Predict]/[Warp_model]).
+    with the measurement-free one-block sketch ([Predict]).
     Values >= 100 disable the filter.  The default is calibrated so the
     chosen plan is unchanged on the committed suite while most
     measurements are skipped (see BENCH_tuner.json's prerank rows and

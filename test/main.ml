@@ -9,7 +9,7 @@ let () =
       Test_analysis.tests;
       Test_depgraph.tests;
       Test_gpu.tests;
-      Test_warp_model.tests;
+      Test_predict.tests;
       Test_ir.tests;
       Test_exec.tests;
       Test_split.tests;

@@ -103,7 +103,7 @@ let tests =
          Error-carrying program. *)
       case "lint and analyze agree on exit codes" (fun () ->
           Alcotest.(check bool) "artemisc built" true
-            (Sys.file_exists "../bin/artemisc.exe");
+            (Sys.file_exists Util.artemisc_exe);
           let status cmd path =
             let st, _, _ = Util.artemisc (cmd ^ " " ^ Filename.quote path) in
             st
@@ -174,7 +174,7 @@ let tests =
           List.iter
             (fun v ->
               let st, _, msg = run v in
-              Alcotest.(check bool) (v ^ ": non-zero exit") true (st <> 0);
+              Alcotest.(check int) (v ^ ": exit status") 1 st;
               Alcotest.(check bool)
                 (Printf.sprintf "%s: %S names the flag" v msg)
                 true
@@ -183,4 +183,11 @@ let tests =
           (* 100 or more still means "off" *)
           let st, _, _ = run "100" in
           Alcotest.(check int) "100: exit 0" 0 st);
+      case "every command-line error exits 1" (fun () ->
+          List.iter
+            (fun args ->
+              let st, _, _ = Util.artemisc args in
+              Alcotest.(check int) (args ^ ": exit status") 1 st)
+            [ "bogus"; "explain --bogus"; "explain --bench 7pt-smoother --device foo";
+              "explain --bench nope"; "explain" ]);
     ] )

@@ -1,7 +1,8 @@
 (* Tuner per-candidate pricing pin: the register-stepping result, the
    pre-rank score and the full analytic measurement of every candidate
    the hierarchical tuner can consider, rendered with %h (exact float
-   bits) and digested.  Per-kernel caching and read merging must leave
+   bits) and digested, the pre-rank scores in a digest of their own.
+   Per-kernel caching and read merging must leave
    every one of these values bit-identical: one ulp of drift in one
    counter of one candidate fails here.
 
@@ -116,15 +117,17 @@ let candidates () =
            |> List.map (fun c -> List.map (fun v -> (v, true)) (variants c))))
     (bases ())
 
+(* [p] at its smallest spill-free register step (255 when none is), the
+   plan the tuner scores and measures. *)
+let stepped (p : Plan.t) =
+  { p with max_regs = Option.value (Space.min_nonspill_regs p) ~default:255 }
+
 let render_candidate buf ((p : Plan.t), priced) =
   let h = Printf.bprintf in
   h buf "%s|" (Plan.label p);
-  let steps = Space.min_nonspill_regs p in
-  (match steps with Some r -> h buf "r%d|" r | None -> h buf "r-|");
+  (match Space.min_nonspill_regs p with Some r -> h buf "r%d|" r | None -> h buf "r-|");
   if priced then begin
-  let sp = { p with max_regs = (match steps with Some r -> r | None -> 255) } in
-  let score, t = E.Predict.rank sp in
-  h buf "%h %h|" score t;
+  let sp = stepped p in
   (match E.Analytic.try_measure sp with
    | None -> h buf "invalid"
    | Some m ->
@@ -140,7 +143,18 @@ let render_candidate buf ((p : Plan.t), priced) =
   end;
   Buffer.add_char buf '\n'
 
-let golden = "9a20dcf4a193f3d7991cefc017196ab2"
+let golden = "c95f8c3d6527c6b8cb8417d10090ce5e"
+
+(* Pre-rank pin: every priced candidate's [Predict.rank] score and
+   predicted seconds, apart from the counters above, so a change to the
+   ranking model re-pins this digest alone. *)
+let render_rank buf ((p : Plan.t), priced) =
+  if priced then begin
+    let score, t = E.Predict.rank (stepped p) in
+    Printf.bprintf buf "%s|%h %h\n" (Plan.label p) score t
+  end
+
+let rank_golden = "2418752b5c24023e128eb1fb35f6f037"
 
 (* Per-block pin: every block's counters and the exhaustive launch sum
    of small suite plans (sizes 45 and 48, so last tiles are partial and
@@ -381,6 +395,12 @@ let tests =
           Printf.printf "pricing pin: %d candidates (%d priced), digest %s\n"
             (List.length cands) (List.length (List.filter snd cands)) d;
           Alcotest.(check string) "digest" golden d);
+      case "pre-rank scores match the golden digest" (fun () ->
+          let buf = Buffer.create (1 lsl 20) in
+          List.iter (render_rank buf) (candidates ());
+          let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+          Printf.printf "rank pin: digest %s\n" d;
+          Alcotest.(check string) "digest" rank_golden d);
       case "per-block counters match the golden digest" (fun () ->
           let plans = block_plans () in
           let buf = Buffer.create (1 lsl 16) in

@@ -4,8 +4,12 @@ module Plan = Artemis_ir.Plan
 
 let dev = Artemis_gpu.Device.p100
 
-(* Run the CLI on [args] (a shell fragment) from the test build
-   directory, where dune places it at ../bin; returns the exit status and
+(* The CLI next to this test binary in the build tree (bin/ beside
+   test/), whatever the working directory. *)
+let artemisc_exe =
+  Filename.concat (Filename.dirname (Filename.dirname Sys.executable_name)) "bin/artemisc.exe"
+
+(* Run the CLI on [args] (a shell fragment); returns the exit status and
    what it wrote to stdout and stderr. *)
 let artemisc args =
   let out = Filename.temp_file "artemisc" ".out" and err = Filename.temp_file "artemisc" ".err" in
@@ -16,7 +20,7 @@ let artemisc args =
     (fun () ->
       let st =
         Sys.command
-          (Printf.sprintf "../bin/artemisc.exe %s > %s 2> %s" args (Filename.quote out)
+          (Printf.sprintf "%s %s > %s 2> %s" (Filename.quote artemisc_exe) args (Filename.quote out)
              (Filename.quote err))
       in
       let read f = In_channel.with_open_bin f In_channel.input_all in
