@@ -3,7 +3,7 @@
 TRACE   := /tmp/artemis-trace.json
 REPORT  := /tmp/artemis-report.json
 
-.PHONY: all build test check bench pricing-pin decision-pin trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke cache-smoke wavefront-smoke tb-smoke model-smoke obs-smoke bench-gate clean
+.PHONY: all build test check bench pricing-pin decision-pin trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke cache-smoke wavefront-smoke tb-smoke model-smoke obs-smoke bench-gate no-obj clean
 
 all: build
 
@@ -18,6 +18,7 @@ test:
 # differential fuzzer must replay its smoke seeds with no findings.
 check:
 	dune build @all
+	$(MAKE) no-obj
 	dune runtest
 	$(MAKE) lint-smoke
 	$(MAKE) analyze-smoke
@@ -74,9 +75,9 @@ lint-smoke:
 
 # Affine dataflow smoke test (docs/ANALYSIS.md): the suite and the two
 # pinned fuzz corpora must analyze with no Error findings, and the JSON
-# rendering must be byte-stable across repeated runs.  Seed 42's corpus
-# has no self-dependent statement; seed 7's and the suite's carry the
-# wavefront hyperplanes.  The digests of these outputs are pinned by the
+# rendering must be byte-stable across repeated runs.  The suite has no
+# self-dependent statement; both fuzz corpora carry wavefront
+# hyperplanes.  The digests of these outputs are pinned by the
 # `static` test group.
 analyze-smoke:
 	@set -e; for args in "--suite --plan" "--fuzz-corpus 42 --cases 25" \
@@ -188,6 +189,13 @@ bench-gate:
 	      || st=1; \
 	  done; \
 	  rm -rf $$dir; exit $$st
+
+# The library casts no value through [Obj]: every cache is a typed
+# value (docs/PERF.md), so a type error cannot hide behind a cast.
+no-obj:
+	@if grep -rnE --include='*.ml' --include='*.mli' '(^|[^A-Za-z0-9_])Obj\.' lib; then \
+	  echo "lib/ must not use Obj"; exit 1; \
+	else echo "lib/: no Obj"; fi
 
 clean:
 	dune clean

@@ -345,8 +345,8 @@ let lint_cmd =
 
 (** Render the affine dataflow engine's view of a program: symbolic
     per-statement footprints, concrete per-kernel footprints, dependence
-    verdicts with hyperplane legality, and the lint findings those facts
-    back (A7xx).  Shares [findings_of] with [lint], so the two commands
+    verdicts with the chosen wavefront hyperplane, and the lint findings
+    those facts back (A7xx).  Shares [findings_of] with [lint], so the two commands
     always agree on exit status. *)
 let analyze_cmd =
   let module St = Artemis.Static in
@@ -425,9 +425,7 @@ let analyze_cmd =
     | St.Uniform ds ->
       let hp =
         match St.hyperplane ~rank ds with
-        | Some vec ->
-          Printf.sprintf "hyperplane (%s) %s" (vec_str vec)
-            (if St.schedule_ok ~rank ~vec ds then "legal" else "ILLEGAL")
+        | Some vec -> Printf.sprintf "hyperplane (%s)" (vec_str vec)
         | None -> "no legal constant hyperplane"
       in
       Printf.sprintf "distances {%s}; %s; %s"
@@ -478,9 +476,7 @@ let analyze_cmd =
       let hp =
         match St.hyperplane ~rank ds with
         | Some vec ->
-          [ ("hyperplane", Json.List
-               (Array.to_list (Array.map (fun c -> Json.Int c) vec)));
-            ("legal", Json.Bool (St.schedule_ok ~rank ~vec ds)) ]
+          [ ("hyperplane", Json.List (Array.to_list (Array.map (fun c -> Json.Int c) vec))) ]
         | None -> []
       in
       Json.Obj
@@ -594,9 +590,9 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~exits
        ~doc:"Affine dataflow analysis: per-statement footprints (symbolic and \
-             concrete), exact dependence distances with hyperplane legality, \
-             and the A7xx findings they back (docs/ANALYSIS.md); exit status \
-             agrees with $(b,lint)")
+             concrete), exact dependence distances with their wavefront \
+             hyperplane, and the A7xx findings they back (docs/ANALYSIS.md); \
+             exit status agrees with $(b,lint)")
     Term.(ret (const run $ trace_arg $ device_arg $ path_opt_arg $ plan_arg
                $ json_arg $ suite_arg $ fuzz_arg $ cases_arg))
 

@@ -21,7 +21,7 @@ let () =
     (Artemis.Analysis.flops_per_point k)
     (Artemis.Analysis.stencil_order k);
   Printf.printf "recomputation halo of the fused DAG: %d point(s)\n\n"
-    (Artemis.Analysis.recompute_halo k);
+    (Artemis.Kernel_facts.of_kernel k).recompute_halo;
 
   (* Profile three staging choices. *)
   List.iter

@@ -165,7 +165,8 @@ let emit (p : Plan.t) =
     List.map
       (fun (name, _) ->
         let const =
-          if List.mem name (Launch.pure_inputs k) then "const double* __restrict__ "
+          if List.mem name (Artemis_ir.Kernel_facts.of_kernel k).pure_inputs then
+            "const double* __restrict__ "
           else "double* __restrict__ "
         in
         const ^ name)
@@ -234,24 +235,8 @@ let emit (p : Plan.t) =
       | Launch.Stage_global | Launch.Stage_const | Launch.Stage_fold_member _ -> ())
     bufs;
   (* ---- body ---- *)
-  let exts = An.required_extents k in
-  let guard_of st =
-    let reads =
-      A.fold_stmt_exprs (fun acc e -> acc @ An.accesses_of_expr e) [] st
-    in
-    let g = An.zero_extent rank in
-    List.iter
-      (fun (a : An.access) ->
-        let ov = An.offset_vector k.iters a in
-        Array.iteri
-          (fun d s ->
-            let lo, hi = g.(d) in
-            g.(d) <- (min lo s, max hi s))
-          ov)
-      reads;
-    ignore exts;
-    g
-  in
+  let facts = Artemis_ir.Kernel_facts.of_kernel k in
+  let body () = List.iter2 (fun st g -> emit_stmt p k bufs g st) k.body facts.guard_exts in
   (match stream with
    | Some s ->
      let it = iter_name k s in
@@ -263,7 +248,7 @@ let emit (p : Plan.t) =
         | _ -> k.domain.(s))
        it;
      line "    __syncthreads();";
-     List.iter (fun st -> emit_stmt p k bufs (guard_of st) st) k.body;
+     body ();
      line "    __syncthreads();";
      line "    // rotate plane window%s" (if p.prefetch then " (prefetched)" else "");
      List.iter
@@ -298,7 +283,7 @@ let emit (p : Plan.t) =
          bufs;
        line "  __syncthreads();"
      end;
-     List.iter (fun st -> emit_stmt p k bufs (guard_of st) st) k.body);
+     body ());
   line "}";
   line "";
   (* ---- host launcher ---- *)

@@ -25,8 +25,8 @@ let array_rank (k : I.kernel) name =
 (** Automatic staging decision, before user overrides. *)
 let automatic (k : I.kernel) =
   let rank = Array.length k.domain in
-  let offsets = An.distinct_offsets k in
-  let inter = Launch.intermediates k in
+  let facts = Artemis_ir.Kernel_facts.of_kernel k in
+  let offsets = facts.distinct_offsets and inter = facts.intermediates in
   List.filter_map
     (fun (name, _) ->
       if List.mem name inter then
@@ -57,7 +57,7 @@ let occupancy_of (p : Plan.t) = (Estimate.resources p).occupancy.occupancy
     demote.  Returns the final placement map. *)
 let ration (base : Plan.t) ~user_pinned ~target placement =
   let k = base.kernel in
-  let reads = An.reads_per_point k in
+  let reads = (Artemis_ir.Kernel_facts.of_kernel k).reads_per_point in
   let rec demote placement =
     let p = trial_plan base placement in
     if occupancy_of p >= target -. 1e-9 then placement

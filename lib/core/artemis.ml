@@ -26,6 +26,7 @@ module Predict = Artemis_exec.Predict
 module Plan = Artemis_ir.Plan
 module Validate = Artemis_ir.Validate
 module Estimate = Artemis_ir.Estimate
+module Kernel_facts = Artemis_ir.Kernel_facts
 module Lint = Artemis_lint.Lint
 module Static = Artemis_static.Static
 module Analytic = Artemis_exec.Analytic

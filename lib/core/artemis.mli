@@ -22,6 +22,7 @@ module Predict = Artemis_exec.Predict
 module Plan = Artemis_ir.Plan
 module Validate = Artemis_ir.Validate
 module Estimate = Artemis_ir.Estimate
+module Kernel_facts = Artemis_ir.Kernel_facts
 
 (** Whole-pipeline diagnostics (see docs/LINT.md). *)
 module Lint = Artemis_lint.Lint

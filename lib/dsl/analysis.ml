@@ -12,26 +12,6 @@
 open Ast
 module I = Instantiate
 
-(* The tuner measures hundreds of plans over one kernel; the body-level
-   analyses below are pure, so memoize them keyed by the body (structural
-   hashing with full structural equality on collision — correct, and the
-   lookup is far cheaper than the O(body x reads) recomputation).  Pool
-   workers run these analyses too, so each domain keeps its own table:
-   no lock, and no Hashtbl shared between domains. *)
-let memo_table : (stmt list * string list, Obj.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 64)
-
-let memoized (type a) (tag : int) (k : I.kernel) (f : I.kernel -> a) : a =
-  let table = Domain.DLS.get memo_table in
-  let key = (Decl_temp (string_of_int tag, Const 0.0) :: k.body, k.iters) in
-  match Hashtbl.find_opt table key with
-  | Some v -> (Obj.obj v : a)
-  | None ->
-    let v = f k in
-    Hashtbl.replace table key (Obj.repr v);
-    if Hashtbl.length table > 4096 then Hashtbl.reset table;
-    v
-
 (** One array read with its per-dimension binding: for each dimension of
     the array, the iterator indexing it (if any) and the constant shift. *)
 type access = {
@@ -47,22 +27,21 @@ let accesses_of_expr e =
 
 let accesses_of_stmt st = fold_stmt_exprs (fun acc e -> acc @ accesses_of_expr e) [] st
 
-let read_accesses_uncached (k : I.kernel) = List.concat_map accesses_of_stmt k.body
-let read_accesses k = memoized 1 k read_accesses_uncached
+let read_accesses (k : I.kernel) = List.concat_map accesses_of_stmt k.body
+
+(* [v.(d) <- shift] where [name] is the [d]-th of [iters]. *)
+let place v iters name shift =
+  let rec go d = function
+    | [] -> ()
+    | it :: rest -> if String.equal it name then v.(d) <- shift else go (d + 1) rest
+  in
+  go 0 iters
 
 (** [offset_vector iters access] maps an access to a shift per kernel
     iterator (dimensions indexed by a constant contribute nothing). *)
 let offset_vector iters (a : access) =
   let v = Array.make (List.length iters) 0 in
-  Array.iter
-    (fun (it, shift) ->
-      match it with
-      | None -> ()
-      | Some name -> (
-        match List.find_index (String.equal name) iters with
-        | Some d -> v.(d) <- shift
-        | None -> ()))
-    a.binding;
+  Array.iter (fun (it, shift) -> Option.iter (fun name -> place v iters name shift) it) a.binding;
   v
 
 (** Maximum |shift| over all reads of grid arrays: the stencil order [k]
@@ -120,47 +99,37 @@ let theoretical_oi (k : I.kernel) =
   float_of_int (flops_per_point k) /. (8.0 *. float_of_int (io_array_count k))
 
 (** Number of textual reads of each array per domain point (used to pick a
-    demotion victim during resource rationing, Section II-B2). *)
-let reads_per_point (k : I.kernel) =
+    demotion victim during resource rationing, Section II-B2), from the
+    kernel's [read_accesses]. *)
+let tally_reads (k : I.kernel) reads =
   let tbl = Hashtbl.create 16 in
   List.iter
     (fun a ->
-      let c = try Hashtbl.find tbl a.array with Not_found -> 0 in
-      Hashtbl.replace tbl a.array (c + 1))
-    (read_accesses k);
+      Hashtbl.replace tbl a.array (1 + Option.value ~default:0 (Hashtbl.find_opt tbl a.array)))
+    reads;
   List.filter_map
-    (fun (name, _) ->
-      match Hashtbl.find_opt tbl name with
-      | Some c -> Some (name, c)
-      | None -> None)
+    (fun (name, _) -> Option.map (fun c -> (name, c)) (Hashtbl.find_opt tbl name))
     k.arrays
 
-(** Distinct read-offset vectors per array, aligned to kernel iterators.
-    Lower-rank arrays produce vectors with zeros in unbound dimensions. *)
-let distinct_offsets_uncached (k : I.kernel) =
-  let tbl = Hashtbl.create 16 in
+let reads_per_point k = tally_reads k (read_accesses k)
+
+(** Distinct read-offset vectors per array, aligned to kernel iterators,
+    from the kernel's [read_accesses].  Lower-rank arrays produce vectors
+    with zeros in unbound dimensions. *)
+let offsets_of_reads iters reads =
+  let tbl = Hashtbl.create 16 and seen = Hashtbl.create 64 in
   List.iter
     (fun a ->
-      let ov = offset_vector k.iters a in
-      let existing = try Hashtbl.find tbl a.array with Not_found -> [] in
-      if not (List.mem ov existing) then Hashtbl.replace tbl a.array (ov :: existing))
-    (read_accesses k);
+      let ov = offset_vector iters a in
+      if not (Hashtbl.mem seen (a.array, ov)) then begin
+        Hashtbl.replace seen (a.array, ov) ();
+        Hashtbl.replace tbl a.array (ov :: Option.value ~default:[] (Hashtbl.find_opt tbl a.array))
+      end)
+    reads;
   Hashtbl.fold (fun name offs acc -> (name, List.rev offs) :: acc) tbl []
   |> List.sort compare
 
-let distinct_offsets k = memoized 3 k distinct_offsets_uncached
-
-(** Shift range [(lo, hi)] of reads of [array] along iterator dimension
-    [dim]; [(0, 0)] when the array is never read at an offset there. *)
-let offset_range (k : I.kernel) array dim =
-  List.fold_left
-    (fun (lo, hi) a ->
-      if a.array <> array then (lo, hi)
-      else
-        let s = (offset_vector k.iters a).(dim) in
-        (min lo s, max hi s))
-    (0, 0)
-    (read_accesses k)
+let distinct_offsets (k : I.kernel) = offsets_of_reads k.iters (read_accesses k)
 
 (* ------------------------------------------------------------------ *)
 (* Halo extents for multi-statement (fused) kernels                    *)
@@ -192,56 +161,51 @@ let extent_width (e : extent) d =
     overlapped tiling of stencil DAGs.  Final outputs get [(0, 0)] per
     dimension; walking the body backwards, a statement computing [A] over
     extent [eA] forces each read [B\[+off\]] to extent [eA + off]. *)
-let required_extents_uncached (k : I.kernel) =
+let required_extents (k : I.kernel) =
   let rank = List.length k.iters in
   let exts : (string, extent) Hashtbl.t = Hashtbl.create 16 in
-  let get name =
+  let entry name =
     match Hashtbl.find_opt exts name with
     | Some e -> e
-    | None -> zero_extent rank
+    | None ->
+      let e = zero_extent rank in
+      Hashtbl.replace exts name e;
+      e
   in
-  let widen name e = Hashtbl.replace exts name (union_extent (get name) e) in
+  (* Widen [name]'s entry, in place, by extent [e] shifted by [off]. *)
+  let widen name (e : extent) (off : int array) =
+    let t = entry name in
+    Array.iteri
+      (fun d (lo, hi) ->
+        let tlo, thi = t.(d) in
+        t.(d) <- (min tlo (lo + off.(d)), max thi (hi + off.(d))))
+      e
+  in
   (* Arrays written but never read later in the body are final outputs. *)
-  let written = List.filter_map written_array k.body in
-  List.iter (fun a -> widen a (zero_extent rank)) written;
+  List.iter (fun st -> Option.iter (fun a -> ignore (entry a)) (written_array st)) k.body;
+  let no_shift = Array.make rank 0 in
   let process_stmt st =
+    let target = match st with Decl_temp (n, _) -> n | Assign (a, _, _) | Accum (a, _, _) -> a in
+    (* A copy: a self-read widens the target's own entry. *)
     let stmt_extent =
-      match st with
-      | Decl_temp (n, _) -> get n
-      | Assign (a, _, _) | Accum (a, _, _) -> get a
+      match Hashtbl.find_opt exts target with
+      | Some e -> Array.copy e
+      | None -> zero_extent rank
     in
-    let absorb_expr e =
-      List.iter
-        (fun acc_read ->
-          widen acc_read.array (shift_extent stmt_extent (offset_vector k.iters acc_read)))
-        (accesses_of_expr e);
-      List.iter (fun s -> widen s stmt_extent) (scalars_of_expr e)
-    in
-    fold_stmt_exprs (fun () e -> absorb_expr e) () st
+    fold_stmt_exprs
+      (fold_expr (fun () -> function
+         | Access (a, idx) ->
+           let off = Array.make rank 0 in
+           List.iter
+             (fun (i : index) -> Option.iter (fun name -> place off k.iters name i.shift) i.iter)
+             idx;
+           widen a stmt_extent off
+         | Scalar_ref s -> widen s stmt_extent no_shift
+         | Const _ | Neg _ | Bin _ | Call _ -> ()))
+      () st
   in
   List.iter process_stmt (List.rev k.body);
   exts
-
-let required_extents k = memoized 2 k required_extents_uncached
-
-(** Recomputation halo of a fused kernel: the widest extent over all
-    intermediate (written then read) arrays.  Zero when nothing written is
-    re-read at an offset. *)
-let recompute_halo (k : I.kernel) =
-  let exts = required_extents k in
-  let written = List.filter_map written_array k.body |> List.sort_uniq compare in
-  let read_back =
-    List.filter
-      (fun a -> List.exists (fun r -> r.array = a) (read_accesses k))
-      written
-  in
-  List.fold_left
-    (fun acc a ->
-      match Hashtbl.find_opt exts a with
-      | Some e ->
-        Array.fold_left (fun acc (lo, hi) -> max acc (max (-lo) hi)) acc e
-      | None -> acc)
-    0 read_back
 
 (* ------------------------------------------------------------------ *)
 (* Homogenizability (retiming precondition, Section III-B2)            *)
@@ -295,7 +259,7 @@ let kernel_retimable (k : I.kernel) dim =
     always combined with the same pointwise operator can be folded into a
     single staged value.  [foldable_groups k] returns groups of arrays
     that are only read as [A op B op ...] at identical offsets. *)
-let foldable_groups_uncached (k : I.kernel) =
+let foldable_groups (k : I.kernel) =
   (* Collect maximal product/sum chains whose factors are single reads of
      distinct arrays at equal offsets. *)
   let chains = Hashtbl.create 8 in
@@ -328,25 +292,14 @@ let foldable_groups_uncached (k : I.kernel) =
      the chain pattern, i.e. every read of a member is part of a chain with
      the same signature.  Conservatively require that each member array is
      read only together with the group. *)
-  let all_reads = read_accesses k in
+  let reads = reads_per_point k in
+  let count a = Option.value ~default:0 (List.assoc_opt a reads) in
   let candidates = Hashtbl.fold (fun key () acc -> key :: acc) chains [] in
   List.filter
     (fun (_, arrays) ->
-      let member a = List.mem a arrays in
-      let group_read_count =
-        List.length (List.filter (fun r -> member r.array) all_reads)
-      in
-      (* Each chain occurrence reads every member exactly once. *)
+      (* Members are distinct, and each chain occurrence reads every
+         member exactly once. *)
+      let group_read_count = List.fold_left (fun acc a -> acc + count a) 0 arrays in
       group_read_count mod List.length arrays = 0
-      && List.for_all
-           (fun a ->
-             let per_member =
-               List.length (List.filter (fun r -> r.array = a) all_reads)
-             in
-             per_member * List.length arrays = group_read_count)
-           arrays)
+      && List.for_all (fun a -> count a * List.length arrays = group_read_count) arrays)
     candidates
-
-(* Phase-2 tuning asks once per variant, and every variant shares its
-   base plan's kernel value. *)
-let foldable_groups = Kernel_memo.memo foldable_groups_uncached

@@ -52,12 +52,15 @@ val theoretical_oi : Instantiate.kernel -> float
     resource rationing (Section II-B2). *)
 val reads_per_point : Instantiate.kernel -> (string * int) list
 
+(** [tally_reads k (read_accesses k)] is [reads_per_point k], for a
+    caller that already holds the reads. *)
+val tally_reads : Instantiate.kernel -> access list -> (string * int) list
+
 (** Distinct read-offset vectors per array, aligned to kernel iterators. *)
 val distinct_offsets : Instantiate.kernel -> (string * int array list) list
 
-(** Shift range [(lo, hi)] of reads of an array along one iterator
-    dimension; [(0, 0)] when never read at an offset there. *)
-val offset_range : Instantiate.kernel -> string -> int -> int * int
+(** [offsets_of_reads k.iters (read_accesses k)] is [distinct_offsets k]. *)
+val offsets_of_reads : string list -> access list -> (string * int array list) list
 
 (** {1 Halo extents for fused kernels} *)
 
@@ -73,12 +76,8 @@ val extent_width : extent -> int -> int
 (** Backward halo propagation over the body: for every array and
     temporary, the region (relative to one output point) that must be
     available — the analysis that drives overlapped tiling of stencil
-    DAGs. *)
+    DAGs.  Each call builds a fresh table. *)
 val required_extents : Instantiate.kernel -> (string, extent) Hashtbl.t
-
-(** Widest extent over intermediate (written-then-read) arrays: the
-    recomputation halo overlapped tiling pays for the fusion. *)
-val recompute_halo : Instantiate.kernel -> int
 
 (** {1 Homogenizability (retiming precondition)} *)
 

@@ -2,18 +2,20 @@
 
    The tuner prices hundreds of candidates per kernel, and every one of
    them is [{ base with block; unroll; ... }]: the kernel field is the
-   same heap value throughout a search.  Facts that depend only on the
-   kernel are therefore cached against that value with [==], which costs
-   a pointer compare instead of the structural hash and equality of a
-   whole stencil body.
+   same heap value throughout a search, and phase 2 shares one retimed
+   kernel value among all its retimed variants.  Facts that depend only
+   on the kernel are therefore cached against that value with [==],
+   which costs a pointer compare instead of the structural hash and
+   equality of a whole stencil body.  Two tables use it: the kernel
+   facts record ([Artemis_ir.Kernel_facts]) and the traffic model's
+   per-kernel statement and staging table ([Artemis_exec.Traffic]).
 
    Each domain keeps its own short most-recently-used list, so pool
-   workers never share mutable state and need no lock.  Two entries
-   cover a search: its base kernel, and in phase 2 the retimed copy
-   whose variants are being priced (each retime variant is a fresh
-   kernel value, priced in one run before the next appears).  Keeping no
-   more means the cache retains almost nothing however many kernels a
-   run walks through. *)
+   workers never share mutable state and need no lock.  A tuning search
+   alternates between at most two kernel values, its base kernel and
+   the retimed one, so two entries cover it; keeping no more means the
+   cache retains almost nothing however many kernels a run walks
+   through. *)
 
 let capacity = 2
 

@@ -20,6 +20,7 @@ module A = Artemis_dsl.Ast
 module Static = Artemis_static.Static
 module Plan = Artemis_ir.Plan
 module Launch = Artemis_ir.Launch
+module Kernel_facts = Artemis_ir.Kernel_facts
 module Validate = Artemis_ir.Validate
 module Counters = Artemis_gpu.Counters
 module Trace = Artemis_obs.Trace
@@ -41,7 +42,6 @@ let check_idempotent (k : Artemis_dsl.Instantiate.kernel) =
             (match st with A.Accum _ -> `Accum | A.Assign _ | A.Decl_temp _ -> `Assign)
       | None -> ())
     k.body;
-  let inter = Launch.intermediates k in
   List.iter
     (fun a ->
       match Hashtbl.find_opt first_write a with
@@ -52,7 +52,7 @@ let check_idempotent (k : Artemis_dsl.Instantiate.kernel) =
                 "intermediate %s first written by '+='; overlapped tiling cannot \
                  re-execute it idempotently" a))
       | Some `Assign | None -> ())
-    inter
+    (Kernel_facts.of_kernel k).intermediates
 
 (* One launch of [plan] at temporal degree 1 (the pre-blocking executor);
    [run] below dispatches blocked plans onto it or onto the streamed
@@ -63,8 +63,8 @@ let run_plain ~schedule (plan : Plan.t) (store : Reference.store) ~scalars =
   let ctx = Traffic.make_ctx plan in
   let k = plan.kernel in
   let rank = ctx.geom.rank in
-  let inter = Launch.intermediates k in
-  let finals = Launch.final_outputs k in
+  let facts = Kernel_facts.of_kernel k in
+  let inter = facts.intermediates and finals = facts.final_outputs in
   (* Scratch for temporaries and shared-staged intermediates: full-domain
      grids, zero-initialized once; blocks recompute pure values in place. *)
   let scratch : (string, Grid.t) Hashtbl.t = Hashtbl.create 8 in

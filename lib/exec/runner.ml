@@ -51,7 +51,7 @@ let temporal_rewrite ?(halo = Plan.Halo_recompute) ?(tbuf = Plan.Shared_double)
         | Loop (n, [ Run_plan p; Swap (a, b) ])
           when degree > 1 && n >= degree && p.Plan.temporal.degree = 1 ->
           let out, inp =
-            if List.mem a (Artemis_ir.Launch.final_outputs p.kernel) then (a, b)
+            if List.mem a (Artemis_ir.Kernel_facts.of_kernel p.kernel).final_outputs then (a, b)
             else (b, a)
           in
           let pb =

@@ -160,36 +160,29 @@ let stmt_reads iters stmt =
       | None -> None)
     all
 
-let guard_ext_of rank reads =
-  let e = An.zero_extent rank in
-  List.iter
-    (fun (_, (off : int array), _) ->
-      Array.iteri
-        (fun d s ->
-          let lo, hi = e.(d) in
-          e.(d) <- (min lo s, max hi s))
-        off)
-    reads;
-  e
-
-(* What the counters need from the kernel alone, computed once per
-   kernel value: the statement descriptions, the dimensions a
-   self-dependence moves along, and each array's row-major strides. *)
-type facts = {
+(* What the counters need from the kernel alone, built once per kernel
+   value: the statement descriptions, the dimensions a self-dependence
+   moves along, each array's strides, and the staging parts built so
+   far under the plan fields they depend on ([staging]).  Candidates
+   share their base plan's kernel and mostly its staging choices, so a
+   search builds a handful of staging parts.  The table is per domain
+   ([Kernel_memo]), so pool workers share nothing. *)
+type per_kernel = {
   infos : stmt_info list;
   dep_dims : bool array;
   strides : (string * int array) list;
+  stagings :
+    (Plan.placement_map * int option * bool * (A.binop * string list) list, staging) Hashtbl.t;
 }
 
-let facts =
+let per_kernel =
   Artemis_dsl.Kernel_memo.memo (fun (k : Artemis_dsl.Instantiate.kernel) ->
+      let facts = Artemis_ir.Kernel_facts.of_kernel k in
       let rank = Array.length k.domain in
-      let exts = An.required_extents k in
-      let finals = Launch.final_outputs k in
       let arrays = List.map fst k.arrays in
       let infos =
-        List.map
-          (fun stmt ->
+        List.map2
+          (fun stmt guard_ext ->
             let writes =
               match stmt with
               | A.Decl_temp (n, _) -> n
@@ -200,23 +193,22 @@ let facts =
               stmt;
               flops = An.flops_of_stmt stmt;
               writes;
-              write_is_final = List.mem writes finals;
+              write_is_final = List.mem writes facts.final_outputs;
               write_is_array = List.mem writes arrays;
               region_ext =
-                (match Hashtbl.find_opt exts writes with
+                (match List.assoc_opt writes facts.required_extents with
                  | Some e -> e
                  | None -> An.zero_extent rank);
-              guard_ext = guard_ext_of rank reads;
+              guard_ext;
               reads;
             })
-          k.body
+          k.body facts.guard_exts
       in
       (* Self-dependent statements serialize the block grid along every
          dimension a dependence distance moves through. *)
       let dep_dims = Array.make (max rank 1) false in
       List.iter
-        (fun stmt ->
-          match Static.self_dependences ~iters:k.iters stmt with
+        (function
           | Static.No_dep -> ()
           | Static.Unknown -> Array.fill dep_dims 0 rank true
           | Static.Uniform deltas ->
@@ -226,11 +218,12 @@ let facts =
                   (fun d c -> if c <> 0 && d < rank then dep_dims.(d) <- true)
                   delta)
               deltas)
-        k.body;
+        facts.self_deps;
       {
         infos;
         dep_dims;
         strides = List.map (fun (a, dims) -> (a, strides_of dims)) k.arrays;
+        stagings = Hashtbl.create 8;
       })
 
 (* Chain combine-ops per point saved by folding: each occurrence of a fold
@@ -330,8 +323,7 @@ let group_reads ~rank reads =
 
 (* The staging part of [make_ctx]: depends on the kernel and on the
    plan's placement, stream dimension, retiming and folding only. *)
-let make_staging (p : Plan.t) =
-  let f = facts p.kernel in
+let make_staging (f : per_kernel) (p : Plan.t) =
   let rank = Array.length p.kernel.domain in
   let bufs = Launch.buffers p in
   let strides_for a = List.assoc_opt a f.strides in
@@ -425,28 +417,18 @@ let make_staging (p : Plan.t) =
     no_shift = Array.make rank 0;
   }
 
-(* Staging values per kernel, each under the plan fields it depends on.
-   Tuner candidates share their base plan's kernel value and mostly its
-   staging choices, so a search builds a handful of these, not one per
-   candidate.  The tables are per domain ([Kernel_memo]), so pool
-   workers share nothing. *)
-let staging_tables :
-    Artemis_dsl.Instantiate.kernel ->
-    (Plan.placement_map * int option * bool * (A.binop * string list) list, staging) Hashtbl.t =
-  Artemis_dsl.Kernel_memo.memo (fun _ -> Hashtbl.create 8)
-
-let staging (p : Plan.t) =
-  let tbl = staging_tables p.kernel in
+let staging (f : per_kernel) (p : Plan.t) =
   let key = (p.placement, Plan.stream_dim p, p.retime, p.fold) in
-  match Hashtbl.find_opt tbl key with
+  match Hashtbl.find_opt f.stagings key with
   | Some s -> s
   | None ->
-    let s = make_staging p in
-    Hashtbl.replace tbl key s;
+    let s = make_staging f p in
+    Hashtbl.replace f.stagings key s;
     s
 
 let make_ctx (p : Plan.t) =
-  let s = staging p in
+  let f = per_kernel p.kernel in
+  let s = staging f p in
   let rank = Array.length p.kernel.domain in
   let geom = Launch.geometry p in
   let res = Estimate.resources p in
@@ -459,10 +441,9 @@ let make_ctx (p : Plan.t) =
      dimensions.  Bytes and flops are unchanged — only parallelism per
      phase drops (Timing's wavefront kernel class). *)
   let serial_waves =
-    let dep_dims = (facts p.kernel).dep_dims in
     let waves = ref 1 in
     for d = 0 to rank - 1 do
-      if dep_dims.(d) then waves := !waves + (geom.grid.(d) - 1)
+      if f.dep_dims.(d) then waves := !waves + (geom.grid.(d) - 1)
     done;
     !waves
   in

@@ -23,8 +23,9 @@ type model = {
 val default_model : model
 
 (** Per-statement static description: a function of the kernel alone,
-    cached per kernel value with the self-dependence dimensions and the
-    array strides ([Artemis_dsl.Kernel_memo]). *)
+    built once per kernel value in the one per-kernel table, with the
+    self-dependence dimensions (from [Artemis_ir.Kernel_facts]), the
+    array strides and the staging parts. *)
 type stmt_info = {
   stmt : Artemis_dsl.Ast.stmt;
   flops : int;
@@ -101,10 +102,10 @@ type ctx = {
     store, read classification, fold savings and guard, and the
     once-per-block loads.  It depends on the kernel and on the plan's
     placement, stream dimension ([Plan.stream_dim]), retiming and
-    folding only, and is memoized under exactly that key in a table per
-    kernel value ([Artemis_dsl.Kernel_memo], so per domain): candidates
-    that differ in block, unroll, stream chunk, perspective, prefetch,
-    register cap or temporal blocking share one physically.
+    folding only, and is memoized under exactly that key in the
+    per-kernel table ([Artemis_dsl.Kernel_memo], so per domain):
+    candidates that differ in block, unroll, stream chunk, perspective,
+    prefetch, register cap or temporal blocking share one physically.
 
     The per-candidate part is the geometry, the resources,
     [concurrent_blocks] and [serial_waves]. *)

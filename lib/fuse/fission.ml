@@ -131,7 +131,8 @@ let recompute (k : I.kernel) =
       match groups with
       | current :: done_ ->
         let candidate = merge current part in
-        if An.recompute_halo candidate <= order_bound && spill_free candidate then
+        let halo = (Artemis_ir.Kernel_facts.of_kernel candidate).recompute_halo in
+        if halo <= order_bound && spill_free candidate then
           pack (candidate :: done_) rest
         else pack (part :: current :: done_) rest
       | [] -> pack [ part ] rest)
@@ -186,6 +187,8 @@ let to_dsl (k : I.kernel) (parts : I.kernel list) =
           A.Run (A.Apply (sub.kname, List.map fst sub.arrays @ sub.scalars)))
         parts;
     copyout =
-      List.concat_map (fun (sub : I.kernel) -> Artemis_ir.Launch.final_outputs sub) parts
+      List.concat_map
+        (fun (sub : I.kernel) -> (Artemis_ir.Kernel_facts.of_kernel sub).final_outputs)
+        parts
       |> List.sort_uniq compare;
   }

@@ -7,88 +7,6 @@
    and unrolling multiplies pressure so the tuner must step maxrregcount
    upward (Section V). *)
 
-module A = Artemis_dsl.Ast
-module An = Artemis_dsl.Analysis
-module I = Artemis_dsl.Instantiate
-
-(* Maximum number of simultaneously live temporaries across the body:
-   a temp is live from its definition to its last use. *)
-let max_live_temps (body : A.stmt list) =
-  let stmts = Array.of_list body in
-  let n = Array.length stmts in
-  let temps = Hashtbl.create 16 in
-  Array.iteri
-    (fun i st ->
-      match st with
-      | A.Decl_temp (name, _) -> Hashtbl.replace temps name (i, i)
-      | A.Assign _ | A.Accum _ -> ())
-    stmts;
-  Array.iteri
-    (fun i st ->
-      A.fold_stmt_exprs
-        (fun () e ->
-          List.iter
-            (fun s ->
-              match Hashtbl.find_opt temps s with
-              | Some (def, _) -> Hashtbl.replace temps s (def, i)
-              | None -> ())
-            (A.scalars_of_expr e))
-        () st)
-    stmts;
-  let live_at = Array.make (max n 1) 0 in
-  Hashtbl.iter
-    (fun _ (def, last) ->
-      for i = def to last do
-        live_at.(i) <- live_at.(i) + 1
-      done)
-    temps;
-  Array.fold_left max 0 live_at
-
-(* Arithmetic volume of the body: NVCC's register demand for spill-free
-   compilation of flop-heavy stencil kernels grows roughly linearly with
-   the expression work per point (common subexpressions, staged operands,
-   scheduling slack).  flops/5 calibrates the Table-I kernels onto the
-   paper's observations: rhs4center (666 FLOPs) compiles spill-free at
-   255 registers, rhs4sgcurv maxfuse (2126 FLOPs) spills even at 255, the
-   spatial kernels land at 12.5-25 % occupancy. *)
-let flop_pressure (body : A.stmt list) =
-  List.fold_left (fun acc st -> acc + An.flops_of_stmt st) 0 body / 5
-
-(* Kernel-level inputs of the register model, computed once per kernel
-   value: the liveness walk and the FLOP count of the body, and each read
-   array's shift range per dimension (the retiming window). *)
-type facts = {
-  live_temps : int;
-  pressure : int;
-  offset_ranges : (string * (int * int) array) list;
-}
-
-let facts =
-  Artemis_dsl.Kernel_memo.memo (fun (k : I.kernel) ->
-      let rank = List.length k.iters in
-      let ranges = Hashtbl.create 16 in
-      List.iter
-        (fun (a : An.access) ->
-          let r =
-            match Hashtbl.find_opt ranges a.array with
-            | Some r -> r
-            | None ->
-              let r = Array.make rank (0, 0) in
-              Hashtbl.replace ranges a.array r;
-              r
-          in
-          Array.iteri
-            (fun d s ->
-              let lo, hi = r.(d) in
-              r.(d) <- (min lo s, max hi s))
-            (An.offset_vector k.iters a))
-        (An.read_accesses k);
-      {
-        live_temps = max_live_temps k.body;
-        pressure = flop_pressure k.body;
-        offset_ranges = Hashtbl.fold (fun a r acc -> (a, r) :: acc) ranges [];
-      })
-
 type resources = {
   regs_per_thread : int;  (** estimated spill-free requirement (32-bit) *)
   effective_regs : int;  (** min(requirement, maxrregcount) *)
@@ -111,7 +29,7 @@ let inplane_unroll (p : Plan.t) =
     registers; one double = 2). *)
 let regs_estimate (p : Plan.t) bufs =
   let k = p.kernel in
-  let f = facts k in
+  let f = Kernel_facts.of_kernel k in
   let uin = inplane_unroll p in
   let base = 24 in
   let temps = 2 * f.live_temps in
@@ -132,7 +50,7 @@ let regs_estimate (p : Plan.t) bufs =
       | None -> 0
       | Some s ->
         (* One accumulator per output statement per live stream offset. *)
-        let outs = Launch.final_outputs k in
+        let outs = f.final_outputs in
         let window =
           List.fold_left
             (fun acc (b : Launch.buffer) ->
@@ -145,12 +63,12 @@ let regs_estimate (p : Plan.t) bufs =
         in
         List.length outs * window
   in
-  let outputs = List.length (Launch.final_outputs k) in
+  let outputs = List.length f.final_outputs in
   let pointers = List.length k.arrays in
   base + pointers
   + (2 * temps)
   + (2 * uin * (reg_planes + prefetch_regs + retime_accs + outputs))
-  + (uin * f.pressure)
+  + (uin * f.flop_pressure)
   + (2 * (Plan.unroll_product p - 1))
 
 (** ILP visible to the scheduler: unrolling multiplies independent work;
@@ -172,7 +90,7 @@ let ilp_estimate (p : Plan.t) ~regs_needed =
     | Plan.Input_persp ->
       (* active compute threads / launched threads: tile vs halo tile *)
       let rank = Plan.rank p in
-      let ext = Launch.input_extent p.kernel in
+      let ext = (Kernel_facts.of_kernel p.kernel).input_extent in
       let frac = ref 1.0 in
       let stream = Plan.stream_dim p in
       for d = 0 to rank - 1 do

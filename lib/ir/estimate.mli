@@ -17,13 +17,6 @@ type resources = {
   occupancy : Artemis_gpu.Occupancy.result;
 }
 
-(** Maximum simultaneously live temporaries across the body. *)
-val max_live_temps : Artemis_dsl.Ast.stmt list -> int
-
-(** Arithmetic-volume register pressure (flops/5, see the calibration
-    note in the implementation). *)
-val flop_pressure : Artemis_dsl.Ast.stmt list -> int
-
 (** Estimated spill-free register requirement of one thread. *)
 val regs_estimate : Plan.t -> Launch.buffer list -> int
 

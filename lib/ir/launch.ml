@@ -5,7 +5,6 @@
    they agree by construction. *)
 
 module A = Artemis_dsl.Ast
-module I = Artemis_dsl.Instantiate
 module An = Artemis_dsl.Analysis
 
 type geometry = {
@@ -44,97 +43,14 @@ type buffer = {
   reads_per_point : int;  (** textual reads per output point *)
 }
 
-(* One array the kernel reads, with everything its staging depends on
-   that the plan does not choose. *)
-type read_array = {
-  name : string;
-  reads : int;  (** textual reads per point *)
-  inter : bool;
-  ext : An.extent;
-  planes : (int list * int list) array;
-      (** per candidate stream dimension: the stream offsets read at an
-          in-plane offset (shared planes), then the centre-only ones
-          (register planes), each ascending *)
-}
-
-(* Kernel-level facts behind [geometry] and [buffers]: a tuning search
-   builds hundreds of launches over one kernel value, and none of this
-   depends on the candidate. *)
-type facts = {
-  pure_inputs : string list;
-  intermediates : string list;
-  final_outputs : string list;
-  input_extent : An.extent;
-  read_arrays : read_array list;  (** in [An.reads_per_point] order *)
-}
-
-let facts_of (k : I.kernel) =
-  let rank = Array.length k.domain in
-  let written = List.filter_map A.written_array k.body |> List.sort_uniq compare in
-  let pure_inputs =
-    List.filter (fun (a, _) -> not (List.mem a written)) k.arrays |> List.map fst
-  in
-  let accesses = An.read_accesses k in
-  let intermediates =
-    List.filter (fun a -> List.exists (fun (r : An.access) -> r.array = a) accesses) written
-  in
-  let final_outputs = List.filter (fun a -> not (List.mem a intermediates)) written in
-  let exts = An.required_extents k in
-  let input_extent =
-    List.fold_left
-      (fun acc a ->
-        match Hashtbl.find_opt exts a with
-        | Some e -> An.union_extent acc e
-        | None -> acc)
-      (An.zero_extent rank) pure_inputs
-  in
-  let offsets = An.distinct_offsets k in
-  let planes_along offs s =
-    let plane_offsets = List.map (fun (v : int array) -> v.(s)) offs |> List.sort_uniq compare in
-    let plane_has_inplane o =
-      List.exists
-        (fun (v : int array) ->
-          v.(s) = o
-          && Array.exists (fun d -> d <> s && v.(d) <> 0) (Array.init (Array.length v) Fun.id))
-        offs
-    in
-    List.partition plane_has_inplane plane_offsets
-  in
-  let read_arrays =
-    List.filter_map
-      (fun (name, reads) ->
-        if not (List.mem_assoc name k.arrays) then None
-        else
-          let offs = match List.assoc_opt name offsets with Some o -> o | None -> [] in
-          Some
-            {
-              name;
-              reads;
-              inter = List.mem name intermediates;
-              ext =
-                (match Hashtbl.find_opt exts name with
-                 | Some e -> e
-                 | None -> An.zero_extent rank);
-              planes = Array.init (List.length k.iters) (planes_along offs);
-            })
-      (An.reads_per_point k)
-  in
-  { pure_inputs; intermediates; final_outputs; input_extent; read_arrays }
-
-let facts = Artemis_dsl.Kernel_memo.memo facts_of
-
-let pure_inputs k = (facts k).pure_inputs
-let intermediates k = (facts k).intermediates
-let final_outputs k = (facts k).final_outputs
-let input_extent k = (facts k).input_extent
-
 (** Geometry of [plan].  Interior bounds come from the union of input-array
     extents: boundary points whose neighborhood leaves the domain keep
     their previous values, as the generated CUDA's guards arrange. *)
 let geometry (p : Plan.t) =
   let k = p.kernel in
+  let f = Kernel_facts.of_kernel k in
   let rank = Array.length k.domain in
-  let input_extent = input_extent k in
+  let input_extent = f.input_extent in
   let tile =
     Array.init rank (fun d ->
         match p.scheme with
@@ -145,8 +61,6 @@ let geometry (p : Plan.t) =
   in
   let grid = Array.init rank (fun d -> (k.domain.(d) + tile.(d) - 1) / tile.(d)) in
   let total_blocks = Array.fold_left ( * ) 1 grid in
-  let interior_lo = Array.init rank (fun d -> max 0 (-fst input_extent.(d))) in
-  let interior_hi = Array.init rank (fun d -> (k.domain.(d) - 1) - max 0 (snd input_extent.(d))) in
   let steps_per_block =
     match Plan.stream_dim p with
     | None -> 1
@@ -157,8 +71,8 @@ let geometry (p : Plan.t) =
       tile.(s) + (hi - lo)
   in
   {
-    rank; domain = k.domain; tile; grid; total_blocks; interior_lo; interior_hi;
-    input_extent; steps_per_block;
+    rank; domain = k.domain; tile; grid; total_blocks; interior_lo = f.interior_lo;
+    interior_hi = f.interior_hi; input_extent; steps_per_block;
   }
 
 (* In-plane halo of one array: its extent with the stream dimension zeroed. *)
@@ -175,10 +89,9 @@ let in_plane_halo rank stream_dim (e : An.extent) =
     shared buffer.  Retiming collapses shared planes to the center plane
     only (inputs are then read once per plane and accumulated). *)
 let buffers (p : Plan.t) =
-  let f = facts p.kernel in
   let rank = Array.length p.kernel.domain in
   let stream = Plan.stream_dim p in
-  let staging_for (ra : read_array) =
+  let staging_for (ra : Kernel_facts.read_array) =
     let placement = Plan.placement_of p ra.name in
     let placement =
       if ra.inter && placement = A.Gmem && Plan.uses_shared p then A.Shmem else placement
@@ -216,7 +129,7 @@ let buffers (p : Plan.t) =
       p.fold
   in
   List.map
-    (fun (ra : read_array) ->
+    (fun (ra : Kernel_facts.read_array) ->
       {
         array = ra.name;
         staging =
@@ -227,7 +140,7 @@ let buffers (p : Plan.t) =
         extent = ra.ext;
         reads_per_point = ra.reads;
       })
-    f.read_arrays
+    (Kernel_facts.of_kernel p.kernel).read_arrays
 
 (** Shared-memory bytes per block implied by the staging layout. *)
 let shared_bytes_per_block (p : Plan.t) (g : geometry) bufs =

@@ -40,22 +40,8 @@ type buffer = {
   reads_per_point : int;
 }
 
-(** The kernel-level queries below are cached per kernel value
-    ([Artemis_dsl.Kernel_memo]), as are the kernel-only inputs of
-    [geometry] and [buffers]. *)
-
-(** Arrays read but never written by the body. *)
-val pure_inputs : Artemis_dsl.Instantiate.kernel -> string list
-
-(** Arrays written and re-read (fusion scratch). *)
-val intermediates : Artemis_dsl.Instantiate.kernel -> string list
-
-(** Arrays written and never re-read — the kernel's results. *)
-val final_outputs : Artemis_dsl.Instantiate.kernel -> string list
-
-(** Union of the pure inputs' read extents (the geometry's
-    [input_extent]). *)
-val input_extent : Artemis_dsl.Instantiate.kernel -> An.extent
+(** The kernel-only inputs of [geometry] and [buffers] (array roles,
+    extents, interior, read arrays) come from {!Kernel_facts}. *)
 
 val geometry : Plan.t -> geometry
 

@@ -15,6 +15,7 @@ module D = Artemis_dsl.Depgraph
 module P = Artemis_ir.Plan
 module Validate = Artemis_ir.Validate
 module Launch = Artemis_ir.Launch
+module Facts = Artemis_ir.Kernel_facts
 module Estimate = Artemis_ir.Estimate
 module Occupancy = Artemis_gpu.Occupancy
 module Coalesce = Artemis_gpu.Coalesce
@@ -146,25 +147,6 @@ let semantic_findings msgs =
 (* Kernel-level analyses                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Interior bounds exactly as Launch.geometry computes them: clipped by
-   the union of read extents of the pure input arrays. *)
-let clipped_interior (k : I.kernel) =
-  let rank = Array.length k.domain in
-  let exts = An.required_extents k in
-  let input_extent =
-    List.fold_left
-      (fun acc a ->
-        match Hashtbl.find_opt exts a with
-        | Some e -> An.union_extent acc e
-        | None -> acc)
-      (An.zero_extent rank) (Launch.pure_inputs k)
-  in
-  let lo = Array.init rank (fun d -> max 0 (-fst input_extent.(d))) in
-  let hi =
-    Array.init rank (fun d -> (k.domain.(d) - 1) - max 0 (snd input_extent.(d)))
-  in
-  (lo, hi)
-
 let iter_index (k : I.kernel) it = List.find_index (String.equal it) k.iters
 
 (* Every (array, binding, kind) access of the body: reads via Analysis,
@@ -174,7 +156,9 @@ let all_accesses (k : I.kernel) =
     Array.of_list (List.map (fun (i : A.index) -> (i.iter, i.shift)) idx)
   in
   let reads =
-    List.map (fun (a : An.access) -> (a.array, a.binding, "read")) (An.read_accesses k)
+    List.map
+      (fun (a : An.access) -> (a.array, a.binding, "read"))
+      (Facts.of_kernel k).read_accesses
   in
   let writes =
     List.filter_map
@@ -187,7 +171,7 @@ let all_accesses (k : I.kernel) =
 
 let bounds_lints s (k : I.kernel) =
   let loc = "kernel " ^ k.kname in
-  let ilo, ihi = clipped_interior k in
+  let { Facts.interior_lo = ilo; interior_hi = ihi; _ } = Facts.of_kernel k in
   let empty = ref false in
   Array.iteri
     (fun d l ->
@@ -241,7 +225,7 @@ let bounds_lints s (k : I.kernel) =
       (all_accesses k)
 
 let fusion_lints s (k : I.kernel) =
-  let h = An.recompute_halo k in
+  let h = (Facts.of_kernel k).recompute_halo in
   if h > 0 then
     emit s ~code:"A203" ~severity:Info ~phase:Dsl ~location:("kernel " ^ k.kname)
       ~hint:
@@ -309,12 +293,12 @@ let wavefront_lints s (k : I.kernel) =
   let loc = "kernel " ^ k.kname in
   let rank = Array.length k.domain in
   List.iteri
-    (fun n st ->
+    (fun n (st, dep) ->
       let target = match st with
         | A.Assign (a, _, _) | A.Accum (a, _, _) -> a
         | A.Decl_temp (t, _) -> t
       in
-      match S.self_dependences ~iters:k.iters st with
+      match dep with
       | S.No_dep -> ()
       | S.Uniform deltas when S.band_safe deltas -> (
         match S.hyperplane ~rank deltas with
@@ -351,7 +335,7 @@ let wavefront_lints s (k : I.kernel) =
              "statement %d (writes %s): position-dependent self-dependence \
               has no constant hyperplane"
              n target))
-    k.body
+    (List.combine k.body (Facts.of_kernel k).self_deps)
 
 (* ------------------------------------------------------------------ *)
 (* Affine-analyzer (A7xx) passes                                        *)
@@ -689,8 +673,8 @@ let static_plan_lints s (p : P.t) =
   let k = p.kernel in
   let rank = Array.length k.domain in
   List.iteri
-    (fun n st ->
-      match S.self_dependences ~iters:k.iters st with
+    (fun n (st, dep) ->
+      match dep with
       | S.No_dep | S.Unknown -> ()
       | S.Uniform deltas ->
         if not (S.band_safe deltas) then
@@ -707,7 +691,7 @@ let static_plan_lints s (p : P.t) =
                "statement %d (writes %s): no constant hyperplane orders the \
                 statically proven distances {%s}"
                n (stmt_target st) (deltas_str deltas)))
-    k.body
+    (List.combine k.body (Facts.of_kernel k).self_deps)
 
 (* A802: degree-N temporal blocking across a forbidding dependence.  The
    legality test is [Fusion.block_illegal] — the same affine-engine check
@@ -897,7 +881,9 @@ let coalesce_lints s (p : P.t) bufs =
                 !stride
             in
             let worst =
-              List.fold_left (fun acc a -> max acc (stride_of a)) 0 (An.read_accesses k)
+              List.fold_left
+                (fun acc a -> max acc (stride_of a))
+                0 (Facts.of_kernel k).read_accesses
             in
             if worst > 1 then begin
               let sectors =

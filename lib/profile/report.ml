@@ -71,7 +71,7 @@ let render (r : t) =
   line buf "flops per point : %d" (An.flops_per_point k);
   line buf "IO arrays       : %d" (An.io_array_count k);
   line buf "theoretical OI  : %.3f flops/byte" (An.theoretical_oi k);
-  line buf "recompute halo  : %d" (An.recompute_halo k);
+  line buf "recompute halo  : %d" (Artemis_ir.Kernel_facts.of_kernel k).recompute_halo;
   render_measurement buf "baseline (from pragma)" r.baseline r.baseline_profile;
   render_measurement buf "tuned" r.tuned r.tuned_profile;
   section buf "tuning";
@@ -169,7 +169,7 @@ let to_json (r : t) =
            ("flops_per_point", Json.Int (An.flops_per_point k));
            ("io_arrays", Json.Int (An.io_array_count k));
            ("theoretical_oi", Json.Float (An.theoretical_oi k));
-           ("recompute_halo", Json.Int (An.recompute_halo k)) ]);
+           ("recompute_halo", Json.Int (Artemis_ir.Kernel_facts.of_kernel k).recompute_halo) ]);
       ("baseline", json_measurement r.baseline r.baseline_profile);
       ("tuned", json_measurement r.tuned r.tuned_profile);
       ("speedup",

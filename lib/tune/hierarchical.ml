@@ -182,6 +182,117 @@ let knobs_of_decisions (d : Hints.decisions) =
     unroll_bound = (if d.enable_unroll then 8 else 1);
   }
 
+(* Phase 2's expansion of promoted candidates into their refinement
+   variants, in canonical order.  The retimed kernel is built once per
+   (kernel value, stream dimension) and the fold groups once per kernel
+   value, so every variant of a search shares one retimed kernel and the
+   per-kernel caches ([Kernel_facts], [Traffic]) see one value for it. *)
+let variants (knobs : knobs) (candidates : Plan.t list) =
+  let once cache same key f =
+    match List.find_opt (fun (key', _) -> same key' key) !cache with
+    | Some (_, v) -> v
+    | None ->
+      let v = f () in
+      cache := (key, v) :: !cache;
+      v
+  in
+  let retimes = ref [] and folds = ref [] in
+  let retimed k dim =
+    once retimes
+      (fun (k', dim') (k, dim) -> k' == k && dim' = dim)
+      (k, dim)
+      (fun () -> Artemis_codegen.Retime.apply k ~dim_index:dim)
+  in
+  let fold_groups k = once folds ( == ) k (fun () -> Artemis_dsl.Analysis.foldable_groups k) in
+  let variants_of (candidate : Plan.t) =
+    let with_prefetch =
+      if knobs.try_prefetch then [ candidate; { candidate with Plan.prefetch = true } ]
+      else [ candidate ]
+    in
+    let with_persp =
+      if knobs.try_perspective then
+        List.concat_map
+          (fun (p : Plan.t) ->
+            [ p; { p with perspective = Plan.Input_persp };
+              { p with perspective = Plan.Mixed_persp } ])
+          with_prefetch
+      else with_prefetch
+    in
+    let retime_variant (p : Plan.t) =
+      (* Retiming needs a homogenizable body; carry the decomposed
+         form so execution and accounting agree. *)
+      let dim = match Plan.stream_dim p with Some s -> s | None -> 0 in
+      match retimed p.kernel dim with
+      | Some k' -> Some { p with kernel = k'; retime = true }
+      | None -> None
+    in
+    let with_retime =
+      if knobs.try_retime then
+        List.concat_map
+          (fun (p : Plan.t) ->
+            match retime_variant p with
+            | Some rp -> [ p; rp ]
+            | None -> [ p ])
+          with_persp
+      else with_persp
+    in
+    let with_conc =
+      match (knobs.try_concurrent, candidate.scheme) with
+      | true, Plan.Serial_stream s ->
+        let extent = candidate.kernel.domain.(s) in
+        List.concat_map
+          (fun (p : Plan.t) ->
+            p
+            :: List.map
+                 (fun chunk -> { p with scheme = Plan.Concurrent_stream (s, chunk) })
+                 (Space.chunk_candidates ~extent))
+          with_retime
+      | _ -> with_retime
+    in
+    let with_fold =
+      if knobs.try_fold then
+        List.concat_map
+          (fun (p : Plan.t) ->
+            match fold_groups p.kernel with
+            | [] -> [ p ]
+            | groups -> [ p; { p with fold = groups } ])
+          with_conc
+      else with_conc
+    in
+    let with_temporal =
+      (* Degree-N temporal blocking needs to know the ping-pong pair;
+         a base plan that doesn't name one (or a max_degree of 1)
+         keeps the space temporal-free.  Illegal degrees are pruned
+         downstream: A802 for dependence violations, launch lints for
+         shared/register overflow of the deeper halo windows. *)
+      match
+        ( candidate.Plan.temporal.pair,
+          Space.degree_candidates ~max_degree:knobs.max_degree )
+      with
+      | Some _, (_ :: _ as degrees) ->
+        List.concat_map
+          (fun (p : Plan.t) ->
+            p
+            :: List.concat_map
+                 (fun degree ->
+                   List.concat_map
+                     (fun halo ->
+                       List.map
+                         (fun tbuf ->
+                           { p with
+                             Plan.temporal =
+                               { p.Plan.temporal with Plan.degree; halo; tbuf };
+                           })
+                         [ Plan.Shared_double; Plan.Register_cycle ])
+                     [ Plan.Halo_recompute; Plan.Halo_exchange ])
+                 degrees)
+          with_fold
+      | _ -> with_fold
+    in
+    with_temporal
+  in
+  List.concat_map variants_of candidates
+
 (** Tune a base plan.  The base fixes the scheme, placement, and kernel;
     the tuner varies block/unroll (phase 1) then the refinement toggles
     (phase 2).  Returns [None] only when no valid configuration exists. *)
@@ -410,101 +521,9 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
       |> List.filteri (fun i _ -> i < knobs.top_n)
       |> List.map (fun (m : Analytic.measurement) -> m.plan)
     in
-    let variants_of (candidate : Plan.t) =
-      let variants =
-        let base_variants = [ candidate ] in
-        let with_prefetch =
-          if knobs.try_prefetch then
-            List.concat_map (fun p -> [ p; { p with Plan.prefetch = true } ]) base_variants
-          else base_variants
-        in
-        let with_persp =
-          if knobs.try_perspective then
-            List.concat_map
-              (fun (p : Plan.t) ->
-                [ p; { p with perspective = Plan.Input_persp };
-                  { p with perspective = Plan.Mixed_persp } ])
-              with_prefetch
-          else with_prefetch
-        in
-        let retime_variant (p : Plan.t) =
-          (* Retiming needs a homogenizable body; carry the decomposed
-             form so execution and accounting agree. *)
-          let dim = match Plan.stream_dim p with Some s -> s | None -> 0 in
-          match Artemis_codegen.Retime.apply p.kernel ~dim_index:dim with
-          | Some k' -> Some { p with kernel = k'; retime = true }
-          | None -> None
-        in
-        let with_retime =
-          if knobs.try_retime then
-            List.concat_map
-              (fun (p : Plan.t) ->
-                match retime_variant p with
-                | Some rp -> [ p; rp ]
-                | None -> [ p ])
-              with_persp
-          else with_persp
-        in
-        let with_conc =
-          match (knobs.try_concurrent, candidate.scheme) with
-          | true, Plan.Serial_stream s ->
-            let extent = candidate.kernel.domain.(s) in
-            List.concat_map
-              (fun (p : Plan.t) ->
-                p
-                :: List.map
-                     (fun chunk -> { p with scheme = Plan.Concurrent_stream (s, chunk) })
-                     (Space.chunk_candidates ~extent))
-              with_retime
-          | _ -> with_retime
-        in
-        let with_fold =
-          if knobs.try_fold then
-            List.concat_map
-              (fun (p : Plan.t) ->
-                match Artemis_dsl.Analysis.foldable_groups p.kernel with
-                | [] -> [ p ]
-                | groups -> [ p; { p with fold = groups } ])
-              with_conc
-          else with_conc
-        in
-        let with_temporal =
-          (* Degree-N temporal blocking needs to know the ping-pong pair;
-             a base plan that doesn't name one (or a max_degree of 1)
-             keeps the space temporal-free.  Illegal degrees are pruned
-             downstream: A802 for dependence violations, launch lints for
-             shared/register overflow of the deeper halo windows. *)
-          match
-            ( candidate.Plan.temporal.pair,
-              Space.degree_candidates ~max_degree:knobs.max_degree )
-          with
-          | Some _, (_ :: _ as degrees) ->
-            List.concat_map
-              (fun (p : Plan.t) ->
-                p
-                :: List.concat_map
-                     (fun degree ->
-                       List.concat_map
-                         (fun halo ->
-                           List.map
-                             (fun tbuf ->
-                               { p with
-                                 Plan.temporal =
-                                   { p.Plan.temporal with Plan.degree; halo; tbuf };
-                               })
-                             [ Plan.Shared_double; Plan.Register_cycle ])
-                         [ Plan.Halo_recompute; Plan.Halo_exchange ])
-                     degrees)
-              with_fold
-          | _ -> with_fold
-        in
-        with_temporal
-      in
-      variants
-    in
     let final =
       consider_all ~phase:"phase2" ~label:"tune.phase2" (Some p1_best)
-        (List.concat_map variants_of top)
+        (variants knobs top)
     in
     Option.map
       (fun best ->

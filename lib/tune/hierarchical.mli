@@ -55,6 +55,13 @@ val knobs_of_decisions : Artemis_profile.Hints.decisions -> knobs
 val measure_stepped :
   Artemis_ir.Plan.t -> Artemis_exec.Analytic.measurement option
 
+(** Phase 2's expansion of promoted candidates into their refinement
+    variants (prefetch, perspective, retiming, concurrent streaming,
+    folding, temporal degrees), in canonical order.  Every retimed
+    variant built from one kernel value carries one shared retimed
+    kernel value. *)
+val variants : knobs -> Artemis_ir.Plan.t list -> Artemis_ir.Plan.t list
+
 (** Tune a base plan (its scheme, placement, and kernel are fixed; block,
     unroll, and refinements vary).  [None] only when no valid
     configuration exists at all. *)

@@ -9,8 +9,8 @@
 
    The kernel is most of a plan's bytes and is the same value across a
    whole search, so it enters the key as a digest of its canonical
-   ([Marshal.No_sharing]) bytes, computed once per kernel value through
-   [Kernel_memo].  The rest of the key is the canonical bytes of the
+   ([Marshal.No_sharing]) bytes, [Kernel_facts.digest], built once per
+   kernel value.  The rest of the key is the canonical bytes of the
    plan with its kernel field blanked.  Structurally equal
    plans therefore share a key whatever their sharing, and two plans
    collide only if their kernels' MD5 digests do.
@@ -26,9 +26,6 @@ module Trace = Artemis_obs.Trace
 let m_hits = Metrics.counter "tuner.cache_hit"
 let m_misses = Metrics.counter "tuner.cache_miss"
 
-let kernel_digest =
-  Artemis_dsl.Kernel_memo.memo (fun k -> Digest.string (Marshal.to_string k [ Marshal.No_sharing ]))
-
 let blank_kernel : Artemis_dsl.Instantiate.kernel =
   {
     kname = ""; body = []; iters = []; domain = [||]; arrays = []; scalars = []; assign = [];
@@ -39,7 +36,7 @@ let blank_kernel : Artemis_dsl.Instantiate.kernel =
     length), then the canonical bytes of the plan with its kernel
     blanked. *)
 let key_of (plan : Plan.t) =
-  kernel_digest plan.kernel
+  (Artemis_ir.Kernel_facts.of_kernel plan.kernel).digest
   ^ Marshal.to_string { plan with kernel = blank_kernel } [ Marshal.No_sharing ]
 
 let lock = Mutex.create ()

@@ -220,7 +220,7 @@ let schedule_of_variant (prog : A.program) variant =
     let items =
       List.concat_map
         (function
-          | I.Launch k when List.length (Launch.final_outputs k) >= 2 ->
+          | I.Launch k when List.length (Artemis_ir.Kernel_facts.of_kernel k).final_outputs >= 2 ->
             let parts =
               match which with
               | `Trivial -> Fission.trivial k

@@ -82,8 +82,8 @@ let tests =
           Alcotest.(check (option int)) "7 offsets" (Some 7)
             (Option.map List.length (List.assoc_opt "in" offs)));
       case "offset range along stream dim" (fun () ->
-          let lo, hi = An.offset_range (jacobi_kernel ()) "in" 0 in
-          Alcotest.(check (pair int int)) "(-1,1)" (-1, 1) (lo, hi));
+          let ranges = (Artemis_ir.Kernel_facts.of_kernel (jacobi_kernel ())).offset_ranges in
+          Alcotest.(check (pair int int)) "(-1,1)" (-1, 1) (List.assoc "in" ranges).(0));
       case "required extents of DAG intermediate" (fun () ->
           let k = dag_kernel () in
           let exts = An.required_extents k in
@@ -97,9 +97,11 @@ let tests =
             Alcotest.(check bool) "u extent z = (0,2)" true (e.(0) = (0, 2))
           | None -> Alcotest.fail "no extent for u");
       case "recompute halo of DAG" (fun () ->
-          Alcotest.(check int) "halo 1" 1 (An.recompute_halo (dag_kernel ())));
+          Alcotest.(check int) "halo 1" 1
+            (Artemis_ir.Kernel_facts.of_kernel (dag_kernel ())).recompute_halo);
       case "recompute halo zero without intermediate reuse" (fun () ->
-          Alcotest.(check int) "halo 0" 0 (An.recompute_halo (jacobi_kernel ())));
+          Alcotest.(check int) "halo 0" 0
+            (Artemis_ir.Kernel_facts.of_kernel (jacobi_kernel ())).recompute_halo);
       case "decompose_sum flattens with signs" (fun () ->
           let e = Parser.parse_expr_string "a - (b + cc) + d" in
           let terms = An.decompose_sum e in

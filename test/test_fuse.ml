@@ -188,7 +188,7 @@ let tests =
           List.iter
             (fun sub ->
               Alcotest.(check bool) "halo bounded" true
-                (Analysis.recompute_halo sub <= bound))
+                ((Artemis_ir.Kernel_facts.of_kernel sub).recompute_halo <= bound))
             parts);
       case "recompute fission preserves semantics" (fun () ->
           let b = Suite.at_size 12 (Suite.find "rhs4center") in

@@ -8,6 +8,7 @@ module Plan = Artemis_ir.Plan
 module Launch = Artemis_ir.Launch
 module Estimate = Artemis_ir.Estimate
 module Validate = Artemis_ir.Validate
+module Kernel_facts = Artemis_ir.Kernel_facts
 
 let case name f = Alcotest.test_case name `Quick f
 let dev = Artemis_gpu.Device.p100
@@ -19,6 +20,55 @@ let jacobi_kernel ?(n = 64) () =
 let plan ?(scheme = Plan.Serial_stream 0) ?(block = [| 1; 16; 32 |])
     ?(unroll = [| 1; 1; 1 |]) ?(placement = [ ("in", A.Shmem) ]) ?(retime = false) k =
   { (Plan.default dev k) with Plan.scheme; block; unroll; placement; retime }
+
+(* Every suite kernel at full size, each retimed along every dimension
+   it retimes along, and the pricing pin's generated corpus. *)
+let facts_kernels () =
+  let suite = List.concat_map Artemis_bench.Suite.kernels Artemis_bench.Suite.all in
+  let retimed =
+    List.concat_map
+      (fun (k : I.kernel) ->
+        List.filter_map
+          (fun d -> Artemis_codegen.Retime.apply k ~dim_index:d)
+          (List.init (List.length k.iters) Fun.id))
+      suite
+  in
+  let generated =
+    List.concat_map
+      (fun index ->
+        Test_pricing.program_kernels
+          (Artemis_verify.Gen.generate ~seed:Test_pricing.edge_seed ~index).prog)
+      (List.init Test_pricing.edge_cases Fun.id)
+  in
+  suite @ retimed @ generated
+
+(* Each field of the facts record against the stand-alone function it
+   replaces, and the facts of a [Marshal] copy against the original's. *)
+let check_facts (k : I.kernel) =
+  let f = Kernel_facts.of_kernel k in
+  let expect what ok = if not ok then Alcotest.failf "%s: %s differs" k.kname what in
+  let copy : I.kernel = Marshal.from_string (Marshal.to_string k []) 0 in
+  expect "facts of a copy" (Kernel_facts.of_kernel copy = f);
+  expect "read_accesses" (f.read_accesses = Analysis.read_accesses k);
+  let exts = Analysis.required_extents k in
+  let sorted_exts = List.sort compare (Hashtbl.fold (fun a e acc -> (a, e) :: acc) exts []) in
+  expect "required_extents" (f.required_extents = sorted_exts);
+  expect "distinct_offsets" (f.distinct_offsets = Analysis.distinct_offsets k);
+  expect "reads_per_point" (f.reads_per_point = Analysis.reads_per_point k);
+  expect "self_deps"
+    (f.self_deps = List.map (Artemis_static.Static.self_dependences ~iters:k.iters) k.body);
+  let written = List.filter_map A.written_array k.body in
+  let input_extent =
+    List.fold_left
+      (fun acc (a, _) ->
+        match Hashtbl.find_opt exts a with
+        | Some e when not (List.mem a written) -> Analysis.union_extent acc e
+        | Some _ | None -> acc)
+      (Analysis.zero_extent (Array.length k.domain)) k.arrays
+  in
+  expect "input_extent" (f.input_extent = input_extent);
+  expect "launch input extent"
+    ((Launch.geometry (Plan.default dev k)).input_extent = input_extent)
 
 let tests =
   ( "ir",
@@ -156,4 +206,6 @@ let tests =
       case "plan label is deterministic" (fun () ->
           let p = plan (jacobi_kernel ()) in
           Alcotest.(check string) "label" (Plan.label p) (Plan.label p));
+      case "kernel facts are a pure function of the kernel" (fun () ->
+          List.iter check_facts (facts_kernels ()));
     ] )

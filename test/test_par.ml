@@ -92,21 +92,13 @@ let pool_tests =
             Alcotest.(check int) "forced lifts the clamp" 4 (Pool.parallelism ())));
   ]
 
-(* Every per-kernel analysis the tuner leans on, rendered exactly (%h
-   for floats).  Each call sees a fresh copy of the kernel: the
-   physical-identity caches miss while the structural body memo hits, so
-   both are exercised from whichever domain runs the task. *)
+(* Every per-kernel fact the tuner leans on, rendered exactly (%h for
+   floats).  Each call sees a fresh copy of the kernel, so the
+   physical-identity caches miss and the facts are rebuilt on whichever
+   domain runs the task. *)
 let kernel_analysis (k : Artemis_dsl.Instantiate.kernel) =
   let k = { k with kname = k.kname } in
-  let module An = Artemis_dsl.Analysis in
-  let module L = Artemis_ir.Launch in
-  let exts =
-    Hashtbl.fold (fun a e acc -> (a, Array.to_list e) :: acc) (An.required_extents k) []
-    |> List.sort compare
-  in
-  let offsets =
-    List.map (fun (a, offs) -> (a, List.map Array.to_list offs)) (An.distinct_offsets k)
-  in
+  let f = Artemis_ir.Kernel_facts.of_kernel k in
   let p = Artemis_codegen.Lower.lower dev k O.default in
   let res = Artemis_ir.Estimate.resources p in
   let counters =
@@ -116,14 +108,8 @@ let kernel_analysis (k : Artemis_dsl.Instantiate.kernel) =
       Printf.sprintf "%h %h %h %h" m.counters.total_flops m.counters.dram_bytes
         m.counters.gld_transactions m.time_s
   in
-  Printf.sprintf "%s|%d|%s|%s|%s|%s|%s|%s|%d %d|%s" k.kname
-    (List.length (An.read_accesses k))
-    (String.concat "," (List.map (fun (a, n) -> Printf.sprintf "%s:%d" a n) (An.reads_per_point k)))
-    (String.concat "," (L.pure_inputs k))
-    (String.concat "," (L.final_outputs k))
-    (String.concat "," (L.intermediates k))
-    (Marshal.to_string exts [])
-    (Marshal.to_string offsets [])
+  Printf.sprintf "%s|%s|%d %d|%s" k.kname
+    (Digest.to_hex (Digest.string (Marshal.to_string f [ Marshal.No_sharing ])))
     res.regs_per_thread res.shared_per_block counters
 
 let determinism_tests =

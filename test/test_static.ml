@@ -281,8 +281,8 @@ let analyze_digests () =
     [
       ("--suite --plan --json", "214d26eda4c84d96ad78f33e7783038c");
       ("--suite --json", "89a35e9094c9afc83bcb4fed155617a3");
-      ("--fuzz-corpus 42 --cases 25 --json", "dc286feef1e4b7cb4d864c8d965ba93d");
-      ("--fuzz-corpus 7 --cases 25 --json", "0257c79a458d9b40de1ac08c377d53db");
+      ("--fuzz-corpus 42 --cases 25 --json", "14c08c3932a489d5784c232a99cb5a47");
+      ("--fuzz-corpus 7 --cases 25 --json", "a01f36a90c33dc002ee334d252ed40ad");
     ]
 
 let tests =

@@ -41,13 +41,14 @@ let tests =
         case "rhs4center reads five 3-D inputs and writes three outputs"
           (fun () ->
             let k = List.hd (Suite.kernels (Suite.find "rhs4center")) in
-            let inputs = Artemis_ir.Launch.pure_inputs k in
+            let facts = Artemis_ir.Kernel_facts.of_kernel k in
+            let inputs = facts.pure_inputs in
             Alcotest.(check (list string)) "inputs"
               [ "la"; "mu"; "u0"; "u1"; "u2" ]
               (List.sort compare inputs);
             Alcotest.(check (list string)) "outputs"
               [ "uacc0"; "uacc1"; "uacc2" ]
-              (List.sort compare (Artemis_ir.Launch.final_outputs k)));
+              (List.sort compare facts.final_outputs));
         case "SW4 kernels carry the twelve Figure-3 temporaries" (fun () ->
             List.iter
               (fun bname ->

@@ -221,4 +221,29 @@ let tests =
           Alcotest.check_raises "invalid"
             (Invalid_argument "optimal_schedule: negative iteration count")
             (fun () -> ignore (Deep.optimal_schedule r ~t:(-1))));
+      case "phase 2 retimes each kernel value once" (fun () ->
+          (* Two promoted candidates over one kernel value: every retimed
+             variant of both must carry one physical retimed kernel, so
+             the per-kernel caches see one value. *)
+          let base, retimed =
+            List.find_map
+              (fun k ->
+                let base = Lower.lower dev k O.default in
+                let halved = Array.map (fun b -> max 1 (b / 2)) base.block in
+                let cands = [ base; { base with block = halved } ] in
+                let variants = H.variants H.default_knobs cands in
+                match List.filter (fun (p : Plan.t) -> p.retime) variants with
+                | [] -> None
+                | retimed -> Some (base, retimed))
+              (List.concat_map Suite.kernels (List.map (Suite.at_size 32) Suite.all))
+            |> Option.get
+          in
+          Alcotest.(check bool) "several retimed variants" true (List.length retimed > 2);
+          let k' = (List.hd retimed).kernel in
+          Alcotest.(check bool) "retimed kernel is not the base's" true (k' != base.kernel);
+          List.iter
+            (fun (p : Plan.t) ->
+              if p.kernel != k' then
+                Alcotest.failf "%s: a second retimed kernel" (Plan.label p))
+            retimed);
     ] )
