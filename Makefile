@@ -3,7 +3,7 @@
 TRACE   := /tmp/artemis-trace.json
 REPORT  := /tmp/artemis-report.json
 
-.PHONY: all build test check bench pricing-pin decision-pin trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke cache-smoke wavefront-smoke tb-smoke model-smoke obs-smoke bench-gate no-obj clean
+.PHONY: all build test check bench pricing-pin decision-pin trace-smoke lint-smoke analyze-smoke fuzz-smoke perf-smoke cache-smoke wavefront-smoke tb-smoke model-smoke obs-smoke bench-gate no-obj exports clean
 
 all: build
 
@@ -19,6 +19,7 @@ test:
 check:
 	dune build @all
 	$(MAKE) no-obj
+	$(MAKE) exports
 	dune runtest
 	$(MAKE) lint-smoke
 	$(MAKE) analyze-smoke
@@ -196,6 +197,12 @@ no-obj:
 	@if grep -rnE --include='*.ml' --include='*.mli' '(^|[^A-Za-z0-9_])Obj\.' lib; then \
 	  echo "lib/ must not use Obj"; exit 1; \
 	else echo "lib/: no Obj"; fi
+
+# Interface diet: every value a lib/ interface exports has a caller
+# outside its own module in lib/, bin/, bench/, perf/ or examples/, or
+# is on test/exports.allow with the reason a test needs it.
+exports:
+	@sh test/exports.sh
 
 clean:
 	dune clean

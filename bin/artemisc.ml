@@ -35,7 +35,7 @@ let exits =
     diagnostics (exit status 1) instead of uncaught exceptions. *)
 let diagnose path f =
   try `Ok (f ()) with
-  | Artemis_dsl.Lexer.Lex_error (msg, line) ->
+  | Artemis.Lexer.Lex_error (msg, line) ->
     `Error (false, Printf.sprintf "%s:%d: lexical error: %s" path line msg)
   | Artemis.Parser.Parse_error (msg, line) ->
     `Error (false, Printf.sprintf "%s:%d: syntax error: %s" path line msg)

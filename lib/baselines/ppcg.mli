@@ -11,13 +11,6 @@ type result = {
   explored : int;
 }
 
-(** Multiplicative issue-slot cost of the generated guards (grows with
-    DAG depth). *)
-val conditional_overhead : Artemis_dsl.Instantiate.kernel -> float
-
-val base_plan :
-  Artemis_gpu.Device.t -> Artemis_dsl.Instantiate.kernel -> Artemis_ir.Plan.t
-
 (** Tune block shapes only; [None] when nothing launches. *)
 val tune :
   Artemis_gpu.Device.t -> Artemis_dsl.Instantiate.kernel -> result option

@@ -14,12 +14,5 @@ type outcome =
       (** best measurement, configurations explored *)
   | Unsupported of string
 
-(** Kernels mixing array ranks within one stencil function. *)
-val mixed_dimensionality : Artemis_dsl.Instantiate.kernel -> bool
-
-(** The STENCILGEN strategy's base plan for a kernel. *)
-val base_plan :
-  Artemis_gpu.Device.t -> Artemis_dsl.Instantiate.kernel -> Artemis_ir.Plan.t
-
 (** Tune the strategy over block shapes. *)
 val tune : Artemis_gpu.Device.t -> Artemis_dsl.Instantiate.kernel -> outcome

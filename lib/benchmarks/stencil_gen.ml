@@ -80,60 +80,3 @@ let pad_to_outs ~target ~outs ~arr body =
 
 let pad_to ~target ~out ~arr body = pad_to_outs ~target ~outs:[ out ] ~arr body
 
-type spec = {
-  name : string;
-  order : int;
-  inputs3d : string list;
-  inputs1d : string list;  (** read at the center of their own axis *)
-  outputs : string list;
-  shared_temps : int;  (** pointwise temporaries feeding every output *)
-  flops : int;  (** exact per-point target *)
-}
-
-(** Generate a kernel body from a spec.  Structure per output:
-    - shared temporaries t0..tn combine 3-D inputs pointwise (Figure 3's
-      mux1..muz4 pattern: replicated under fission);
-    - each output sums weighted stars over every 3-D input, its share of
-      the temporaries, and the 1-D coefficient product;
-    - a final padding chain lands the body on the published FLOP count. *)
-let generate (s : spec) =
-  let n_in = List.length s.inputs3d in
-  if n_in = 0 then invalid_arg "generate: need at least one 3-D input";
-  let input i = List.nth s.inputs3d (i mod n_in) in
-  let temp_name i = Printf.sprintf "mu_t%d" i in
-  let temps =
-    List.init s.shared_temps (fun i ->
-        let x = input i and y = input (i + 1) and z = input (i + 2) in
-        B.temp (temp_name i)
-          B.((a3 x (0, 0, 0) * a3 y (0, 0, 0)) + (c 0.25 * a3 z (0, 0, 0))))
-  in
-  let one_d_terms =
-    List.mapi
-      (fun i name ->
-        let axis = [ "k"; "j"; "i" ] in
-        B.a1 name (List.nth axis (i mod 3)) 0)
-      s.inputs1d
-  in
-  let out_stmt o_idx o =
-    let stars =
-      List.mapi
-        (fun i arr ->
-          let w = 0.1 +. (0.05 *. float_of_int ((i + o_idx) mod 7)) in
-          let st = star_sum arr ~order:s.order ~w0:0.5 in
-          B.(c w * st))
-        s.inputs3d
-    in
-    let temp_terms =
-      List.init s.shared_temps (fun i -> B.( * ) (B.c 0.33) (B.s (temp_name i)))
-    in
-    let coeff =
-      match one_d_terms with
-      | [] -> []
-      | ts ->
-        let center = B.a3 (input o_idx) (0, 0, 0) in
-        [ B.(sum ts * center) ]
-    in
-    B.assign3 o (B.sum (stars @ temp_terms @ coeff))
-  in
-  let body = temps @ List.mapi out_stmt s.outputs in
-  pad_to ~target:s.flops ~out:(List.hd s.outputs) ~arr:(input 0) body

@@ -12,13 +12,6 @@
     plus the center. *)
 val star_sum : string -> order:int -> w0:float -> Artemis_dsl.Ast.expr
 
-(** An expression with exactly [n >= 1] FLOPs reading only the array's
-    center; [salt] keeps distinct pad chains structurally distinct. *)
-val pad_expr : ?salt:int -> string -> int -> Artemis_dsl.Ast.expr
-
-(** Total FLOPs of a body under the Table-I convention. *)
-val body_flops : Artemis_dsl.Ast.stmt list -> int
-
 (** Pad with accumulation statements (cycling the outputs, max 32 FLOPs
     per statement) until the body costs exactly [target].
     @raise Invalid_argument when the body already exceeds the target *)
@@ -31,16 +24,3 @@ val pad_to :
   target:int -> out:string -> arr:string ->
   Artemis_dsl.Ast.stmt list -> Artemis_dsl.Ast.stmt list
 
-(** Declarative generator: temporaries over input pairs, per-output star
-    sums, optional 1-D coefficient terms, exact FLOP padding. *)
-type spec = {
-  name : string;
-  order : int;
-  inputs3d : string list;
-  inputs1d : string list;
-  outputs : string list;
-  shared_temps : int;
-  flops : int;  (** exact per-point target *)
-}
-
-val generate : spec -> Artemis_dsl.Ast.stmt list

@@ -6,10 +6,6 @@
     decomposition + retiming when homogenizable, folding, perspective and
     prefetch flags. *)
 
-(** Default block shapes matching the paper's Section VIII-G baselines:
-    (x=32, y=16) for streamed kernels, (x=16, y=4, z=4) tiled. *)
-val default_block : int -> Artemis_ir.Plan.scheme -> int array
-
 (** Lower one kernel under the given options.  The result is not yet
     validated: tuners filter with [Validate.violations], direct users
     call [Validate.check]. *)

@@ -8,24 +8,6 @@
     demotion loop: while the shared footprint caps occupancy below the
     target, demote the staged array with the fewest reads per point. *)
 
-(** Automatic staging map, before user overrides. *)
-val automatic :
-  Artemis_dsl.Instantiate.kernel ->
-  (string * Artemis_dsl.Ast.placement) list
-
-(** Layer the kernel's [#assign] clauses over a map. *)
-val with_user :
-  Artemis_dsl.Instantiate.kernel ->
-  (string * Artemis_dsl.Ast.placement) list ->
-  (string * Artemis_dsl.Ast.placement) list
-
-(** Demote until [target] occupancy is reachable (user-pinned arrays are
-    never demoted); returns the final map. *)
-val ration :
-  Artemis_ir.Plan.t -> user_pinned:string list -> target:float ->
-  (string * Artemis_dsl.Ast.placement) list ->
-  (string * Artemis_dsl.Ast.placement) list
-
 (** The full assignment for a plan skeleton: automatic policy, user
     overrides when [honor_user], then occupancy-targeted rationing. *)
 val assign :

@@ -10,14 +10,9 @@
     values up to floating-point reassociation (and up to per-term guards
     at domain faces). *)
 
-val decompose_stmt : Artemis_dsl.Ast.stmt -> Artemis_dsl.Ast.stmt list
-
 (** Decomposed form of the whole body. *)
 val decompose_kernel :
   Artemis_dsl.Instantiate.kernel -> Artemis_dsl.Instantiate.kernel
-
-(** Every decomposed sub-statement homogenizes along [dim]. *)
-val retimable : Artemis_dsl.Instantiate.kernel -> dim:string -> bool
 
 (** The decomposed kernel when retimable along the iterator of
     [dim_index], [None] otherwise (the caller leaves retiming off). *)

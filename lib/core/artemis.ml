@@ -15,6 +15,7 @@
       schedule for any iteration count with the opt(T) dynamic program. *)
 
 module Ast = Artemis_dsl.Ast
+module Lexer = Artemis_dsl.Lexer
 module Parser = Artemis_dsl.Parser
 module Check = Artemis_dsl.Check
 module Instantiate = Artemis_dsl.Instantiate

@@ -8,6 +8,7 @@
     ]} *)
 
 module Ast = Artemis_dsl.Ast
+module Lexer = Artemis_dsl.Lexer
 module Parser = Artemis_dsl.Parser
 module Check = Artemis_dsl.Check
 module Instantiate = Artemis_dsl.Instantiate
@@ -70,9 +71,14 @@ module Bench_diff = Artemis_obs.Bench_diff
 val version : string
 
 (** Parse and semantically check DSL source text.
-    @raise Parser.Parse_error / Check.Semantic_error *)
+    @raise Lexer.Lex_error on a malformed token
+    @raise Parser.Parse_error on a syntax error
+    @raise Check.Semantic_error when the program fails the semantic check *)
 val parse_string : string -> Ast.program
 
+(** [parse_string] on the contents of the file at [path].
+    @raise Sys_error when the file cannot be read; otherwise raises as
+    [parse_string] does *)
 val parse_file : string -> Ast.program
 
 (** The outcome of the end-to-end optimization flow (Section VII). *)
@@ -88,9 +94,6 @@ type result = {
   explored : int;  (** configurations measured during tuning *)
   history : (string * float) list;  (** tuning trace: plan label -> TFLOPS *)
 }
-
-(** Classify a measurement and resolve ambiguity by code differencing. *)
-val profile_measurement : Analytic.measurement -> Classify.profile
 
 (** Optimize one kernel end to end: baseline from the pragma, profile,
     prune, hierarchically autotune, profile the winner, emit hints and

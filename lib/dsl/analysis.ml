@@ -54,16 +54,6 @@ let stencil_order (k : I.kernel) =
         acc a.binding)
     0 (read_accesses k)
 
-(** Per-dimension order: maximum |shift| along each kernel iterator. *)
-let order_per_dim (k : I.kernel) =
-  let v = Array.make (List.length k.iters) 0 in
-  List.iter
-    (fun a ->
-      let ov = offset_vector k.iters a in
-      Array.iteri (fun d s -> v.(d) <- max v.(d) (abs s)) ov)
-    (read_accesses k);
-  v
-
 let intrinsic_flops = function
   | "min" | "max" | "sqrt" | "fabs" | "exp" | "log" | "sin" | "cos" | "pow" -> 1
   | "fma" -> 2
@@ -89,8 +79,6 @@ let flops_of_stmt = function
 let flops_per_point (k : I.kernel) =
   List.fold_left (fun acc st -> acc + flops_of_stmt st) 0 k.body
 
-(** Distinct input/output arrays touched — the "# IO Arrays" of Table I. *)
-let io_arrays (k : I.kernel) = List.map fst k.arrays
 let io_array_count (k : I.kernel) = List.length k.arrays
 
 (** Theoretical operational intensity (Table III, column OI_T): FLOPs per
@@ -145,15 +133,6 @@ let union_extent (a : extent) (b : extent) =
   Array.init (Array.length a) (fun d ->
       let alo, ahi = a.(d) and blo, bhi = b.(d) in
       (min alo blo, max ahi bhi))
-
-let shift_extent (e : extent) (off : int array) =
-  Array.init (Array.length e) (fun d ->
-      let lo, hi = e.(d) in
-      (lo + off.(d), hi + off.(d)))
-
-let extent_width (e : extent) d =
-  let lo, hi = e.(d) in
-  hi - lo
 
 (** [required_extents kernel] computes, for every array and temporary the
     body reads or writes, the region (relative to one output point) that

@@ -27,19 +27,12 @@ val offset_vector : string list -> access -> int array
 (** Maximum |shift| over all reads — the stencil order [k] of Table I. *)
 val stencil_order : Instantiate.kernel -> int
 
-(** Per-dimension maximum |shift|. *)
-val order_per_dim : Instantiate.kernel -> int array
-
-val flops_of_expr : Ast.expr -> int
-
 (** FLOPs of one statement; [+=] costs one extra add; a temporary whose
     right-hand side reads no array is loop-invariant and costs nothing. *)
 val flops_of_stmt : Ast.stmt -> int
 
 (** Useful double-precision FLOPs per interior domain point. *)
 val flops_per_point : Instantiate.kernel -> int
-
-val io_arrays : Instantiate.kernel -> string list
 
 (** Distinct input/output arrays touched — "# IO Arrays" of Table I. *)
 val io_array_count : Instantiate.kernel -> int
@@ -70,8 +63,6 @@ type extent = (int * int) array
 
 val zero_extent : int -> extent
 val union_extent : extent -> extent -> extent
-val shift_extent : extent -> int array -> extent
-val extent_width : extent -> int -> int
 
 (** Backward halo propagation over the body: for every array and
     temporary, the region (relative to one output point) that must be
@@ -84,13 +75,6 @@ val required_extents : Instantiate.kernel -> (string, extent) Hashtbl.t
 (** Split an expression into top-level additive terms with signs
     ([true] = positive). *)
 val decompose_sum : Ast.expr -> (bool * Ast.expr) list
-
-(** [term_stream_shift iters dim t] is [Some s] when every array read in
-    [t] shares shift [s] along [dim] (the term homogenizes), [None] when
-    shifts differ; a term without reads homogenizes at 0. *)
-val term_stream_shift : string list -> string -> Ast.expr -> int option
-
-val stmt_retimable : string list -> string -> Ast.stmt -> bool
 
 (** The whole kernel is retimable along [dim] when every statement's
     additive terms homogenize. *)

@@ -114,20 +114,3 @@ let output_nodes g (k : I.kernel) =
          if List.mem node.defines arrays && not read_elsewhere then Some node.id
          else None)
 
-(** Topological order check (bodies are sequences, so always sorted, but
-    fission re-assembles slices and tests rely on this invariant). *)
-let is_topological g order =
-  let pos = Hashtbl.create 16 in
-  List.iteri (fun i id -> Hashtbl.replace pos id i) order;
-  Array.for_all
-    (fun node ->
-      match Hashtbl.find_opt pos node.id with
-      | None -> true
-      | Some p ->
-        List.for_all
-          (fun pred ->
-            match Hashtbl.find_opt pos pred with
-            | None -> true
-            | Some pp -> pp < p)
-          g.preds.(node.id))
-    g.nodes

@@ -28,5 +28,3 @@ val backward_slice : t -> int -> node list
     outputs. *)
 val output_nodes : t -> Instantiate.kernel -> int list
 
-(** Does the given node ordering respect all flow edges? *)
-val is_topological : t -> int list -> bool

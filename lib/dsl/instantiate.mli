@@ -22,16 +22,6 @@ val array_dims : Ast.program -> string -> int array option
 (** Arrays written by a statement list. *)
 val outputs_of_body : Ast.stmt list -> string list
 
-(** [bind prog stencil actuals] substitutes actuals for formals and
-    resolves extents; the iteration domain comes from the highest-rank
-    output array unless [override_domain] is given.
-    @raise Instantiation_error on arity or resolution failures *)
-val bind :
-  ?override_domain:int array -> Ast.program -> Ast.stencil_def -> string list ->
-  kernel
-
-val find_stencil : Ast.program -> string -> Ast.stencil_def
-
 (** One step of the host schedule after instantiation. *)
 type sched_item =
   | Launch of kernel
@@ -47,4 +37,3 @@ val launch_count : sched_item list -> int
 (**/**)
 
 val read_arrays_of_body : Ast.stmt list -> string list
-val resolve_dim : (string * int) list -> Ast.dim_expr -> int

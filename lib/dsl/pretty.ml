@@ -139,5 +139,4 @@ let pp_program fmt (p : program) =
   if p.copyout <> [] then Format.fprintf fmt "copyout %a;@\n" pp_name_list p.copyout
 
 let expr_to_string e = Format.asprintf "%a" pp_expr e
-let stmt_to_string s = Format.asprintf "%a" pp_stmt s
 let program_to_string p = Format.asprintf "%a" pp_program p

@@ -2,13 +2,5 @@
     parser round-trips it (property-tested) — and is what the fission
     component writes out as candidate specifications (Section VI-B). *)
 
-val pp_index : Format.formatter -> Ast.index -> unit
-val pp_expr : Format.formatter -> Ast.expr -> unit
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-val pp_pragma : Format.formatter -> Ast.pragma -> unit
-val pp_stencil : Format.formatter -> Ast.stencil_def -> unit
-val pp_program : Format.formatter -> Ast.program -> unit
-
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : Ast.stmt -> string
 val program_to_string : Ast.program -> string

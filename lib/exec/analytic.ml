@@ -66,7 +66,3 @@ let try_measure plan =
     | Invalid_argument _ | Kernel_exec.Unsupported _ -> None)
   | _ :: _ -> None
 
-let pp_measurement fmt (m : measurement) =
-  Format.fprintf fmt "@[<v>%s@ %.3f TFLOPS, %a@ occ %.3f (%d regs, %d B shm)@]"
-    (Plan.label m.plan) m.tflops Timing.pp m.breakdown m.resources.occupancy.occupancy
-    m.resources.effective_regs m.resources.shared_per_block

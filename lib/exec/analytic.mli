@@ -31,4 +31,3 @@ val measure : Artemis_ir.Plan.t -> measurement
     want. *)
 val try_measure : Artemis_ir.Plan.t -> measurement option
 
-val pp_measurement : Format.formatter -> measurement -> unit

@@ -2,8 +2,9 @@
     executor and the block executor so both compute identical values.
 
     The executors evaluate through {!compile_stmt}'s flat-index row
-    evaluator; the point-wise interpreter ({!eval}/{!guard}, under the
-    [Interpret] {!schedule}) is the reference it is checked against. *)
+    evaluator; the point-wise interpreter (the [Interpret] {!schedule},
+    which evaluates the expression tree per point behind {!guard}) is the
+    reference it is checked against. *)
 
 (** Raised when an array read falls outside its grid; callers treat the
     statement as guarded off at that point. *)
@@ -24,12 +25,6 @@ type env = {
 (** Absolute coordinates of an access at a domain point. *)
 val access_coords : env -> int array -> Artemis_dsl.Ast.index list -> int array
 
-(** @raise Unknown_intrinsic on an unknown name or wrong arity. *)
-val apply_intrinsic : string -> float list -> float
-
-(** Evaluate at a point. @raise Out_of_bounds per above. *)
-val eval : env -> int array -> Artemis_dsl.Ast.expr -> float
-
 (** All array reads of the expression are in bounds at the point — the
     guard the generated CUDA emits. *)
 val guard : env -> int array -> Artemis_dsl.Ast.expr -> bool
@@ -37,7 +32,8 @@ val guard : env -> int array -> Artemis_dsl.Ast.expr -> bool
 (** {1 Schedule} *)
 
 (** How {!compile_stmt} sweeps statements.  [Interpret] runs every
-    statement point by point through {!eval}/{!guard} (classified
+    statement point by point through the expression interpreter behind
+    {!guard} (classified
     [Sc_guarded]) — the point-wise reference the differential tests
     compare against; it neither splits, nor takes the wavefront
     schedule, nor eliminates guards.  [Rows] runs the row evaluator:
@@ -90,18 +86,6 @@ type access_path = {
   mutable ap_base : int;  (** flat index at the current row's start point *)
 }
 
-val access_path : binder -> Grid.t -> Artemis_dsl.Ast.index list -> access_path
-
-(** Recompute [ap_base] for the row starting at [point] (closed form, no
-    allocation). *)
-val path_bind_row : access_path -> int array -> unit
-
-(** Intersect an iteration-space box with the region where every access
-    of [paths] is in bounds — exactly the set the statement's guard
-    accepts, which is itself a box.  A constant index outside its extent
-    empties the result. *)
-val clip_in_bounds : access_path list -> Region.box -> Region.box
-
 (** A statement lowered for split execution. *)
 type split_stmt = {
   ss_write : access_path;
@@ -125,7 +109,7 @@ val split_interior : split_stmt -> Region.box -> Region.box
 (** True when [schedule] enables static elimination and the affine analyzer,
     recomputing the statement's in-bounds footprint from the raw
     (extents, spec) pairs, lands on exactly [interior] (the executor's
-    own {!clip_in_bounds} box for [region]).  Every region point outside
+    own in-bounds box for [region], the one {!split_interior} returns).  Every region point outside
     [interior] is then provably a guard-failing no-op, so the shells can
     be skipped — two independent engines must agree before any guard is
     dropped; disagreement falls back to sweeping them. *)
@@ -154,18 +138,6 @@ type stmt_exec = {
       (** flat row body; [Invalid_argument] under [Sc_guarded] *)
 }
 
-(** Uniform self-dependence distances (read point minus write point) of
-    a statement from its physical access paths, or [None] when the
-    wavefront schedule does not apply (write does not cover every
-    iteration dimension, or a target-aliased read is not a constant
-    offset of the write). *)
-val self_deltas :
-  rank:int ->
-  target:Grid.t ->
-  wspec:(int * int) array ->
-  access_path list ->
-  int array list option
-
 (** Compile [target[idx] = e] (or [+=] under [accum]) into its guarded
     closure plus schedule class.  Under a [Rows] schedule every path —
     interior rows, wavefront rows and guarded points (a row of length 1
@@ -177,7 +149,7 @@ val self_deltas :
     self-dependent statement takes [Sc_wavefront] when the schedule's
     [wavefront] is set and a legal hyperplane exists; any other is
     [Sc_guarded].  Under [Interpret] the guarded closure is the
-    interpreter's ({!eval}/{!guard}) and the class is always
+    interpreter's (per-point evaluation behind {!guard}) and the class is always
     [Sc_guarded].  The result reuses internal buffers and belongs to one
     sequential sweep: parallel wavefront bands each compile their own
     instance.

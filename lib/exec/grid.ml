@@ -21,7 +21,6 @@ let create dims =
   if n <= 0 then invalid_arg "Grid.create: empty dims";
   { dims; strides = strides_of dims; data = Array.make n 0.0 }
 
-let size g = Array.length g.data
 let rank g = Array.length g.dims
 
 let copy g = { g with data = Array.copy g.data }
@@ -71,8 +70,6 @@ let init_pattern ?(seed = 1) g =
       done
   in
   if r = 0 then g.data.(0) <- 0.0 +. noise 0 else go 0 0
-
-let fill g v = Array.fill g.data 0 (Array.length g.data) v
 
 (** Largest absolute difference between two same-shaped grids. *)
 let max_abs_diff a b =

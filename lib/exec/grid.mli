@@ -11,8 +11,6 @@ type t = {
 (** Zero-filled grid. @raise Invalid_argument on empty dims. *)
 val create : int array -> t
 
-val size : t -> int
-val rank : t -> int
 val copy : t -> t
 val in_bounds : t -> int array -> bool
 val get : t -> int array -> float
@@ -22,8 +20,6 @@ val set : t -> int array -> float -> unit
     outputs are sensitive to every input point (tests rely on this). *)
 val init_pattern : ?seed:int -> t -> unit
 
-val fill : t -> float -> unit
-
 (** Largest |a - b| over two same-shaped grids. *)
 val max_abs_diff : t -> t -> float
 
@@ -31,8 +27,3 @@ val max_abs_diff : t -> t -> float
     the deep interior where overlapped tiling and fusion must agree with
     the reference.  Zero when the margin leaves no interior. *)
 val max_abs_diff_interior : margin:int -> t -> t -> float
-
-(**/**)
-
-val strides_of : int array -> int array
-val linear : t -> int array -> int

@@ -20,21 +20,6 @@ let find_array (store : store) name =
   | Some g -> g
   | None -> invalid_arg ("Reference: unbound array " ^ name)
 
-(* Iterate over every point of [domain], calling [f point].  The [point]
-   array is reused across calls. *)
-let iter_domain domain f =
-  let r = Array.length domain in
-  let point = Array.make r 0 in
-  let rec go d =
-    if d = r then f point
-    else
-      for c = 0 to domain.(d) - 1 do
-        point.(d) <- c;
-        go (d + 1)
-      done
-  in
-  go 0
-
 (** Execute one kernel over the arrays in [store], with [scalars] giving
     runtime scalar values.  Kernel arrays absent from the store (the
     scratch intermediates of fused kernels) are materialized locally,
@@ -140,22 +125,6 @@ let run_kernel ?(schedule = Eval.default_schedule) (store : store) ~scalars
         ("eliminated_points", Json.Float tally.t_eliminated) ]
   end
   else List.iter run_sweep k.body
-
-(** Degree-[degree] temporally blocked execution of one ping-pong step
-    kernel: the composition [(launch; exchange)^(degree-1); launch] —
-    [degree] time steps per call with the final exchange hoisted to the
-    caller's swap.  This is the semantic ground truth the block
-    executor's streamed interleaved traversal must match bit for bit. *)
-let run_blocked ?schedule (store : store) ~scalars (k : I.kernel) ~out ~inp
-    ~degree =
-  if degree < 1 then invalid_arg "Reference.run_blocked: degree < 1";
-  for _ = 1 to degree - 1 do
-    run_kernel ?schedule store ~scalars k;
-    let go = find_array store out and gi = find_array store inp in
-    Hashtbl.replace store out gi;
-    Hashtbl.replace store inp go
-  done;
-  run_kernel ?schedule store ~scalars k
 
 (** Execute a whole instantiated schedule (launches, swaps, time loops).
     Swaps exchange grid bindings, the ping-pong idiom of iterative

@@ -19,14 +19,6 @@ val find_array : store -> string -> Grid.t
 val run_kernel :
   ?schedule:Eval.schedule -> store -> scalars:(string * float) list -> Artemis_dsl.Instantiate.kernel -> unit
 
-(** Degree-[degree] temporally blocked execution of one ping-pong step
-    kernel: [(launch; exchange)^(degree-1); launch] — [degree] time
-    steps per call, the final exchange hoisted to the caller's swap.
-    @raise Invalid_argument on degree < 1 or unbound arrays *)
-val run_blocked :
-  ?schedule:Eval.schedule -> store -> scalars:(string * float) list -> Artemis_dsl.Instantiate.kernel ->
-  out:string -> inp:string -> degree:int -> unit
-
 (** Execute a whole instantiated schedule; swaps exchange grid bindings
     (the ping-pong idiom). *)
 val run_schedule :
@@ -39,7 +31,3 @@ val store_of_program : Artemis_dsl.Ast.program -> store
 
 (** Deterministic scalar values keyed by declaration order. *)
 val scalars_of_program : Artemis_dsl.Ast.program -> (string * float) list
-
-(**/**)
-
-val iter_domain : int array -> (int array -> unit) -> unit

@@ -21,25 +21,8 @@ let volume (b : box) =
 
 let is_empty b = volume b = 0
 
-let inter (a : box) (b : box) : box =
-  Array.init (Array.length a) (fun d ->
-      let alo, ahi = a.(d) and blo, bhi = b.(d) in
-      (max alo blo, min ahi bhi))
-
 (** The whole iteration space of [dims]. *)
 let of_dims (dims : int array) : box = Array.map (fun n -> (0, n - 1)) dims
-
-(** A canonically empty box of the given rank. *)
-let empty rank : box = Array.make (max rank 1) (0, -1)
-
-let contains (b : box) (p : int array) =
-  let ok = ref true in
-  Array.iteri
-    (fun d c ->
-      let lo, hi = b.(d) in
-      if c < lo || c > hi then ok := false)
-    p;
-  !ok
 
 (* Onion decomposition of [region] minus [interior]: shell [2d] takes the
    slab below the interior along dimension [d] and shell [2d+1] the slab

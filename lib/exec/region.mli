@@ -13,16 +13,8 @@ type box = (int * int) array
 val volume : box -> int
 val is_empty : box -> bool
 
-(** Per-dimension intersection. *)
-val inter : box -> box -> box
-
 (** The whole iteration space of [dims]. *)
 val of_dims : int array -> box
-
-(** A canonically empty box of the given rank. *)
-val empty : int -> box
-
-val contains : box -> int array -> bool
 
 (** Onion decomposition of [region] minus [interior] into at most
     [2 * rank] shells: together with [interior] they partition [region]

@@ -463,11 +463,6 @@ type box = (int * int) array
 let box_volume (b : box) =
   Array.fold_left (fun acc (lo, hi) -> if hi < lo then 0 else acc * (hi - lo + 1)) 1 b
 
-let box_inter (a : box) (b : box) =
-  Array.init (Array.length a) (fun d ->
-      let alo, ahi = a.(d) and blo, bhi = b.(d) in
-      (max alo blo, min ahi bhi))
-
 (* The block's output tile as a box, clipped to the domain. *)
 let tile_box ctx (block : int array) : box =
   Array.init ctx.geom.rank (fun d ->

@@ -117,7 +117,6 @@ val make_ctx : Artemis_ir.Plan.t -> ctx
 type box = (int * int) array
 
 val box_volume : box -> int
-val box_inter : box -> box -> box
 
 (** The block's output tile, clipped to the domain. *)
 val tile_box : ctx -> int array -> box

@@ -24,7 +24,3 @@ val recompute :
 val to_dsl :
   Artemis_dsl.Instantiate.kernel -> Artemis_dsl.Instantiate.kernel list ->
   Artemis_dsl.Ast.program
-
-(**/**)
-
-val spill_free : Artemis_dsl.Instantiate.kernel -> bool

@@ -130,21 +130,6 @@ let fuse_pingpong (t, k, out, inp) ~schedule =
 (* Degree-N temporal blocking (AN5D)                                    *)
 (* ------------------------------------------------------------------ *)
 
-(** A temporally-blocked variant of a ping-pong loop: [tb_degree] inner
-    time steps of [tb_kernel] per sweep over the streamed outer
-    dimension, alternating between the two physical buffers of
-    ([tb_out], [tb_inp]) — associative double-buffering.  Unlike
-    [time_fuse], the body is {e not} rewritten: blocking is a plan/
-    execution-strategy dimension, carried as [Plan.temporal]. *)
-type temporal_block = {
-  tb_kernel : I.kernel;
-  tb_out : string;
-  tb_inp : string;
-  tb_degree : int;
-  tb_halo : Plan.halo_policy;
-  tb_buffer : Plan.tbuffer;
-}
-
 (* All array accesses read anywhere in the body, with their index lists. *)
 let body_reads (k : I.kernel) =
   List.concat_map
@@ -241,80 +226,3 @@ let stream_legal (k : I.kernel) ~out ~inp =
        && List.for_all (fun (a, _) -> a = inp) (body_reads k)
      end
 
-(** Build a temporal-block descriptor for a ping-pong loop, or [None]
-    when a dependence forbids blocking ([block_illegal] has the reason).
-    @raise Fusion_error on unknown arrays or degree < 2 *)
-let temporal_block ?(halo = Plan.Halo_recompute) ?(buffer = Plan.Shared_double)
-    (k : I.kernel) ~out ~inp ~degree =
-  if degree < 2 then fail "temporal_block: degree %d < 2" degree;
-  if not (List.mem_assoc out k.arrays) then
-    fail "temporal_block: unknown output %s" out;
-  if not (List.mem_assoc inp k.arrays) then
-    fail "temporal_block: unknown input %s" inp;
-  if block_legal k ~out ~inp then
-    Some
-      { tb_kernel = k; tb_out = out; tb_inp = inp; tb_degree = degree;
-        tb_halo = halo; tb_buffer = buffer }
-  else begin
-    Trace.instant "fusion.temporal_rejected"
-      ~attrs:
-        [ ("kernel", Str k.kname); ("degree", Int degree);
-          ("reason",
-           Str (match block_illegal k ~out ~inp with Some r -> r | None -> "")) ];
-    None
-  end
-
-(** The plan-level [Plan.temporal] record of a descriptor. *)
-let temporal_of_block (tb : temporal_block) : Plan.temporal =
-  { degree = tb.tb_degree; halo = tb.tb_halo; tbuf = tb.tb_buffer;
-    pair = Some (tb.tb_out, tb.tb_inp) }
-
-(** Spatial DAG fusion: concatenate same-domain kernels in dependence
-    order.  Arrays written by one and read by a later one become
-    intermediates of the fused kernel. *)
-let fuse_dag (kernels : I.kernel list) =
-  match kernels with
-  | [] -> fail "fuse_dag: empty kernel list"
-  | first :: rest ->
-    List.iter
-      (fun (k : I.kernel) ->
-        if k.domain <> first.domain then
-          fail "fuse_dag: %s has a different domain than %s" k.kname first.kname)
-      rest;
-    let union_assoc a b =
-      List.fold_left
-        (fun acc (key, v) -> if List.mem_assoc key acc then acc else (key, v) :: acc)
-        a b
-    in
-    (* Temporaries must not collide across kernels. *)
-    let tag i (k : I.kernel) =
-      let temps =
-        List.filter_map
-          (function A.Decl_temp (n, _) -> Some n | A.Assign _ | A.Accum _ -> None)
-          k.body
-      in
-      let mapping = List.map (fun t -> (t, Printf.sprintf "%s_f%d" t i)) temps in
-      List.map
-        (fun st ->
-          match st with
-          | A.Decl_temp (n, e) ->
-            A.Decl_temp
-              ((match List.assoc_opt n mapping with Some x -> x | None -> n),
-               A.subst_names mapping e)
-          | A.Assign (a, idx, e) -> A.Assign (a, idx, A.subst_names mapping e)
-          | A.Accum (a, idx, e) -> A.Accum (a, idx, A.subst_names mapping e))
-        k.body
-    in
-    {
-      first with
-      kname = String.concat "_" (List.map (fun (k : I.kernel) -> k.kname) kernels) ^ "_fused";
-      body = List.concat (List.mapi tag kernels);
-      arrays =
-        List.fold_left
-          (fun acc (k : I.kernel) -> union_assoc acc k.arrays)
-          first.arrays rest;
-      scalars =
-        List.sort_uniq compare
-          (List.concat_map (fun (k : I.kernel) -> k.scalars) kernels);
-      assign = List.concat_map (fun (k : I.kernel) -> k.assign) kernels;
-    }

@@ -36,20 +36,11 @@ val fuse_pingpong :
 
 (** {1 Degree-N temporal blocking (AN5D)}
 
-    [tb_degree] inner time steps per sweep over the streamed outer
+    [degree] inner time steps per sweep over the streamed outer
     dimension, alternating between the two ping-pong buffers
     (associative double-buffering).  The kernel body is not rewritten —
     blocking is an execution-strategy dimension carried as
     [Plan.temporal]. *)
-
-type temporal_block = {
-  tb_kernel : Artemis_dsl.Instantiate.kernel;
-  tb_out : string;
-  tb_inp : string;
-  tb_degree : int;
-  tb_halo : Artemis_ir.Plan.halo_policy;
-  tb_buffer : Artemis_ir.Plan.tbuffer;
-}
 
 (** Why blocking the loop is forbidden, if it is: a statement with a
     self-dependence (Gauss-Seidel/SOR), or a body reading the produced
@@ -69,26 +60,3 @@ val stream_skew : Artemis_dsl.Instantiate.kernel -> int
     other legal bodies block exactly through the per-step fallback. *)
 val stream_legal :
   Artemis_dsl.Instantiate.kernel -> out:string -> inp:string -> bool
-
-(** Descriptor for blocking a ping-pong loop at [degree], or [None] when
-    a dependence forbids it (rejections traced as
-    [fusion.temporal_rejected]).
-    @raise Fusion_error on unknown arrays or degree < 2 *)
-val temporal_block :
-  ?halo:Artemis_ir.Plan.halo_policy ->
-  ?buffer:Artemis_ir.Plan.tbuffer ->
-  Artemis_dsl.Instantiate.kernel ->
-  out:string -> inp:string -> degree:int -> temporal_block option
-
-(** The plan-level [Plan.temporal] record of a descriptor. *)
-val temporal_of_block : temporal_block -> Artemis_ir.Plan.temporal
-
-(** Spatial DAG fusion: concatenate same-domain kernels in dependence
-    order; producer arrays become intermediates of the fused kernel.
-    @raise Fusion_error on domain mismatch or an empty list *)
-val fuse_dag :
-  Artemis_dsl.Instantiate.kernel list -> Artemis_dsl.Instantiate.kernel
-
-(**/**)
-
-val intermediate_name : string -> int -> string

@@ -19,11 +19,6 @@ let run_sectors ~elem_bytes ~first ~n =
     hi - lo + 1
   end
 
-(** Sectors for a warp-row read: [lanes] threads reading consecutive
-    elements starting at [first].  Identical to [run_sectors] but kept
-    separate because the executor reasons per warp. *)
-let warp_row_sectors ~elem_bytes ~first ~lanes = run_sectors ~elem_bytes ~first ~n:lanes
-
 (** Sectors for a strided warp access: each of [lanes] threads reads one
     element, consecutive lanes [stride] elements apart.  With a stride
     beyond one sector every lane pays a full sector — the fully
@@ -44,25 +39,3 @@ let strided_sectors ~elem_bytes ~first ~lanes ~stride =
     end
   end
 
-(** Transactions for a 2-D tile load: a thread block of [bx] lanes by
-    [rows] rows reading a tile of [width] x [rows] elements, each row
-    starting at element offset [row_start d] in the flattened array.
-    Returns total sectors. *)
-let tile_sectors ~elem_bytes ~width ~rows ~row_start =
-  let total = ref 0 in
-  for r = 0 to rows - 1 do
-    total := !total + run_sectors ~elem_bytes ~first:(row_start r) ~n:width
-  done;
-  !total
-
-(** Average sectors per row for an interior row of [width] doubles with
-    unknown alignment: used by the analytic evaluator, which cannot know
-    each block's alignment.  A run of [w] elements at random alignment
-    touches [ceil(w/per)] or one more; the expectation over alignments is
-    [(w - 1) / per + 1]. *)
-let expected_row_sectors ~elem_bytes ~width =
-  if width <= 0 then 0.0
-  else begin
-    let per = float_of_int (elems_per_sector ~elem_bytes) in
-    ((float_of_int width -. 1.0) /. per) +. 1.0
-  end

@@ -5,8 +5,6 @@
     and the analytic counter evaluator count transactions through this
     module, so they agree by construction. *)
 
-val sector_bytes : int
-
 (** Elements of [elem_bytes] bytes per 32-byte sector. *)
 val elems_per_sector : elem_bytes:int -> int
 
@@ -15,20 +13,8 @@ val elems_per_sector : elem_bytes:int -> int
     misaligned run straddles one extra sector). *)
 val run_sectors : elem_bytes:int -> first:int -> n:int -> int
 
-(** [warp_row_sectors] — alias of [run_sectors] for a warp-row read of
-    [lanes] consecutive elements. *)
-val warp_row_sectors : elem_bytes:int -> first:int -> lanes:int -> int
-
 (** Sectors for a strided warp access: consecutive lanes [stride]
     elements apart.  A stride of one sector or more costs one sector per
     lane — the fully uncoalesced worst case. *)
 val strided_sectors : elem_bytes:int -> first:int -> lanes:int -> stride:int -> int
 
-(** Total sectors for a 2-D tile load of [width] x [rows] elements, with
-    [row_start r] the linear index of row [r]'s first element. *)
-val tile_sectors :
-  elem_bytes:int -> width:int -> rows:int -> row_start:(int -> int) -> int
-
-(** Expected sectors for an interior row of [width] elements at unknown
-    alignment: [(width - 1) / per + 1]. *)
-val expected_row_sectors : elem_bytes:int -> width:int -> float

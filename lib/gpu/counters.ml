@@ -49,8 +49,6 @@ let add a b =
     instructions = a.instructions +. b.instructions;
   }
 
-let sum = List.fold_left add zero
-
 let scale f a =
   {
     useful_flops = f *. a.useful_flops;
@@ -93,9 +91,3 @@ let approx_equal ?(rel = 1e-9) a b =
   && close a.shm_st b.shm_st
   && close a.spill_bytes b.spill_bytes
 
-let pp fmt c =
-  Format.fprintf fmt
-    "@[<v>flops: %.3e useful / %.3e total@ dram: %.3e B  tex: %.3e B  shm: %.3e B@ \
-     gld/gst: %.3e/%.3e  spill: %.3e B  syncs: %.3e@]"
-    c.useful_flops c.total_flops c.dram_bytes c.tex_bytes c.shm_bytes c.gld_transactions
-    c.gst_transactions c.spill_bytes c.syncs

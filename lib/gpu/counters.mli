@@ -19,7 +19,6 @@ type t = {
 
 val zero : t
 val add : t -> t -> t
-val sum : t list -> t
 val scale : float -> t -> t
 
 (** Operational intensity at each memory level, as Section IV defines
@@ -37,4 +36,3 @@ val redundancy : t -> float
     analytic-vs-executed cross-validation tests). *)
 val approx_equal : ?rel:float -> t -> t -> bool
 
-val pp : Format.formatter -> t -> unit

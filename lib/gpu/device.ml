@@ -63,8 +63,8 @@ let p100 =
        operand-fetch latency a stencil dependence chain waits on (~24
        cycles per staged load over ~3 arithmetic ops).  The resulting
        latency knee sits between 12.5 % and 25 % occupancy at the
-       paper's spatial-kernel ILP band — pinned by
-       [latency_knee_occupancy] and its unit test. *)
+       paper's spatial-kernel ILP band — pinned by a unit test in
+       test/test_predict.ml. *)
     dp_latency_cycles = 16.0;
     schedulers_per_sm = 2;
   }
@@ -180,17 +180,6 @@ let find name =
 let knee_dram d = d.peak_dp_flops /. d.dram_bw
 let knee_tex d = d.peak_dp_flops /. d.tex_bw
 let knee_shm d = d.peak_dp_flops /. d.shm_bw
-
-(** Occupancy at which enough warps are resident to fully hide the
-    dependent-issue latency at a given per-thread ILP: the latency knee.
-    Below it the device is latency-bound; above it the issue pipes can
-    saturate.  Derived purely from the per-device latency data —
-    [dp_latency_cycles] warp-instructions must be in flight per
-    scheduler slot. *)
-let latency_knee_occupancy d ~ilp =
-  d.dp_latency_cycles
-  *. float_of_int (d.schedulers_per_sm * d.warp_size)
-  /. (ilp *. float_of_int d.max_threads_per_sm)
 
 let pp fmt d =
   Format.fprintf fmt "%s: %d SMs, %.1f DP TFLOPS, %.0f GB/s DRAM, %d KB shm/SM"

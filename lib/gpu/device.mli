@@ -39,12 +39,6 @@ val p100 : t
 (** A V100-class entry for portability tests and experiments. *)
 val v100 : t
 
-(** A100-class entry (Ampere, published alpha/beta constants). *)
-val a100 : t
-
-(** H100-class entry (Hopper, published alpha/beta constants). *)
-val h100 : t
-
 (** Every machine model the tuner, sampler, and CLI can target, keyed by
     its [--device]/[ARTEMIS_DEVICE] alias. *)
 val registry : (string * t) list
@@ -58,11 +52,5 @@ val knee_dram : t -> float
 
 val knee_tex : t -> float
 val knee_shm : t -> float
-
-(** Occupancy at which resident warps fully hide the dependent-issue
-    latency at per-thread ILP [ilp] — the latency knee the paper places
-    between 12.5 % and 25 % occupancy for its register-constrained
-    spatial kernels on the P100. *)
-val latency_knee_occupancy : t -> ilp:float -> float
 
 val pp : Format.formatter -> t -> unit

@@ -42,7 +42,3 @@ val calculate : Device.t -> usage -> result
 val max_regs_for_occupancy :
   Device.t -> threads_per_block:int -> shared_per_block:int -> target:float ->
   int option
-
-(**/**)
-
-val round_up : int -> int -> int

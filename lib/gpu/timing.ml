@@ -176,9 +176,3 @@ let tflops (w : workload) (b : breakdown) =
   if b.t_total = 0.0 || b.t_total = infinity then 0.0
   else w.counters.useful_flops /. b.t_total /. 1e12
 
-let pp fmt b =
-  Format.fprintf fmt
-    "total %.3e s (compute %.2e, dram %.2e, tex %.2e, shm %.2e, sync %.2e, wave %.2e) — \
-     %s bound, u_lat %.2f"
-    b.t_total b.t_compute b.t_dram b.t_tex b.t_shm b.t_sync b.t_wave
-    (bound_to_string b.bottleneck) b.utilization_lat

@@ -45,12 +45,6 @@ type workload = {
           costs a device round trip *)
 }
 
-(** Cost of one [__syncthreads] in cycles for a block of the given size. *)
-val sync_cycles : Device.t -> int -> float
-
-(** Fraction of peak issue rate achieved given resident warps and ILP. *)
-val latency_utilization : Device.t -> Occupancy.result -> ilp:float -> float
-
 (** Evaluate the model; spill traffic is charged to the DRAM and L2
     pipes, prefetching discounts the synchronization stall.  A
     zero-occupancy workload gets infinite time. *)
@@ -59,4 +53,3 @@ val evaluate : Device.t -> workload -> breakdown
 (** Achieved useful TFLOPS — the figure of merit the paper plots. *)
 val tflops : workload -> breakdown -> float
 
-val pp : Format.formatter -> breakdown -> unit

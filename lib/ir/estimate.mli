@@ -17,21 +17,5 @@ type resources = {
   occupancy : Artemis_gpu.Occupancy.result;
 }
 
-(** Estimated spill-free register requirement of one thread. *)
-val regs_estimate : Plan.t -> Launch.buffer list -> int
-
-(** ILP visible to the scheduler: unrolling multiplies independent work,
-    blocked distribution and prefetching expose more, register pressure
-    and the input perspective's idle warps erode it. *)
-val ilp_estimate : Plan.t -> regs_needed:int -> float
-
-(** Extra (shared bytes, registers) demanded by degree-N temporal
-    blocking's in-flight plane windows; [(0, 0)] at degree 1. *)
-val temporal_pressure : Plan.t -> Launch.geometry -> int * int
-
 (** Full static resource picture of a plan. *)
 val resources : Plan.t -> resources
-
-(**/**)
-
-val inplane_unroll : Plan.t -> int

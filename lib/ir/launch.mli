@@ -60,7 +60,3 @@ val syncs_per_block : Plan.t -> geometry -> buffer list -> int
 
 (** Streamed arrays whose incoming loads prefetching can stage. *)
 val prefetchable_arrays : buffer list -> int
-
-(**/**)
-
-val in_plane_halo : int -> int option -> An.extent -> (int * int) array

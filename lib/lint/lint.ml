@@ -973,7 +973,6 @@ let lint_plan (p : P.t) =
 (* ------------------------------------------------------------------ *)
 
 let errors fs = List.filter (fun f -> f.severity = Error) fs
-let has_errors fs = List.exists (fun f -> f.severity = Error) fs
 
 let finding_to_string f =
   Printf.sprintf "%s %-7s [%s] %s: %s%s" f.code

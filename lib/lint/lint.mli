@@ -45,9 +45,6 @@ type finding = {
   hint : string;  (** how to fix it; may be empty *)
 }
 
-val severity_to_string : severity -> string
-val phase_to_string : phase -> string
-
 (** Every diagnostic code with its severity and a one-line summary, in
     code order — the source of truth docs/LINT.md documents. *)
 val catalog : (string * severity * string) list
@@ -91,17 +88,12 @@ val launch_errors : Artemis_ir.Plan.t -> finding list
 val static_plan_errors : Artemis_ir.Plan.t -> finding list
 
 val errors : finding list -> finding list
-val has_errors : finding list -> bool
-
-val finding_to_string : finding -> string
 
 (** Human-readable report: findings deduplicated and sorted by
     (phase, code, location) — byte-stable regardless of the order the
     analyses emitted them — plus a summary line; ["no findings\n"] when
     empty. *)
 val report : finding list -> string
-
-val finding_to_json : finding -> Artemis_obs.Json.t
 
 (** [{"schema_version"; "errors"; "warnings"; "findings": [...]}], with
     the findings deduplicated and ordered exactly as [report]. *)

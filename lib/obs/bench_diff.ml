@@ -3,13 +3,13 @@
 
 let git_rev () =
   match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
-  | exception _ -> "unknown"
+  | exception (Unix.Unix_error _ | Sys_error _) -> "unknown"
   | ic ->
     let line = try String.trim (input_line ic) with End_of_file -> "" in
     (match Unix.close_process_in ic with
      | Unix.WEXITED 0 when line <> "" -> line
      | _ -> "unknown"
-     | exception _ -> "unknown")
+     | exception (Unix.Unix_error _ | Sys_error _) -> "unknown")
 
 let meta ~jobs ~machine_model =
   Json.Obj

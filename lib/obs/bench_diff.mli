@@ -16,12 +16,9 @@
     Indicators present in OLD but missing from NEW also fail the gate
     (renaming a metric should be a conscious baseline regeneration). *)
 
-(** Short git revision of the working tree, or ["unknown"] outside a
-    repository. *)
-val git_rev : unit -> string
-
 (** The stamp every bench writer embeds under ["meta"]: schema version,
-    {!git_rev}, worker count, and the machine model the run assumed. *)
+    the git revision ("unknown" outside a git checkout), worker count,
+    and the machine model the run assumed. *)
 val meta : jobs:int -> machine_model:Json.t -> Json.t
 
 type status =

@@ -88,16 +88,3 @@ let write path =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_jsonl ()))
 
-let parse_jsonl s =
-  String.split_on_char '\n' s
-  |> List.filter (fun line -> String.trim line <> "")
-  |> List.map Json.parse
-
-let read path =
-  let ic = open_in_bin path in
-  let contents =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  parse_jsonl contents

@@ -56,9 +56,3 @@ val to_jsonl : unit -> string
 (** Write {!to_jsonl} to [path]. *)
 val write : string -> unit
 
-(** Parse JSONL back into event objects (blank lines ignored).
-    @raise Json.Parse_error on a malformed line. *)
-val parse_jsonl : string -> Json.t list
-
-(** Read and {!parse_jsonl} a file. *)
-val read : string -> Json.t list

@@ -66,7 +66,6 @@ let gauge ?(labels = []) name =
     invalid_arg (Printf.sprintf "Metrics.gauge: %s already registered as another type" name)
 
 let set (g : gauge) v = locked (fun () -> g.g_value <- v)
-let gauge_value (g : gauge) = locked (fun () -> g.g_value)
 
 let default_buckets =
   [| 1e-6; 1e-5; 1e-4; 1e-3; 1e-2; 1e-1; 1.0; 10.0; 100.0; 1000.0 |]
@@ -93,18 +92,13 @@ let observe (h : histogram) v =
   h.h_sum <- h.h_sum +. v;
   h.h_count <- h.h_count + 1
 
-(* Unlocked body shared with [snapshot], which already holds the lock. *)
+(* Called by [snapshot], which holds the lock. *)
 let buckets_unlocked (h : histogram) =
   let n = Array.length h.bounds in
   List.init (n + 1) (fun i ->
       ((if i < n then h.bounds.(i) else infinity), h.counts.(i)))
 
-let histogram_buckets (h : histogram) = locked (fun () -> buckets_unlocked h)
-
-let histogram_count (h : histogram) = locked (fun () -> h.h_count)
-let histogram_sum (h : histogram) = locked (fun () -> h.h_sum)
-
-(* Unlocked body shared with [snapshot].  Linear interpolation within
+(* Called by [snapshot], which holds the lock.  Linear interpolation within
    the bucket holding the target rank; the +Inf bucket clamps to the
    highest finite bound (there is nothing to interpolate toward). *)
 let quantile_unlocked (h : histogram) q =
@@ -127,21 +121,6 @@ let quantile_unlocked (h : histogram) q =
     in
     go 0 0.0
   end
-
-let histogram_quantile (h : histogram) q = locked (fun () -> quantile_unlocked h q)
-
-let reset () =
-  locked @@ fun () ->
-  Hashtbl.iter
-    (fun _ entry ->
-      match entry with
-      | Counter c -> c.c_value <- 0.0
-      | Gauge g -> g.g_value <- 0.0
-      | Histogram h ->
-        Array.fill h.counts 0 (Array.length h.counts) 0;
-        h.h_sum <- 0.0;
-        h.h_count <- 0)
-    registry
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot                                                            *)
@@ -190,8 +169,3 @@ let snapshot () =
       ("gauges", Json.List (List.rev gauges));
       ("histograms", Json.List (List.rev histograms)) ]
 
-let write_snapshot path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Json.to_string ~indent:true (snapshot ())))

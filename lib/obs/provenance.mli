@@ -1,7 +1,7 @@
 (** Plan-provenance reports: the renderer behind [artemisc explain].
 
-    Input is the decision-journal event stream ({!Journal.events} or a
-    re-{!Journal.read} JSONL file); output is a deterministic report that
+    Input is the decision-journal event stream ({!Journal.events}, or a
+    {!Journal.write} JSONL file parsed back); output is a deterministic report that
     accounts for every candidate the tuner touched — won, lost (with
     margin), lint-pruned (with code), or failed — plus cache economics,
     a roofline-style traffic breakdown of each winner against the

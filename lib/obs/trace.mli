@@ -52,12 +52,6 @@ val events : unit -> event list
 
 val event_count : unit -> int
 
-(** The trace as a Chrome trace-event document:
-    [{"traceEvents": [...], "displayTimeUnit": "ms"}]. *)
-val to_chrome_json : unit -> Json.t
-
-val to_chrome_string : unit -> string
-
 (** Write the Chrome JSON to [path]. *)
 val write : string -> unit
 

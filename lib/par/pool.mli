@@ -9,10 +9,6 @@
     completion order, so a caller that folds the results serially
     computes the same answer at any job count. *)
 
-(** Job count implied by [ARTEMIS_JOBS] at process start: unset or
-    unparsable means 1 (serial); 0 means every core. *)
-val default_jobs : unit -> int
-
 (** Configured job count (total domains used by {!map}, submitter
     included), before the core-count clamp. *)
 val jobs : unit -> int
@@ -40,6 +36,3 @@ val force_parallel : bool ref
     under a ["pool.task"] trace span carrying the label and index. *)
 val map : ?label:string -> ('a -> 'b) -> 'a list -> 'b list
 
-(** Join and discard the worker domains (also installed via [at_exit]).
-    The next parallel {!map} re-creates the pool. *)
-val shutdown : unit -> unit

@@ -122,12 +122,3 @@ let classify (device : Device.t) (c : Counters.t) ~(time_s : float) =
   { oi_dram; oi_tex; oi_shm; knee_dram; knee_tex; knee_shm; verdict;
     achieved_fraction = achieved }
 
-let is_bandwidth_bound_at prof level =
-  match prof.verdict with
-  | Bandwidth_bound ls -> List.mem level ls
-  | Compute_bound | Latency_bound | Ambiguous _ -> false
-
-let pp fmt p =
-  Format.fprintf fmt "OI dram %.2f tex %.2f shm %.2f (knees %.2f/%.2f/%.2f) — %s"
-    p.oi_dram p.oi_tex p.oi_shm p.knee_dram p.knee_tex p.knee_shm
-    (verdict_to_string p.verdict)

@@ -11,8 +11,6 @@ type level =
   | Tex  (** texture / L2 *)
   | Shm
 
-val level_to_string : level -> string
-
 type verdict =
   | Bandwidth_bound of level list  (** most dominant pipe first *)
   | Compute_bound
@@ -35,12 +33,5 @@ type profile = {
   achieved_fraction : float;  (** FLOP rate / device peak *)
 }
 
-(** Margin below the knee required before declaring bandwidth-bound
-    without differencing. *)
-val margin : float
-
 val classify : Artemis_gpu.Device.t -> Artemis_gpu.Counters.t -> time_s:float -> profile
 
-val is_bandwidth_bound_at : profile -> level -> bool
-
-val pp : Format.formatter -> profile -> unit

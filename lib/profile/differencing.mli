@@ -6,19 +6,6 @@
     footprint — and compare simulated times.  A significant speedup of
     V' convicts M. *)
 
-type result = {
-  original_time : float;
-  reduced_time : float;
-  speedup : float;
-  bound : bool;  (** the level was the bottleneck *)
-}
-
-(** Speedup factor required to declare the level the bottleneck. *)
-val threshold : float
-
-(** Run the differencing experiment for one level on a measured plan. *)
-val test : Artemis_exec.Analytic.measurement -> Classify.level -> result
-
 (** Resolve an [Ambiguous] verdict by differencing at the ambiguous
     level; other verdicts pass through unchanged. *)
 val resolve :

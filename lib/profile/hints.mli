@@ -11,8 +11,6 @@ type decisions = {
   prefer_global : bool;  (** tune the global-memory version instead *)
 }
 
-val default_decisions : decisions
-
 (** Apply the guidelines to a measured and classified kernel;
     [iterative] marks time-iterated stencils. *)
 val decide :

@@ -27,8 +27,6 @@ module I = Artemis_dsl.Instantiate
 type box = (int * int) array
 (** Inclusive per-dimension bounds [(lo, hi)]; empty iff some [hi < lo]. *)
 
-val box_is_empty : box -> bool
-
 val box_equal : box -> box -> bool
 (** Semantic equality: both empty, or componentwise identical. *)
 
@@ -60,13 +58,6 @@ val footprint : region:box -> accesses:(int array * spec) list -> box
     spec) lands inside its array.  On this DSL that set is exactly a
     box; the result uses [region]'s coordinates. *)
 
-val access_feasible : region:box -> dims:int array -> spec:spec -> box
-(** In-bounds set of a single access within [region]. *)
-
-val map_to_array : exec:box -> dims:int array -> spec:spec -> box
-(** Image of the executed iteration box in array index space (the cells
-    the access touches); empty when [exec] is empty. *)
-
 (* ------------------------------------------------------------------ *)
 (* Dependence testing                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -76,17 +67,6 @@ type dep =
   | Uniform of int array list
       (** constant nonzero distance vectors, read point minus write point *)
   | Unknown  (** position-dependent distance: sound "don't know" *)
-
-val pair_delta :
-  rank:int ->
-  wspec:spec ->
-  rspec:spec ->
-  [ `No_alias | `Delta of int array | `Non_uniform ]
-(** Distance of a read from a write of the same array.  Coefficients in
-    this DSL are all [1], so the GCD test is trivially satisfied:
-    distinct constant slices never alias, inconsistent offsets on a
-    repeated iterator never alias, and a dimension the two sides index
-    differently has a position-dependent distance. *)
 
 val write_covers : rank:int -> spec -> bool
 (** True when the write indexes every iteration dimension, so each
@@ -105,16 +85,10 @@ val self_dependences : iters:string list -> A.stmt -> dep
     [Unknown]; otherwise the verdict is {!distances} over the reads of
     the written array. *)
 
-val lex_sign : int array -> int
-(** Sign of the first nonzero component, [0] for the zero vector. *)
-
-val outer_components : rank:int -> int array list -> int array list
-(** Row-ordering components of full-rank deltas (innermost dim dropped). *)
-
 val schedule_ok : rank:int -> vec:int array -> int array list -> bool
 (** True when the hyperplane [vec] over the outer dimensions preserves
-    every dependence: [sign (vec . d') = lex_sign d'] for each outer
-    component [d'].  Rows sharing a wavefront are then independent. *)
+    every dependence: [sign (vec . d')] is the sign of the first nonzero
+    component of [d'] for each outer component [d'].  Rows sharing a wavefront are then independent. *)
 
 val hyperplane : rank:int -> int array list -> int array option
 (** The wavefront hyperplane over the [rank - 1] outer dimensions: the
@@ -171,8 +145,6 @@ type affine = {
   a_base : int;
   a_terms : (string * int) list;  (** extent-parameter coefficients *)
 }
-
-val affine_to_string : affine -> string
 
 type sym_bound = {
   sb_lo : int;  (** constant lower bound *)

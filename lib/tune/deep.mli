@@ -52,8 +52,3 @@ val optimal_schedule : result -> t:int -> int list * float
 
 (** Exhaustive enumeration of compositions — the property-test oracle. *)
 val brute_force_schedule : result -> t:int -> int list * float
-
-(**/**)
-
-val profile_of : Artemis_exec.Analytic.measurement -> Artemis_profile.Classify.profile
-val still_bandwidth_bound : Artemis_profile.Classify.profile -> bool

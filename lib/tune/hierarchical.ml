@@ -56,7 +56,10 @@ let measure_candidate (sp : Plan.t) =
   (* Error-carrying candidates are rejected before measurement.  The
      launch lint is exactly Validate's violation set, so this prunes
      precisely the configurations [try_measure] would refuse anyway —
-     same search result, with the rejection visible in metrics. *)
+     same search result, with the rejection visible in metrics.  A cache
+     miss validates once more inside [Analytic.try_measure]: the tune.top
+     re-rank measures through the same cache with no lint step, and
+     [Analytic] exports no measure that skips validation. *)
   match Lint.launch_errors sp with
   | (f : Lint.finding) :: _ -> `Lint_pruned f
   | [] -> (

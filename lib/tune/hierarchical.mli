@@ -50,11 +50,6 @@ val default_prerank_keep : float
     shared-memory bound. *)
 val knobs_of_decisions : Artemis_profile.Hints.decisions -> knobs
 
-(** Measure with the non-spill register-stepping rule (falls back to 255
-    with spills so register-doomed kernels remain measurable). *)
-val measure_stepped :
-  Artemis_ir.Plan.t -> Artemis_exec.Analytic.measurement option
-
 (** Phase 2's expansion of promoted candidates into their refinement
     variants (prefetch, perspective, retiming, concurrent streaming,
     folding, temporal degrees), in canonical order.  Every retimed

@@ -140,4 +140,3 @@ let try_measure (plan : Plan.t) = fst (try_measure_outcome plan)
 (** Drop every in-memory entry (the on-disk store is left alone). *)
 let clear () = Mutex.protect lock (fun () -> Hashtbl.reset table)
 
-let size () = Mutex.protect lock (fun () -> Hashtbl.length table)

@@ -39,5 +39,3 @@ val with_dir : string -> (unit -> 'a) -> 'a
 (** Drop all in-memory entries; the on-disk store is untouched. *)
 val clear : unit -> unit
 
-(** Number of in-memory entries (for tests and reports). *)
-val size : unit -> int

@@ -13,9 +13,6 @@ type record = {
   space_size : int;  (** full cross-product size before validity filtering *)
 }
 
-(** The full unpruned configuration list for a base plan. *)
-val full_space : Artemis_ir.Plan.t -> Artemis_ir.Plan.t list
-
 (** Exhaustive search, or the first [budget] configurations (OpenTuner's
     wall-clock cap). *)
 val tune : ?budget:int -> Artemis_ir.Plan.t -> record

@@ -5,8 +5,6 @@
     (compute-bound), and unroll vectors ordered by increasing product so
     register budgets can be stepped monotonically. *)
 
-val pow2s : int -> int -> int list
-
 (** Candidate thread-block shapes for a scheme (thread total in
     [32, max_threads]). *)
 val block_candidates :
@@ -34,7 +32,3 @@ val chunk_candidates : extent:int -> int list
 (** Temporal-blocking degrees above the unblocked baseline: powers of two
     in [2, max_degree] (empty when [max_degree <= 1]). *)
 val degree_candidates : max_degree:int -> int list
-
-(**/**)
-
-val cartesian : int list array -> int array list

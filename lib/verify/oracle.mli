@@ -59,9 +59,6 @@ type verdict =
   | Skipped of string
       (** variant inapplicable or no launchable plan — not a finding *)
 
-(** Interior margin used for output comparison under this variant. *)
-val margin_of : Artemis_dsl.Ast.program -> Sampler.variant -> int
-
 (** [schedule] (default [Eval.default_schedule]) is how both executors
     sweep statements. *)
 val check :

@@ -13,11 +13,14 @@ type result = {
 }
 
 (* A candidate must still be a semantically valid, instantiable program
-   before the failure predicate is consulted. *)
+   before the failure predicate is consulted.  Those are the only
+   rejections the two phases raise by design; any other exception is a
+   pipeline bug and propagates. *)
 let viable (prog : A.program) =
   match Artemis_dsl.Check.check prog with
-  | () -> ( match I.schedule prog with _ -> true | exception _ -> false)
-  | exception _ -> false
+  | () -> (
+    match I.schedule prog with _ -> true | exception I.Instantiation_error _ -> false)
+  | exception Artemis_dsl.Check.Semantic_error _ -> false
 
 (* Candidate programs with one statement of one stencil removed. *)
 let drop_statement_candidates (prog : A.program) =

@@ -1,0 +1,42 @@
+#!/bin/sh
+# Interface diet gate: every `val` a lib/ interface exports must have a
+# caller outside its own module in lib/, bin/, bench/, perf/ or
+# examples/.  A caller is a source file that names both the module and
+# the value (word match), so qualified calls, local aliases and `open`s
+# all count.  Test-only exports are allowed only when listed in
+# test/exports.allow with the reason a test needs them; an allowlist
+# entry that is no longer exported or has gained a caller is stale and
+# fails too.  Run from the repository root: `make exports`.
+
+allow=test/exports.allow
+srcs=$(find lib bin bench perf examples -name '*.ml' -o -name '*.mli' | sort)
+
+uncalled=$(
+  for mli in $(find lib -name '*.mli' | sort); do
+    base=${mli%.mli}
+    mod=$(basename "$base" | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }')
+    others=$(echo "$srcs" | grep -vxF -e "$base.ml" -e "$base.mli")
+    naming=$(grep -lw -- "$mod" $others)
+    sed -nE "s/^[[:space:]]*val[[:space:]]+([a-z_][A-Za-z0-9_']*).*/\1/p" "$mli" \
+      | sort -u | while read -r v; do
+        if [ -z "$naming" ] || ! grep -qw -- "$v" $naming; then echo "$mod.$v"; fi
+      done
+  done)
+allowed=$(sed -e 's/#.*//' "$allow" | awk 'NF { print $1 }' | sort)
+
+st=0
+for name in $uncalled; do
+  if ! echo "$allowed" | grep -qxF "$name"; then
+    echo "exports: $name has no caller outside its module (delete it, or list it in $allow)"
+    st=1
+  fi
+done
+for name in $allowed; do
+  if ! echo "$uncalled" | grep -qxF "$name"; then
+    echo "exports: stale $allow entry $name (not exported, or it has a caller now)"
+    st=1
+  fi
+done
+n=$(grep -hE '^[[:space:]]*val[[:space:]]' $(find lib -name '*.mli') | wc -l)
+echo "exports: $n vals in lib/ interfaces, $(echo "$allowed" | grep -c .) test-only (allowlisted)"
+exit $st

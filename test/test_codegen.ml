@@ -18,6 +18,11 @@ let dev = Artemis_gpu.Device.p100
 
 let kernel_of bname = List.hd (Suite.kernels (Suite.find bname))
 
+(* The automatic staging policy alone: no #assign overrides, no
+   occupancy rationing. *)
+let automatic k =
+  RA.assign (Lower.lower dev k O.default) ~honor_user:false ~target_occupancy:None
+
 let tests =
   ( "codegen",
     [
@@ -52,7 +57,7 @@ let tests =
           Alcotest.(check bool) "tiled" true (p.Plan.scheme = Plan.Tiled));
       case "automatic assignment stages reused inputs only" (fun () ->
           let k = kernel_of "addsgd4" in
-          let auto = RA.automatic k in
+          let auto = automatic k in
           Alcotest.(check bool) "u staged" true
             (List.assoc_opt "u" auto = Some A.Shmem);
           Alcotest.(check bool) "1-D arrays not staged" true
@@ -62,7 +67,7 @@ let tests =
       case "intermediates of a fused kernel are staged" (fun () ->
           let k = kernel_of "7pt-smoother" in
           let fused = Artemis_fuse.Fusion.time_fuse k ~out:"out" ~inp:"in" ~f:2 in
-          let auto = RA.automatic fused in
+          let auto = automatic fused in
           Alcotest.(check bool) "intermediate staged" true
             (List.exists (fun (a, pl) -> pl = A.Shmem && String.length a > 2
                && String.sub a 0 2 = "__") auto));

@@ -159,8 +159,8 @@ let tests =
         case "swap exchanges bindings" (fun () ->
             let store : E.Reference.store = Hashtbl.create 4 in
             let ga = E.Grid.create [| 2 |] and gb = E.Grid.create [| 2 |] in
-            E.Grid.fill ga 1.0;
-            E.Grid.fill gb 2.0;
+            Array.fill ga.E.Grid.data 0 2 1.0;
+            Array.fill gb.E.Grid.data 0 2 2.0;
             Hashtbl.replace store "a" ga;
             Hashtbl.replace store "b" gb;
             E.Reference.run_schedule store ~scalars:[] [ I.Exchange ("a", "b") ];

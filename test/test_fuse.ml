@@ -125,14 +125,6 @@ let tests =
             Alcotest.(check bool) "input-blind loop rejected" true
               (Fusion.pingpong_of_item item' = None)
           | _ -> Alcotest.fail "unexpected schedule shape");
-      case "fuse_dag concatenates same-domain kernels" (fun () ->
-          let b = Suite.at_size 8 (Suite.find "diffterm") in
-          match Suite.kernels b with
-          | [ k1; k2 ] ->
-            let fused = Fusion.fuse_dag [ k1; k2 ] in
-            Alcotest.(check int) "body" (List.length k1.body + List.length k2.body)
-              (List.length fused.body)
-          | _ -> Alcotest.fail "expected two kernels");
       case "trivial fission: one part per output, all spill-relevant temps
             replicated" (fun () ->
           let k = curv_kernel () in

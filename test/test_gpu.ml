@@ -78,9 +78,6 @@ let tests =
       case "coalescing: stride 2 halves efficiency" (fun () ->
           Alcotest.(check int) "sectors" 16
             (Coalesce.strided_sectors ~elem_bytes:8 ~first:0 ~lanes:32 ~stride:2));
-      case "expected sectors interpolates alignment" (fun () ->
-          Alcotest.check (Alcotest.float 1e-6) "32 doubles" 8.75
-            (Coalesce.expected_row_sectors ~elem_bytes:8 ~width:32));
       case "timing: dram-bound kernel time equals bytes/bw" (fun () ->
           let c = { Counters.zero with total_flops = 1e9; useful_flops = 1e9;
                     dram_bytes = 1e10 } in

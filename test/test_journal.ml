@@ -47,7 +47,7 @@ let str_of = function
 let events_of_kind kind jsonl =
   List.filter
     (fun ev -> str_of (field "event" ev) = kind)
-    (Journal.parse_jsonl jsonl)
+    (Util.parse_jsonl jsonl)
 
 (* ------------------------------------------------------------------ *)
 (* Bench-diff fixtures                                                 *)
@@ -90,7 +90,7 @@ let tests =
           Alcotest.(check int) "all replayed" 4 (Journal.event_count ());
           let path = Filename.temp_file "artemis_journal" ".jsonl" in
           Journal.write path;
-          let back = Journal.read path in
+          let back = Util.parse_jsonl (In_channel.with_open_bin path In_channel.input_all) in
           Sys.remove path;
           Journal.stop ();
           Alcotest.(check (list string))
@@ -146,7 +146,7 @@ let tests =
       ;
       case "provenance report accounts for every candidate" (fun () ->
           let jsonl = Util.with_pool ~jobs:1 run_pipeline in
-          let events = Journal.parse_jsonl jsonl in
+          let events = Util.parse_jsonl jsonl in
           let report = Provenance.report ~program:"7pt-smoother" events in
           let s = field "summary" report in
           let candidates = int_of (field "candidates" s) in

@@ -27,6 +27,25 @@ let find_event name evs =
   | Some e -> e
   | None -> Alcotest.failf "expected an event named %s" name
 
+(* The entry named [name] in one section of the metrics snapshot. *)
+let snapshot_entry section name =
+  let entries =
+    Option.value ~default:[]
+      (Option.bind (Json.member section (Metrics.snapshot ())) Json.to_list_opt)
+  in
+  match
+    List.find_opt
+      (fun e -> Option.bind (Json.member "name" e) Json.to_string_opt = Some name)
+      entries
+  with
+  | Some e -> e
+  | None -> Alcotest.failf "snapshot lacks %s %s" section name
+
+let float_field key e =
+  match Option.bind (Json.member key e) Json.to_float_opt with
+  | Some v -> v
+  | None -> Alcotest.failf "snapshot entry lacks a numeric %s" key
+
 let tests =
   ( "obs",
     [
@@ -94,41 +113,50 @@ let tests =
       case "histogram bucket edges are inclusive upper bounds" (fun () ->
           let h = Metrics.histogram "test.hist" ~buckets:[| 1.0; 2.0; 5.0 |] in
           List.iter (Metrics.observe h) [ 0.1; 1.0; 1.5; 2.0; 5.0; 5.1 ];
-          Alcotest.(check int) "count" 6 (Metrics.histogram_count h);
-          (match Metrics.histogram_buckets h with
-           | [ (le1, c1); (_le2, c2); (le5, c5); (inf_le, cinf) ] ->
-             Alcotest.(check (float 0.0)) "first bound" 1.0 le1;
-             Alcotest.(check int) "0.1 and 1.0 land at le=1" 2 c1;
-             Alcotest.(check int) "1.5 and 2.0 land at le=2" 2 c2;
-             Alcotest.(check (float 0.0)) "third bound" 5.0 le5;
-             Alcotest.(check int) "5.0 lands at le=5" 1 c5;
-             Alcotest.(check bool) "+Inf last" true (inf_le = infinity);
-             Alcotest.(check int) "5.1 overflows to +Inf" 1 cinf
-           | other ->
-             Alcotest.failf "expected 4 buckets, got %d" (List.length other));
-          Alcotest.(check (float 1e-9)) "sum" 14.7 (Metrics.histogram_sum h))
+          let e = snapshot_entry "histograms" "test.hist" in
+          Alcotest.(check (float 0.0)) "count" 6.0 (float_field "count" e);
+          let bucket b =
+            ( Option.get (Json.member "le" b),
+              Option.get (Option.bind (Json.member "count" b) Json.to_float_opt) )
+          in
+          (match Option.bind (Json.member "buckets" e) Json.to_list_opt with
+           | Some [ b1; b2; b5; binf ] ->
+             let le1, c1 = bucket b1 and _, c2 = bucket b2 in
+             let le5, c5 = bucket b5 and inf_le, cinf = bucket binf in
+             Alcotest.(check (option (float 0.0))) "first bound" (Some 1.0)
+               (Json.to_float_opt le1);
+             Alcotest.(check (float 0.0)) "0.1 and 1.0 land at le=1" 2.0 c1;
+             Alcotest.(check (float 0.0)) "1.5 and 2.0 land at le=2" 2.0 c2;
+             Alcotest.(check (option (float 0.0))) "third bound" (Some 5.0)
+               (Json.to_float_opt le5);
+             Alcotest.(check (float 0.0)) "5.0 lands at le=5" 1.0 c5;
+             Alcotest.(check (option string)) "+Inf last" (Some "+Inf")
+               (Json.to_string_opt inf_le);
+             Alcotest.(check (float 0.0)) "5.1 overflows to +Inf" 1.0 cinf
+           | _ -> Alcotest.fail "expected 4 buckets");
+          Alcotest.(check (float 1e-9)) "sum" 14.7 (float_field "sum" e))
       ;
       case "histogram_quantile interpolates within buckets" (fun () ->
           let h = Metrics.histogram "test.quant" ~buckets:[| 1.0; 2.0; 5.0 |] in
-          Alcotest.(check (option (float 0.0))) "empty histogram" None
-            (Metrics.histogram_quantile h 0.5);
+          let q p =
+            Json.to_float_opt
+              (Option.get (Json.member p (snapshot_entry "histograms" "test.quant")))
+          in
+          Alcotest.(check (option (float 0.0))) "empty histogram" None (q "p50");
           List.iter (Metrics.observe h)
             [ 0.25; 0.5; 0.75; 1.0; 1.2; 1.4; 1.6; 2.0 ];
-          let q p = Metrics.histogram_quantile h p in
           Alcotest.(check (option (float 1e-9)))
-            "p50 at the first bucket's upper edge" (Some 1.0) (q 0.5);
-          Alcotest.(check (option (float 1e-9)))
-            "p75 interpolates halfway into the second bucket" (Some 1.5)
-            (q 0.75);
-          Alcotest.(check (option (float 1e-9)))
-            "p100 is the highest occupied edge" (Some 2.0) (q 1.0);
+            "p50 at the first bucket's upper edge" (Some 1.0) (q "p50");
           (* An overflow observation pushes high quantiles past every
              finite bucket; the estimate clamps to the last finite bound
-             rather than reporting infinity. *)
+             rather than reporting infinity.  It also moves the median an
+             eighth of the way into the second bucket. *)
           Metrics.observe h 10.0;
           Alcotest.(check (option (float 1e-9)))
+            "p50 interpolates within the second bucket" (Some 1.125) (q "p50");
+          Alcotest.(check (option (float 1e-9)))
             "overflow mass clamps to the last finite bound" (Some 5.0)
-            (q 0.99))
+            (q "p99"))
       ;
       case "counters and gauges register idempotently" (fun () ->
           let c = Metrics.counter "test.counter" ~labels:[ ("k", "v") ] in
@@ -136,9 +164,9 @@ let tests =
           Metrics.incr c;
           Metrics.incr ~by:2.5 c';
           Alcotest.(check (float 0.0)) "same handle" 3.5 (Metrics.counter_value c);
-          let g = Metrics.gauge "test.gauge" in
-          Metrics.set g 7.0;
-          Alcotest.(check (float 0.0)) "gauge" 7.0 (Metrics.gauge_value g))
+          Metrics.set (Metrics.gauge "test.gauge") 7.0;
+          Alcotest.(check (float 0.0)) "gauge" 7.0
+            (float_field "value" (snapshot_entry "gauges" "test.gauge")))
       ;
       case "metrics snapshot is parseable JSON with all three kinds" (fun () ->
           Metrics.incr (Metrics.counter "test.snap_counter");
@@ -169,7 +197,12 @@ let tests =
           Trace.with_span "sp" ~attrs:[ ("k", Str "va\"l\nue"); ("n", Int 3) ]
             (fun () -> Trace.instant "ev" ~attrs:[ ("f", Float 1.5); ("b", Bool true) ]);
           Trace.stop ();
-          let doc = Json.parse (Trace.to_chrome_string ()) in
+          let path = Filename.temp_file "artemis-trace" ".json" in
+          Trace.write path;
+          let doc =
+            Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+                Json.parse (In_channel.with_open_bin path In_channel.input_all))
+          in
           let events =
             match Option.bind (Json.member "traceEvents" doc) Json.to_list_opt with
             | Some l -> l

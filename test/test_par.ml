@@ -243,8 +243,7 @@ let cache_tests =
             in
             let cold = Option.get (H.tune base) in
             let after_cold = Metrics.counter_value m in
-            Alcotest.(check bool) "cold run measured" true
-              (after_cold > 0.0 && Cache.size () > 0);
+            Alcotest.(check bool) "cold run measured" true (after_cold > 0.0);
             let warm = Option.get (H.tune base) in
             Alcotest.(check (float 0.0))
               "no new measurements" after_cold (Metrics.counter_value m);

@@ -128,27 +128,31 @@ let tests =
             (List.tl fracs));
       case "latency knee sits between 12.5% and 25% occupancy" (fun () ->
           (* The P100 entry's dp_latency_cycles is data, not a fudge: at
-             the paper's spatial-kernel ILP band the knee lands exactly
-             on the occupancies the bottleneck model uses. *)
-          Alcotest.(check (float 1e-9)) "p100 ilp=2" 0.25
-            (Device.latency_knee_occupancy Device.p100 ~ilp:2.0);
-          Alcotest.(check (float 1e-9)) "p100 ilp=4" 0.125
-            (Device.latency_knee_occupancy Device.p100 ~ilp:4.0);
+             the paper's spatial-kernel ILP band the knee -- the occupancy
+             whose resident warps just hide the dependent-issue latency --
+             lands exactly on the occupancies the bottleneck model uses. *)
+          let knee (d : Device.t) ~ilp =
+            d.dp_latency_cycles
+            *. float_of_int (d.schedulers_per_sm * d.warp_size)
+            /. (ilp *. float_of_int d.max_threads_per_sm)
+          in
+          Alcotest.(check (float 1e-9)) "p100 ilp=2" 0.25 (knee Device.p100 ~ilp:2.0);
+          Alcotest.(check (float 1e-9)) "p100 ilp=4" 0.125 (knee Device.p100 ~ilp:4.0);
+          let w = { (jacobi_workload ()) with Timing.ilp = 2.0 } in
+          let u_lat d frac =
+            (Timing.evaluate d { w with occupancy = occ_at d frac }).utilization_lat
+          in
           List.iter
             (fun (alias, d) ->
-              let knee = Device.latency_knee_occupancy d ~ilp:2.0 in
+              let knee = knee d ~ilp:2.0 in
               Alcotest.(check bool)
                 (Printf.sprintf "%s knee %.3f in [0.125, 0.25]" alias knee)
                 true
                 (knee >= 0.125 && knee <= 0.25);
-              (* latency_utilization saturates exactly at the knee... *)
-              let u_at = Timing.latency_utilization d (occ_at d knee) ~ilp:2.0 in
-              Alcotest.(check (float 1e-6))
-                (alias ^ " saturates at knee") 1.0 u_at;
+              (* latency hiding saturates exactly at the knee... *)
+              Alcotest.(check (float 1e-6)) (alias ^ " saturates at knee") 1.0 (u_lat d knee);
               (* ...and is strictly below 1 under it. *)
-              let u_half =
-                Timing.latency_utilization d (occ_at d (knee /. 2.0)) ~ilp:2.0
-              in
+              let u_half = u_lat d (knee /. 2.0) in
               Alcotest.(check bool) (alias ^ " under knee unsaturated") true
                 (u_half < 1.0 && u_half > 0.0))
             Device.registry);
@@ -204,7 +208,7 @@ let tests =
                      List.assoc_opt "event" fields
                      = Some (Artemis_obs.Json.Str "tuner.prerank")
                    | _ -> false)
-                 (Journal.parse_jsonl jsonl))
+                 (Util.parse_jsonl jsonl))
           in
           Alcotest.(check bool) "prerank events present" true (preranks serial > 0);
           Alcotest.(check string) "journal identical" serial fanned);

@@ -31,7 +31,9 @@ let tests =
           in
           let prof = Classify.classify dev c ~time_s:(1e10 /. dev.dram_bw) in
           Alcotest.(check bool) "dram bound" true
-            (Classify.is_bandwidth_bound_at prof Classify.Dram));
+            (match prof.verdict with
+             | Classify.Bandwidth_bound levels -> List.mem Classify.Dram levels
+             | _ -> false));
       case "synthetic compute-bound kernel classified" (fun () ->
           let c =
             { C.zero with total_flops = 1e12; useful_flops = 1e12; dram_bytes = 1e9;
@@ -61,14 +63,19 @@ let tests =
           let prof = classify m in
           match prof.verdict with
           | Classify.Bandwidth_bound (level :: _) ->
-            let r = Differencing.test m level in
-            Alcotest.(check bool) "speedup" true (r.bound && r.speedup > 1.1)
+            (* an ambiguous verdict at the binding level is convicted *)
+            let forced = { prof with Classify.verdict = Classify.Ambiguous level } in
+            Alcotest.(check bool) "convicted" true
+              ((Differencing.resolve m forced).verdict = Classify.Bandwidth_bound [ level ])
           | _ -> Alcotest.fail "expected a bandwidth-bound level");
       case "differencing: reducing a non-binding level does nothing" (fun () ->
           let m = measure "7pt-smoother" O.global_stream in
           (* shared memory is unused in the global version *)
-          let r = Differencing.test m Classify.Shm in
-          Alcotest.(check bool) "no speedup" false r.bound);
+          let forced = { (classify m) with Classify.verdict = Classify.Ambiguous Classify.Shm } in
+          Alcotest.(check bool) "acquitted" true
+            (match (Differencing.resolve m forced).verdict with
+             | Classify.Bandwidth_bound _ | Classify.Ambiguous _ -> false
+             | Classify.Compute_bound | Classify.Latency_bound -> true));
       case "differencing resolves ambiguity" (fun () ->
           let m = measure "7pt-smoother" O.global_stream in
           let prof = classify m in

@@ -155,7 +155,7 @@ let prop_pad_exact =
         [ B.assign3 "o" (B.a3 "u" (0, 0, 0)) ]
         |> Artemis_bench.Stencil_gen.pad_to ~target ~out:"o" ~arr:"u"
       in
-      Artemis_bench.Stencil_gen.body_flops body = target)
+      List.fold_left (fun acc st -> acc + An.flops_of_stmt st) 0 body = target)
 
 let prop_occupancy_monotone_regs =
   Q.Test.make ~name:"occupancy non-increasing in registers" ~count:200
@@ -242,11 +242,11 @@ let prop_box_volume =
   Q.Test.make ~name:"box intersection volume bounded by both" ~count:300
     Q.(list_of_size (Q.Gen.return 3) (pair (int_range (-5) 10) (int_range (-5) 10)))
     (fun pairs ->
-      let module T = Artemis_exec.Traffic in
+      let module S = Artemis_static.Static in
       let b1 = Array.of_list (List.map (fun (a, b) -> (min a b, max a b)) pairs) in
       let b2 = Array.map (fun (lo, hi) -> (lo + 1, hi + 2)) b1 in
-      let v = T.box_volume (T.box_inter b1 b2) in
-      v <= T.box_volume b1 && v <= T.box_volume b2)
+      let v = S.box_volume (S.box_inter b1 b2) in
+      v <= S.box_volume b1 && v <= S.box_volume b2)
 
 (* The per-point store initializer the separable [Grid.init_pattern]
    replaced: decompose each linear index, sum one [sin] term per

@@ -52,6 +52,14 @@ let random_subbox rng (region : Region.box) =
       end)
     region
 
+(* [p] lies in box [b]. *)
+let contains (b : Region.box) p =
+  Array.for_all2 (fun (lo, hi) c -> lo <= c && c <= hi) b p
+
+(* Sign of the first nonzero component, 0 for the zero vector. *)
+let lex_sign v =
+  match Array.find_opt (fun c -> c <> 0) v with Some c -> compare c 0 | None -> 0
+
 let partition_trial rng =
   let rank = 1 + Rng.int rng 4 in
   let region = random_box rng rank in
@@ -64,7 +72,7 @@ let partition_trial rng =
   Region.iter_points region (fun p ->
       let n =
         List.fold_left
-          (fun acc b -> if Region.contains b p then acc + 1 else acc)
+          (fun acc b -> if contains b p then acc + 1 else acc)
           0 pieces
       in
       if n <> 1 then
@@ -73,9 +81,12 @@ let partition_trial rng =
   List.iter
     (fun b ->
       Region.iter_points b (fun p ->
-          if not (Region.contains region p) then
+          if not (contains region p) then
             Alcotest.fail "piece escapes the region"))
     pieces
+
+(* A canonically empty rank-2 box. *)
+let empty2 : Region.box = [| (0, -1); (0, -1) |]
 
 let region_tests =
   [
@@ -86,13 +97,13 @@ let region_tests =
         done);
     case "empty interior yields the region as one shell" (fun () ->
         let region = [| (0, 3); (1, 2) |] in
-        (match Region.split ~region ~interior:(Region.empty 2) with
+        (match Region.split ~region ~interior:empty2 with
         | [ shell ] -> Alcotest.(check bool) "whole region" true (shell = region)
         | l -> Alcotest.failf "expected 1 shell, got %d" (List.length l));
         Alcotest.(check int)
           "empty region, no pieces" 0
           (List.length
-             (Region.split ~region:(Region.empty 2) ~interior:(Region.empty 2))));
+             (Region.split ~region:empty2 ~interior:empty2)));
     case "interior = region yields no shells" (fun () ->
         let region = [| (0, 3); (1, 2) |] in
         Alcotest.(check int) "no shells" 0
@@ -106,7 +117,7 @@ let region_tests =
           Region.iter_rows b (fun p n ->
               incr rows;
               pts := !pts + n;
-              Alcotest.(check bool) "row start inside" true (Region.contains b p));
+              Alcotest.(check bool) "row start inside" true (contains b p));
           Alcotest.(check int) "points covered" (Region.volume b) !pts;
           if Region.volume b > 0 then
             Alcotest.(check int) "rows = volume / row length"
@@ -533,11 +544,11 @@ let wavefront_tests =
             List.iter
               (fun d ->
                 let outer = Array.sub d 0 (rank - 1) in
-                if Static.lex_sign outer <> 0 then begin
+                if lex_sign outer <> 0 then begin
                   let dot = ref 0 in
                   Array.iteri (fun i v -> dot := !dot + (v * outer.(i))) vec;
                   Alcotest.(check int)
-                    "sign (vec . d') = lex_sign d'" (Static.lex_sign outer)
+                    "sign (vec . d') = lex_sign d'" (lex_sign outer)
                     (compare !dot 0)
                 end)
               deltas

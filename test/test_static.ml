@@ -173,13 +173,13 @@ let prop_box_subtract =
       let vol_pieces = List.fold_left (fun acc p -> acc + S.box_volume p) 0 pieces in
       let covers = S.box_volume a = vol_pieces + S.box_volume (S.box_inter a b) in
       let disjoint_from_b =
-        List.for_all (fun p -> S.box_is_empty (S.box_inter p b)) pieces
+        List.for_all (fun p -> S.box_volume (S.box_inter p b) = 0) pieces
       in
       let pairwise_disjoint =
         let rec go = function
           | [] -> true
           | p :: rest ->
-            List.for_all (fun q -> S.box_is_empty (S.box_inter p q)) rest
+            List.for_all (fun q -> S.box_volume (S.box_inter p q) = 0) rest
             && go rest
         in
         go pieces
@@ -197,7 +197,7 @@ let prop_subtract_all =
       let mk ps = Array.of_list (List.map (fun (a, b) -> (min a b, max a b)) ps) in
       let a = mk ps1 and b = mk ps2 in
       let rest = S.subtract_all [ a ] [ b ] in
-      List.for_all (fun p -> S.box_is_empty (S.box_inter p b)) rest)
+      List.for_all (fun p -> S.box_volume (S.box_inter p b) = 0) rest)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-kernel verdicts                                               *)

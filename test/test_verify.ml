@@ -99,6 +99,8 @@ let tests =
           let trial = { Sampler.variant = Sampler.Plain; cfg = Sampler.default_cfg } in
           let r = Shrink.minimize ~fails:(fun _ _ -> true) c.Gen.prog trial in
           Artemis_dsl.Check.check r.Shrink.prog;
+          Alcotest.(check bool) "instantiates" true
+            (Artemis_dsl.Instantiate.schedule r.Shrink.prog <> []);
           Alcotest.(check bool) "made progress" true (r.Shrink.steps > 0);
           Alcotest.(check bool) "no more statements than the input" true
             (total_stmts r.Shrink.prog <= total_stmts c.Gen.prog);

@@ -46,6 +46,12 @@ let with_pool ~jobs ?(force = jobs > 1) f =
       Pool.force_parallel := saved_force)
     f
 
+(* The JSON values of a JSONL document, blank lines skipped. *)
+let parse_jsonl s =
+  String.split_on_char '\n' s
+  |> List.filter (fun line -> String.trim line <> "")
+  |> List.map Artemis_obs.Json.parse
+
 (* [sub] occurs in [s]. *)
 let contains ~sub s =
   let n = String.length sub and m = String.length s in
