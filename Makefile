@@ -123,8 +123,8 @@ cache-smoke:
 	  exit $$st
 
 # Wavefront smoke test (docs/PERF.md): a Gauss-Seidel case through the
-# wavefront schedule must match the guarded per-point fallback bit for
-# bit while actually sweeping wavefront segments.
+# wavefront schedule must match the point-wise interpreter bit for bit
+# while actually sweeping wavefront rows.
 wavefront-smoke:
 	dune exec bench/main.exe -- wavefront-smoke
 

@@ -935,16 +935,15 @@ let executor_agreement ~size ~fuzz_cases =
     progs
 
 (* ------------------------------------------------------------------ *)
-(* Dependent stencils: wavefront schedule vs guarded fallback           *)
+(* Dependent stencils: wavefront schedule vs point-wise interpreter     *)
 (* ------------------------------------------------------------------ *)
 
 (* Gauss-Seidel and SOR bodies carry a uniform self-dependence, so the
    executors run them as anti-diagonal wavefronts: the rows of each
    hyperplane are mutually independent (parallelized across the pool)
    and swept with the flat-index bounds-check-free inner loop.
-   The schedule [Rows { wavefront = false; _ }] forces the guarded
-   per-point fallback
-   over the same region.  Both traversals realize the same
+   The [Interpret] schedule sweeps the same region point by point in
+   lexicographic order.  Both traversals realize the same
    dependence-respecting order, so every copyout grid must be
    bit-identical — asserted here, and pinned case by case by the fuzz
    oracle (invariant 4 in lib/verify/oracle.mli). *)
@@ -978,63 +977,12 @@ let dependent_cases ~size2 ~size3 =
 let dependent_equal prog ~reps =
   let wavefront = reference_copyouts ~reps prog in
   outputs_equal wavefront
-    (reference_copyouts
-       ~schedule:(Artemis.Eval.Rows { wavefront = false; static_elim = true })
-       ~reps prog)
+    (reference_copyouts ~schedule:Artemis.Eval.Interpret ~reps prog)
 
 let dependent_rows ~size2 ~size3 ~reps =
   List.map
     (fun (name, prog) -> (name, dependent_equal prog ~reps))
     (dependent_cases ~size2 ~size3)
-
-(* ------------------------------------------------------------------ *)
-(* Guard elimination: proven-bounds shells vs the PR-7 guarded halo     *)
-(* ------------------------------------------------------------------ *)
-
-(* The affine analyzer (docs/ANALYSIS.md) proves boundary shells dead,
-   so the splitter skips them instead of sweeping them point-guarded.
-   The observable effect: a strictly larger fraction of charged points
-   takes an unguarded path than under the PR-7 splitter
-   ([Rows { static_elim = false; _ }] — same splitting, no elimination),
-   with bit-identical grids. *)
-
-let tally_total (t : Artemis_exec.Region.tally) =
-  t.t_interior +. t.t_halo +. t.t_wavefront +. t.t_guarded +. t.t_eliminated
-
-let tally_unguarded (t : Artemis_exec.Region.tally) =
-  t.t_interior +. t.t_wavefront +. t.t_eliminated
-
-let unguarded_fraction t = tally_unguarded t /. Float.max (tally_total t) 1.0
-
-let elimination_rows ~size =
-  let names = [ "7pt-smoother"; "27pt-smoother"; "helmholtz"; "denoise" ] in
-  List.map
-    (fun name ->
-      let prog = (Suite.at_size size (Suite.find name)).prog in
-      let run schedule () = reference_copyouts ~schedule prog in
-      let out_on, t_on =
-        Artemis_exec.Region.with_tally (run Artemis.Eval.default_schedule)
-      in
-      let out_off, t_off =
-        Artemis_exec.Region.with_tally
-          (run (Artemis.Eval.Rows { wavefront = true; static_elim = false }))
-      in
-      (name, t_on, t_off, outputs_equal out_on out_off))
-    names
-
-let elimination_report rows =
-  let sum f = List.fold_left (fun a (_, t1, t2, _) -> a +. f t1 t2) 0.0 rows in
-  let ug_on = sum (fun t _ -> tally_unguarded t)
-  and tot_on = sum (fun t _ -> tally_total t)
-  and ug_off = sum (fun _ t -> tally_unguarded t)
-  and tot_off = sum (fun _ t -> tally_total t)
-  and eliminated = sum (fun t _ -> t.Artemis_exec.Region.t_eliminated) in
-  let frac_on = ug_on /. Float.max tot_on 1.0
-  and frac_off = ug_off /. Float.max tot_off 1.0 in
-  let ratio = frac_on /. Float.max frac_off 1e-9 in
-  let increased = eliminated > 0.0 && frac_on > frac_off in
-  let equal = List.for_all (fun (_, _, _, e) -> e) rows in
-  (frac_on, frac_off, ratio, increased, equal)
 
 (* ------------------------------------------------------------------ *)
 (* Jobs determinism: grids and journal at jobs=1 vs jobs=4              *)
@@ -1141,10 +1089,9 @@ let temporal_equal_rows () =
 
 let all_equal rows = List.for_all snd rows
 
-let write_exec_json exec_rows dep_rows elim_rows (jobs_outs_eq, jobs_journal_eq)
+let write_exec_json exec_rows dep_rows (jobs_outs_eq, jobs_journal_eq)
     temporal_rows temporal_eq =
   let module J = Artemis.Json in
-  let _, _, elim_ratio, elim_increased, elim_equal = elimination_report elim_rows in
   write_json "BENCH_exec.json"
     (J.Obj
        [ ("meta", bench_meta ());
@@ -1154,21 +1101,6 @@ let write_exec_json exec_rows dep_rows elim_rows (jobs_outs_eq, jobs_journal_eq)
                (fun (name, equal) ->
                  J.Obj [ ("name", J.Str name); ("outputs_equal", J.Bool equal) ])
                dep_rows));
-         ("elimination",
-          J.List
-            (List.map
-               (fun (name, t_on, t_off, eq) ->
-                 J.Obj
-                   [ ("name", J.Str name);
-                     ("unguarded_fraction_elim", J.Float (unguarded_fraction t_on));
-                     ("unguarded_fraction_noelim", J.Float (unguarded_fraction t_off));
-                     ("eliminated_points",
-                      J.Float t_on.Artemis_exec.Region.t_eliminated);
-                     ("outputs_equal", J.Bool eq) ])
-               elim_rows));
-         ("speedup_unguarded_points", J.Float elim_ratio);
-         ("unguarded_fraction_increased", J.Bool elim_increased);
-         ("elimination_outputs_equal", J.Bool elim_equal);
          ("temporal",
           J.List
             (List.map
@@ -1200,26 +1132,10 @@ let exec_bench () =
     exec_rows;
   Printf.printf "outputs bit-identical        : %b (%d programs)\n%!"
     (all_equal exec_rows) (List.length exec_rows);
-  header "Dependent stencils: wavefront schedule vs guarded fallback";
+  header "Dependent stencils: wavefront schedule vs point-wise interpreter";
   let dep_rows = dependent_rows ~size2:256 ~size3:40 ~reps:4 in
   List.iter (fun (name, eq) -> Printf.printf "%-8s equal %b\n" name eq) dep_rows;
   Printf.printf "outputs bit-identical        : %b\n%!" (all_equal dep_rows);
-  header "Guard elimination: proven-bounds shells vs guarded halo";
-  let elim_rows = elimination_rows ~size:28 in
-  List.iter
-    (fun (name, t_on, t_off, eq) ->
-      Printf.printf
-        "%-14s unguarded %5.1f%% (was %5.1f%%)  eliminated %10.0f pts  equal %b\n%!"
-        name
-        (100.0 *. unguarded_fraction t_on)
-        (100.0 *. unguarded_fraction t_off)
-        t_on.Artemis_exec.Region.t_eliminated eq)
-    elim_rows;
-  let frac_on, frac_off, elim_ratio, elim_increased, elim_equal =
-    elimination_report elim_rows
-  in
-  Printf.printf "unguarded fraction           : %.1f%% vs %.1f%% (%.3fx, increased %b, equal %b)\n%!"
-    (100.0 *. frac_on) (100.0 *. frac_off) elim_ratio elim_increased elim_equal;
   header "Jobs determinism: grids and journal at jobs=1 vs jobs=4";
   let (jobs_outs_eq, jobs_journal_eq) as jobs_eq = jobs_determinism () in
   Printf.printf "outputs equal %b, journal equal %b\n%!" jobs_outs_eq jobs_journal_eq;
@@ -1236,7 +1152,7 @@ let exec_bench () =
   List.iter
     (fun (name, eq) -> Printf.printf "%-14s blocked outputs equal %b\n%!" name eq)
     temporal_eq;
-  write_exec_json exec_rows dep_rows elim_rows jobs_eq temporal_rows temporal_eq
+  write_exec_json exec_rows dep_rows jobs_eq temporal_rows temporal_eq
 
 (* Hidden smoke variant (`make perf-smoke`): one suite program through
    both executors, split vs the point-wise interpreter, hard assertions
@@ -1250,7 +1166,7 @@ let exec_smoke () =
   in
   let m_int = Artemis.Metrics.counter "exec.interior_points" in
   let before = Artemis.Metrics.counter_value m_int in
-  let split = outs Artemis.Eval.default_schedule in
+  let split = outs Artemis.Eval.Rows in
   let interior = Artemis.Metrics.counter_value m_int -. before in
   let interp = outs Artemis.Eval.Interpret in
   let equal = outputs_equal split interp in
@@ -1303,10 +1219,11 @@ let tb_smoke () =
     end
 
 (* Hidden smoke variant (`make wavefront-smoke`): one small Gauss-Seidel
-   case, wavefront schedule vs guarded fallback, hard assertions on
-   bit-equality and on the wavefront path actually being taken. *)
+   case, wavefront schedule vs the point-wise interpreter, hard
+   assertions on bit-equality and on the wavefront path actually being
+   taken. *)
 let wavefront_smoke () =
-  header "wavefront smoke: wavefront vs guarded fallback on gs2d";
+  header "wavefront smoke: wavefront vs point-wise interpreter on gs2d";
   let prog = Artemis.parse_string (gs2d_src ~n:64 ~m:64) in
   let m_wf = Artemis.Metrics.counter "exec.wavefront_points" in
   let before = Artemis.Metrics.counter_value m_wf in
@@ -1315,7 +1232,7 @@ let wavefront_smoke () =
   Printf.printf "outputs identical %b; wavefront points swept %.0f\n%!" equal swept;
   if not equal then begin
     prerr_endline
-      "wavefront-smoke FAILED: wavefront outputs differ from the guarded fallback";
+      "wavefront-smoke FAILED: wavefront outputs differ from the interpreter";
     exit 1
   end;
   if swept <= 0.0 then begin

@@ -224,22 +224,7 @@ let read_json path =
 
 (** Distinct kernels of the schedule, first-launch order — the set lint
     and explain iterate over. *)
-let kernels_of prog =
-  let rec collect acc = function
-    | [] -> acc
-    | Artemis.Instantiate.Launch k :: rest -> collect (k :: acc) rest
-    | Artemis.Instantiate.Exchange _ :: rest -> collect acc rest
-    | Artemis.Instantiate.Repeat (_, sub) :: rest -> collect (collect acc sub) rest
-  in
-  List.fold_left
-    (fun acc (k : Artemis.Instantiate.kernel) ->
-      if List.exists
-           (fun (k' : Artemis.Instantiate.kernel) -> k'.kname = k.kname)
-           acc
-      then acc
-      else acc @ [ k ])
-    []
-    (List.rev (collect [] (Artemis.Instantiate.schedule prog)))
+let kernels_of prog = Artemis.Instantiate.kernels (Artemis.Instantiate.schedule prog)
 
 (** Findings for one program — shared by [lint] and [analyze] so the two
     commands agree byte-for-byte on which findings a program carries (and

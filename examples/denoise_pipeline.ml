@@ -58,7 +58,8 @@ let () =
   let store = Artemis.Reference.store_of_program small.prog in
   let plan_of kk = Artemis.Lower.lower Artemis.Device.p100 kk O.default in
   let steps = Artemis.Runner.configure ~plan_of sched in
-  let counters, launches = Artemis.Runner.run_schedule steps store ~scalars in
+  Artemis.Runner.run_schedule steps store ~scalars;
+  let m = Artemis.Runner.measure_schedule steps in
   let diff =
     Artemis_exec.Grid.max_abs_diff
       (Artemis.Reference.find_array ref_store "out")
@@ -67,4 +68,4 @@ let () =
   Printf.printf
     "\n12-iteration pipeline on 14^3: %d launches, %.0f shared loads, max |diff| vs \
      reference = %g\n"
-    launches counters.shm_ld diff
+    m.launches m.counters.shm_ld diff

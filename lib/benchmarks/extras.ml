@@ -128,16 +128,4 @@ let find name =
 
 let at_size n (b : t) = { b with prog = { b.prog with A.params = params n } }
 
-let kernels (b : t) =
-  let rec collect = function
-    | I.Launch k -> [ k ]
-    | I.Exchange _ -> []
-    | I.Repeat (_, sub) -> List.concat_map collect sub
-  in
-  List.concat_map collect (I.schedule b.prog)
-  |> List.fold_left
-       (fun acc (k : I.kernel) ->
-         if List.exists (fun (k' : I.kernel) -> k'.kname = k.kname) acc then acc
-         else k :: acc)
-       []
-  |> List.rev
+let kernels (b : t) = I.kernels (I.schedule b.prog)

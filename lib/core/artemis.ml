@@ -245,16 +245,6 @@ let report_json_of (r : result) = Report.render_json (report_record r)
 
 (** First kernel launched by a program (time loops flattened). *)
 let first_kernel (prog : Ast.program) =
-  let rec flatten items =
-    List.concat_map
-      (function
-        | Instantiate.Repeat (_, sub) -> flatten sub
-        | other -> [ other ])
-      items
-  in
-  let rec find = function
-    | [] -> invalid_arg "first_kernel: program launches nothing"
-    | Instantiate.Launch k :: _ -> k
-    | (Instantiate.Exchange _ | Instantiate.Repeat _) :: rest -> find rest
-  in
-  find (flatten (Instantiate.schedule prog))
+  match Instantiate.kernels (Instantiate.schedule prog) with
+  | k :: _ -> k
+  | [] -> invalid_arg "first_kernel: program launches nothing"

@@ -132,6 +132,20 @@ let schedule (prog : program) =
       | Iterate (n, apps) -> Repeat (n, List.map of_app apps))
     prog.main
 
+(** Distinct kernels of a schedule, by name, in first-launch order
+    (time loops walked once). *)
+let kernels items =
+  let seen = Hashtbl.create 8 in
+  let rec walk acc = function
+    | [] -> acc
+    | Launch k :: rest when not (Hashtbl.mem seen k.kname) ->
+      Hashtbl.add seen k.kname ();
+      walk (k :: acc) rest
+    | (Launch _ | Exchange _) :: rest -> walk acc rest
+    | Repeat (_, sub) :: rest -> walk (walk acc sub) rest
+  in
+  List.rev (walk [] items)
+
 (** Total number of kernel launches a schedule performs. *)
 let rec launch_count items =
   List.fold_left

@@ -31,6 +31,10 @@ type sched_item =
 (** Instantiate the whole host portion of a program. *)
 val schedule : Ast.program -> sched_item list
 
+(** Distinct kernels of a schedule, by name, in first-launch order
+    (time loops walked once). *)
+val kernels : sched_item list -> kernel list
+
 (** Total kernel launches a schedule performs (time loops unrolled). *)
 val launch_count : sched_item list -> int
 

@@ -62,7 +62,6 @@ let measure plan =
 let try_measure plan =
   match Validate.violations plan with
   | [] -> (
-    try Some (measure_valid plan) with
-    | Invalid_argument _ | Kernel_exec.Unsupported _ -> None)
+    try Some (measure_valid plan) with Invalid_argument _ -> None)
   | _ :: _ -> None
 

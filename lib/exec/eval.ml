@@ -5,7 +5,7 @@
 
    - the tree-walking interpreter ([eval]/[guard]), which resolves names
      and iterator dimensions at every grid point; and
-   - the flat-index row evaluator ([compile_stmt] under a [Rows]
+   - the flat-index row evaluator ([compile_stmt] under the [Rows]
      schedule) that sweeps whole rows through float arrays.
 
    Both produce bit-identical results (the row evaluator mirrors the
@@ -95,9 +95,7 @@ let guard env point (e : A.expr) =
 (* Schedule                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type schedule = Interpret | Rows of { wavefront : bool; static_elim : bool }
-
-let default_schedule = Rows { wavefront = true; static_elim = true }
+type schedule = Interpret | Rows
 
 type binder = {
   bind_array : string -> Grid.t;  (** array storage, temp grids included *)
@@ -210,31 +208,9 @@ let paths_in_bounds (paths : access_path array) (point : int array) =
   done;
   !ok
 
-(** Intersect [box] (over the iteration space) with the region where
-    every access of [paths] is in bounds.  Each array dimension
-    constrains one iteration dimension to an interval, so the in-bounds
-    set is exactly a box — the same set the statement's guard accepts.
-    A constant index outside its extent empties the box. *)
-let clip_in_bounds (paths : access_path list) (box : Region.box) : Region.box =
-  let out = Array.copy box in
-  List.iter
-    (fun p ->
-      Array.iteri
-        (fun d (dim, shift) ->
-          let n = p.ap_grid.Grid.dims.(d) in
-          if dim < 0 then begin
-            if shift < 0 || shift >= n then out.(0) <- (0, -1)
-          end
-          else begin
-            let lo, hi = out.(dim) in
-            out.(dim) <- (max lo (-shift), min hi (n - 1 - shift))
-          end)
-        p.ap_spec)
-    paths;
-  out
-
-(* Splitting reorders the sweep (shells before interior), so it is only
-   sound when reordering cannot be observed:
+(* The split path evaluates a whole row before storing it, and the
+   block executor sweeps tile by tile, so splitting is only sound when
+   reordering cannot be observed:
 
    - any read aliasing the written grid must read exactly the cell being
      written (a pure identity self-read — order-independent no matter
@@ -593,24 +569,14 @@ let split_of (b : binder) ~target ~wavefront wpath reads e =
     ss_paths = wpath :: reads.rp_list;
   }
 
+(* The statement's in-bounds box within [region], from the affine
+   engine: each access clips its iteration dimension to an interval, so
+   the points where the write and every read land inside their grids
+   form exactly a box — the set the guard accepts (oracle invariant 5
+   checks it against the executed guard point by point). *)
 let split_interior (ss : split_stmt) (region : Region.box) =
-  clip_in_bounds ss.ss_paths region
-
-(** True when the affine analyzer, recomputing the statement's in-bounds
-    footprint from the raw (extents, spec) pairs, lands on exactly the
-    executor's own [clip_in_bounds] box [interior].  Only then are the
-    shells provably dead — every region point outside [interior] fails
-    the write bounds check or the read guard, so the guarded body would
-    fall through without writing.  Two independent engines must agree
-    before a guard is skipped; disagreement falls back to sweeping. *)
-let elim_proven ~schedule (ss : split_stmt) ~(region : Region.box)
-    ~(interior : Region.box) =
-  (match schedule with Rows { static_elim; _ } -> static_elim | Interpret -> false)
-  && Static.box_equal
-       (Static.footprint ~region
-          ~accesses:
-            (List.map (fun p -> (p.ap_grid.Grid.dims, p.ap_spec)) ss.ss_paths))
-       interior
+  Static.footprint ~region
+    ~accesses:(List.map (fun p -> (p.ap_grid.Grid.dims, p.ap_spec)) ss.ss_paths)
 
 let run_row ~accum (ss : split_stmt) (point : int array) (n : int) =
   let fl = ss.ss_expr in
@@ -674,9 +640,9 @@ let self_deltas ~rank ~(target : Grid.t) ~(wspec : (int * int) array) paths =
          paths)
 
 (** One statement compiled for sweeping: the guarded per-point closure
-    (always available — boundary shells, wavefront row ends, and the
-    full fallback all use it) plus the schedule class the executors
-    dispatch on.  Under [Interpret] every point goes through
+    (always available — the guarded fallback and the streamed temporal
+    traversal use it) plus the schedule class the executors dispatch
+    on.  Under [Interpret] every point goes through
     [eval]/[guard] and the statement classifies [Sc_guarded]. *)
 let compile_stmt ~schedule (b : binder) ~(target : Grid.t) ~(accum : bool)
     (idx : A.index list) (e : A.expr) : stmt_exec =
@@ -691,7 +657,7 @@ let compile_stmt ~schedule (b : binder) ~(target : Grid.t) ~(accum : bool)
         else Grid.set target w (eval env p e)
     in
     { sx_class = Sc_guarded; sx_guarded = guarded; sx_row = no_row }
-  | Rows { wavefront = wavefront_on; _ } ->
+  | Rows ->
     let rank = List.length b.binder_iters in
     let wpath = access_path b target idx in
     let reads = read_paths b e in
@@ -701,14 +667,13 @@ let compile_stmt ~schedule (b : binder) ~(target : Grid.t) ~(accum : bool)
       if
         order_independent ~rank ~target ~wspec:wpath.ap_spec ~reads_temp rpaths
       then `Split
-      else if wavefront_on then (
+      else
         match self_deltas ~rank ~target ~wspec:wpath.ap_spec rpaths with
         | Some deltas -> (
           match Static.hyperplane ~rank deltas with
           | Some vec -> `Wavefront vec
           | None -> `Guarded)
-        | None -> `Guarded)
-      else `Guarded
+        | None -> `Guarded
     in
     let wavefront = match cls with `Wavefront _ -> true | `Split | `Guarded -> false in
     let ss = split_of b ~target ~wavefront wpath reads e in

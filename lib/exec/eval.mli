@@ -33,23 +33,16 @@ val guard : env -> int array -> Artemis_dsl.Ast.expr -> bool
 
 (** How {!compile_stmt} sweeps statements.  [Interpret] runs every
     statement point by point through the expression interpreter behind
-    {!guard} (classified
-    [Sc_guarded]) — the point-wise reference the differential tests
-    compare against; it neither splits, nor takes the wavefront
-    schedule, nor eliminates guards.  [Rows] runs the row evaluator:
-    with [wavefront], statements whose self-dependences are uniform
-    sweep through the wavefront schedule ({!Wavefront}) instead of the
-    guarded per-point path; with [static_elim], the executors skip
-    boundary shells (and wavefront exteriors) whose points the affine
-    analyzer ({!Artemis_static.Static}) proves to be guard-failing
-    no-ops, charging them to [exec.eliminated_points] ({!elim_proven}).
-    Results are bit-identical under every schedule — pinned by the fuzz
+    {!guard} (classified [Sc_guarded]) — the point-wise reference the
+    differential tests compare against.  [Rows] runs the row evaluator
+    over each statement's in-bounds box ({!split_interior}):
+    order-independent statements sweep it row by row, statements whose
+    self-dependences are uniform sweep it through the wavefront schedule
+    ({!Wavefront}), and the points outside it — guard-failing no-ops by
+    construction — are skipped and charged to [exec.eliminated_points].
+    Results are bit-identical under both schedules — pinned by the fuzz
     oracle and the tests. *)
-type schedule = Interpret | Rows of { wavefront : bool; static_elim : bool }
-
-(** [Rows { wavefront = true; static_elim = true }]: what the executors
-    run unless told otherwise. *)
-val default_schedule : schedule
+type schedule = Interpret | Rows
 
 (** Name resolution for compilation, fixed before the sweep begins:
     [bind_temp] wins over [bind_scalar] for scalar references (temps
@@ -103,28 +96,21 @@ type split_stmt = {
 and flat
 
 (** The sub-box of [region] where every access of the statement is in
-    bounds (its unguarded interior). *)
+    bounds (its unguarded interior), as the affine engine computes it
+    ({!Artemis_static.Static.footprint}).  Every region point outside it
+    fails the write's bounds check or the read guard, so the executors
+    skip those points. *)
 val split_interior : split_stmt -> Region.box -> Region.box
-
-(** True when [schedule] enables static elimination and the affine analyzer,
-    recomputing the statement's in-bounds footprint from the raw
-    (extents, spec) pairs, lands on exactly [interior] (the executor's
-    own in-bounds box for [region], the one {!split_interior} returns).  Every region point outside
-    [interior] is then provably a guard-failing no-op, so the shells can
-    be skipped — two independent engines must agree before any guard is
-    dropped; disagreement falls back to sweeping them. *)
-val elim_proven :
-  schedule:schedule -> split_stmt -> region:Region.box -> interior:Region.box -> bool
 
 (** {1 Unified statement compilation}
 
     One entry point deciding how a statement sweeps: order-independent
-    statements split (interior rows + guarded shells), uniform
-    self-dependent statements take the wavefront schedule under a legal
-    hyperplane, everything else stays guarded per point. *)
+    statements split (interior rows), uniform self-dependent statements
+    take the wavefront schedule under a legal hyperplane, everything
+    else stays guarded per point. *)
 
 type stmt_class =
-  | Sc_split of split_stmt  (** order-independent: interior/halo split *)
+  | Sc_split of split_stmt  (** order-independent: interior rows *)
   | Sc_wavefront of split_stmt * int array
       (** uniform self-dependence under the given outer-dimension
           hyperplane ({!Wavefront.sweep}) *)
@@ -133,24 +119,24 @@ type stmt_class =
 type stmt_exec = {
   sx_class : stmt_class;
   sx_guarded : int array -> unit;
-      (** guarded per-point body — shells, wavefront row ends, fallback *)
+      (** guarded per-point body — the fallback and the streamed
+          temporal traversal *)
   sx_row : int array -> int -> unit;
       (** flat row body; [Invalid_argument] under [Sc_guarded] *)
 }
 
 (** Compile [target[idx] = e] (or [+=] under [accum]) into its guarded
-    closure plus schedule class.  Under a [Rows] schedule every path —
+    closure plus schedule class.  Under [Rows] every path —
     interior rows, wavefront rows and guarded points (a row of length 1
     once the write and every read are in bounds) — runs the one
     row-at-a-time evaluator.  A statement splits ([Sc_split]) when
     reordering cannot be observed: the write index covers every
     iteration dimension a read varies along, and any read aliasing
     [target]'s storage uses the write's own index.  A uniformly
-    self-dependent statement takes [Sc_wavefront] when the schedule's
-    [wavefront] is set and a legal hyperplane exists; any other is
-    [Sc_guarded].  Under [Interpret] the guarded closure is the
-    interpreter's (per-point evaluation behind {!guard}) and the class is always
-    [Sc_guarded].  The result reuses internal buffers and belongs to one
+    self-dependent statement takes [Sc_wavefront] when a legal
+    hyperplane exists; any other is [Sc_guarded].  Under [Interpret]
+    the guarded closure is the interpreter's (per-point evaluation
+    behind {!guard}) and the class is always [Sc_guarded].  The result reuses internal buffers and belongs to one
     sequential sweep: parallel wavefront bands each compile their own
     instance.
     @raise Unknown_intrinsic on an unknown intrinsic or wrong arity (at

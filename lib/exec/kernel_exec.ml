@@ -13,8 +13,8 @@
    rejects bodies whose intermediates start with an accumulation, the one
    pattern where re-execution would double-count.)
 
-   Counters come from [Traffic] — the same accounting the analytic
-   evaluator uses — so executing and analysing a plan agree exactly. *)
+   The executor computes values only: a launch's counters are
+   [Traffic]'s, read through [Analytic.measure] without executing. *)
 
 module A = Artemis_dsl.Ast
 module Static = Artemis_static.Static
@@ -22,7 +22,6 @@ module Plan = Artemis_ir.Plan
 module Launch = Artemis_ir.Launch
 module Kernel_facts = Artemis_ir.Kernel_facts
 module Validate = Artemis_ir.Validate
-module Counters = Artemis_gpu.Counters
 module Trace = Artemis_obs.Trace
 module Journal = Artemis_obs.Journal
 module Json = Artemis_obs.Json
@@ -189,16 +188,12 @@ let run_plain ~schedule (plan : Plan.t) (store : Reference.store) ~scalars =
         let make () = Eval.compile_stmt ~schedule binder ~target ~accum idx e in
         let sx = make () in
         (* Wavefront statements get one sweeper per launch: tile-local
-           wavefronts re-sweep it block after block, growing executor
+           wavefronts re-sweep it block after block, growing row
            instances (fresh [make ()] per parallel band) on demand. *)
         let wavefront =
           match sx.Eval.sx_class with
           | Eval.Sc_wavefront (_, vec) ->
-            let make_exec () =
-              let sx = make () in
-              { Wavefront.we_guarded = sx.Eval.sx_guarded; we_row = sx.sx_row }
-            in
-            Some (Wavefront.sweeper ~make_exec, vec)
+            Some (Wavefront.sweeper ~make_row:(fun () -> (make ()).Eval.sx_row), vec)
           | Eval.Sc_split _ | Eval.Sc_guarded -> None
         in
         ( si, is_final, sx, wavefront,
@@ -224,18 +219,14 @@ let run_plain ~schedule (plan : Plan.t) (store : Reference.store) ~scalars =
             done;
           match sx.Eval.sx_class with
           | Eval.Sc_split ss ->
-            let interior = Eval.split_interior ss region in
-            Region.sweep ~point
-              ~dead_shells:(Eval.elim_proven ~schedule ss ~region ~interior)
-              ~region ~interior ~guarded:sx.sx_guarded ~row:sx.sx_row ()
+            Region.sweep ~point ~region ~interior:(Eval.split_interior ss region)
+              sx.sx_row
           | Eval.Sc_wavefront (ss, _) ->
             let sweeper, vec =
               match wavefront with Some wf -> wf | None -> assert false
             in
-            let interior = Eval.split_interior ss region in
-            Wavefront.sweep
-              ~elide:(Eval.elim_proven ~schedule ss ~region ~interior)
-              sweeper ~region ~interior ~vec
+            Wavefront.sweep sweeper ~region ~interior:(Eval.split_interior ss region)
+              ~vec
           | Eval.Sc_guarded ->
             Region.sweep_guarded ~point ~region sx.sx_guarded)
         compiled_stmts
@@ -256,22 +247,20 @@ let run_plain ~schedule (plan : Plan.t) (store : Reference.store) ~scalars =
       done
   in
   (* With the journal on, each launch records how many points took the
-     unguarded interior fast path vs the guarded halo path — the
-     observable effect of loop splitting, per launch rather than as a
-     global counter delta. *)
+     unguarded interior fast path, the wavefront rows or the guarded
+     fallback, and how many it skipped — the observable effect of loop
+     splitting, per launch rather than as a global counter delta. *)
   if Journal.enabled () then begin
     let (), tally = Region.with_tally (fun () -> launch 0) in
     Journal.append "exec.split"
       [ ("kernel", Json.Str k.kname); ("executor", Json.Str "blocks");
         ("split", Json.Bool split);
         ("interior_points", Json.Float tally.t_interior);
-        ("halo_points", Json.Float tally.t_halo);
         ("wavefront_points", Json.Float tally.t_wavefront);
         ("guarded_points", Json.Float tally.t_guarded);
         ("eliminated_points", Json.Float tally.t_eliminated) ]
   end
-  else launch 0;
-  Traffic.total_counters ctx
+  else launch 0
 
 (* ------------------------------------------------------------------ *)
 (* Degree-N temporal blocking                                          *)
@@ -376,13 +365,12 @@ let run_streamed ~schedule (plan : Plan.t) (store : Reference.store) ~scalars
   if (b - 1) mod 2 = 1 then exchange store out inp
 
 (** Execute [plan] on the arrays in [store], updating final outputs (and
-    global-placed intermediates) in place, and return the launch counters.
-    A temporally blocked plan ([Plan.temporal.degree > 1]) executes
-    [degree] time steps of its ping-pong pair per launch — through the
-    streamed interleaved traversal when the body admits it, otherwise the
-    exact per-step composition — and is charged the blocked launch's
-    counters from [Traffic].  [schedule] picks how statements sweep. *)
-let run ?(schedule = Eval.default_schedule) (plan : Plan.t)
+    global-placed intermediates) in place.  A temporally blocked plan
+    ([Plan.temporal.degree > 1]) executes [degree] time steps of its
+    ping-pong pair per launch — through the streamed interleaved
+    traversal when the body admits it, otherwise the exact per-step
+    composition.  [schedule] picks how statements sweep. *)
+let run ?(schedule = Eval.Rows) (plan : Plan.t)
     (store : Reference.store) ~scalars =
   let tb = plan.Plan.temporal in
   if tb.degree <= 1 then run_plain ~schedule plan store ~scalars
@@ -393,7 +381,6 @@ let run ?(schedule = Eval.default_schedule) (plan : Plan.t)
       | Some pair -> pair
       | None -> invalid_arg "Kernel_exec: blocked plan without a ping-pong pair"
     in
-    let ctx = Traffic.make_ctx plan in
     let p1 = { plan with Plan.temporal = Plan.no_temporal } in
     let streamed = Artemis_fuse.Fusion.stream_legal plan.kernel ~out ~inp in
     Trace.with_span "exec.temporal"
@@ -406,10 +393,9 @@ let run ?(schedule = Eval.default_schedule) (plan : Plan.t)
     else begin
       (* exact fallback: [(launch; exchange)^(degree-1); launch] *)
       for _ = 1 to tb.degree - 1 do
-        ignore (run_plain ~schedule p1 store ~scalars);
+        run_plain ~schedule p1 store ~scalars;
         exchange store out inp
       done;
-      ignore (run_plain ~schedule p1 store ~scalars)
-    end;
-    Traffic.total_counters ctx
+      run_plain ~schedule p1 store ~scalars
+    end
   end

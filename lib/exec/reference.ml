@@ -25,7 +25,7 @@ let find_array (store : store) name =
     scratch intermediates of fused kernels) are materialized locally,
     zero-initialized.  [schedule] ({!Eval.schedule}) picks how each
     statement sweeps. *)
-let run_kernel ?(schedule = Eval.default_schedule) (store : store) ~scalars
+let run_kernel ?(schedule = Eval.Rows) (store : store) ~scalars
     (k : I.kernel) =
   let split = schedule <> Eval.Interpret in
   Trace.with_span "exec.reference_kernel"
@@ -68,11 +68,11 @@ let run_kernel ?(schedule = Eval.default_schedule) (store : store) ~scalars
      its sweep; the temp grid is registered before compiling so the
      visibility rules match the interpreter exactly.
 
-     Under a [Rows] schedule an order-independent statement sweeps its
-     guaranteed-in-bounds interior through flat-index rows and pays the
-     guard only on boundary shells, and a uniformly self-dependent one
-     takes the wavefront schedule when enabled; otherwise the whole
-     domain takes the guarded per-point path. *)
+     Under [Rows] an order-independent statement sweeps its
+     guaranteed-in-bounds interior through flat-index rows and a
+     uniformly self-dependent one sweeps it through the wavefront
+     schedule, both skipping the guard-failing rest of the domain;
+     otherwise the whole domain takes the guarded per-point path. *)
   let rank = Array.length k.domain in
   let domain_box = Region.of_dims k.domain in
   let point = Array.make (max rank 1) 0 in
@@ -82,22 +82,14 @@ let run_kernel ?(schedule = Eval.default_schedule) (store : store) ~scalars
     let sx = make () in
     match sx.Eval.sx_class with
     | Eval.Sc_split ss ->
-      let interior = Eval.split_interior ss domain_box in
-      Region.sweep ~point
-        ~dead_shells:(Eval.elim_proven ~schedule ss ~region:domain_box ~interior)
-        ~region:domain_box ~interior ~guarded:sx.sx_guarded ~row:sx.sx_row ()
+      Region.sweep ~point ~region:domain_box
+        ~interior:(Eval.split_interior ss domain_box) sx.sx_row
     | Eval.Sc_wavefront (ss, vec) ->
       (* Rows of one wavefront are independent; each parallel band
          compiles its own instance (the closures reuse buffers). *)
-      let make_exec () =
-        let sx = make () in
-        { Wavefront.we_guarded = sx.Eval.sx_guarded; we_row = sx.sx_row }
-      in
-      let interior = Eval.split_interior ss domain_box in
       Wavefront.sweep
-        ~elide:(Eval.elim_proven ~schedule ss ~region:domain_box ~interior)
-        (Wavefront.sweeper ~make_exec)
-        ~region:domain_box ~interior ~vec
+        (Wavefront.sweeper ~make_row:(fun () -> (make ()).Eval.sx_row))
+        ~region:domain_box ~interior:(Eval.split_interior ss domain_box) ~vec
     | Eval.Sc_guarded ->
       Region.sweep_guarded ~point ~region:domain_box sx.sx_guarded
   in
@@ -119,7 +111,6 @@ let run_kernel ?(schedule = Eval.default_schedule) (store : store) ~scalars
       [ ("kernel", Json.Str k.kname); ("executor", Json.Str "reference");
         ("split", Json.Bool split);
         ("interior_points", Json.Float tally.t_interior);
-        ("halo_points", Json.Float tally.t_halo);
         ("wavefront_points", Json.Float tally.t_wavefront);
         ("guarded_points", Json.Float tally.t_guarded);
         ("eliminated_points", Json.Float tally.t_eliminated) ]

@@ -14,8 +14,8 @@ val find_array : store -> string -> Grid.t
 
 (** Execute one kernel; kernel arrays absent from the store (fused-kernel
     scratch intermediates) are materialized locally, zero-initialized.
-    [schedule] (default {!Eval.default_schedule}) picks how statements
-    sweep; every schedule computes bit-identical grids. *)
+    [schedule] (default [Eval.Rows]) picks how statements sweep; both
+    schedules compute bit-identical grids. *)
 val run_kernel :
   ?schedule:Eval.schedule -> store -> scalars:(string * float) list -> Artemis_dsl.Instantiate.kernel -> unit
 

@@ -1,7 +1,7 @@
 (* End-to-end runner: executes a configured schedule — the host-side
    sequence of kernel launches, buffer swaps, and time loops — either
-   analytically (timing + counters, full size) or with data (values +
-   counters, test sizes). *)
+   analytically (timing + counters, full size) or with data (values,
+   test sizes). *)
 
 module A = Artemis_dsl.Ast
 module I = Artemis_dsl.Instantiate
@@ -104,14 +104,11 @@ let measure_schedule (steps : step list) =
     pointer exchange does). *)
 let run_schedule ?schedule (steps : step list) (store : Reference.store) ~scalars =
   Trace.with_span "exec.run_schedule" @@ fun () ->
-  let counters = ref Counters.zero in
-  let launches = ref 0 in
   let rec go steps =
     List.iter
       (function
         | Run_plan p ->
-          counters := Counters.add !counters (Kernel_exec.run ?schedule p store ~scalars);
-          incr launches;
+          Kernel_exec.run ?schedule p store ~scalars;
           Metrics.incr m_launches
         | Swap (a, b) ->
           let ga = Reference.find_array store a and gb = Reference.find_array store b in
@@ -123,5 +120,4 @@ let run_schedule ?schedule (steps : step list) (store : Reference.store) ~scalar
           done)
       steps
   in
-  go steps;
-  (!counters, !launches)
+  go steps

@@ -1,6 +1,6 @@
 (** End-to-end runner: executes a configured schedule — kernel launches,
     buffer swaps, time loops — analytically (timing + counters at full
-    size) or with data (values + counters at test sizes). *)
+    size) or with data (values at test sizes). *)
 
 (** A schedule whose kernels carry concrete plans. *)
 type step =
@@ -33,9 +33,9 @@ val temporal_rewrite :
 (** Analytic execution: per-launch counters and times summed. *)
 val measure_schedule : step list -> outcome
 
-(** Data execution over a store (swaps rebind grids); returns total
-    counters and the launch count.  [schedule] (default
-    {!Eval.default_schedule}) picks how statements sweep. *)
+(** Data execution over a store (swaps rebind grids).  [schedule]
+    (default [Eval.Rows]) picks how statements sweep.  The counters and
+    launch count of the same steps come from {!measure_schedule}. *)
 val run_schedule :
   ?schedule:Eval.schedule -> step list -> Reference.store -> scalars:(string * float) list ->
-  Artemis_gpu.Counters.t * int
+  unit

@@ -414,25 +414,6 @@ let decl_name = function
   | A.Array_decl (n, _) -> n
   | A.Scalar_decl n -> n
 
-(* Distinct kernels of a schedule, by name, in first-launch order. *)
-let kernels_of_schedule sched =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  let rec walk items =
-    List.iter
-      (function
-        | I.Launch (k : I.kernel) ->
-          if not (Hashtbl.mem seen k.kname) then begin
-            Hashtbl.add seen k.kname ();
-            acc := k :: !acc
-          end
-        | I.Exchange _ -> ()
-        | I.Repeat (_, sub) -> walk sub)
-      items
-  in
-  walk sched;
-  List.rev !acc
-
 (* A103: walk the schedule in program order tracking which arrays hold
    defined data (copyin, then anything a launch writes; Exchange swaps
    the property with the buffer names). *)
@@ -619,7 +600,7 @@ let lint_program (prog : A.program) =
       dead_statement_lints s k;
       wavefront_lints s k;
       static_oob_lints s k)
-    (kernels_of_schedule sched);
+    (I.kernels sched);
   drain s
 
 (* ------------------------------------------------------------------ *)

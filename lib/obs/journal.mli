@@ -3,7 +3,7 @@
 
     Where {!Trace} answers "where did the time go", the journal answers
     "why this plan" — every tuner candidate, lint prune, cache outcome,
-    DP tipping-point decision, fuzz verdict, and executor interior/halo
+    DP tipping-point decision, fuzz verdict, and executor interior
     split lands here as a structured event.  Events carry no timestamps
     and receive their sequence numbers at global-append time, so a run
     journals byte-identically at jobs=1 and jobs=N as long as appends

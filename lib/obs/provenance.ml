@@ -244,21 +244,20 @@ let exec_section events =
           let split_on =
             List.length (List.filter (fun ev -> bool_opt "split" ev = Some true) evs)
           in
-          let interior = sum "interior_points" and halo = sum "halo_points" in
+          let interior = sum "interior_points" in
           let wavefront = sum "wavefront_points" and guarded = sum "guarded_points" in
           let eliminated = sum "eliminated_points" in
-          let total = interior +. halo +. wavefront +. guarded +. eliminated in
-          (* Unguarded fast-path fraction: interior rows, the flat
-             segments inside wavefront rows, and shells the analyzer
-             proved dead (skipped outright); halo shells and the
-             whole-region guarded fallback pay the per-point guard. *)
+          let total = interior +. wavefront +. guarded +. eliminated in
+          (* Unguarded fast-path fraction: interior rows, wavefront rows,
+             and guard-failing points outside the in-bounds box (skipped
+             outright); only the whole-region guarded fallback pays the
+             per-point guard. *)
           let fast = interior +. wavefront +. eliminated in
           Json.Obj
             [ ("kernel", Json.Str kernel); ("executor", Json.Str executor);
               ("launches", Json.Int (List.length evs));
               ("split_launches", Json.Int split_on);
               ("interior_points", Json.Float interior);
-              ("halo_points", Json.Float halo);
               ("wavefront_points", Json.Float wavefront);
               ("guarded_points", Json.Float guarded);
               ("eliminated_points", Json.Float eliminated);
@@ -498,13 +497,12 @@ let render doc =
         let guarded = num_or "guarded_points" k 0.0 in
         let eliminated = num_or "eliminated_points" k 0.0 in
         Printf.bprintf b
-          "  %s/%s: %g launch(es) (%g split), %s interior / %s halo points%s%s%s \
+          "  %s/%s: %g launch(es) (%g split), %s interior points%s%s%s \
            (%.1f%% unguarded)\n"
           (str_or "executor" k "?") (str_or "kernel" k "?")
           (num_or "launches" k 0.0)
           (num_or "split_launches" k 0.0)
           (g (num_or "interior_points" k 0.0))
-          (g (num_or "halo_points" k 0.0))
           (if wavefront > 0.0 then Printf.sprintf " / %s wavefront" (g wavefront)
            else "")
           (if guarded > 0.0 then Printf.sprintf " / %s guarded" (g guarded) else "")

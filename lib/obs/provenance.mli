@@ -6,7 +6,7 @@
     margin), lint-pruned (with code), or failed — plus cache economics,
     a roofline-style traffic breakdown of each winner against the
     machine model's α/β knees, deep-tuning tipping-point decisions, fuzz
-    verdicts, and executor interior/halo splits.
+    verdicts, and executor interior splits.
 
     Pure [Json -> Json]: no dependency on the tuner or GPU model, so the
     report can be rebuilt from a journal file alone. *)

@@ -12,11 +12,11 @@
    the same iterator; the remaining shapes are reported as unknown, the
    same cases the executors refuse to schedule.
 
-   This module is the one source of self-dependence distances and
-   wavefront hyperplanes for the executors, the traffic model, lint and
-   fusion.  It derives everything from the AST/spec level without
-   touching [Artemis_exec], so its footprints serve as a redundant
-   second engine the executors cross-check before eliding guards. *)
+   This module is the one source of self-dependence distances,
+   wavefront hyperplanes and in-bounds boxes for the executors, the
+   traffic model, lint and fusion.  It derives everything from the
+   AST/spec level without touching [Artemis_exec]; the fuzz oracle
+   checks its footprints against the executed guards. *)
 
 module A = Artemis_dsl.Ast
 module I = Artemis_dsl.Instantiate
@@ -29,10 +29,6 @@ type box = (int * int) array
 
 let box_is_empty (b : box) =
   Array.length b = 0 || Array.exists (fun (lo, hi) -> hi < lo) b
-
-let box_equal (a : box) (b : box) =
-  if box_is_empty a || box_is_empty b then box_is_empty a && box_is_empty b
-  else a = b
 
 let box_volume (b : box) =
   if box_is_empty b then 0

@@ -12,10 +12,10 @@
     The module is the single source of dependence facts: the
     executors, the traffic model, lint and fusion legality all take
     their self-dependence distances and wavefront hyperplanes from
-    here.  It is independent of [Artemis_exec], so for footprints it
-    stays a second, redundant engine the executors cross-check their
-    dynamic guard closures against (guard elimination only engages
-    when both agree). *)
+    here, and the executors sweep each statement over its {!footprint}
+    (the in-bounds box), skipping the guard-failing rest of the region.
+    It is independent of [Artemis_exec]; the fuzz oracle checks every
+    footprint against the executed guard point by point. *)
 
 module A = Artemis_dsl.Ast
 module I = Artemis_dsl.Instantiate
@@ -26,9 +26,6 @@ module I = Artemis_dsl.Instantiate
 
 type box = (int * int) array
 (** Inclusive per-dimension bounds [(lo, hi)]; empty iff some [hi < lo]. *)
-
-val box_equal : box -> box -> bool
-(** Semantic equality: both empty, or componentwise identical. *)
 
 val box_volume : box -> int
 val box_to_string : box -> string

@@ -30,7 +30,7 @@ type summary = {
     a [.repro.txt] with the trial description and mismatch list.  With
     [~lint:true] the oracle also enforces the third invariant: no
     Error-level lint finding on any accepted (program, plan) pair.
-    [schedule] (default [Eval.default_schedule]) is the executors'
+    [schedule] (default [Eval.Rows]) is the executors'
     schedule, passed to every {!Oracle.check}. *)
 val run :
   ?dump_dir:string -> ?lint:bool -> ?schedule:Artemis_exec.Eval.schedule ->

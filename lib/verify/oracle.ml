@@ -12,7 +12,6 @@ module Trace = Artemis_obs.Trace
 type mismatch =
   | Output_mismatch of { array : string; diff : float; margin : int }
   | Counter_mismatch of { plan : string; detail : string }
-  | Schedule_counter_mismatch of { detail : string }
   | Lint_error of { code : string; detail : string }
   | Wavefront_mismatch of { executor : string; array : string; diff : float }
   | Static_mismatch of { kernel : string; stmt : int; detail : string }
@@ -23,14 +22,12 @@ let mismatch_to_string = function
     Printf.sprintf "output mismatch: %s differs by %g (margin %d)" array diff margin
   | Counter_mismatch { plan; detail } ->
     Printf.sprintf "counter mismatch (class sum vs exact loop) on %s: %s" plan detail
-  | Schedule_counter_mismatch { detail } ->
-    Printf.sprintf "counter mismatch (executed vs analytic): %s" detail
   | Lint_error { code; detail } ->
     Printf.sprintf "lint error (%s) on an accepted pair: %s" code detail
   | Wavefront_mismatch { executor; array; diff } ->
     Printf.sprintf
-      "wavefront mismatch: %s executor's %s differs by %g with the wavefront \
-       schedule disabled"
+      "wavefront mismatch: %s executor's %s differs by %g from the point-wise \
+       interpreter"
       executor array diff
   | Static_mismatch { kernel; stmt; detail } ->
     Printf.sprintf "static analyzer disagrees with dynamic behavior (%s, \
@@ -57,22 +54,6 @@ let margin_of prog = function
      steps over the same two physical buffers are the composition of b
      launches exactly, so the comparison is bitwise everywhere. *)
   | Sampler.Plain | Sampler.Fissioned _ | Sampler.Temporal_blocked _ -> 0
-
-(* Distinct kernels of a schedule (by name — fused segment kernels of the
-   same degree are structurally identical). *)
-let kernels_of_schedule sched =
-  let rec collect acc = function
-    | [] -> acc
-    | I.Launch k :: rest -> collect (k :: acc) rest
-    | I.Exchange _ :: rest -> collect acc rest
-    | I.Repeat (_, sub) :: rest -> collect (collect acc sub) rest
-  in
-  List.fold_left
-    (fun acc (k : I.kernel) ->
-      if List.exists (fun (k' : I.kernel) -> k'.kname = k.kname) acc then acc
-      else acc @ [ k ])
-    []
-    (List.rev (collect [] sched))
 
 let crash e =
   Checked { plans = 0; mismatches = [ Crash { detail = Printexc.to_string e } ] }
@@ -108,7 +89,7 @@ let rec blocked_plans_of steps =
    check them by running the code. *)
 let static_mismatches (prog : A.program) =
   let acc = ref [] in
-  let kernels = kernels_of_schedule (I.schedule prog) in
+  let kernels = I.kernels (I.schedule prog) in
   List.iter
     (fun (k : I.kernel) ->
       let rank = Array.length k.domain in
@@ -199,7 +180,7 @@ let static_mismatches (prog : A.program) =
     kernels;
   List.rev !acc
 
-let check ?(lint = false) ?(schedule = E.Eval.default_schedule) (prog : A.program)
+let check ?(lint = false) ?(schedule = E.Eval.Rows) (prog : A.program)
     (trial : Sampler.trial) =
   Trace.with_span "verify.trial" ~attrs:[ ("trial", Str (Sampler.trial_label trial)) ]
   @@ fun () ->
@@ -209,7 +190,9 @@ let check ?(lint = false) ?(schedule = E.Eval.default_schedule) (prog : A.progra
   | exception e -> crash e
   | None -> Skipped "variant-inapplicable"
   | Some sched -> (
-    let kernels = kernels_of_schedule sched in
+    (* Distinct by name — fused segment kernels of the same degree are
+       structurally identical. *)
+    let kernels = I.kernels sched in
     match List.map (fun k -> (k.I.kname, Sampler.plan_of trial.cfg k)) kernels with
     | exception e -> crash e
     | plans -> (
@@ -247,7 +230,7 @@ let check ?(lint = false) ?(schedule = E.Eval.default_schedule) (prog : A.progra
       match E.Runner.run_schedule ~schedule steps exec_store ~scalars with
       | exception E.Kernel_exec.Unsupported msg -> Skipped ("unsupported: " ^ msg)
       | exception e -> crash e
-      | exec_counters, _launches ->
+      | () ->
         let mismatches = ref [] in
         let push m =
           Trace.instant "verify.mismatch"
@@ -287,15 +270,7 @@ let check ?(lint = false) ?(schedule = E.Eval.default_schedule) (prog : A.progra
                 | fs -> push_errors fs))
             (plans @ List.map (fun p -> ("blocked", Some p)) blocked)
         end;
-        (* Invariant 2a: executed counters == analytic counters. *)
-        (match E.Runner.measure_schedule steps with
-        | exception e -> push (Crash { detail = Printexc.to_string e })
-        | analytic ->
-          if not (Counters.approx_equal exec_counters analytic.counters) then
-            push
-              (Schedule_counter_mismatch
-                 { detail = counters_brief exec_counters analytic.counters }));
-        (* Invariant 2b: fast class summation == exact per-block loop —
+        (* Invariant 2: fast class summation == exact per-block loop —
            including the temporally blocked plans, whose per-degree halo
            growth and ring traffic are charged inside the per-block
            counters and so must agree under both summation orders. *)
@@ -330,11 +305,11 @@ let check ?(lint = false) ?(schedule = E.Eval.default_schedule) (prog : A.progra
               if diff <> 0.0 then push (Output_mismatch { array = a; diff; margin }))
           prog.copyout;
         (* Invariant 4: on self-dependent programs the wavefront schedule
-           must be pure acceleration — re-running both executors with it
-           disabled (the guarded per-point fallback) must reproduce every
-           copied-out grid bit for bit.  Runner steps are store-free, so
-           the same configured plans re-execute on fresh stores.  Under a
-           schedule without the wavefront there is nothing to compare. *)
+           must be pure acceleration — re-running both executors under
+           the point-wise interpreter must reproduce every copied-out
+           grid bit for bit.  Runner steps are store-free, so the same
+           configured plans re-execute on fresh stores.  Under the
+           interpreter there is nothing to compare. *)
         let self_dependent =
           List.exists
             (fun (k : I.kernel) ->
@@ -352,8 +327,8 @@ let check ?(lint = false) ?(schedule = E.Eval.default_schedule) (prog : A.progra
         | exception e -> push (Crash { detail = Printexc.to_string e })
         | ms -> List.iter push ms);
         (match schedule with
-         | E.Eval.Rows { wavefront = true; static_elim } when self_dependent ->
-           let schedule = E.Eval.Rows { wavefront = false; static_elim } in
+         | E.Eval.Rows when self_dependent ->
+           let schedule = E.Eval.Interpret in
            let compare_outputs executor base store =
              List.iter
                (fun a ->
@@ -376,6 +351,6 @@ let check ?(lint = false) ?(schedule = E.Eval.default_schedule) (prog : A.progra
            let exec2 = E.Reference.store_of_program prog in
            (match E.Runner.run_schedule ~schedule steps exec2 ~scalars with
            | exception e -> push (Crash { detail = Printexc.to_string e })
-           | _ -> compare_outputs "blocks" exec_store exec2)
-         | E.Eval.Rows _ | E.Eval.Interpret -> ());
+           | () -> compare_outputs "blocks" exec_store exec2)
+         | E.Eval.Rows | E.Eval.Interpret -> ());
         Checked { plans = List.length plans; mismatches = List.rev !mismatches }))))

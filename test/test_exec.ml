@@ -24,7 +24,7 @@ let compare_program ?(tol = 0.0) ?(margin = 0) (prog : A.program) ~plan_of =
   E.Reference.run_schedule ref_store ~scalars sched;
   let store = E.Reference.store_of_program prog in
   let steps = E.Runner.configure ~plan_of sched in
-  let _counters = E.Runner.run_schedule steps store ~scalars in
+  E.Runner.run_schedule steps store ~scalars;
   List.iter
     (fun name ->
       let a = E.Reference.find_array ref_store name in
@@ -191,19 +191,7 @@ let tests =
             let store = E.Reference.store_of_program prog in
             match E.Kernel_exec.run p store ~scalars:[] with
             | exception E.Kernel_exec.Unsupported _ -> ()
-            | _ -> Alcotest.fail "expected Unsupported");
-        case "analytic counters equal executed counters (7pt, stream)" (fun () ->
-            let b = Suite.at_size 16 (Suite.find "7pt-smoother") in
-            let k = List.hd (Suite.kernels b) in
-            let p = Artemis_codegen.Lower.lower dev k Artemis_codegen.Options.default in
-            let store = E.Reference.store_of_program b.prog in
-            let executed =
-              E.Kernel_exec.run p store ~scalars:(E.Reference.scalars_of_program b.prog)
-            in
-            let analytic = (E.Analytic.measure p).counters in
-            Alcotest.(check bool) "equal"
-              true
-              (Artemis_gpu.Counters.approx_equal executed analytic));
+            | () -> Alcotest.fail "expected Unsupported");
         case "class summation equals exact block loop" (fun () ->
             let b = Suite.at_size 24 (Suite.find "rhs4center") in
             let k = List.hd (Suite.kernels b) in

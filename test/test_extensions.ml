@@ -54,7 +54,7 @@ let tests =
             { (Plan.default p100 k) with
               Plan.block = [| 8; 32 |]; placement = [ ("u", A.Shmem) ] }
           in
-          let _ = E.Kernel_exec.run plan store ~scalars in
+          E.Kernel_exec.run plan store ~scalars;
           Alcotest.(check (float 0.0)) "bit-exact" 0.0
             (E.Grid.max_abs_diff
                (E.Reference.find_array ref_store "out")
@@ -71,7 +71,7 @@ let tests =
               Plan.scheme = Plan.Serial_stream 0; block = [| 1; 64 |];
               placement = [ ("u", A.Shmem) ] }
           in
-          let _ = E.Kernel_exec.run plan store ~scalars in
+          E.Kernel_exec.run plan store ~scalars;
           Alcotest.(check (float 0.0)) "bit-exact" 0.0
             (E.Grid.max_abs_diff
                (E.Reference.find_array store0 "out")
@@ -122,7 +122,7 @@ let tests =
                 Artemis_codegen.Lower.lower p100 k O.default
               in
               let steps = E.Runner.configure ~plan_of sched in
-              let _ = E.Runner.run_schedule steps store ~scalars in
+              E.Runner.run_schedule steps store ~scalars;
               List.iter
                 (fun out ->
                   Alcotest.(check (float 1e-6)) (b.name ^ "/" ^ out) 0.0
@@ -197,7 +197,7 @@ let tests =
           E.Reference.run_kernel ref_store ~scalars k;
           let store = E.Reference.store_of_program prog in
           let plan = { (Plan.default p100 k) with Plan.block = [| 64 |] } in
-          let _ = E.Kernel_exec.run plan store ~scalars in
+          E.Kernel_exec.run plan store ~scalars;
           Alcotest.(check (float 0.0)) "bit-exact" 0.0
             (E.Grid.max_abs_diff
                (E.Reference.find_array ref_store "out")

@@ -199,8 +199,10 @@ let tests =
                 | j -> Alcotest.failf "points: %s" (Json.to_string j)
               in
               Alcotest.(check bool) "points were tallied" true
-                (pts (field "interior_points" ev) +. pts (field "halo_points" ev)
-                 > 0.0))
+                (pts (field "interior_points" ev) +. pts (field "eliminated_points" ev)
+                 > 0.0);
+              Alcotest.(check bool) "no halo field" true
+                (Json.member "halo_points" ev = None))
             splits)
       ;
       case "bench-diff: identical documents pass" (fun () ->

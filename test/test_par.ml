@@ -273,7 +273,7 @@ let eval_tests =
         in
         Alcotest.(check (float 0.0))
           "split == interpreter" 0.0
-          (E.Grid.max_abs_diff (run E.Eval.default_schedule) (run E.Eval.Interpret)));
+          (E.Grid.max_abs_diff (run E.Eval.Rows) (run E.Eval.Interpret)));
     case "fuzz: split on/off summaries identical at jobs=4" (fun () ->
         let summary schedule =
           Util.with_pool ~jobs:4 (fun () -> fuzz_artifact ?schedule ())

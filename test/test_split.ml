@@ -1,12 +1,12 @@
-(* Interior/halo split-execution tests: the region decomposition
-   partitions exactly (randomized over ranks/extents), the in-bounds
+(* Split-execution tests: row sweeps cover their box, the in-bounds
    interior matches the guard set, order-dependent statements take the
    wavefront schedule (or the guarded path when no hyperplane applies),
    and both executor modes — the point-wise interpreter and split —
    produce bit-identical outputs on suite programs, the fuzz corpus, and
-   through the block executor.  The wavefront section pins the
-   Gauss-Seidel/SOR matrix: interpreter vs guarded fallback vs wavefront
-   schedule, at jobs=1 and forced jobs=4, bit for bit. *)
+   through the block executor.  The eliminated-point counts of four
+   suite programs are pinned.  The wavefront section pins the
+   Gauss-Seidel/SOR matrix: interpreter vs wavefront schedule, at
+   jobs=1 and forced jobs=4, bit for bit. *)
 
 open Artemis_dsl
 module A = Ast
@@ -23,15 +23,12 @@ let case name f = Alcotest.test_case name `Quick f
 
 (* ---------------- schedules ---------------- *)
 
-(* The executor schedules compared here: the point-wise interpreter, the
-   default row schedule, and the row schedule without the wavefront or
-   without static guard elimination. *)
+(* The executor schedules compared here: the point-wise interpreter and
+   the row schedule. *)
 let interp = Eval.Interpret
-let split = Eval.default_schedule
-let no_wavefront = Eval.Rows { wavefront = false; static_elim = true }
-let no_elim = Eval.Rows { wavefront = true; static_elim = false }
+let split = Eval.Rows
 
-(* ---------------- partition property ---------------- *)
+(* ---------------- row sweeps ---------------- *)
 
 (* Random box of the given rank; bounds may be negative, extents small
    enough that brute-force point enumeration stays cheap. *)
@@ -39,18 +36,6 @@ let random_box rng rank =
   Array.init rank (fun _ ->
       let lo = Rng.int rng 7 - 3 in
       (lo, lo + Rng.int rng 6 - 1))
-
-(* Random sub-box of [region] (possibly empty). *)
-let random_subbox rng (region : Region.box) =
-  Array.map
-    (fun (lo, hi) ->
-      if hi < lo then (lo, hi)
-      else begin
-        let lo' = lo + Rng.int rng (hi - lo + 2) in
-        let hi' = lo' - 1 + Rng.int rng (hi - lo' + 2) in
-        (lo', hi')
-      end)
-    region
 
 (* [p] lies in box [b]. *)
 let contains (b : Region.box) p =
@@ -60,54 +45,8 @@ let contains (b : Region.box) p =
 let lex_sign v =
   match Array.find_opt (fun c -> c <> 0) v with Some c -> compare c 0 | None -> 0
 
-let partition_trial rng =
-  let rank = 1 + Rng.int rng 4 in
-  let region = random_box rng rank in
-  let interior = random_subbox rng region in
-  let pieces = interior :: Region.split ~region ~interior in
-  (* volumes add up... *)
-  let vol = List.fold_left (fun acc b -> acc + Region.volume b) 0 pieces in
-  Alcotest.(check int) "volumes sum to the region" (Region.volume region) vol;
-  (* ...and every region point lies in exactly one piece *)
-  Region.iter_points region (fun p ->
-      let n =
-        List.fold_left
-          (fun acc b -> if contains b p then acc + 1 else acc)
-          0 pieces
-      in
-      if n <> 1 then
-        Alcotest.failf "point covered %d times (rank %d)" n rank);
-  (* every piece stays inside the region *)
-  List.iter
-    (fun b ->
-      Region.iter_points b (fun p ->
-          if not (contains region p) then
-            Alcotest.fail "piece escapes the region"))
-    pieces
-
-(* A canonically empty rank-2 box. *)
-let empty2 : Region.box = [| (0, -1); (0, -1) |]
-
 let region_tests =
   [
-    case "interior + shells partition the region (randomized)" (fun () ->
-        let rng = Rng.make 42 in
-        for _ = 1 to 300 do
-          partition_trial rng
-        done);
-    case "empty interior yields the region as one shell" (fun () ->
-        let region = [| (0, 3); (1, 2) |] in
-        (match Region.split ~region ~interior:empty2 with
-        | [ shell ] -> Alcotest.(check bool) "whole region" true (shell = region)
-        | l -> Alcotest.failf "expected 1 shell, got %d" (List.length l));
-        Alcotest.(check int)
-          "empty region, no pieces" 0
-          (List.length
-             (Region.split ~region:empty2 ~interior:empty2)));
-    case "interior = region yields no shells" (fun () ->
-        let region = [| (0, 3); (1, 2) |] in
-        Alcotest.(check int) "no shells" 0
-          (List.length (Region.split ~region ~interior:region)));
     case "iter_rows covers the box in row-sized runs" (fun () ->
         let rng = Rng.make 7 in
         for _ = 1 to 100 do
@@ -425,42 +364,44 @@ let metrics_tests =
   [
     case "split sweeps feed the interior/eliminated counters" (fun () ->
         let m_int = Metrics.counter "exec.interior_points" in
-        let m_halo = Metrics.counter "exec.halo_points" in
         let m_elim = Metrics.counter "exec.eliminated_points" in
         let before_int = Metrics.counter_value m_int in
-        let before_halo = Metrics.counter_value m_halo in
         let before_elim = Metrics.counter_value m_elim in
         let b = Suite.at_size 12 (Suite.find "7pt-smoother") in
         ignore (reference_outputs split b.prog);
         Alcotest.(check bool) "interior points counted" true
           (Metrics.counter_value m_int > before_int);
-        (* under static elimination (the default) the shells are proven
-           dead and skipped, not swept as halo *)
-        Alcotest.(check bool) "shells eliminated" true
+        (* the guard-failing points outside each interior are skipped *)
+        Alcotest.(check bool) "outside points eliminated" true
           (Metrics.counter_value m_elim > before_elim);
-        Alcotest.(check (float 0.0)) "no halo points under elimination"
-          before_halo (Metrics.counter_value m_halo);
-        (* with elimination off, the shells take the guarded halo path *)
-        let after_elim = Metrics.counter_value m_elim in
-        ignore (reference_outputs no_elim b.prog);
-        Alcotest.(check bool) "halo points counted without elimination" true
-          (Metrics.counter_value m_halo > before_halo);
-        Alcotest.(check (float 0.0)) "elimination off adds none" after_elim
-          (Metrics.counter_value m_elim);
-        (* the point-wise interpreter never touches the interior counter *)
+        (* the point-wise interpreter touches neither counter *)
         let after_int = Metrics.counter_value m_int in
+        let after_elim = Metrics.counter_value m_elim in
         ignore (reference_outputs interp b.prog);
-        Alcotest.(check (float 0.0)) "interpreter adds none" after_int
-          (Metrics.counter_value m_int));
+        Alcotest.(check (float 0.0)) "interpreter adds no interior" after_int
+          (Metrics.counter_value m_int);
+        Alcotest.(check (float 0.0)) "interpreter eliminates none" after_elim
+          (Metrics.counter_value m_elim));
     case "elimination on/off bit-identical on suite programs" (fun () ->
+        (* the row schedule skips guard-failing points; the interpreter
+           sweeps every point behind the guard *)
         List.iter
           (fun bname ->
             let b = Suite.at_size 12 (Suite.find bname) in
             check_identical
-              (bname ^ ": elim on vs off")
+              (bname ^ ": rows vs interpreter")
               (reference_outputs split b.prog)
-              (reference_outputs no_elim b.prog))
+              (reference_outputs interp b.prog))
           [ "7pt-smoother"; "denoise"; "rhs4center" ]);
+    case "eliminated points at 28^3 (reference)" (fun () ->
+        List.iter
+          (fun (bname, expected) ->
+            let b = Suite.at_size 28 (Suite.find bname) in
+            let _, t = Region.with_tally (fun () -> reference_outputs split b.prog) in
+            Alcotest.(check (float 0.0)) (bname ^ ": eliminated points") expected
+              t.Region.t_eliminated)
+          [ ("7pt-smoother", 52512.0); ("27pt-smoother", 52512.0);
+            ("helmholtz", 97536.0); ("denoise", 79740.0) ]);
   ]
 
 (* ---------------- wavefront schedule ---------------- *)
@@ -488,10 +429,9 @@ let wf_sor3d_src =
     }
     sor (u); copyout u;|}
 
-(* The full executor matrix on one self-dependent program: interpreter,
-   guarded fallback (the row schedule without the wavefront), and the
-   wavefront schedule, through the reference and block executors — all
-   bit-identical. *)
+(* The full executor matrix on one self-dependent program: the
+   interpreter and the wavefront schedule, through the reference and
+   block executors — all bit-identical. *)
 let wavefront_matrix_case name src =
   case (Printf.sprintf "%s: interpreter/guarded/wavefront bit-identical" name)
     (fun () ->
@@ -500,14 +440,12 @@ let wavefront_matrix_case name src =
       let wf = reference_outputs split prog in
       check_identical (name ^ ": wavefront vs interpreter") wf
         (reference_outputs interp prog);
-      check_identical (name ^ ": wavefront vs guarded") wf
-        (reference_outputs no_wavefront prog);
       let bwf = runner_outputs split O.default prog in
       check_identical (name ^ ": blocks wavefront vs reference") wf bwf;
       check_identical
-        (name ^ ": blocks wavefront vs blocks guarded")
+        (name ^ ": blocks wavefront vs blocks interpreter")
         bwf
-        (runner_outputs no_wavefront O.default prog))
+        (runner_outputs interp O.default prog))
 
 (* [reference_outputs split] at the given job count, with the pool's
    core-count clamp disabled so jobs=4 exercises the queue even on
@@ -588,13 +526,13 @@ let wavefront_tests =
         ignore (reference_outputs split prog);
         Alcotest.(check bool) "wavefront points counted" true
           (Metrics.counter_value m_wf > before_wf);
-        (* the guarded fallback charges the guarded counter instead *)
+        (* the interpreter charges the guarded counter instead *)
         let after_wf = Metrics.counter_value m_wf in
         let before_gd = Metrics.counter_value m_gd in
-        ignore (reference_outputs no_wavefront prog);
-        Alcotest.(check (float 0.0)) "fallback adds no wavefront points"
+        ignore (reference_outputs interp prog);
+        Alcotest.(check (float 0.0)) "interpreter adds no wavefront points"
           after_wf (Metrics.counter_value m_wf);
-        Alcotest.(check bool) "fallback charges guarded points" true
+        Alcotest.(check bool) "interpreter charges guarded points" true
           (Metrics.counter_value m_gd > before_gd));
   ]
 

@@ -239,7 +239,7 @@ let uninit_reads_fires () =
     Alcotest.(check string) "array" "u" u.S.un_array;
     (* s0's guarded write covers u[1..7]; only cell 0 is uninitialized. *)
     Alcotest.(check bool) "region is the single uncovered cell" true
-      (S.box_equal u.S.un_region [| (0, 0) |])
+      (u.S.un_region = [| (0, 0) |])
   | us -> Alcotest.failf "expected one uninit read, got %d" (List.length us)
 
 let uninit_reads_clean () =

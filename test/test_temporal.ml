@@ -145,7 +145,7 @@ let blocked_vs_unblocked ?schedule ?(halo = Plan.Halo_recompute)
   Alcotest.(check bool)
     "rewrite produced a blocked plan" true
     (count_blocked blocked > count_blocked steps);
-  let _counters = E.Runner.run_schedule ?schedule blocked store ~scalars in
+  E.Runner.run_schedule ?schedule blocked store ~scalars;
   List.iter
     (fun name ->
       let a = E.Reference.find_array ref_store name in
@@ -164,7 +164,7 @@ let equality_cases =
             List.iter
               (fun degree -> blocked_vs_unblocked ~schedule ~degree (jacobi_src 12))
               [ 2; 3; 4; 5 ])
-          [ E.Eval.Interpret; E.Eval.default_schedule ]);
+          [ E.Eval.Interpret; E.Eval.Rows ]);
     case "degree with remainder (T=11, b=3) is exact" (fun () ->
         blocked_vs_unblocked ~degree:3 (jacobi_src 11));
     case "degree = T collapses to one launch and is exact" (fun () ->
