@@ -1041,6 +1041,27 @@ let temporal_blocked_equal (b : Suite.t) ~size ~degree =
   outputs_equal plain
     (block_copyouts prog (shrink_blocked (Artemis.Runner.temporal_rewrite ~degree steps)))
 
+(* The degree-[degree] blocked schedule of [b] at [size] under the row
+   schedule, against the same blocked schedule under the point-wise
+   interpreter: whether the copyouts are identical, and the interior
+   and guarded points the row run swept. *)
+let temporal_rows_vs_interpreter (b : Suite.t) ~size ~degree =
+  let prog = (Suite.at_size size b).prog in
+  let blocked =
+    shrink_blocked
+      (Artemis.Runner.temporal_rewrite ~degree
+         (Artemis.Runner.configure ~plan_of:exec_plan_of (I.schedule prog)))
+  in
+  let m_int = Artemis.Metrics.counter "exec.interior_points" in
+  let m_gd = Artemis.Metrics.counter "exec.guarded_points" in
+  let int0 = Artemis.Metrics.counter_value m_int in
+  let gd0 = Artemis.Metrics.counter_value m_gd in
+  let rows = block_copyouts ~schedule:Artemis.Eval.Rows prog blocked in
+  let interior = Artemis.Metrics.counter_value m_int -. int0 in
+  let guarded = Artemis.Metrics.counter_value m_gd -. gd0 in
+  let interp = block_copyouts ~schedule:Artemis.Eval.Interpret prog blocked in
+  (outputs_equal rows interp, interior, guarded)
+
 (* The smoother-family benchmarks deep-tuned with the temporal dimension
    enabled.  Per benchmark: the chosen (fusion width x degree), the
    modeled per-time-step DRAM traffic of the blocked winner against the
@@ -1182,9 +1203,10 @@ let exec_smoke () =
 
 (* Hidden smoke variant (`make tb-smoke`): degree-4 blocked execution of
    the 7-point smoother must match the plain ping-pong schedule bit for
-   bit, and deep tuning with the temporal dimension enabled must
-   actually choose a degree above 1 with lower modeled per-step DRAM
-   traffic. *)
+   bit; its streamed launches must sweep interior rows with no guarded
+   point and match the point-wise interpreter bit for bit; and deep
+   tuning with the temporal dimension enabled must actually choose a
+   degree above 1 with lower modeled per-step DRAM traffic. *)
 let tb_smoke () =
   header "temporal smoke: blocked exactness and degree selection (7pt-smoother)";
   let b = Suite.find "7pt-smoother" in
@@ -1193,6 +1215,24 @@ let tb_smoke () =
   if not equal then begin
     prerr_endline
       "tb-smoke FAILED: blocked execution differs from the ping-pong schedule";
+    exit 1
+  end;
+  let rows_equal, interior, guarded = temporal_rows_vs_interpreter b ~size:16 ~degree:4 in
+  Printf.printf
+    "streamed rows identical to the interpreter %b; interior points swept %.0f, \
+     guarded %.0f\n%!"
+    rows_equal interior guarded;
+  if not rows_equal then begin
+    prerr_endline
+      "tb-smoke FAILED: blocked rows differ from the blocked interpreter run";
+    exit 1
+  end;
+  if guarded <> 0.0 then begin
+    prerr_endline "tb-smoke FAILED: the streamed traversal swept guarded points";
+    exit 1
+  end;
+  if interior <= 0.0 then begin
+    prerr_endline "tb-smoke FAILED: the streamed traversal swept no interior rows";
     exit 1
   end;
   let dr = Artemis.deep_tune ~max_tile:2 ~max_degree:4 b.prog in

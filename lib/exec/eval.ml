@@ -8,11 +8,13 @@
    - the flat-index row evaluator ([compile_stmt] under the [Rows]
      schedule) that sweeps whole rows through float arrays.
 
-   Both produce bit-identical results (the row evaluator mirrors the
-   interpreter's float-operation order exactly).  The executors use the
-   row evaluator by default; the [Interpret] schedule selects the
-   interpreter — the point-wise reference the tests and the fuzz oracle
-   check the row evaluator against. *)
+   Both produce bit-identical results: the row evaluator computes each
+   distinct subexpression once, but every operation it keeps is one of
+   the interpreter's, with the same operands in the same order, and the
+   same inputs give the same bits.  The executors use the row evaluator
+   by default; the [Interpret] schedule selects the interpreter — the
+   point-wise reference the tests and the fuzz oracle check the row
+   evaluator against. *)
 
 module A = Artemis_dsl.Ast
 module Static = Artemis_static.Static
@@ -144,7 +146,8 @@ let iter_dim (b : binder) it =
    per operation over (array, offset, stride) operands into reused row
    buffers, so no float is boxed per point.  Row-invariant subtrees
    (arithmetic over scalars and accesses that do not move along the row)
-   are evaluated once per row and read back with stride 0. *)
+   are evaluated once per row and read back with stride 0, and a
+   subtree that occurs more than once is evaluated once. *)
 
 type access_path = {
   ap_grid : Grid.t;
@@ -398,11 +401,32 @@ let opcode_of_call f nargs =
   | "fma", 3 -> Fma
   | _ -> raise (Unknown_intrinsic f)
 
-(* Expression tree annotated for emission.  An operation is hoisted to
+(* The expression as a DAG for emission: structurally identical
+   subtrees are one node, hash-consed on their operation and their
+   children's ids (reads by (array, index), constants by value, scalars
+   by name), so a repeated subexpression is computed once.  Structural
+   equality only — no reassociation or contraction — so each operation
+   keeps the interpreter's operand order.  An operation is hoisted to
    row setup when it is row-invariant (no operand moves along the row)
    and reads nothing aliasing the written grid (an earlier point of the
    sweep may have updated it). *)
-type node = Leaf of operand | Op of opcode * node array * bool
+type node = {
+  id : int;
+  kind : node_kind;
+  varies : bool;  (* moves along the row *)
+  hazard : bool;  (* reads the written grid *)
+  mutable uses : int;  (* operand slots naming it, over distinct parents *)
+  mutable value : operand option;  (* a shared node's result, once emitted *)
+}
+
+and node_kind = Leaf of operand | Op of opcode * node array
+
+type node_key =
+  | K_const of int64
+  | K_scalar of string
+  | K_temp of string
+  | K_read of string * A.index list
+  | K_op of opcode * int array
 
 (* The distinct array reads of an expression, first occurrence first,
    each lowered once: the statement's in-bounds constraints and the row
@@ -435,37 +459,37 @@ let compile_flat (b : binder) ~(target : Grid.t) ~(reads : read_paths) ~wstep
     ~wavefront (e : A.expr) : flat =
   let identity_idx = List.map (fun it -> A.index ~iter:it 0) b.binder_iters in
   let temp_paths = ref [] in
-  (* One leaf per distinct read: (node, varies along the row, reads the
-     written grid). *)
-  let leaves = Hashtbl.create 16 in
-  let mem key path_of =
-    match Hashtbl.find_opt leaves key with
-    | Some leaf -> leaf
+  let nodes = Hashtbl.create 16 in
+  let intern key make =
+    match Hashtbl.find_opt nodes key with
+    | Some n -> n
     | None ->
-      let p = path_of () in
-      let leaf =
-        ( Leaf (mem_operand p),
-          p.ap_step <> 0,
-          p.ap_grid.Grid.data == target.Grid.data )
-      in
-      Hashtbl.replace leaves key leaf;
-      leaf
+      let kind, varies, hazard = make () in
+      let n = { id = Hashtbl.length nodes; kind; varies; hazard; uses = 0; value = None } in
+      Hashtbl.replace nodes key n;
+      n
+  in
+  let cell v = (Leaf (cell_operand v), false, false) in
+  let read key path_of =
+    intern key (fun () ->
+        let p = path_of () in
+        (Leaf (mem_operand p), p.ap_step <> 0, p.ap_grid.Grid.data == target.Grid.data))
   in
   let rec annotate e =
     match e with
-    | A.Const f -> (Leaf (cell_operand f), false, false)
+    | A.Const f -> intern (K_const (Int64.bits_of_float f)) (fun () -> cell f)
     | A.Scalar_ref s -> (
       (* Temps shadow scalars; a per-point temporary is a domain-shaped
          grid read at the point itself — an identity access. *)
       match b.bind_temp s with
       | Some g ->
-        mem (true, s, identity_idx) (fun () ->
+        read (K_temp s) (fun () ->
             let p = access_path b g identity_idx in
             temp_paths := p :: !temp_paths;
             p)
-      | None -> (Leaf (cell_operand (b.bind_scalar s)), false, false))
+      | None -> intern (K_scalar s) (fun () -> cell (b.bind_scalar s)))
     | A.Access (a, idx) ->
-      mem (false, a, idx) (fun () -> Hashtbl.find reads.rp_table (a, idx))
+      read (K_read (a, idx)) (fun () -> Hashtbl.find reads.rp_table (a, idx))
     | A.Neg e1 -> op Neg [ e1 ]
     | A.Bin (o, e1, e2) ->
       let code =
@@ -474,43 +498,66 @@ let compile_flat (b : binder) ~(target : Grid.t) ~(reads : read_paths) ~wstep
       op code [ e1; e2 ]
     | A.Call (f, args) -> op (opcode_of_call f (List.length args)) args
   and op code args =
-    let args = List.map annotate args in
-    let varies = List.exists (fun (_, v, _) -> v) args in
-    let hazard = List.exists (fun (_, _, h) -> h) args in
-    let nodes = Array.of_list (List.map (fun (n, _, _) -> n) args) in
-    (Op (code, nodes, (not varies) && not hazard), varies, hazard)
+    let args = Array.of_list (List.map annotate args) in
+    intern (K_op (code, Array.map (fun n -> n.id) args)) (fun () ->
+        Array.iter (fun n -> n.uses <- n.uses + 1) args;
+        ( Op (code, args),
+          Array.exists (fun n -> n.varies) args,
+          Array.exists (fun n -> n.hazard) args ))
   in
-  let root, _, hazard = annotate e in
-  (* Registers are allocated stack-wise: argument [k] of an operation
-     at register [base] lands in the next free register, and the result
-     overwrites the first (elementwise, after reading it).  Setup runs
-     before the body, so the two programs share registers. *)
+  let root = annotate e in
+  (* Single-use operations take registers stack-wise: argument [k] of an
+     operation at stack slot [base] lands in the next free slot, and the
+     result overwrites the first (elementwise, after reading it).  A
+     shared operation is emitted at its first use, in evaluation order,
+     into a cell (row-invariant) or a row buffer of its own (outside the
+     stack), which its later uses read back.  Setup runs before the
+     body, so the two programs share stack registers. *)
   let setup = ref [] and body = ref [] and nregs = ref 0 in
-  let reg_operands = ref [] in
+  let reg_operands = ref [] and stack = ref [||] in
+  let fresh_reg () =
+    let o = reg_operand !nregs in
+    incr nregs;
+    reg_operands := o :: !reg_operands;
+    o
+  in
+  (* Slots are taken in order: [slot] is at most one past the last. *)
+  let stack_reg slot =
+    if slot = Array.length !stack then stack := Array.append !stack [| fresh_reg () |];
+    !stack.(slot)
+  in
   let unused = cell_operand 0.0 in
-  let rec emit ~in_setup ~base node =
-    match node with
-    | Leaf o -> o
-    | Op (code, args, hoisted) ->
+  (* The operand holding [n]'s value, and whether it took stack slot
+     [base]. *)
+  let rec emit ~in_setup ~base n =
+    match (n.kind, n.value) with
+    | Leaf o, _ | Op _, Some o -> (o, false)
+    | Op (code, args), None ->
+      let hoisted = not (n.varies || n.hazard) and shared = n.uses > 1 in
       if hoisted && not in_setup then begin
         let cell = cell_operand 0.0 in
         emit_op ~in_setup:true ~base:0 ~dst:cell code args;
-        cell
+        if shared then n.value <- Some cell;
+        (cell, false)
+      end
+      else if shared then begin
+        let dst = if hoisted then cell_operand 0.0 else fresh_reg () in
+        emit_op ~in_setup ~base ~dst code args;
+        n.value <- Some dst;
+        (dst, false)
       end
       else begin
-        let dst = reg_operand base in
-        reg_operands := dst :: !reg_operands;
-        nregs := max !nregs (base + 1);
+        let dst = stack_reg base in
         emit_op ~in_setup ~base ~dst code args;
-        dst
+        (dst, true)
       end
   and emit_op ~in_setup ~base ~dst code args =
     let next = ref base in
     let srcs =
       Array.map
         (fun n ->
-          let o = emit ~in_setup ~base:!next n in
-          if o.reg >= 0 then incr next;
+          let o, on_stack = emit ~in_setup ~base:!next n in
+          if on_stack then incr next;
           o)
         args
     in
@@ -518,13 +565,13 @@ let compile_flat (b : binder) ~(target : Grid.t) ~(reads : read_paths) ~wstep
     let i = { op = code; dst; a = arg 0; b = arg 1; c = arg 2 } in
     if in_setup then setup := i :: !setup else body := i :: !body
   in
-  let root = emit ~in_setup:false ~base:0 root in
+  let root_operand, _ = emit ~in_setup:false ~base:0 root in
   {
     fl_paths = Array.of_list (reads.rp_list @ !temp_paths);
     fl_setup = Array.of_list (List.rev !setup);
     fl_body = Array.of_list (List.rev !body);
-    fl_root = root;
-    fl_in_order = wavefront || (wstep = 0 && hazard);
+    fl_root = root_operand;
+    fl_in_order = wavefront || (wstep = 0 && root.hazard);
     fl_regs = Array.make !nregs [||];
     fl_reg_operands = !reg_operands;
   }
@@ -640,10 +687,10 @@ let self_deltas ~rank ~(target : Grid.t) ~(wspec : (int * int) array) paths =
          paths)
 
 (** One statement compiled for sweeping: the guarded per-point closure
-    (always available — the guarded fallback and the streamed temporal
-    traversal use it) plus the schedule class the executors dispatch
-    on.  Under [Interpret] every point goes through
-    [eval]/[guard] and the statement classifies [Sc_guarded]. *)
+    (the [Sc_guarded] fallback), the flat row body, and the schedule
+    class the executors dispatch on ([Reference.compile_sweep]).  Under
+    [Interpret] every point goes through [eval]/[guard] and the
+    statement classifies [Sc_guarded]. *)
 let compile_stmt ~schedule (b : binder) ~(target : Grid.t) ~(accum : bool)
     (idx : A.index list) (e : A.expr) : stmt_exec =
   match schedule with

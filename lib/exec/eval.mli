@@ -88,8 +88,10 @@ type split_stmt = {
 }
 
 (** The statement's expression compiled for row-at-a-time evaluation:
-    row-invariant subtrees run once per row, the rest as one loop per
-    operation over the row.  Rows whose reads may see a cell written
+    structurally identical subtrees are computed once (into a cell when
+    row-invariant, else into a row buffer of their own), row-invariant
+    subtrees run once per row, the rest as one loop per operation over
+    the row.  Rows whose reads may see a cell written
     earlier in the same row (wavefront schedules, or a write that does
     not move along the row) evaluate one point at a time through the
     same program. *)
@@ -119,8 +121,7 @@ type stmt_class =
 type stmt_exec = {
   sx_class : stmt_class;
   sx_guarded : int array -> unit;
-      (** guarded per-point body — the fallback and the streamed
-          temporal traversal *)
+      (** guarded per-point body — the [Sc_guarded] fallback *)
   sx_row : int array -> int -> unit;
       (** flat row body; [Invalid_argument] under [Sc_guarded] *)
 }
@@ -136,9 +137,9 @@ type stmt_exec = {
     self-dependent statement takes [Sc_wavefront] when a legal
     hyperplane exists; any other is [Sc_guarded].  Under [Interpret]
     the guarded closure is the interpreter's (per-point evaluation
-    behind {!guard}) and the class is always [Sc_guarded].  The result reuses internal buffers and belongs to one
-    sequential sweep: parallel wavefront bands each compile their own
-    instance.
+    behind {!guard}) and the class is always [Sc_guarded].  The result
+    reuses internal buffers and belongs to one sequential sweep:
+    parallel wavefront bands each compile their own instance.
     @raise Unknown_intrinsic on an unknown intrinsic or wrong arity (at
     compile time under [Rows], per point under [Interpret])
     @raise Invalid_argument on unbound names or iterators *)

@@ -155,11 +155,8 @@ let run_plain ~schedule (plan : Plan.t) (store : Reference.store) ~scalars =
     k.body;
   (* Compile every statement once for the whole launch — all bindings are
      stable after the pre-create pass, and the block loop re-sweeps the
-     same closures over each tile.  The guarded per-point body, the
-     split lowering, and the region/point scratch buffers are all built
-     here rather than per block (the old code recomputed the clipped
-     region, allocated a fresh point array, and tested [owned] at every
-     point of every statement of every block). *)
+     same closures (and, for a wavefront statement, the same row
+     instances) over each tile. *)
   let identity_idx = List.map (fun it -> A.index ~iter:it 0) k.iters in
   let compiled_stmts =
     List.map
@@ -185,27 +182,15 @@ let run_plain ~schedule (plan : Plan.t) (store : Reference.store) ~scalars =
             in
             (target, List.mem a finals || self_dep a, idx, e, true)
         in
-        let make () = Eval.compile_stmt ~schedule binder ~target ~accum idx e in
-        let sx = make () in
-        (* Wavefront statements get one sweeper per launch: tile-local
-           wavefronts re-sweep it block after block, growing row
-           instances (fresh [make ()] per parallel band) on demand. *)
-        let wavefront =
-          match sx.Eval.sx_class with
-          | Eval.Sc_wavefront (_, vec) ->
-            Some (Wavefront.sweeper ~make_row:(fun () -> (make ()).Eval.sx_row), vec)
-          | Eval.Sc_split _ | Eval.Sc_guarded -> None
-        in
-        ( si, is_final, sx, wavefront,
-          (* per-statement scratch: swept region and point buffer *)
-          Array.make rank (0, 0), Array.make rank 0 ))
+        ( si, is_final, Reference.compile_sweep ~schedule binder ~target ~accum idx e,
+          Array.make rank (0, 0) (* the swept region, reused per block *) ))
       (Array.to_list (Array.map (fun (sc : Traffic.stmt_cost) -> sc.info) ctx.stmts))
   in
   let exec_block (block : int array) =
     let tile = Traffic.tile_box ctx block in
     if Traffic.box_volume tile > 0 then
       List.iter
-        (fun ((si : Traffic.stmt_info), is_final, sx, wavefront, region, point) ->
+        (fun ((si : Traffic.stmt_info), is_final, sweep, region) ->
           Traffic.extend_clip_into ctx tile si.region_ext region;
           (* Finals (and self-dependent updates, whose re-execution is
              not idempotent) are only stored by the owning block:
@@ -217,18 +202,7 @@ let run_plain ~schedule (plan : Plan.t) (store : Reference.store) ~scalars =
               let lo, hi = region.(d) and tlo, thi = tile.(d) in
               region.(d) <- (max lo tlo, min hi thi)
             done;
-          match sx.Eval.sx_class with
-          | Eval.Sc_split ss ->
-            Region.sweep ~point ~region ~interior:(Eval.split_interior ss region)
-              sx.sx_row
-          | Eval.Sc_wavefront (ss, _) ->
-            let sweeper, vec =
-              match wavefront with Some wf -> wf | None -> assert false
-            in
-            Wavefront.sweep sweeper ~region ~interior:(Eval.split_interior ss region)
-              ~vec
-          | Eval.Sc_guarded ->
-            Region.sweep_guarded ~point ~region sx.sx_guarded)
+          sweep region)
         compiled_stmts
   in
   (* Global intermediates: redundant halo stores mean later blocks rewrite
@@ -277,9 +251,12 @@ let exchange (store : Reference.store) a b =
    [z - (s-1)*skew], reading the opposite-parity physical buffer.
    Processing steps in increasing [s] per front makes every read
    available exactly when needed, and overwritten planes are never read
-   again; guard-failed points retain the stale contents of the written
-   physical buffer.  Bit-identical to the per-step composition
-   [(launch; exchange)^(degree-1); launch]. *)
+   again.  Each statement sweeps a plane as the executors sweep a
+   region ([Reference.compile_sweep]): the plane's in-bounds box in
+   flat rows, the guard-failing rest skipped, so those points retain
+   the stale contents of the written physical buffer.  Bit-identical
+   to the per-step composition [(launch; exchange)^(degree-1);
+   launch]. *)
 let run_streamed ~schedule (plan : Plan.t) (store : Reference.store) ~scalars
     ~out ~inp =
   let k = plan.Plan.kernel in
@@ -325,36 +302,31 @@ let run_streamed ~schedule (plan : Plan.t) (store : Reference.store) ~scalars
         match st with
         | A.Decl_temp (n, e) ->
           let g = Hashtbl.find temps n in
-          ( Some g,
-            (Eval.compile_stmt ~schedule binder ~target:g ~accum:false identity_idx e)
-              .Eval.sx_guarded )
+          (Some g, Reference.compile_sweep ~schedule binder ~target:g ~accum:false identity_idx e)
         | A.Assign (_, idx, e) ->
           (* stream_legal: the single array assign writes [out] *)
-          ( None,
-            (Eval.compile_stmt ~schedule binder ~target:write ~accum:false idx e)
-              .Eval.sx_guarded )
+          (None, Reference.compile_sweep ~schedule binder ~target:write ~accum:false idx e)
         | A.Accum _ -> raise (Unsupported "streamed traversal on an accumulation"))
       k.body
   in
   let by_parity = [| compile_for 0; compile_for 1 |] in
   (* Zeroing a temp's front plane before its sweep reproduces the fresh
-     per-launch temp grids of the per-step composition: guard-failed
-     points read back 0.0, never a previous step's value. *)
+     per-launch temp grids of the per-step composition: points the sweep
+     skips read back 0.0, never a previous step's value. *)
   let zero_plane (g : Grid.t) z =
     let plane = g.strides.(0) in
     Array.fill g.data (z * plane) plane 0.0
   in
   let region = Array.init rank (fun d -> (0, k.domain.(d) - 1)) in
-  let point = Array.make rank 0 in
   for front = 0 to zdim - 1 + ((b - 1) * skew) do
     for s = 1 to b do
       let z = front - ((s - 1) * skew) in
       if z >= 0 && z < zdim then begin
         region.(0) <- (z, z);
         List.iter
-          (fun (temp_g, guarded) ->
+          (fun (temp_g, sweep) ->
             (match temp_g with Some g -> zero_plane g z | None -> ());
-            Region.sweep_guarded ~point ~region guarded)
+            sweep region)
           by_parity.(s mod 2)
       end
     done

@@ -20,6 +20,27 @@ let find_array (store : store) name =
   | Some g -> g
   | None -> invalid_arg ("Reference: unbound array " ^ name)
 
+(* [target[idx] = e] (or [+=] under [accum]) compiled once and returned
+   as its region sweep, dispatched on the statement's class: split rows
+   over the in-bounds box, the wavefront schedule over it, or the
+   guarded per-point fallback over the whole region. *)
+let compile_sweep ~schedule (b : Eval.binder) ~target ~accum idx e =
+  let make () = Eval.compile_stmt ~schedule b ~target ~accum idx e in
+  let sx = make () in
+  let point = Array.make (max 1 (List.length b.binder_iters)) 0 in
+  match sx.Eval.sx_class with
+  | Eval.Sc_split ss ->
+    fun region ->
+      Region.sweep ~point ~region ~interior:(Eval.split_interior ss region) sx.sx_row
+  | Eval.Sc_wavefront (ss, vec) ->
+    (* Rows of one wavefront are independent; each parallel band
+       compiles its own instance (the closures reuse buffers), and the
+       sweeper keeps them across the regions swept. *)
+    let sweeper = Wavefront.sweeper ~make_row:(fun () -> (make ()).Eval.sx_row) in
+    fun region ->
+      Wavefront.sweep sweeper ~region ~interior:(Eval.split_interior ss region) ~vec
+  | Eval.Sc_guarded -> fun region -> Region.sweep_guarded ~point ~region sx.sx_guarded
+
 (** Execute one kernel over the arrays in [store], with [scalars] giving
     runtime scalar values.  Kernel arrays absent from the store (the
     scratch intermediates of fused kernels) are materialized locally,
@@ -66,32 +87,11 @@ let run_kernel ?(schedule = Eval.Rows) (store : store) ~scalars
   in
   (* Each statement is compiled once against the bindings in force for
      its sweep; the temp grid is registered before compiling so the
-     visibility rules match the interpreter exactly.
-
-     Under [Rows] an order-independent statement sweeps its
-     guaranteed-in-bounds interior through flat-index rows and a
-     uniformly self-dependent one sweeps it through the wavefront
-     schedule, both skipping the guard-failing rest of the domain;
-     otherwise the whole domain takes the guarded per-point path. *)
-  let rank = Array.length k.domain in
+     visibility rules match the interpreter exactly. *)
   let domain_box = Region.of_dims k.domain in
-  let point = Array.make (max rank 1) 0 in
   let identity_idx = List.map (fun it -> A.index ~iter:it 0) k.iters in
   let sweep_stmt ~accum target idx e =
-    let make () = Eval.compile_stmt ~schedule binder ~target ~accum idx e in
-    let sx = make () in
-    match sx.Eval.sx_class with
-    | Eval.Sc_split ss ->
-      Region.sweep ~point ~region:domain_box
-        ~interior:(Eval.split_interior ss domain_box) sx.sx_row
-    | Eval.Sc_wavefront (ss, vec) ->
-      (* Rows of one wavefront are independent; each parallel band
-         compiles its own instance (the closures reuse buffers). *)
-      Wavefront.sweep
-        (Wavefront.sweeper ~make_row:(fun () -> (make ()).Eval.sx_row))
-        ~region:domain_box ~interior:(Eval.split_interior ss domain_box) ~vec
-    | Eval.Sc_guarded ->
-      Region.sweep_guarded ~point ~region:domain_box sx.sx_guarded
+    compile_sweep ~schedule binder ~target ~accum idx e domain_box
   in
   let run_sweep stmt =
     match stmt with

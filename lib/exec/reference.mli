@@ -12,6 +12,19 @@ type store = (string, Grid.t) Hashtbl.t
 (** @raise Invalid_argument on unbound names *)
 val find_array : store -> string -> Grid.t
 
+(** [target[idx] = e] (or [+=] under [accum]) compiled once
+    ({!Eval.compile_stmt}) and returned as its region sweep — the one
+    statement dispatch of both executors and the streamed temporal
+    traversal.  By class: [Sc_split] sweeps the region's in-bounds box
+    ({!Eval.split_interior}) in flat rows ({!Region.sweep}),
+    [Sc_wavefront] sweeps it through {!Wavefront.sweep} (one sweeper
+    for every region swept), and [Sc_guarded] checks every point of the
+    region ({!Region.sweep_guarded}).  The result owns its buffers and
+    belongs to one sequential sweep at a time. *)
+val compile_sweep :
+  schedule:Eval.schedule -> Eval.binder -> target:Grid.t -> accum:bool ->
+  Artemis_dsl.Ast.index list -> Artemis_dsl.Ast.expr -> Region.box -> unit
+
 (** Execute one kernel; kernel arrays absent from the store (fused-kernel
     scratch intermediates) are materialized locally, zero-initialized.
     [schedule] (default [Eval.Rows]) picks how statements sweep; both

@@ -3,10 +3,11 @@
    wavefront schedule (or the guarded path when no hyperplane applies),
    and both executor modes — the point-wise interpreter and split —
    produce bit-identical outputs on suite programs, the fuzz corpus, and
-   through the block executor.  The eliminated-point counts of four
-   suite programs are pinned.  The wavefront section pins the
-   Gauss-Seidel/SOR matrix: interpreter vs wavefront schedule, at
-   jobs=1 and forced jobs=4, bit for bit. *)
+   through the block executor — including random expressions that
+   repeat subtrees, which the row evaluator computes once.  The
+   eliminated-point counts of four suite programs are pinned.  The
+   wavefront section pins the Gauss-Seidel/SOR matrix: interpreter vs
+   wavefront schedule, at jobs=1 and forced jobs=4, bit for bit. *)
 
 open Artemis_dsl
 module A = Ast
@@ -18,6 +19,7 @@ module Rng = Artemis_verify.Rng
 module Gen = Artemis_verify.Gen
 module Metrics = Artemis_obs.Metrics
 module Suite = Artemis_bench.Suite
+module W = Artemis_exec.Wavefront
 
 let case name f = Alcotest.test_case name `Quick f
 
@@ -87,6 +89,52 @@ let split_of b ~target idx e =
   | Eval.Sc_split ss -> Some ss
   | Eval.Sc_wavefront _ | Eval.Sc_guarded -> None
 
+(* The outermost repeated operations of [e]: subtrees that occur more
+   than once, not counting those inside an already repeated one — each
+   a node the row evaluator computes once for several uses. *)
+let repeated_ops (e : A.expr) =
+  let count = Hashtbl.create 16 in
+  let rec tally e =
+    match e with
+    | A.Const _ | A.Scalar_ref _ | A.Access _ -> ()
+    | A.Neg a -> note e [ a ]
+    | A.Bin (_, a, b) -> note e [ a; b ]
+    | A.Call (_, args) -> note e args
+  and note e args =
+    Hashtbl.replace count e (1 + Option.value ~default:0 (Hashtbl.find_opt count e));
+    List.iter tally args
+  in
+  tally e;
+  let rec outermost e =
+    match e with
+    | A.Const _ | A.Scalar_ref _ | A.Access _ -> []
+    | _ when Hashtbl.find count e > 1 -> [ e ]
+    | A.Neg a -> outermost a
+    | A.Bin (_, a, b) -> outermost a @ outermost b
+    | A.Call (_, args) -> List.concat_map outermost args
+  in
+  List.sort_uniq compare (outermost e)
+
+(* [e] reads something that moves along the row (the innermost
+   iterator j; the temp t is read at the point itself). *)
+let rec moves (e : A.expr) =
+  match e with
+  | A.Const _ -> false
+  | A.Scalar_ref s -> s = "t"
+  | A.Access (_, idx) -> List.exists (fun (i : A.index) -> i.iter = Some "j") idx
+  | A.Neg a -> moves a
+  | A.Bin (_, a, b) -> moves a || moves b
+  | A.Call (_, args) -> List.exists moves args
+
+(* [e] reads a written grid (u or u1). *)
+let rec reads_written (e : A.expr) =
+  match e with
+  | A.Const _ | A.Scalar_ref _ -> false
+  | A.Access (a, _) -> a = "u" || a = "u1"
+  | A.Neg a -> reads_written a
+  | A.Bin (_, a, b) -> reads_written a || reads_written b
+  | A.Call (_, args) -> List.exists reads_written args
+
 let interior_tests =
   [
     case "split interior is exactly the in-bounds box" (fun () ->
@@ -106,12 +154,19 @@ let interior_tests =
           (Region.is_empty (Eval.split_interior ss (Region.of_dims [| 12; 12 |]))));
     case "flat rows equal guarded evaluation on the interior" (fun () ->
         let rng = Rng.make 99 in
-        let swept = ref 0 in
-        for trial = 1 to 400 do
-          (* Even trials write u[i][j] (rows evaluate a whole row at a
-             time); odd trials write u1[i], which does not move along the
-             row, so a self-read makes the row evaluate point by point. *)
-          let covering = trial mod 2 = 0 in
+        let swept = ref 0 and trials = 600 in
+        (* Trials whose expression repeats an operation, by the context
+           the row evaluator computes that shared operation in. *)
+        let shared_varying = ref 0 and shared_invariant = ref 0 in
+        let shared_in_order = ref 0 and shared_wavefront = ref 0 in
+        for trial = 1 to trials do
+          (* Trials cycle through three writes: u[i][j] (rows evaluate a
+             whole row at a time); u1[i], which does not move along the
+             row, so a self-read makes the row evaluate point by point;
+             and u[i][j] reading u at neighbouring offsets, which takes
+             the wavefront schedule (rows again point by point). *)
+          let kind = trial mod 3 in
+          let covering = kind <> 1 and wavefront = kind = 2 in
           let n0 = 1 + Rng.int rng 8 and n1 = 1 + Rng.int rng 9 in
           let grid dims seed =
             let g = E.Grid.create dims in
@@ -135,8 +190,10 @@ let interior_tests =
               (* constant index: stride 0 along i *)
               A.Access ("v", [ A.index (Rng.int rng n0); A.index ~iter:"j" (shift ()) ])
             | 6 ->
-              (* self-read of the written cell *)
-              if covering then A.Access ("u", ij 0 0)
+              (* self-read: the written cell, or a neighbour under the
+                 wavefront *)
+              if wavefront then A.Access ("u", ij (Rng.int rng 3 - 1) (Rng.int rng 3 - 1))
+              else if covering then A.Access ("u", ij 0 0)
               else A.Access ("u1", [ A.index ~iter:"i" 0 ])
             | _ -> A.Access ("v", ij 0 0)
           in
@@ -151,24 +208,33 @@ let interior_tests =
               | 2 -> A.Access ("v", [ A.index ~iter:"i" (shift ()); A.index (Rng.int rng n1) ])
               | _ -> A.Access ("u1", [ A.index ~iter:"i" 0 ])
           in
+          (* Operations already built, any of which may be reused whole:
+             the row evaluator computes a repeated subtree once. *)
+          let built = ref [] in
           let rec expr depth =
             if depth = 0 || Rng.int rng 4 = 0 then leaf ()
+            else if !built <> [] && Rng.int rng 3 = 0 then
+              List.nth !built (Rng.int rng (List.length !built))
             else
               let sub () = expr (depth - 1) in
-              match Rng.int rng 15 with
-              | 0 -> A.Neg (sub ())
-              | 1 -> A.Bin (A.Add, sub (), sub ())
-              | 2 -> A.Bin (A.Sub, sub (), sub ())
-              | 3 -> A.Bin (A.Mul, sub (), sub ())
-              | 4 -> A.Bin (A.Div, sub (), sub ())
-              | 5 -> A.Call ("min", [ sub (); sub () ])
-              | 6 -> A.Call ("max", [ sub (); sub () ])
-              | 7 -> A.Call ("pow", [ sub (); sub () ])
-              | 8 -> A.Call ("fma", [ sub (); sub (); sub () ])
-              | k ->
-                A.Call
-                  ( List.nth [ "sqrt"; "fabs"; "exp"; "log"; "sin"; "cos" ] (k - 9),
-                    [ sub () ] )
+              let e =
+                match Rng.int rng 15 with
+                | 0 -> A.Neg (sub ())
+                | 1 -> A.Bin (A.Add, sub (), sub ())
+                | 2 -> A.Bin (A.Sub, sub (), sub ())
+                | 3 -> A.Bin (A.Mul, sub (), sub ())
+                | 4 -> A.Bin (A.Div, sub (), sub ())
+                | 5 -> A.Call ("min", [ sub (); sub () ])
+                | 6 -> A.Call ("max", [ sub (); sub () ])
+                | 7 -> A.Call ("pow", [ sub (); sub () ])
+                | 8 -> A.Call ("fma", [ sub (); sub (); sub () ])
+                | k ->
+                  A.Call
+                    ( List.nth [ "sqrt"; "fabs"; "exp"; "log"; "sin"; "cos" ] (k - 9),
+                      [ sub () ] )
+              in
+              built := e :: !built;
+              e
           in
           let e = expr 5 in
           let accum = Rng.bool rng in
@@ -192,24 +258,44 @@ let interior_tests =
             let target, widx =
               if covering then (u, ij 0 0) else (u1, [ A.index ~iter:"i" 0 ])
             in
-            let sx = Eval.compile_stmt ~schedule:split b ~target ~accum widx e in
-            let ss =
+            let compile () = Eval.compile_stmt ~schedule:split b ~target ~accum widx e in
+            let sx = compile () in
+            let interior, sweep_rows =
               match sx.sx_class with
-              | Eval.Sc_split ss -> ss
-              | _ -> Alcotest.failf "trial %d: statement does not split" trial
+              | Eval.Sc_split ss ->
+                let interior = Eval.split_interior ss region in
+                (interior, fun () -> Region.iter_rows interior sx.sx_row)
+              | Eval.Sc_wavefront (ss, vec) ->
+                let interior = Eval.split_interior ss region in
+                ( interior,
+                  fun () ->
+                    W.sweep
+                      (W.sweeper ~make_row:(fun () -> (compile ()).sx_row))
+                      ~region ~interior ~vec )
+              | Eval.Sc_guarded ->
+                Alcotest.failf "trial %d: statement takes the guarded path" trial
             in
-            let interior = Eval.split_interior ss region in
-            if flat then Region.iter_rows interior sx.sx_row
+            if flat then sweep_rows ()
             else
               (* the point-wise interpreter ([eval]/[guard]), independent
-                 of rows *)
+                 of rows, in lexicographic order *)
               Region.iter_points interior
                 (Eval.compile_stmt ~schedule:interp b ~target ~accum widx e)
                   .sx_guarded;
-            (target, Region.volume interior)
+            ( target,
+              Region.volume interior,
+              match sx.sx_class with Eval.Sc_wavefront _ -> true | _ -> false )
           in
-          let rows, pts = run ~flat:true and guarded, _ = run ~flat:false in
+          let rows, pts, waved = run ~flat:true and guarded, _, _ = run ~flat:false in
           if pts > 0 then incr swept;
+          List.iter
+            (fun shared ->
+              if waved then incr shared_wavefront
+              else if moves shared then incr shared_varying
+              else if (not covering) && accum && reads_written shared then
+                incr shared_in_order
+              else if not (reads_written shared) then incr shared_invariant)
+            (repeated_ops e);
           Array.iteri
             (fun k x ->
               let y = guarded.E.Grid.data.(k) in
@@ -219,7 +305,14 @@ let interior_tests =
                   k x y (Artemis_dsl.Pretty.expr_to_string e))
             rows.E.Grid.data
         done;
-        Alcotest.(check bool) "most trials sweep an interior" true (!swept > 200));
+        Alcotest.(check bool) "most trials sweep an interior" true
+          (!swept > trials / 2);
+        List.iter
+          (fun (what, n) ->
+            if !n < 10 then Alcotest.failf "only %d shared %s operations" !n what)
+          [ ("varying", shared_varying); ("row-invariant", shared_invariant);
+            ("in-order += self-reading", shared_in_order);
+            ("wavefront", shared_wavefront) ]);
   ]
 
 (* ---------------- order-dependence fallback ---------------- *)
@@ -330,7 +423,7 @@ let suite_mode_cases =
     [ "7pt-smoother"; "27pt-smoother"; "denoise"; "miniflux"; "hypterm";
       "rhs4center"; "rhs4sgcurv" ]
 
-let kernel_exec_mode_cases =
+let kernel_exec_mode_cases_of names =
   let module O = Artemis_codegen.Options in
   List.concat_map
     (fun bname ->
@@ -345,7 +438,18 @@ let kernel_exec_mode_cases =
                 (bname ^ "/" ^ pname)
                 ~outputs:(fun m -> runner_outputs m opts b.prog)))
         [ ("global tiled", O.global_tiled); ("shared stream", O.default) ])
-    [ "7pt-smoother"; "rhs4center" ]
+    names
+
+let kernel_exec_mode_cases = kernel_exec_mode_cases_of [ "7pt-smoother"; "rhs4center" ]
+
+(* The kernels with the most repeated subexpressions (rhs4sgcurv: 2,065
+   operations over 1,223 distinct subtrees; addsgd6: 610 over 389), whose
+   rows compute each shared operation once, through both executors. *)
+let shared_subexpression_cases =
+  case "addsgd6: all modes bit-identical (reference)" (fun () ->
+      let b = Suite.at_size 12 (Suite.find "addsgd6") in
+      modes_identical "addsgd6" ~outputs:(fun m -> reference_outputs m b.prog))
+  :: kernel_exec_mode_cases_of [ "rhs4sgcurv"; "addsgd6" ]
 
 let fuzz_mode_cases =
   [
@@ -406,7 +510,6 @@ let metrics_tests =
 
 (* ---------------- wavefront schedule ---------------- *)
 
-module W = E.Wavefront
 module Static = Artemis_static.Static
 module Journal = Artemis_obs.Journal
 
@@ -604,4 +707,4 @@ let tests =
   ( "split",
     region_tests @ interior_tests @ fallback_tests @ suite_mode_cases
     @ kernel_exec_mode_cases @ fuzz_mode_cases @ metrics_tests
-    @ wavefront_tests @ reference_tests )
+    @ wavefront_tests @ reference_tests @ shared_subexpression_cases )

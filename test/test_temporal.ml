@@ -206,6 +206,53 @@ let blocked_plan_of ?(degree = 4) src =
           pair = Some (out, inp) }
     }
 
+(* One streamed launch of [src]'s blocked plan at [degree] under
+   [schedule]: the final grids of the ping-pong pair and the launch's
+   tally. *)
+let streamed_launch ~schedule ~degree src =
+  let prog, _, k, out, inp = pingpong_kernel src in
+  Alcotest.(check bool) "stream-legal" true (F.stream_legal k ~out ~inp);
+  let plan = blocked_plan_of ~degree src in
+  let store = E.Reference.store_of_program prog in
+  let (), tally =
+    E.Region.with_tally (fun () ->
+        E.Kernel_exec.run ~schedule plan store
+          ~scalars:(E.Reference.scalars_of_program prog))
+  in
+  (List.map (fun a -> E.Grid.copy (E.Reference.find_array store a)) [ out; inp ], k, tally)
+
+let bits_equal (a : E.Grid.t) (b : E.Grid.t) =
+  Array.for_all2
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    a.data b.data
+
+let streamed_cases =
+  [ case "streamed rows sweep only interiors, bit-identical to the interpreter"
+      (fun () ->
+        List.iter
+          (fun (name, src) ->
+            List.iter
+              (fun degree ->
+                let label = Printf.sprintf "%s, degree %d" name degree in
+                let rows, k, t = streamed_launch ~schedule:E.Eval.Rows ~degree src in
+                let interp, _, _ =
+                  streamed_launch ~schedule:E.Eval.Interpret ~degree src
+                in
+                Alcotest.(check bool) (label ^ ": grids bit-identical") true
+                  (List.for_all2 bits_equal rows interp);
+                Alcotest.(check (float 0.0)) (label ^ ": no guarded point") 0.0
+                  t.E.Region.t_guarded;
+                Alcotest.(check bool) (label ^ ": interior rows swept") true
+                  (t.t_interior > 0.0);
+                (* every statement sweeps every plane at every inner step *)
+                let volume = E.Region.volume (E.Region.of_dims k.I.domain) in
+                Alcotest.(check (float 0.0))
+                  (label ^ ": interior + eliminated = degree x statements x volume")
+                  (float_of_int (degree * List.length k.body * volume))
+                  (t.t_interior +. t.t_eliminated))
+              [ 2; 4 ])
+          [ ("jacobi", jacobi_src 8); ("jacobi with a temp", jacobi_temp_src 8) ]) ]
+
 let has_code code fs = List.exists (fun f -> f.Lint.code = code) fs
 let has_errors fs = List.exists (fun f -> f.Lint.severity = Lint.Error) fs
 
@@ -261,4 +308,4 @@ let gen_cases =
 
 let tests =
   ( "temporal",
-    equality_cases @ legality_cases @ lint_cases @ gen_cases )
+    equality_cases @ legality_cases @ lint_cases @ gen_cases @ streamed_cases )
