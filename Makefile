@@ -61,9 +61,10 @@ trace-smoke:
 	@rm -f examples/jacobi.stc.report.txt examples/jacobi.stc.*-fission.stc
 
 # Lint smoke test (docs/LINT.md): the example program with its baseline
-# plan and every Table-I benchmark must lint with no Error findings, and
-# a malformed program must end in a located diagnostic with exit status
-# 1 (not an uncaught exception, 125).
+# plan and every Table-I benchmark must lint with no Error findings, a
+# malformed program must end in a located diagnostic with exit status 1
+# (not an uncaught exception, 125), and so must compiling a pragma plan
+# that cannot launch (a 64x64 block: the A405 launch finding).
 lint-smoke:
 	dune exec bin/artemisc.exe -- lint examples/jacobi.stc --plan
 	dune exec bin/artemisc.exe -- lint --suite --plan
@@ -73,6 +74,13 @@ lint-smoke:
 	  cat $$bad.err; grep -q ':3: lexical error' $$bad.err; found=$$?; \
 	  rm -f $$bad $$bad.stc $$bad.err; \
 	  test $$st -eq 1 && test $$found -eq 0 && echo "malformed input: exit 1"
+	@big=$$(mktemp /tmp/artemis-unlaunchable-XXXXXX); \
+	  sed 's/block (32,16)/block (64,64)/' examples/jacobi.stc > $$big.stc; \
+	  dune exec bin/artemisc.exe -- compile $$big.stc -o /dev/null 2> $$big.err; st=$$?; \
+	  cat $$big.err; grep -q "$$big.stc" $$big.err && grep -q 'A405' $$big.err \
+	    && grep -q 'block has 4096 threads' $$big.err; found=$$?; \
+	  rm -f $$big $$big.stc $$big.err; \
+	  test $$st -eq 1 && test $$found -eq 0 && echo "unlaunchable pragma plan: exit 1"
 
 # Affine dataflow smoke test (docs/ANALYSIS.md): the suite and the two
 # pinned fuzz corpora must analyze with no Error findings, and the JSON

@@ -864,22 +864,7 @@ let model_smoke () =
 
 (* Default plan with the block shape shrunk until launchable — the
    tuner's validity filter, so heavy kernels run at bench sizes. *)
-let exec_plan_of k =
-  let p = Artemis.Lower.lower dev k O.default in
-  let rec shrink (p : Plan.t) tries =
-    if tries = 0 || Artemis.Validate.is_valid p then p
-    else begin
-      let block = Array.copy p.block in
-      let d = ref (-1) in
-      Array.iteri (fun i e -> if e > 1 && (!d < 0 || e > block.(!d)) then d := i) block;
-      if !d < 0 then p
-      else begin
-        block.(!d) <- max 1 (block.(!d) / 2);
-        shrink { p with Plan.block } (tries - 1)
-      end
-    end
-  in
-  shrink p 12
+let exec_plan_of k = Artemis_verify.Sampler.shrink_valid (Artemis.Lower.lower dev k O.default) 12
 
 (* Copyout grids of [prog] after [run] executes on a fresh store. *)
 let copyouts (prog : Artemis.Ast.program) run =

@@ -592,8 +592,11 @@ let compile_cmd =
       let plan =
         Artemis.Lower.lower_with_pragma device k Artemis.Options.default
       in
-      Artemis.Validate.check plan;
-      write_output out (Artemis.Cuda.emit plan)
+      (match Artemis.Validate.validate plan with
+       | Ok v -> write_output out (Artemis.Cuda.emit (v :> Artemis.Plan.t))
+       | Error vs ->
+         prerr_string (Artemis.Lint.report (List.map (Artemis.Lint.launch_finding plan) vs));
+         `Error (false, Printf.sprintf "%s: the pragma's plan cannot launch" path))
     | `Error _ as e -> e
   in
   Cmd.v

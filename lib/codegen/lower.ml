@@ -48,8 +48,8 @@ let resolve_scheme rank (o : Options.t) =
     if rank >= 3 then Plan.Serial_stream 0 else Plan.Tiled
 
 (** Lower one kernel under the given options.
-    The returned plan is not yet validated — tuners filter with
-    [Validate.violations]; direct users call [Validate.check]. *)
+    The returned plan is not yet validated: pass it through
+    [Validate.validate] before measuring or running it. *)
 let lower (device : Device.t) (kernel : I.kernel) (o : Options.t) =
   Trace.with_span "lower.plan" ~attrs:[ ("kernel", Str kernel.kname) ] @@ fun () ->
   Metrics.incr m_plans;

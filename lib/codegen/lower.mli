@@ -7,8 +7,8 @@
     prefetch flags. *)
 
 (** Lower one kernel under the given options.  The result is not yet
-    validated: tuners filter with [Validate.violations], direct users
-    call [Validate.check]. *)
+    validated: [Validate.validate] turns it into the [Validate.valid]
+    plan that measurement and execution take. *)
 val lower :
   Artemis_gpu.Device.t -> Artemis_dsl.Instantiate.kernel -> Options.t ->
   Artemis_ir.Plan.t

@@ -105,12 +105,16 @@ let optimize_kernel ?(device = Device.p100) ?(iterative = false)
     let baseline =
       match Analytic.try_measure baseline_plan with
       | Some m -> m
-      | None ->
+      | None -> (
         (* The pragma's block shape may not be launchable under the kernel's
            register pressure; fall back to a small tiled shape. *)
-        Analytic.measure
-          (Lower.lower device kernel
-             { opts with Options.block = None; scheme = Options.Force_tiled })
+        let tiled =
+          Lower.lower device kernel
+            { opts with Options.block = None; scheme = Options.Force_tiled }
+        in
+        match Validate.validate tiled with
+        | Ok v -> Analytic.measure v
+        | Error vs -> invalid_arg (Validate.describe tiled vs))
     in
     (baseline, profile_measurement baseline)
   in

@@ -103,7 +103,9 @@ type result = {
     blocking up to that degree.  [prerank_keep] (default
     [Hierarchical.default_prerank_keep]) is the percentage of each
     candidate batch the pre-rank ([Predict.rank]) keeps for
-    measurement; 100 or more measures every candidate. *)
+    measurement; 100 or more measures every candidate.
+    @raise Invalid_argument when neither the pragma's plan nor the
+    default tiled plan can launch *)
 val optimize_kernel :
   ?device:Device.t -> ?iterative:bool -> ?opts:Options.t ->
   ?max_degree:int -> ?prerank_keep:float -> ?pingpong:string * string ->

@@ -35,8 +35,10 @@ let workload (ctx : Traffic.ctx) counters =
     serial_waves = ctx.serial_waves;
   }
 
-(* Measure a plan already known to be launchable. *)
-let measure_valid (plan : Plan.t) =
+(** Measure a plan analytically; [validate] already ruled out every
+    plan the pricing could not build. *)
+let measure (valid : Validate.valid) =
+  let plan = (valid :> Plan.t) in
   Metrics.incr m_measures;
   let ctx = Traffic.make_ctx plan in
   let counters = Traffic.total_counters ctx in
@@ -51,17 +53,7 @@ let measure_valid (plan : Plan.t) =
     tflops = Timing.tflops workload breakdown;
   }
 
-(** Measure a plan analytically.
-    @raise Invalid_argument when the plan violates device limits. *)
-let measure plan =
-  Validate.check plan;
-  measure_valid plan
-
-(** Measure, returning [None] instead of raising on invalid plans — the
-    shape the tuner's search loops want.  Validates once. *)
+(** Validate, then measure: [None] on an unlaunchable plan. *)
 let try_measure plan =
-  match Validate.violations plan with
-  | [] -> (
-    try Some (measure_valid plan) with Invalid_argument _ -> None)
-  | _ :: _ -> None
+  match Validate.validate plan with Ok v -> Some (measure v) | Error _ -> None
 

@@ -23,11 +23,10 @@ type measurement = {
     differencing a variant's reduced counters. *)
 val workload : Traffic.ctx -> Artemis_gpu.Counters.t -> Artemis_gpu.Timing.workload
 
-(** Measure a plan.
-    @raise Invalid_argument when the plan violates device limits. *)
-val measure : Artemis_ir.Plan.t -> measurement
+(** Measure a plan that passed [Validate.validate]. *)
+val measure : Artemis_ir.Validate.valid -> measurement
 
-(** [None] instead of raising on invalid plans — the shape tuning loops
-    want. *)
+(** [Validate.validate], then [measure]: [None] on an unlaunchable
+    plan. *)
 val try_measure : Artemis_ir.Plan.t -> measurement option
 

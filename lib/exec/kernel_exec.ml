@@ -57,7 +57,6 @@ let check_idempotent (k : Artemis_dsl.Instantiate.kernel) =
    [run] below dispatches blocked plans onto it or onto the streamed
    traversal. *)
 let run_plain ~schedule (plan : Plan.t) (store : Reference.store) ~scalars =
-  Validate.check plan;
   check_idempotent plan.kernel;
   let ctx = Traffic.make_ctx plan in
   let k = plan.kernel in
@@ -341,17 +340,18 @@ let run_streamed ~schedule (plan : Plan.t) (store : Reference.store) ~scalars
     ([Plan.temporal.degree > 1]) executes [degree] time steps of its
     ping-pong pair per launch — through the streamed interleaved
     traversal when the body admits it, otherwise the exact per-step
-    composition.  [schedule] picks how statements sweep. *)
-let run ?(schedule = Eval.Rows) (plan : Plan.t)
+    composition, whose degree-1 launches need no more on-chip space than
+    [valid].  [schedule] picks how statements sweep. *)
+let run ?(schedule = Eval.Rows) (valid : Validate.valid)
     (store : Reference.store) ~scalars =
+  let plan = (valid :> Plan.t) in
   let tb = plan.Plan.temporal in
   if tb.degree <= 1 then run_plain ~schedule plan store ~scalars
   else begin
-    Validate.check plan;
     let out, inp =
       match tb.pair with
       | Some pair -> pair
-      | None -> invalid_arg "Kernel_exec: blocked plan without a ping-pong pair"
+      | None -> assert false (* [Validate.Bad_degree] *)
     in
     let p1 = { plan with Plan.temporal = Plan.no_temporal } in
     let streamed = Artemis_fuse.Fusion.stream_legal plan.kernel ~out ~inp in

@@ -18,8 +18,7 @@ exception Unsupported of string
     traversal when the body admits it, the exact per-step composition
     otherwise.  [schedule] (default [Eval.Rows]) picks how statements
     sweep.
-    @raise Invalid_argument when the plan is not launchable
     @raise Unsupported per above *)
 val run :
-  ?schedule:Eval.schedule -> Artemis_ir.Plan.t -> Reference.store -> scalars:(string * float) list ->
-  unit
+  ?schedule:Eval.schedule -> Artemis_ir.Validate.valid -> Reference.store ->
+  scalars:(string * float) list -> unit

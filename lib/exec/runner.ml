@@ -6,6 +6,7 @@
 module A = Artemis_dsl.Ast
 module I = Artemis_dsl.Instantiate
 module Plan = Artemis_ir.Plan
+module Validate = Artemis_ir.Validate
 module Counters = Artemis_gpu.Counters
 module Trace = Artemis_obs.Trace
 module Metrics = Artemis_obs.Metrics
@@ -69,29 +70,51 @@ let temporal_rewrite ?(halo = Plan.Halo_recompute) ?(tbuf = Plan.Shared_double)
   in
   go steps
 
+(* A step list whose plans passed [Validate.validate]: the runners gate
+   every plan once, before the first launch, however often a loop
+   repeats it. *)
+type gated =
+  | Launch of Validate.valid
+  | Exchange of string * string
+  | Repeat of int * gated list
+
+let rec gate steps =
+  List.map
+    (function
+      | Run_plan p -> (
+        match Validate.validate p with
+        | Ok v -> Launch v
+        | Error vs -> invalid_arg (Validate.describe p vs))
+      | Swap (a, b) -> Exchange (a, b)
+      | Loop (n, sub) -> Repeat (n, gate sub))
+    steps
+
+(* Walk the gated steps in host order, counting launches. *)
+let rec walk ~launch ~swap steps =
+  List.iter
+    (function
+      | Launch v ->
+        launch v;
+        Metrics.incr m_launches
+      | Exchange (a, b) -> swap a b
+      | Repeat (n, sub) ->
+        for _ = 1 to n do
+          walk ~launch ~swap sub
+        done)
+    steps
+
 (** Analytic execution: sum per-launch counters and times. *)
 let measure_schedule (steps : step list) =
   Trace.with_span "exec.measure_schedule" @@ fun () ->
+  let steps = gate steps in
   let counters = ref Counters.zero in
   let time = ref 0.0 in
   let launches = ref 0 in
-  let rec go steps =
-    List.iter
-      (function
-        | Run_plan p ->
-          let m = Analytic.measure p in
-          counters := Counters.add !counters m.counters;
-          time := !time +. m.time_s;
-          incr launches;
-          Metrics.incr m_launches
-        | Swap _ -> ()
-        | Loop (n, sub) ->
-          for _ = 1 to n do
-            go sub
-          done)
-      steps
-  in
-  go steps;
+  walk steps ~swap:(fun _ _ -> ()) ~launch:(fun v ->
+      let m = Analytic.measure v in
+      counters := Counters.add !counters m.counters;
+      time := !time +. m.time_s;
+      incr launches);
   let c = !counters in
   {
     counters = c;
@@ -104,20 +127,10 @@ let measure_schedule (steps : step list) =
     pointer exchange does). *)
 let run_schedule ?schedule (steps : step list) (store : Reference.store) ~scalars =
   Trace.with_span "exec.run_schedule" @@ fun () ->
-  let rec go steps =
-    List.iter
-      (function
-        | Run_plan p ->
-          Kernel_exec.run ?schedule p store ~scalars;
-          Metrics.incr m_launches
-        | Swap (a, b) ->
-          let ga = Reference.find_array store a and gb = Reference.find_array store b in
-          Hashtbl.replace store a gb;
-          Hashtbl.replace store b ga
-        | Loop (n, sub) ->
-          for _ = 1 to n do
-            go sub
-          done)
-      steps
-  in
-  go steps
+  let steps = gate steps in
+  walk steps
+    ~launch:(fun v -> Kernel_exec.run ?schedule v store ~scalars)
+    ~swap:(fun a b ->
+      let ga = Reference.find_array store a and gb = Reference.find_array store b in
+      Hashtbl.replace store a gb;
+      Hashtbl.replace store b ga)

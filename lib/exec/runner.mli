@@ -30,12 +30,16 @@ val temporal_rewrite :
   ?tbuf:Artemis_ir.Plan.tbuffer ->
   degree:int -> step list -> step list
 
-(** Analytic execution: per-launch counters and times summed. *)
+(** Analytic execution: per-launch counters and times summed.  Each
+    plan is validated once, before the first launch.
+    @raise Invalid_argument naming the first unlaunchable plan *)
 val measure_schedule : step list -> outcome
 
 (** Data execution over a store (swaps rebind grids).  [schedule]
     (default [Eval.Rows]) picks how statements sweep.  The counters and
-    launch count of the same steps come from {!measure_schedule}. *)
+    launch count of the same steps come from {!measure_schedule}.  Each
+    plan is validated once, before the first launch.
+    @raise Invalid_argument naming the first unlaunchable plan *)
 val run_schedule :
   ?schedule:Eval.schedule -> step list -> Reference.store -> scalars:(string * float) list ->
   unit

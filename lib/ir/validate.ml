@@ -1,6 +1,7 @@
-(* Plan validation against device and CUDA launch limits.  The tuner
-   filters its search space through [check]; the executor refuses invalid
-   plans so simulation results always correspond to launchable kernels. *)
+(* Plan validation against device and CUDA launch limits.  [validate] is
+   the one gate: the tuner, the measurement and the executor see only the
+   [valid] plans it returns, so simulation results always correspond to
+   launchable kernels. *)
 
 type violation =
   | Too_many_threads of int
@@ -40,8 +41,8 @@ let violation_tag = function
   | Empty_tile _ -> "empty-tile"
   | Bad_degree _ -> "bad-degree"
 
-(* Validation volume: how many plans the tuner's filters push through
-   this gate, split by outcome. *)
+(* Validation volume: how many plans pass through this gate, split by
+   outcome. *)
 let m_validated_ok =
   Artemis_obs.Metrics.counter "lower.plans_validated" ~labels:[ ("ok", "true") ]
 
@@ -98,14 +99,12 @@ let violations (p : Plan.t) =
     vs;
   vs
 
+type valid = Plan.t
+
+let validate p = match violations p with [] -> Ok p | vs -> Error vs
+
 let is_valid p = violations p = []
 
-(** [check p] raises [Invalid_argument] with a readable message when the
-    plan cannot launch. *)
-let check p =
-  match violations p with
-  | [] -> ()
-  | vs ->
-    invalid_arg
-      (Printf.sprintf "invalid plan %s: %s" (Plan.label p)
-         (String.concat "; " (List.map violation_to_string vs)))
+let describe p vs =
+  Printf.sprintf "invalid plan %s: %s" (Plan.label p)
+    (String.concat "; " (List.map violation_to_string vs))

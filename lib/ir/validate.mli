@@ -1,7 +1,7 @@
-(** Plan validation against device and CUDA launch limits.  The tuner
-    filters its search space through [violations]; the executor refuses
-    invalid plans, so every simulated result corresponds to a launchable
-    kernel. *)
+(** Plan validation against device and CUDA launch limits.  [validate]
+    is the only producer of a [valid] plan; measurement, its cache and
+    the block executor take only [valid] plans, so every simulated
+    result is of a launchable kernel and nothing downstream re-checks. *)
 
 type violation =
   | Too_many_threads of int
@@ -19,10 +19,17 @@ val violation_to_string : violation -> string
 (** Short constant tag per violation kind, usable as a metric label. *)
 val violation_tag : violation -> string
 
+(** A plan that passed [validate]; coerce with [(v :> Plan.t)]. *)
+type valid = private Plan.t
+
+(** The gate: [Ok] the plan when launchable, else every violation. *)
+val validate : Plan.t -> (valid, violation list) result
+
 (** All limit violations; empty means launchable. *)
 val violations : Plan.t -> violation list
 
 val is_valid : Plan.t -> bool
 
-(** @raise Invalid_argument with a readable message when unlaunchable. *)
-val check : Plan.t -> unit
+(** ["invalid plan LABEL: v1; v2"], the message for a plan [validate]
+    rejected with these violations. *)
+val describe : Plan.t -> violation list -> string

@@ -120,13 +120,16 @@ let sink () = { acc = []; seen = Hashtbl.create 16 }
 
 let m_findings code = Metrics.counter "lint.findings" ~labels:[ ("code", code) ]
 
-let emit s ~code ~severity ~phase ~location ~hint message =
-  let key = (code, location, message) in
+let add s f =
+  let key = (f.code, f.location, f.message) in
   if not (Hashtbl.mem s.seen key) then begin
     Hashtbl.add s.seen key ();
-    Metrics.incr (m_findings code);
-    s.acc <- { code; severity; phase; location; message; hint } :: s.acc
+    Metrics.incr (m_findings f.code);
+    s.acc <- f :: s.acc
   end
+
+let emit s ~code ~severity ~phase ~location ~hint message =
+  add s { code; severity; phase; location; message; hint }
 
 let drain s = List.rev s.acc
 
@@ -621,25 +624,23 @@ let launch_hint = function
   | Validate.Bad_degree _ ->
     "use a temporal degree of at least 1, with a ping-pong pair when above 1"
 
-(* Launch-limit findings, one per Validate violation.  Shared_overflow
-   gets its own code (A403) because it has a dedicated fix (demotion);
-   everything else is A405. *)
-let launch_findings s (p : P.t) =
-  let loc = P.label p in
-  let vs = Validate.violations p in
-  List.iter
-    (fun v ->
-      let code =
-        match v with Validate.Shared_overflow _ -> "A403" | _ -> "A405"
-      in
-      emit s ~code ~severity:Error ~phase:Plan ~location:loc ~hint:(launch_hint v)
-        (Validate.violation_to_string v))
-    vs;
-  vs
+(* Shared_overflow gets its own code (A403) because it has a dedicated
+   fix (demotion); every other launch violation is A405. *)
+let launch_code = function Validate.Shared_overflow _ -> "A403" | _ -> "A405"
+
+let launch_finding (p : P.t) v =
+  {
+    code = launch_code v;
+    severity = Error;
+    phase = Plan;
+    location = P.label p;
+    message = Validate.violation_to_string v;
+    hint = launch_hint v;
+  }
 
 let launch_errors p =
   let s = sink () in
-  ignore (launch_findings s p);
+  List.iter (fun v -> add s (launch_finding p v)) (Validate.violations p);
   drain s
 
 (* A703 (plan side): the static race detector the tuner prunes with.
@@ -921,7 +922,8 @@ let bank_lints s (p : P.t) g bufs =
 
 let lint_plan (p : P.t) =
   let s = sink () in
-  let vs = launch_findings s p in
+  let vs = Validate.violations p in
+  List.iter (fun v -> add s (launch_finding p v)) vs;
   static_plan_lints s p;
   temporal_race_lints s p;
   temporal_info_lints s p;

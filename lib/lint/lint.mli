@@ -12,8 +12,9 @@
       stepping rule, predicted spills, shared-memory RAW/WAR hazards in
       the lowered statement order, uncoalesced global reads, and
       bank-conflict-prone shared row widths.
-    - {b Pipeline integration}: the tuner prunes plans via
-      [launch_errors] (counted in [tuner.configs_lint_pruned]), the fuzz
+    - {b Pipeline integration}: the tuner codes the plans
+      [Validate.validate] rejects with [launch_code] (counted in
+      [tuner.configs_lint_pruned]), the fuzz
       oracle asserts no Error finding on accepted (program, plan) pairs,
       and [artemisc lint] renders findings as text or JSON.
 
@@ -73,18 +74,25 @@ val lint_program : Artemis_dsl.Ast.program -> finding list
     static race detector (A703). *)
 val lint_plan : Artemis_ir.Plan.t -> finding list
 
-(** Just the Error-level launch findings (A403/A405) — the cheap subset
-    the tuner prunes with.  [launch_errors p = []] iff
-    [Validate.violations p = []], so pruning on it never drops a
-    measurable configuration. *)
+(** The code of a [Validate] violation's launch finding: A403 for a
+    shared-memory overflow (it has its own fix, demotion), A405 for
+    every other limit. *)
+val launch_code : Artemis_ir.Validate.violation -> string
+
+(** The launch finding of one of a plan's [Validate] violations, coded
+    by [launch_code].  Pure: it counts nothing in [lint.findings]. *)
+val launch_finding : Artemis_ir.Plan.t -> Artemis_ir.Validate.violation -> finding
+
+(** Just the Error-level launch findings (A403/A405), one
+    [launch_finding] per violation, so [launch_errors p = []] iff
+    [Validate.violations p = []]. *)
 val launch_errors : Artemis_ir.Plan.t -> finding list
 
 (** Just the A703 static-race findings for a plan — dependences the
     affine engine ([Artemis_static.Static]) proves that the plan's tile
     fan-out or wavefront hyperplane would execute out of order.  The
-    tuner prunes candidate plans on it (counted in
-    [tuner.configs_static_pruned]) exactly as it prunes on
-    [launch_errors]. *)
+    tuner prunes the launchable candidates it kept on it (counted in
+    [tuner.configs_static_pruned]). *)
 val static_plan_errors : Artemis_ir.Plan.t -> finding list
 
 val errors : finding list -> finding list

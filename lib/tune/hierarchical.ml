@@ -10,6 +10,7 @@
    (Hints.decisions) prunes both phases. *)
 
 module Plan = Artemis_ir.Plan
+module Validate = Artemis_ir.Validate
 module Lint = Artemis_lint.Lint
 module Analytic = Artemis_exec.Analytic
 module Predict = Artemis_exec.Predict
@@ -44,43 +45,12 @@ let stepped (p : Plan.t) =
   | Some r -> { p with max_regs = r }
   | None -> { p with max_regs = 255 }
 
-let measure_stepped (p : Plan.t) = Measure_cache.try_measure (stepped p)
-
-(* The pure, side-effect-light part of considering a candidate: lint its
-   register-stepped plan [sp], then measure through the cache.  Safe to
-   run on pool workers — all search accounting (metrics, trace
-   decisions, best-so-far folds) stays on the main domain, applied in
-   canonical candidate order so parallel runs are bit-identical to
-   serial ones. *)
-let measure_candidate (sp : Plan.t) =
-  (* Error-carrying candidates are rejected before measurement.  The
-     launch lint is exactly Validate's violation set, so this prunes
-     precisely the configurations [try_measure] would refuse anyway —
-     same search result, with the rejection visible in metrics.  A cache
-     miss validates once more inside [Analytic.try_measure]: the tune.top
-     re-rank measures through the same cache with no lint step, and
-     [Analytic] exports no measure that skips validation. *)
-  match Lint.launch_errors sp with
-  | (f : Lint.finding) :: _ -> `Lint_pruned f
-  | [] -> (
-    (* The static race detector (A703) prunes exactly like a launch
-       error: a plan whose fan-out would execute a proven dependence out
-       of order is not a measurable configuration. *)
-    match Lint.static_plan_errors sp with
-    | (f : Lint.finding) :: _ -> `Static_pruned f
-    | [] -> (
-      (* The cache outcome rides along so the main-domain fold can journal
-         it without workers touching the journal. *)
-      match Measure_cache.try_measure_outcome sp with
-      | Some m, cache -> `Measured (m, cache)
-      | None, cache -> `Failed cache))
-
 let m_configs_measured = Metrics.counter "tuner.configs_measured"
 let m_tuner_runs = Metrics.counter "tuner.runs"
 let m_configs_prerank_pruned = Metrics.counter "tuner.configs_prerank_pruned"
 
 (* Pre-ranking: before paying a full analytic measurement per candidate,
-   score every legal candidate with the measurement-free one-block
+   score every launchable candidate with the measurement-free one-block
    sketch ([Predict.rank]) and only measure the slice predicted fastest.
    The knobs' [prerank_keep] is the percentage kept; >= 100 disables
    the filter.
@@ -89,43 +59,74 @@ let m_configs_prerank_pruned = Metrics.counter "tuner.configs_prerank_pruned"
    by [prerank_plan_equal] in BENCH_tuner.json and `make model-smoke`). *)
 let default_prerank_keep = 25.0
 
-(* Split candidates into (kept, pruned) by predicted score, keeping the
-   top [pct] percent (at least one).  Scoring fans out on the
-   pool (it is pure); the cut happens here with the candidate index as
-   tie-break, so equal scores keep canonical order and the kept set is
-   order-deterministic.  [None] when the filter is off or trivial; the
-   returned candidates carry their predicted seconds, and the kept ones
-   their register-stepped plan too, so measurement does not step them
-   again. *)
-let prerank_split ~pct ~label plans =
+(* What the tuner learns of one candidate. *)
+type outcome =
+  | Lint_pruned of string
+      (** the code of the register-stepped plan's first launch violation *)
+  | Prerank_pruned of float  (** predicted seconds, outside the kept slice *)
+  | Static_pruned of Lint.finding
+  | Measured of Analytic.measurement * [ `Hit | `Miss ] * float option
+      (** with the cache outcome and, when ranked, predicted seconds *)
+
+(* The gate and the pre-rank of one batch.  Each candidate's
+   register-stepped plan (what measurement runs: occupancy depends on
+   the register budget) passes [Validate.validate] exactly once; only
+   launchable plans are scored, and the top [pct] percent (at least
+   one) of the whole batch, unlaunchable candidates included, are kept.
+   Gating and scoring fan out on the pool; the cut breaks score ties by
+   candidate index, so the kept set is order-deterministic.  With the
+   filter off ([pct] >= 100) or trivial (one candidate) every launchable
+   candidate is kept, unscored.  Per candidate, in order: [Ok] the kept
+   plan with its predicted seconds when ranked, or [Error] the outcome
+   already decided. *)
+let ranks ~pct n = pct < 100.0 && n > 1
+
+let gate ~pct ~label plans =
   let n = List.length plans in
-  if pct >= 100.0 || n <= 1 then None
-  else begin
-    (* Score exactly what measurement would run: the register-stepped
-       plan, not the raw candidate — occupancy (and with it every
-       utilization factor) depends on the register budget. *)
-    let ranked =
-      Pool.map ~label
-        (fun p ->
-          let sp = stepped p in
-          (sp, Predict.rank sp))
-        plans
-    in
+  let ranking = ranks ~pct n in
+  let gated =
+    Pool.map ~label
+      (fun p ->
+        let sp = stepped p in
+        match Validate.validate sp with
+        | Error vs -> Error (Lint.launch_code (List.hd vs))
+        | Ok v -> Ok (v, if ranking then Some (Predict.rank sp) else None))
+      plans
+  in
+  let keep = Array.make n (not ranking) in
+  if ranking then begin
     let keep_n = max 1 (int_of_float (ceil (float_of_int n *. pct /. 100.0))) in
-    let keep = Array.make n false in
-    List.mapi (fun i (_, (s, _)) -> (s, i)) ranked
+    List.mapi (fun i g -> (i, g)) gated
+    |> List.filter_map (function i, Ok (_, Some (s, _)) -> Some (s, i) | _, _ -> None)
     |> List.sort (fun ((a : float), i) (b, j) ->
            match compare a b with 0 -> compare i j | c -> c)
-    |> List.iteri (fun rank (_, i) -> if rank < keep_n then keep.(i) <- true);
-    let kept, pruned =
-      List.combine plans ranked
-      |> List.mapi (fun i c -> (i, c))
-      |> List.partition (fun (i, _) -> keep.(i))
-    in
-    Some
-      ( List.map (fun (_, (p, (sp, (_, t)))) -> (p, sp, t)) kept,
-        List.map (fun (_, (p, (_, (_, t)))) -> (p, t)) pruned )
-  end
+    |> List.iteri (fun rank (_, i) -> if rank < keep_n then keep.(i) <- true)
+  end;
+  List.mapi
+    (fun i g ->
+      match g with
+      | Error f -> Error (Lint_pruned f)
+      | Ok (_, Some (_, t)) when not keep.(i) -> Error (Prerank_pruned t)
+      | Ok (v, predicted) -> Ok (v, Option.map snd predicted))
+    gated
+
+(* The rest of considering a kept candidate — the static race lint and
+   the measurement through the cache — is pure and side-effect-light,
+   so it runs on pool workers; all search accounting (metrics, trace
+   decisions, journal, best-so-far folds) stays on the main domain,
+   applied in canonical candidate order so parallel runs are
+   bit-identical to serial ones. *)
+let judge = function
+  | Error decided -> decided
+  | Ok (v, predicted) -> (
+    (* The static race detector (A703) prunes like a launch error: a
+       plan whose fan-out would execute a proven dependence out of order
+       is not a measurable configuration. *)
+    match Lint.static_plan_errors (v : Validate.valid :> Plan.t) with
+    | f :: _ -> Static_pruned f
+    | [] ->
+      let m, cache = Measure_cache.try_measure_outcome v in
+      Measured (m, cache, predicted))
 
 (* One journal event per temporally-blocked configuration considered: the
    degree, halo policy, and buffer strategy with the tuner's verdict.
@@ -316,29 +317,20 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
             ("decision", Str "pruned"); ("reason", Str reason) ]
   in
   let cache_str = function `Hit -> "hit" | `Miss -> "miss" in
-  let consider_result ~phase ?predicted acc plan result =
-    (* When pre-ranking is active the surviving candidates carry their
-       model score into the journal, so explain can put prediction and
-       measurement side by side for the winner. *)
-    let predicted_field =
-      match predicted with
-      | Some s -> [ ("predicted_time_s", Json.Float s) ]
-      | None -> []
-    in
-    match result with
-    | `Lint_pruned (f : Lint.finding) ->
+  let consider_result ~phase acc plan = function
+    | Lint_pruned code ->
       Metrics.incr
-        (Metrics.counter "tuner.configs_lint_pruned" ~labels:[ ("code", f.code) ]);
-      prune ~phase ~reason:("lint:" ^ f.code) plan;
+        (Metrics.counter "tuner.configs_lint_pruned" ~labels:[ ("code", code) ]);
+      prune ~phase ~reason:("lint:" ^ code) plan;
       if Journal.enabled () then
         Journal.append "tuner.candidate"
           [ ("phase", Json.Str phase); ("plan", Json.Str (Plan.label plan));
             ("decision", Json.Str "lint-pruned");
-            ("lint_code", Json.Str f.code) ];
+            ("lint_code", Json.Str code) ];
       journal_temporal ~phase ~decision:"lint-pruned"
-        ~extra:[ ("lint_code", Json.Str f.code) ] plan;
+        ~extra:[ ("lint_code", Json.Str code) ] plan;
       acc
-    | `Static_pruned (f : Lint.finding) ->
+    | Static_pruned (f : Lint.finding) ->
       Metrics.incr
         (Metrics.counter "tuner.configs_static_pruned" ~labels:[ ("code", f.code) ]);
       prune ~phase ~reason:("static:" ^ f.code) plan;
@@ -356,7 +348,26 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
       journal_temporal ~phase ~decision:"static-pruned"
         ~extra:[ ("lint_code", Json.Str f.code) ] plan;
       acc
-    | `Measured ((m : Analytic.measurement), cache) ->
+    | Prerank_pruned s ->
+      Metrics.incr m_configs_prerank_pruned;
+      prune ~phase ~reason:"prerank" plan;
+      if Journal.enabled () then
+        Journal.append "tuner.candidate"
+          [ ("phase", Json.Str phase); ("plan", Json.Str (Plan.label plan));
+            ("decision", Json.Str "prerank-pruned");
+            ("predicted_time_s", Json.Float s) ];
+      journal_temporal ~phase ~decision:"prerank-pruned"
+        ~extra:[ ("predicted_time_s", Json.Float s) ] plan;
+      acc
+    | Measured ((m : Analytic.measurement), cache, predicted) ->
+      (* When pre-ranking is active the surviving candidates carry their
+         model score into the journal, so explain can put prediction and
+         measurement side by side for the winner. *)
+      let predicted_field =
+        match predicted with
+        | Some s -> [ ("predicted_time_s", Json.Float s) ]
+        | None -> []
+      in
       incr explored;
       Metrics.incr m_configs_measured;
       let kept =
@@ -403,55 +414,26 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
       if List.length !history < 64 then
         history := (Plan.label m.plan, m.tflops) :: !history;
       better acc m
-    | `Failed cache ->
-      prune ~phase ~reason:"measurement-failed" plan;
-      if Journal.enabled () then
-        Journal.append "tuner.candidate"
-          [ ("phase", Json.Str phase); ("plan", Json.Str (Plan.label plan));
-            ("decision", Json.Str "failed"); ("cache", Json.Str (cache_str cache)) ];
-      journal_temporal ~phase ~decision:"failed" plan;
-      acc
   in
-  (* Fan the measurements out, then fold the results on this domain in
-     the candidates' canonical order — same accounting, same winner, and
-     the same tie-breaking as a serial sweep.
-
-     With pre-ranking active ([knobs.prerank_keep] < 100) the candidates
-     are first scored by the measurement-free sketch ([Predict.rank]);
-     only the slice predicted fastest is measured.  Scoring is pure and
-     deterministic, so it also fans out on the pool; the keep/prune cut,
-     the metrics, and every journal event happen here on the main domain
-     in canonical candidate order — jobs=1 and jobs=N runs stay
-     byte-identical. *)
+  (* Gate and pre-rank the batch, fan the judging out, then fold the
+     outcomes on this domain in the candidates' canonical order — same
+     accounting, same winner, and the same tie-breaking as a serial
+     sweep.  The [tuner.prerank] summary, the metrics and every journal
+     event happen here on the main domain, so jobs=1 and jobs=N runs
+     stay byte-identical. *)
   let consider_all ~phase ~label acc plans =
-    match prerank_split ~pct:knobs.prerank_keep ~label:(label ^ ".predict") plans with
-    | None ->
-      let results = Pool.map ~label (fun p -> measure_candidate (stepped p)) plans in
-      List.fold_left2 (consider_result ~phase) acc plans results
-    | Some (kept, pruned) ->
-      if Journal.enabled () then
-        Journal.append "tuner.prerank"
-          [ ("phase", Json.Str phase);
-            ("candidates", Json.Int (List.length plans));
-            ("kept", Json.Int (List.length kept));
-            ("pruned", Json.Int (List.length pruned));
-            ("keep_pct", Json.Float knobs.prerank_keep) ];
-      List.iter
-        (fun (p, s) ->
-          Metrics.incr m_configs_prerank_pruned;
-          prune ~phase ~reason:"prerank" p;
-          if Journal.enabled () then
-            Journal.append "tuner.candidate"
-              [ ("phase", Json.Str phase); ("plan", Json.Str (Plan.label p));
-                ("decision", Json.Str "prerank-pruned");
-                ("predicted_time_s", Json.Float s) ];
-          journal_temporal ~phase ~decision:"prerank-pruned"
-            ~extra:[ ("predicted_time_s", Json.Float s) ] p)
-        pruned;
-      let results = Pool.map ~label (fun (_, sp, _) -> measure_candidate sp) kept in
-      List.fold_left2
-        (fun acc (plan, _, s) result -> consider_result ~phase ~predicted:s acc plan result)
-        acc kept results
+    let verdicts = gate ~pct:knobs.prerank_keep ~label:(label ^ ".predict") plans in
+    let n = List.length plans in
+    if Journal.enabled () && ranks ~pct:knobs.prerank_keep n then begin
+      let count f = List.length (List.filter f verdicts) in
+      Journal.append "tuner.prerank"
+        [ ("phase", Json.Str phase); ("candidates", Json.Int n);
+          ("kept", Json.Int (count Result.is_ok));
+          ("pruned", Json.Int (count (function Error (Prerank_pruned _) -> true | _ -> false)));
+          ("keep_pct", Json.Float knobs.prerank_keep) ]
+    end;
+    let outcomes = Pool.map ~label judge verdicts in
+    List.fold_left2 (consider_result ~phase) acc plans outcomes
   in
   Metrics.incr m_tuner_runs;
   (* One header event per search: the machine-model constants explain
@@ -507,16 +489,14 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
       let cands =
         List.map (fun block -> { base with block; unroll = p1_best.plan.unroll }) blocks
       in
-      (* Under pre-ranking the re-rank pays the same filtered budget:
-         only the blocks the model rates survive to a measurement.  The
-         cut depends on nothing but the candidates and the model, so
-         cold and warm runs promote the same set. *)
+      (* The re-rank passes the same gate and pays the same filtered
+         budget: only the launchable blocks the model rates survive to a
+         measurement.  The cut depends on nothing but the candidates and
+         the model, so cold and warm runs promote the same set. *)
       let measured =
-        List.filter_map Fun.id
-          (match prerank_split ~pct:knobs.prerank_keep ~label:"tune.top.predict" cands with
-           | None -> Pool.map ~label:"tune.top" measure_stepped cands
-           | Some (kept, _) ->
-             Pool.map ~label:"tune.top" (fun (_, sp, _) -> Measure_cache.try_measure sp) kept)
+        gate ~pct:knobs.prerank_keep ~label:"tune.top.predict" cands
+        |> List.filter_map (function Ok (v, _) -> Some v | Error _ -> None)
+        |> Pool.map ~label:"tune.top" (fun v -> fst (Measure_cache.try_measure_outcome v))
       in
       List.stable_sort
         (fun (a : Analytic.measurement) b -> compare b.tflops a.tflops)

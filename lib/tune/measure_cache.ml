@@ -34,13 +34,15 @@ let blank_kernel : Artemis_dsl.Instantiate.kernel =
 
 (** Content key of a measurement request: the kernel's digest (fixed
     length), then the canonical bytes of the plan with its kernel
-    blanked. *)
+    blanked.  The leading tag names the entry format, so entries stored
+    in an older format (which held a [measurement option]) are never
+    found. *)
 let key_of (plan : Plan.t) =
-  (Artemis_ir.Kernel_facts.of_kernel plan.kernel).digest
+  "m2" ^ (Artemis_ir.Kernel_facts.of_kernel plan.kernel).digest
   ^ Marshal.to_string { plan with kernel = blank_kernel } [ Marshal.No_sharing ]
 
 let lock = Mutex.create ()
-let table : (string, Artemis_exec.Analytic.measurement option) Hashtbl.t =
+let table : (string, Artemis_exec.Analytic.measurement) Hashtbl.t =
   Hashtbl.create 256
 
 let dir : string option ref = ref None
@@ -73,7 +75,7 @@ let disk_find key =
       Fun.protect
         ~finally:(fun () -> close_in_noerr ic)
         (fun () ->
-          let stored_key, (result : Artemis_exec.Analytic.measurement option) =
+          let stored_key, (result : Artemis_exec.Analytic.measurement) =
             Marshal.from_channel ic
           in
           if String.equal stored_key key then Some result else None)
@@ -101,13 +103,13 @@ let record outcome =
       ~attrs:
         [ ("outcome", Trace.Str (match outcome with `Hit -> "hit" | `Miss -> "miss")) ]
 
-(** Memoized [Analytic.try_measure] that also reports whether the cache
+(** Memoized [Analytic.measure] that also reports whether the cache
     answered.  The outcome returns to the caller (rather than being only
     a side-effect metric) so main-domain folds can journal it in
     canonical candidate order — workers must not append to the journal
     themselves. *)
-let try_measure_outcome (plan : Plan.t) =
-  let key = key_of plan in
+let try_measure_outcome (valid : Artemis_ir.Validate.valid) =
+  let key = key_of (valid :> Plan.t) in
   let cached =
     Mutex.protect lock (fun () ->
         match Hashtbl.find_opt table key with
@@ -125,17 +127,13 @@ let try_measure_outcome (plan : Plan.t) =
     (r, `Hit)
   | None ->
     record `Miss;
-    let r = Artemis_exec.Analytic.try_measure plan in
+    let r = Artemis_exec.Analytic.measure valid in
     Mutex.protect lock (fun () ->
         if not (Hashtbl.mem table key) then begin
           Hashtbl.replace table key r;
           disk_store key r
         end);
     (r, `Miss)
-
-(** Memoized [Analytic.try_measure].  Invalid plans cache their [None] so
-    repeated probes of the same dead configuration cost one lookup. *)
-let try_measure (plan : Plan.t) = fst (try_measure_outcome plan)
 
 (** Drop every in-memory entry (the on-disk store is left alone). *)
 let clear () = Mutex.protect lock (fun () -> Hashtbl.reset table)

@@ -1,4 +1,4 @@
-(** Content-addressed memoization of {!Artemis_exec.Analytic.try_measure}.
+(** Content-addressed memoization of {!Artemis_exec.Analytic.measure}.
 
     A measurement is a pure function of the plan (the device, with the
     traffic model's constants, lives inside the plan).  Entries are keyed
@@ -17,14 +17,12 @@
     Exposed for the cache-correctness tests. *)
 val key_of : Artemis_ir.Plan.t -> string
 
-(** Memoized [try_measure]: a repeated plan — including one
-    that measured invalid — costs a lookup, not a re-evaluation. *)
-val try_measure : Artemis_ir.Plan.t -> Artemis_exec.Analytic.measurement option
-
-(** [try_measure] plus whether the cache answered, so callers folding on
-    the main domain can journal the outcome in canonical order. *)
+(** Memoized [Analytic.measure] of a validated plan, plus whether the
+    cache answered, so callers folding on the main domain can journal
+    the outcome in canonical order.  A repeated plan costs a lookup, not
+    a re-evaluation. *)
 val try_measure_outcome :
-  Artemis_ir.Plan.t -> Artemis_exec.Analytic.measurement option * [ `Hit | `Miss ]
+  Artemis_ir.Validate.valid -> Artemis_exec.Analytic.measurement * [ `Hit | `Miss ]
 
 (** Also persist entries under this directory (created if missing).
     Stored entries carry their full key and are verified on load, so

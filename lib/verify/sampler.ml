@@ -149,8 +149,8 @@ let device_of alias =
   | Some d -> d
   | None -> invalid_arg ("Sampler.device_of: unknown device " ^ alias)
 
-(* Shrink the block until launchable, as the tuner's validity filter
-   would (mirrors test/util.ml's valid_lower). *)
+(* Shrink the block until launchable: halve the largest extent above 1,
+   at most [tries] times. *)
 let rec shrink_valid (p : Plan.t) tries =
   if tries = 0 || Validate.is_valid p then p
   else begin

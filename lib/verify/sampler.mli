@@ -52,9 +52,10 @@ val trials : Rng.t -> Gen.case -> trial list
 val plan_of : cfg -> Artemis_dsl.Instantiate.kernel -> Artemis_ir.Plan.t option
 
 (** Halve the largest block extent until the plan validates (at most the
-    given number of tries) — the tuner's validity filter, exposed so the
-    oracle can re-shrink temporally blocked plans whose deeper halo
-    windows overflow shared memory at the degree-1 block shape. *)
+    given number of tries): the one shrink-until-launchable helper.  The
+    oracle re-shrinks temporally blocked plans with it, whose deeper halo
+    windows overflow shared memory at the degree-1 block shape; the
+    tests, bench/ and perf/ shrink their execution plans with it. *)
 val shrink_valid : Artemis_ir.Plan.t -> int -> Artemis_ir.Plan.t
 
 (** The concrete schedule a variant denotes for a program: [None] when

@@ -13,10 +13,10 @@
 
 let pins =
   [
-    ("--bench 7pt-smoother", "eab89987b597c2b1b2dd2f7fd27e6a4d");
+    ("--bench 7pt-smoother", "75b527c4eeedb3b8649f52f861183f19");
     ("--bench 7pt-smoother --prerank-keep 100", "f69208d944bcd7fef89b6030709c9e43");
-    ("--bench rhs4sgcurv --device v100", "7f17901d7722489c810c7e5e9d3eeec3");
-    ("--bench 27pt-smoother --max-degree 4", "687a1003f1a63357e342bcf2c122da2a");
+    ("--bench rhs4sgcurv --device v100", "41dd1b87d627e142c417f7a534ce4277");
+    ("--bench 27pt-smoother --max-degree 4", "1482a0ef30993d3a3830e4a7c4fd123a");
   ]
 
 let tests =

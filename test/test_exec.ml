@@ -47,23 +47,7 @@ let compare_program ?(tol = 0.0) ?(margin = 0) (prog : A.program) ~plan_of =
    cannot run at every matrix shape) — mirroring what the tuner's validity
    filter does. *)
 let plan_of_opts opts k =
-  let p = Artemis_codegen.Lower.lower dev k opts in
-  let rec shrink (p : Plan.t) tries =
-    if tries = 0 then p
-    else if Artemis_ir.Validate.is_valid p then p
-    else begin
-      let block = Array.copy p.block in
-      (* halve the largest shrinkable extent *)
-      let d = ref (-1) in
-      Array.iteri (fun i e -> if e > 1 && (!d < 0 || e > block.(!d)) then d := i) block;
-      if !d < 0 then p
-      else begin
-        block.(!d) <- max 1 (block.(!d) / 2);
-        shrink { p with Plan.block } (tries - 1)
-      end
-    end
-  in
-  shrink p 12
+  Artemis_verify.Sampler.shrink_valid (Artemis_codegen.Lower.lower dev k opts) 12
 
 (* The plan matrix every benchmark is executed under. *)
 let plan_matrix =
@@ -189,7 +173,7 @@ let tests =
                 placement = [ ("u", A.Shmem) ] }
             in
             let store = E.Reference.store_of_program prog in
-            match E.Kernel_exec.run p store ~scalars:[] with
+            match E.Kernel_exec.run (Util.valid p) store ~scalars:[] with
             | exception E.Kernel_exec.Unsupported _ -> ()
             | () -> Alcotest.fail "expected Unsupported");
         case "class summation equals exact block loop" (fun () ->

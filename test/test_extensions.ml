@@ -54,7 +54,7 @@ let tests =
             { (Plan.default p100 k) with
               Plan.block = [| 8; 32 |]; placement = [ ("u", A.Shmem) ] }
           in
-          E.Kernel_exec.run plan store ~scalars;
+          E.Kernel_exec.run (Util.valid plan) store ~scalars;
           Alcotest.(check (float 0.0)) "bit-exact" 0.0
             (E.Grid.max_abs_diff
                (E.Reference.find_array ref_store "out")
@@ -71,7 +71,7 @@ let tests =
               Plan.scheme = Plan.Serial_stream 0; block = [| 1; 64 |];
               placement = [ ("u", A.Shmem) ] }
           in
-          E.Kernel_exec.run plan store ~scalars;
+          E.Kernel_exec.run (Util.valid plan) store ~scalars;
           Alcotest.(check (float 0.0)) "bit-exact" 0.0
             (E.Grid.max_abs_diff
                (E.Reference.find_array store0 "out")
@@ -103,7 +103,7 @@ let tests =
           let k = List.hd (Artemis_bench.Suite.kernels b) in
           let dram hm =
             let device = { p100 with halo_miss = hm } in
-            (E.Analytic.measure (Artemis_codegen.Lower.lower device k O.default))
+            (E.Analytic.measure (Util.valid (Artemis_codegen.Lower.lower device k O.default)))
               .counters.dram_bytes
           in
           Alcotest.(check bool) "monotone" true (dram 0.2 < dram 0.8));
@@ -197,7 +197,7 @@ let tests =
           E.Reference.run_kernel ref_store ~scalars k;
           let store = E.Reference.store_of_program prog in
           let plan = { (Plan.default p100 k) with Plan.block = [| 64 |] } in
-          E.Kernel_exec.run plan store ~scalars;
+          E.Kernel_exec.run (Util.valid plan) store ~scalars;
           Alcotest.(check (float 0.0)) "bit-exact" 0.0
             (E.Grid.max_abs_diff
                (E.Reference.find_array ref_store "out")

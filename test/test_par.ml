@@ -213,7 +213,7 @@ let cache_tests =
         Alcotest.(check bool) "kernels differ a hundredfold" true (bytes big > 100 * bytes small);
         Alcotest.(check bool) "keys within a factor of two" true (kb < 2 * ks));
     case "corrupt cache files read as misses and are rewritten" (fun () ->
-        let p = lower_src (coeff_src "0.5") in
+        let p = Util.valid (lower_src (coeff_src "0.5")) in
         List.iter
           (fun (what, corrupt) ->
             with_cache_dir (fun files ->

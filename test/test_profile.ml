@@ -16,7 +16,7 @@ let dev = Artemis_gpu.Device.p100
 let measure ?(size = 64) bname opts =
   let b = Suite.at_size size (Suite.find bname) in
   let k = List.hd (Suite.kernels b) in
-  E.Analytic.measure (Util.valid_lower k opts)
+  E.Analytic.measure (Util.valid (Util.valid_lower k opts))
 
 let classify (m : E.Analytic.measurement) =
   Classify.classify dev m.counters ~time_s:m.time_s

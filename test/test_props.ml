@@ -213,7 +213,7 @@ let prop_dp_matches_bruteforce =
              (Artemis_bench.Suite.at_size 8 (Artemis_bench.Suite.find "7pt-smoother")))
       in
       let base = Artemis_codegen.Lower.lower dev k Artemis_codegen.Options.default in
-      let m0 = Artemis_exec.Analytic.measure base in
+      let m0 = Artemis_exec.Analytic.measure (Util.valid base) in
       let versions =
         List.mapi
           (fun i t ->

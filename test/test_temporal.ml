@@ -88,23 +88,7 @@ let pingpong_kernel src =
 (* Degree-N windows add shared/register pressure, so blocked plans need
    smaller blocks than degree-1 plans — shrink until launchable, as the
    tuner's validity filter does. *)
-let shrink_blocked (p : Plan.t) =
-  let rec shrink (p : Plan.t) tries =
-    if tries = 0 || Validate.is_valid p then p
-    else begin
-      let block = Array.copy p.Plan.block in
-      let d = ref (-1) in
-      Array.iteri
-        (fun i e -> if e > 1 && (!d < 0 || e > block.(!d)) then d := i)
-        block;
-      if !d < 0 then p
-      else begin
-        block.(!d) <- max 1 (block.(!d) / 2);
-        shrink { p with Plan.block } (tries - 1)
-      end
-    end
-  in
-  shrink p 12
+let shrink_blocked p = Artemis_verify.Sampler.shrink_valid p 12
 
 let rec shrink_steps steps =
   List.map
@@ -216,7 +200,7 @@ let streamed_launch ~schedule ~degree src =
   let store = E.Reference.store_of_program prog in
   let (), tally =
     E.Region.with_tally (fun () ->
-        E.Kernel_exec.run ~schedule plan store
+        E.Kernel_exec.run ~schedule (Util.valid plan) store
           ~scalars:(E.Reference.scalars_of_program prog))
   in
   (List.map (fun a -> E.Grid.copy (E.Reference.find_array store a)) [ out; inp ], k, tally)

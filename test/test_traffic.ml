@@ -18,7 +18,7 @@ let counters_of ?(size = 32) bname opts =
   let b = Suite.at_size size (Suite.find bname) in
   let k = List.hd (Suite.kernels b) in
   let p = Util.valid_lower k opts in
-  (E.Analytic.measure p, k)
+  (E.Analytic.measure (Util.valid p), k)
 
 let invariants (m : E.Analytic.measurement) =
   let c = m.counters in
@@ -128,7 +128,7 @@ let tests =
           let fused f = Artemis_fuse.Fusion.time_fuse k ~out:"out" ~inp:"in" ~f in
           let dram_per_sweep f =
             let p = Lower.lower dev (fused f) O.default in
-            (E.Analytic.measure p).counters.dram_bytes /. float_of_int f
+            (E.Analytic.measure (Util.valid p)).counters.dram_bytes /. float_of_int f
           in
           Alcotest.(check bool) "2x1 < 1x1" true (dram_per_sweep 2 < dram_per_sweep 1);
           Alcotest.(check bool) "3x1 < 2x1" true (dram_per_sweep 3 < dram_per_sweep 2));
@@ -138,7 +138,7 @@ let tests =
           let red f =
             let fused = Artemis_fuse.Fusion.time_fuse k ~out:"out" ~inp:"in" ~f in
             let p = Lower.lower dev fused O.default in
-            C.redundancy (E.Analytic.measure p).counters
+            C.redundancy (E.Analytic.measure (Util.valid p)).counters
           in
           Alcotest.(check bool) "monotone" true (red 3 > red 2 && red 2 > red 1));
       case "retiming reduces shared loads for 27pt" (fun () ->
@@ -155,7 +155,7 @@ let tests =
           let b = Suite.at_size 32 (Suite.find "rhs4sgcurv") in
           let k = List.hd (Suite.kernels b) in
           let p = Util.valid_lower k O.default in
-          let m = E.Analytic.measure p in
+          let m = E.Analytic.measure (Util.valid p) in
           Alcotest.(check bool) "spilling" true (m.resources.spilled_doubles > 0);
           Alcotest.(check bool) "spill bytes" true (m.counters.spill_bytes > 0.0));
       case "smaller blocks mean more redundant staged loads" (fun () ->
@@ -184,9 +184,9 @@ let tests =
             | [ Artemis_dsl.Instantiate.Launch k ] -> k
             | _ -> assert false
           in
-          let plain = E.Analytic.measure (Lower.lower dev k O.default) in
+          let plain = E.Analytic.measure (Util.valid (Lower.lower dev k O.default)) in
           let folded =
-            E.Analytic.measure (Lower.lower dev k { O.default with O.fold = true })
+            E.Analytic.measure (Util.valid (Lower.lower dev k { O.default with O.fold = true }))
           in
           Alcotest.(check bool) "fold enabled" true (folded.plan.fold <> []);
           Alcotest.(check bool) "fewer executed flops" true

@@ -20,6 +20,12 @@ let jacobi ?(n = 64) () =
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
+(* Plans through the validity gate so far, launchable or not. *)
+let validated () =
+  let module M = Artemis_obs.Metrics in
+  M.counter_value (M.counter "lower.plans_validated" ~labels:[ ("ok", "true") ])
+  +. M.counter_value (M.counter "lower.plans_validated" ~labels:[ ("ok", "false") ])
+
 let tests =
   ( "tune",
     [
@@ -67,7 +73,7 @@ let tests =
           let base = Lower.lower dev k O.default in
           match H.tune base with
           | Some r ->
-            let baseline = E.Analytic.measure base in
+            let baseline = E.Analytic.measure (Util.valid base) in
             Alcotest.(check bool) "no worse" true (r.best.tflops >= baseline.tflops);
             Alcotest.(check bool) "explored plenty" true (r.explored > 20)
           | None -> Alcotest.fail "tuning found nothing");
@@ -117,7 +123,7 @@ let tests =
               record =
                 (let k = jacobi ~n:16 () in
                  let base = Lower.lower dev k O.default in
-                 let m = E.Analytic.measure base in
+                 let m = E.Analytic.measure (Util.valid base) in
                  let m = { m with E.Analytic.time_s = time } in
                  { H.best = m; explored = 0; phase1_best = m; history = [] });
               profile =
@@ -246,4 +252,47 @@ let tests =
               if p.kernel != k' then
                 Alcotest.failf "%s: a second retimed kernel" (Plan.label p))
             retimed);
+      case "a search validates each candidate it builds once" (fun () ->
+          let module J = Artemis_obs.Journal in
+          let base = Lower.lower dev (jacobi ()) O.default in
+          let before = validated () in
+          J.start ();
+          let r = Util.with_pool ~jobs:1 (fun () -> H.tune base) in
+          J.stop ();
+          let after = validated () in
+          Alcotest.(check bool) "tuned" true (r <> None);
+          (* Phases 1 and 2 journal one [tuner.candidate] per candidate,
+             launchable or not; the re-rank between them journals none
+             and builds one candidate per block shape. *)
+          let journaled =
+            List.length
+              (List.filter
+                 (fun e ->
+                   Artemis_obs.Json.member "event" e = Some (Artemis_obs.Json.Str "tuner.candidate"))
+                 (J.events ()))
+          in
+          let blocks =
+            Space.block_candidates ~rank:(Plan.rank base) ~scheme:base.scheme
+              ~max_threads:dev.max_threads_per_block
+          in
+          let lint_pruned =
+            List.exists
+              (fun e ->
+                Artemis_obs.Json.member "decision" e = Some (Artemis_obs.Json.Str "lint-pruned"))
+              (J.events ())
+          in
+          Alcotest.(check bool) "some candidate cannot launch" true lint_pruned;
+          Alcotest.(check (float 0.0)) "one validation per candidate"
+            (float_of_int (journaled + List.length blocks))
+            (after -. before));
+      case "a 12-step run validates its plan once" (fun () ->
+          let b = Suite.at_size 16 (Suite.find "7pt-smoother") in
+          let p = Util.valid_lower (List.hd (Suite.kernels b)) O.default in
+          let steps =
+            [ E.Runner.Loop (12, [ E.Runner.Run_plan p; E.Runner.Swap ("out", "in") ]) ]
+          in
+          let store = E.Reference.store_of_program b.prog in
+          let before = validated () in
+          E.Runner.run_schedule steps store ~scalars:(E.Reference.scalars_of_program b.prog);
+          Alcotest.(check (float 0.0)) "one validation" 1.0 (validated () -. before));
     ] )
