@@ -144,11 +144,13 @@ tb-smoke:
 	dune exec bench/main.exe -- tb-smoke
 
 # Pre-rank smoke test (docs/MODEL.md): on every registry device, every
-# suite benchmark tuned as `artemisc explain --bench` tunes it must end
-# in the same plans at the same TFLOPS under the default pre-rank cut as
-# with every candidate measured, from strictly fewer measurements, and
-# the decision journal with pre-ranking on must be byte-identical at
-# jobs=1 and jobs=4.
+# suite benchmark tuned as `artemisc explain --bench` tunes it, and the
+# iterative ones deep-tuned with temporal degrees up to 4, must end in
+# the same plans at the same TFLOPS under default pre-ranking as with
+# every candidate measured, from strictly fewer measurements; every
+# candidate the uncut search measured must respect the sketch floor;
+# and the decision journal with pre-ranking on must be byte-identical
+# at jobs=1 and jobs=4.
 model-smoke:
 	dune exec bench/main.exe -- model-smoke
 

@@ -779,54 +779,82 @@ let tuner_smoke () =
    pre-ranking on must be byte-identical between jobs=1 and jobs=4. *)
 let model_smoke () =
   header "model smoke: pre-rank cut vs every candidate measured, suite x devices";
-  (* Every chosen plan and its TFLOPS, in tuning order, and the analytic
-     measurements spent choosing them. *)
-  let tune_suite pct device =
+  (* Every chosen plan and its TFLOPS, in tuning order, the analytic
+     measurements spent choosing them, and the exact / sketch score
+     ratio of every candidate they measured. *)
+  let tune_suite pct tune =
     with_jobs 2 (fun () ->
         Artemis.Measure_cache.clear ();
         let before = Artemis.Metrics.counter_value m_measures in
         let chosen =
           List.concat_map
             (fun (b : Suite.t) ->
-              let tune k =
-                Artemis.optimize_kernel ~device ~iterative:b.iterative ~prerank_keep:pct k
-              in
-              let tuned = List.map (fun k -> (tune k).tuned) (Suite.kernels b) in
-              let deep =
-                if b.iterative then
-                  List.map
-                    (fun (v : Artemis.Deep.version) -> v.record.best)
-                    (Artemis.deep_tune ~device ~prerank_keep:pct b.prog).deep.versions
-                else []
-              in
               List.map
                 (fun (m : Artemis.Analytic.measurement) ->
                   Printf.sprintf "%s %s %.17g" b.name (Plan.label m.plan) m.tflops)
-                (tuned @ deep))
+                (tune pct b))
             Suite.all
         in
-        (chosen, Artemis.Metrics.counter_value m_measures -. before))
+        let ratios =
+          List.map
+            (fun (m : Artemis.Analytic.measurement) ->
+              Artemis.Predict.exact_score m /. fst (Artemis.Predict.rank m.plan))
+            (Artemis.Measure_cache.measurements ())
+        in
+        (chosen, Artemis.Metrics.counter_value m_measures -. before, ratios))
+  in
+  let deep_bests (r : Artemis.deep_result) =
+    List.map (fun (v : Artemis.Deep.version) -> v.record.best) r.deep.versions
+  in
+  (* As `artemisc explain --bench` tunes each benchmark... *)
+  let suite device pct (b : Suite.t) =
+    let tune k =
+      (Artemis.optimize_kernel ~device ~iterative:b.iterative ~prerank_keep:pct k).tuned
+    in
+    List.map tune (Suite.kernels b)
+    @ if b.iterative then deep_bests (Artemis.deep_tune ~device ~prerank_keep:pct b.prog)
+      else []
+  in
+  (* ...and with temporal blocking to degree 4 on the iterative ones,
+     where the degrees multiply the candidates. *)
+  let temporal device pct (b : Suite.t) =
+    if b.iterative then
+      deep_bests (Artemis.deep_tune ~device ~max_degree:4 ~prerank_keep:pct b.prog)
+    else []
+  in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        prerr_endline ("model-smoke FAILED: " ^ m);
+        exit 1)
+      fmt
   in
   List.iter
     (fun (alias, device) ->
-      let off, n_off = tune_suite 100.0 device in
-      let on, n_on = tune_suite Artemis.Hierarchical.default_prerank_keep device in
-      Printf.printf "%-5s measures %6.0f -> %6.0f  %d choices\n%!" alias n_off n_on
-        (List.length on);
-      List.iter2
-        (fun a b ->
-          if a <> b then begin
-            Printf.eprintf
-              "model-smoke FAILED: %s choice changed under pre-rank (%s vs %s)\n" alias a b;
-            exit 1
-          end)
-        off on;
-      if n_on >= n_off then begin
-        Printf.eprintf
-          "model-smoke FAILED: %s pre-rank saved no measurements (%.0f >= %.0f)\n"
-          alias n_on n_off;
-        exit 1
-      end)
+      List.iter
+        (fun (what, tune) ->
+          let off, n_off, ratios = tune_suite 100.0 (tune device) in
+          let on, n_on, _ =
+            tune_suite Artemis.Hierarchical.default_prerank_keep (tune device)
+          in
+          let least = List.fold_left Float.min infinity ratios in
+          Printf.printf
+            "%-5s %-8s measures %6.0f -> %6.0f  %d choices  least exact/sketch %.4f\n%!"
+            alias what n_off n_on (List.length on) least;
+          List.iter2
+            (fun a b ->
+              if a <> b then
+                fail "%s %s choice changed under pre-rank (%s vs %s)" alias what a b)
+            off on;
+          if n_on >= n_off then
+            fail "%s %s pre-rank saved no measurements (%.0f >= %.0f)" alias what n_on
+              n_off;
+          (* The floor the error bound stops on must hold for every
+             candidate the uncut search measured. *)
+          if not (List.for_all (fun r -> r >= Artemis.Predict.sketch_floor) ratios) then
+            fail "%s %s exact/sketch score %.4f below the sketch floor %g" alias what least
+              Artemis.Predict.sketch_floor)
+        [ ("suite", suite); ("degree-4", temporal) ])
     Artemis.Device.registry;
   let k = List.hd (Suite.kernels (Suite.at_size 32 (Suite.find "7pt-smoother"))) in
   (* Journal byte-identity at jobs=1 vs jobs=4 with pre-ranking on: the
@@ -845,12 +873,8 @@ let model_smoke () =
   in
   let serial = journal_with 1 and fanned = journal_with 4 in
   Printf.printf "journal jobs=1 vs jobs=4 identical %b\n%!" (serial = fanned);
-  if serial <> fanned then begin
-    prerr_endline
-      "model-smoke FAILED: journal differs between jobs=1 and jobs=4 with \
-       pre-ranking on";
-    exit 1
-  end
+  if serial <> fanned then
+    fail "journal differs between jobs=1 and jobs=4 with pre-ranking on"
 
 (* ------------------------------------------------------------------ *)
 (* Executor agreement: reference executor vs block executor             *)

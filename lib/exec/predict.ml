@@ -31,3 +31,18 @@ let rank (p : Plan.t) =
   let t = (Timing.evaluate p.device w).t_total in
   let useful = w.counters.useful_flops in
   ((if useful > 0.0 then t /. useful else t), t)
+
+(** Lower bound on [exact_score m / fst (rank m.plan)] over the tuner's
+    candidates: the sketch's error floor.  Calibrated, not a knob: the
+    least ratio seen is 0.8273 (model-smoke spatial candidates on the
+    P100) across every registry device, the temporal degrees to 4 and
+    the pricing pin's candidate set (docs/MODEL.md), and `make
+    model-smoke` and the rank-fidelity test fail if a candidate falls
+    below it. *)
+let sketch_floor = 0.82
+
+(** The measured counterpart of [rank]'s score: seconds per useful FLOP,
+    read off the TFLOPS so that a larger exact score always means a
+    strictly smaller TFLOPS; infinity for a plan doing no useful work. *)
+let exact_score (m : Analytic.measurement) =
+  if m.tflops > 0.0 then 1e-12 /. m.tflops else infinity

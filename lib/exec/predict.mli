@@ -11,3 +11,15 @@
     unlaunchable plan means nothing.  Pure and deterministic: safe to
     evaluate in worker domains. *)
 val rank : Artemis_ir.Plan.t -> float * float
+
+(** The sketch's error floor: a calibrated lower bound on
+    [exact_score m /. fst (rank m.plan)] over measured candidates.  A
+    candidate whose score times the floor exceeds a measured plan's
+    exact score cannot beat that plan, so the tuner stops measuring
+    there (docs/MODEL.md). *)
+val sketch_floor : float
+
+(** The measured counterpart of [rank]'s score: seconds per useful FLOP
+    from the measurement's TFLOPS (a larger score is always a strictly
+    smaller TFLOPS); infinity when it does no useful work. *)
+val exact_score : Analytic.measurement -> float

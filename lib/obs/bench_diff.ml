@@ -35,6 +35,8 @@ let higher_better key =
   || key = "measurements_saved_pct"
   || (String.length key >= 7 && String.sub key 0 7 = "speedup")
 
+let lower_better key = key = "analytic_measures"
+
 (* Walk OLD and NEW in lockstep, collecting indicator leaves.  The meta
    subtree (and legacy top-level schema_version) is provenance, not a
    measurement. *)
@@ -62,8 +64,8 @@ let rec collect path old_v new_v acc =
   | Json.Bool _ | Json.Int _ | Json.Float _ ->
     let key = match path with k :: _ -> k | [] -> "" in
     let is_num = match old_v with Json.Bool _ -> false | _ -> true in
-    if (is_num && higher_better key) || not is_num then
-      (String.concat "." (List.rev path), old_v, new_v) :: acc
+    if (is_num && (higher_better key || lower_better key)) || not is_num then
+      (String.concat "." (List.rev path), lower_better key, old_v, new_v) :: acc
     else acc
   | Json.Null | Json.Str _ -> acc
 
@@ -72,7 +74,7 @@ let number = function
   | Json.Float f -> Some f
   | _ -> None
 
-let judge ~threshold_pct (path, old_value, new_v) =
+let judge ~threshold_pct (path, lower, old_value, new_v) =
   match new_v with
   | None ->
     { path; old_value; new_value = Json.Null; delta_pct = None; status = Missing }
@@ -84,10 +86,16 @@ let judge ~threshold_pct (path, old_value, new_v) =
     | _ -> (
       match (number old_value, number new_value) with
       | Some o, Some n ->
-        let delta_pct = if o = 0.0 then 0.0 else (n -. o) /. o *. 100.0 in
+        let delta_pct =
+          if o <> 0.0 then (n -. o) /. o *. 100.0
+          else if n = 0.0 then 0.0
+          else Float.copy_sign infinity n
+        in
+        (* Positive when the indicator got better. *)
+        let gain = if lower then -.delta_pct else delta_pct in
         let status =
-          if delta_pct < -.threshold_pct then Regression
-          else if delta_pct > threshold_pct then Improved
+          if gain < -.threshold_pct then Regression
+          else if gain > threshold_pct then Improved
           else Ok
         in
         { path; old_value; new_value; delta_pct = Some delta_pct; status }

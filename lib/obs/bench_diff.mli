@@ -10,6 +10,9 @@
     - numeric ["tflops"], ["dram_traffic_reduction"],
       ["measurements_saved_pct"], or any key starting with ["speedup"]:
       higher is better; a drop past the threshold is a regression;
+    - numeric ["analytic_measures"] (the measurements a tuner config
+      spent): lower is better; a rise past the threshold, or any rise
+      from 0, is a regression;
     - boolean keys (e.g. ["plans_equal"], ["outputs_equal"]): a
       [true -> false] flip is a regression regardless of threshold.
 

@@ -67,7 +67,6 @@ let run_report r =
   let pruned = List.filter (fun c -> decision c = "lint-pruned") cands in
   let static_pruned = List.filter (fun c -> decision c = "static-pruned") cands in
   let prerank_pruned = List.filter (fun c -> decision c = "prerank-pruned") cands in
-  let failed = List.filter (fun c -> decision c = "failed") cands in
   let cache_count v =
     List.length (List.filter (fun c -> str "cache" c = Some v) cands)
   in
@@ -108,7 +107,6 @@ let run_report r =
              in
              entry "lost" [ ("margin_pct", Json.Float margin) ] c)
            rest)
-    @ List.map (entry "failed" []) failed
     @ List.map (entry "lint-pruned" []) pruned
     @ List.map (entry "static-pruned" []) static_pruned
     @ List.map (entry "prerank-pruned" []) prerank_pruned
@@ -176,7 +174,6 @@ let run_report r =
       ("lint_pruned", Json.Int (List.length pruned));
       ("static_pruned", Json.Int (List.length static_pruned));
       ("prerank_pruned", Json.Int (List.length prerank_pruned));
-      ("failed", Json.Int (List.length failed));
       ("cache_hits", Json.Int hits); ("cache_misses", Json.Int misses);
       ("prunes_by_code", Json.Obj prunes);
       ("static_prunes_by_code", Json.Obj static_prunes);
@@ -302,7 +299,6 @@ let report ?program events =
             ("lint_pruned", Json.Int (total "lint_pruned"));
             ("static_pruned", Json.Int (total "static_pruned"));
             ("prerank_pruned", Json.Int (total "prerank_pruned"));
-            ("failed", Json.Int (total "failed"));
             ("cache_hits", Json.Int hits); ("cache_misses", Json.Int misses);
             ( "cache_hit_rate",
               Json.Float
@@ -332,13 +328,13 @@ let render doc =
   | Json.Obj _ as s ->
     Printf.bprintf b
       "summary: %g tuner run(s), %g candidate(s) — %g measured, %g \
-       lint-pruned, %g static-pruned, %g prerank-pruned, %g failed; cache %g \
+       lint-pruned, %g static-pruned, %g prerank-pruned; cache %g \
        hit / %g miss (%.1f%% hit rate)\n"
       (num_or "tuner_runs" s 0.0) (num_or "candidates" s 0.0)
       (num_or "measured" s 0.0) (num_or "lint_pruned" s 0.0)
       (num_or "static_pruned" s 0.0)
       (num_or "prerank_pruned" s 0.0)
-      (num_or "failed" s 0.0) (num_or "cache_hits" s 0.0)
+      (num_or "cache_hits" s 0.0)
       (num_or "cache_misses" s 0.0)
       (100.0 *. num_or "cache_hit_rate" s 0.0)
   | _ -> ());
@@ -380,11 +376,29 @@ let render doc =
       (match Option.bind (Json.member "prerank" r) Json.to_list_opt with
       | Some ((_ :: _) as ps) ->
         let sum k = List.fold_left (fun a p -> a +. num_or k p 0.0) 0.0 ps in
+        let stops =
+          List.filter_map
+            (fun p ->
+              match Json.member "stopped_at" p with
+              | Some (Json.Obj _ as at) -> Some at
+              | _ -> None)
+            ps
+        in
         Printf.bprintf b
           "  prerank: model kept %g of %g candidate(s) for measurement (keep \
-           %g%%)\n"
+           %g%%), measured %g; the error bound (floor %g) stopped %d of %d \
+           phase(s)%s\n"
           (sum "kept") (sum "candidates")
           (num_or "keep_pct" (List.hd ps) 0.0)
+          (sum "measured")
+          (num_or "floor" (List.hd ps) 0.0)
+          (List.length stops) (List.length ps)
+          (match stops with
+           | at :: _ ->
+             Printf.sprintf ", first at %s (score %s, k-th best %s)"
+               (str_or "plan" at "?") (g (num_or "score" at 0.0))
+               (g (num_or "kth_best" at 0.0))
+           | [] -> "")
       | _ -> ());
       let ranked =
         match Option.bind (Json.member "ranked" r) Json.to_list_opt with

@@ -51,9 +51,10 @@ let m_configs_prerank_pruned = Metrics.counter "tuner.configs_prerank_pruned"
 
 (* Pre-ranking: before paying a full analytic measurement per candidate,
    score every launchable candidate with the measurement-free one-block
-   sketch ([Predict.rank]) and only measure the slice predicted fastest.
-   The knobs' [prerank_keep] is the percentage kept; >= 100 disables
-   the filter.
+   sketch ([Predict.rank]) and only measure the slice predicted fastest,
+   best first, until the sketch's error floor proves no later candidate
+   can win.  The knobs' [prerank_keep] is the percentage kept, the
+   ceiling on what is measured; >= 100 disables the filter.
    The default is calibrated on the committed benchmark suite: the
    chosen plan is unchanged while most measurements are skipped (gated
    by [prerank_plan_equal] in BENCH_tuner.json and `make model-smoke`). *)
@@ -77,9 +78,13 @@ type outcome =
    candidate index, so the kept set is order-deterministic.  With the
    filter off ([pct] >= 100) or trivial (one candidate) every launchable
    candidate is kept, unscored.  Per candidate, in order: [Ok] the kept
-   plan with its predicted seconds when ranked, or [Error] the outcome
-   already decided. *)
+   plan with its [Predict.rank] (score, predicted seconds) when ranked,
+   or [Error] the outcome already decided. *)
 let ranks ~pct n = pct < 100.0 && n > 1
+
+(* Predicted order: score, then candidate index. *)
+let by_score ((a : float), (i : int)) (b, j) =
+  match compare a b with 0 -> compare i j | c -> c
 
 let gate ~pct ~label plans =
   let n = List.length plans in
@@ -98,8 +103,7 @@ let gate ~pct ~label plans =
     let keep_n = max 1 (int_of_float (ceil (float_of_int n *. pct /. 100.0))) in
     List.mapi (fun i g -> (i, g)) gated
     |> List.filter_map (function i, Ok (_, Some (s, _)) -> Some (s, i) | _, _ -> None)
-    |> List.sort (fun ((a : float), i) (b, j) ->
-           match compare a b with 0 -> compare i j | c -> c)
+    |> List.sort by_score
     |> List.iteri (fun rank (_, i) -> if rank < keep_n then keep.(i) <- true)
   end;
   List.mapi
@@ -107,8 +111,74 @@ let gate ~pct ~label plans =
       match g with
       | Error f -> Error (Lint_pruned f)
       | Ok (_, Some (_, t)) when not keep.(i) -> Error (Prerank_pruned t)
-      | Ok (v, predicted) -> Ok (v, Option.map snd predicted))
+      | Ok kept -> Ok kept)
     gated
+
+(* Where the error bound stopped a batch: the candidate's index, its
+   score, and the k-th best exact score it could not beat. *)
+type stop = { index : int; score : float; kth_best : float }
+
+(* Ranked candidates are measured in waves of this many, fanned out on
+   the pool.  A constant, not the job count, so the measured set does
+   not depend on [-j]; each wave is checked against the bound as it
+   stood when the wave began, so a batch costs at most [wave - 1]
+   measurements past a one-at-a-time stop. *)
+let wave = 4
+
+(* Judge the kept candidates of a gated batch.  Ranked candidates are
+   judged in [wave]s, best-predicted first (score, then index).  A wave
+   ends before the first candidate whose score times
+   [Predict.sketch_floor] exceeds the k-th best exact score judged so
+   far: no candidate from there on can reach the top [k] (the floor
+   bounds every exact score from below by that product), so the rest
+   are pruned as [Prerank_pruned].  The judged set is a prefix of the
+   predicted order, fixed by the model and [wave] alone, so it does not
+   depend on the pool.  An unranked batch is judged whole on the pool.
+   Per candidate, in canonical order: [Ok] what [judge] returned, or
+   [Error] the outcome decided without it; plus the stop, if the bound
+   fired. *)
+let judge_bounded ~k ~label judge exact gated =
+  let ranked =
+    List.mapi (fun i g -> (i, g)) gated
+    |> List.filter_map (function i, Ok (v, Some (s, t)) -> Some ((s, i), (v, t)) | _ -> None)
+    |> List.sort (fun (a, _) (b, _) -> by_score a b)
+  in
+  match ranked with
+  | [] -> (Pool.map ~label (Result.map (fun (v, _) -> judge v None)) gated, None)
+  | _ ->
+    (* A ranked batch scored every kept candidate, so [measure] fills
+       each [Ok] slot, judged or pruned. *)
+    let out = Array.of_list (List.map (Result.map (fun _ -> None)) gated) in
+    let best = ref [] (* the k best exact scores so far, ascending *) in
+    let rec measure todo =
+      let kth_best = Option.value ~default:infinity (List.nth_opt !best (k - 1)) in
+      let rec split n = function
+        | ((score, _), _) :: _ as rest when n = 0 || score *. Predict.sketch_floor > kth_best
+          -> ([], rest)
+        | c :: rest ->
+          let now, later = split (n - 1) rest in
+          (c :: now, later)
+        | [] -> ([], [])
+      in
+      match split wave todo with
+      | [], [] -> None
+      | [], (((score, index), _) :: _ as pruned) ->
+        List.iter (fun ((_, i), (_, t)) -> out.(i) <- Error (Prerank_pruned t)) pruned;
+        Some { index; score; kth_best }
+      | now, later ->
+        List.iter2
+          (fun ((_, index), _) o ->
+            Option.iter
+              (fun e ->
+                best := List.filteri (fun i _ -> i < k) (List.merge compare [ e ] !best))
+              (exact o);
+            out.(index) <- Ok (Some o))
+          now
+          (Pool.map ~label (fun (_, (v, t)) -> judge v (Some t)) now);
+        measure later
+    in
+    let stop = measure ranked in
+    (Array.to_list (Array.map (Result.map Option.get) out), stop)
 
 (* The rest of considering a kept candidate — the static race lint and
    the measurement through the cache — is pure and side-effect-light,
@@ -116,17 +186,15 @@ let gate ~pct ~label plans =
    decisions, journal, best-so-far folds) stays on the main domain,
    applied in canonical candidate order so parallel runs are
    bit-identical to serial ones. *)
-let judge = function
-  | Error decided -> decided
-  | Ok (v, predicted) -> (
-    (* The static race detector (A703) prunes like a launch error: a
-       plan whose fan-out would execute a proven dependence out of order
-       is not a measurable configuration. *)
-    match Lint.static_plan_errors (v : Validate.valid :> Plan.t) with
-    | f :: _ -> Static_pruned f
-    | [] ->
-      let m, cache = Measure_cache.try_measure_outcome v in
-      Measured (m, cache, predicted))
+let judge v predicted =
+  (* The static race detector (A703) prunes like a launch error: a plan
+     whose fan-out would execute a proven dependence out of order is not
+     a measurable configuration. *)
+  match Lint.static_plan_errors (v : Validate.valid :> Plan.t) with
+  | f :: _ -> Static_pruned f
+  | [] ->
+    let m, cache = Measure_cache.try_measure_outcome v in
+    Measured (m, cache, predicted)
 
 (* One journal event per temporally-blocked configuration considered: the
    degree, halo policy, and buffer strategy with the tuner's verdict.
@@ -415,24 +483,41 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
         history := (Plan.label m.plan, m.tflops) :: !history;
       better acc m
   in
-  (* Gate and pre-rank the batch, fan the judging out, then fold the
-     outcomes on this domain in the candidates' canonical order — same
-     accounting, same winner, and the same tie-breaking as a serial
-     sweep.  The [tuner.prerank] summary, the metrics and every journal
-     event happen here on the main domain, so jobs=1 and jobs=N runs
-     stay byte-identical. *)
+  (* Gate and pre-rank the batch, judge the kept candidates under the
+     error bound, then fold the outcomes on this domain in the
+     candidates' canonical order — same accounting, same winner, and
+     the same tie-breaking as a serial sweep.  The [tuner.prerank]
+     summary, the metrics and every journal event happen here on the
+     main domain, so jobs=1 and jobs=N runs stay byte-identical. *)
   let consider_all ~phase ~label acc plans =
     let verdicts = gate ~pct:knobs.prerank_keep ~label:(label ^ ".predict") plans in
+    let judged, stop =
+      judge_bounded ~k:1 ~label judge
+        (function Measured (m, _, _) -> Some (Predict.exact_score m) | _ -> None)
+        verdicts
+    in
+    let outcomes = List.map (function Ok o | Error o -> o) judged in
     let n = List.length plans in
     if Journal.enabled () && ranks ~pct:knobs.prerank_keep n then begin
-      let count f = List.length (List.filter f verdicts) in
+      let count f l = List.length (List.filter f l) in
       Journal.append "tuner.prerank"
         [ ("phase", Json.Str phase); ("candidates", Json.Int n);
-          ("kept", Json.Int (count Result.is_ok));
-          ("pruned", Json.Int (count (function Error (Prerank_pruned _) -> true | _ -> false)));
-          ("keep_pct", Json.Float knobs.prerank_keep) ]
+          ("kept", Json.Int (count Result.is_ok verdicts));
+          ( "pruned",
+            Json.Int
+              (count (function Error (Prerank_pruned _) -> true | _ -> false) verdicts) );
+          ("keep_pct", Json.Float knobs.prerank_keep);
+          ("floor", Json.Float Predict.sketch_floor);
+          ( "measured",
+            Json.Int (count (function Measured _ -> true | _ -> false) outcomes) );
+          ( "stopped_at",
+            match stop with
+            | None -> Json.Null
+            | Some { index; score; kth_best } ->
+              Json.Obj
+                [ ("plan", Json.Str (Plan.label (List.nth plans index)));
+                  ("score", Json.Float score); ("kth_best", Json.Float kth_best) ] ) ]
     end;
-    let outcomes = Pool.map ~label judge verdicts in
     List.fold_left2 (consider_result ~phase) acc plans outcomes
   in
   Metrics.incr m_tuner_runs;
@@ -481,22 +566,26 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
           ("phase1_tflops", Float p1_best.tflops) ]
     @@ fun () ->
     let top =
-      (* Phase-1 already measured these (block, p1-best-unroll) points, so
-         this re-ranking is all cache hits.  The sort must be stable:
-         equal-TFLOPS blocks keep their canonical candidate order, which
-         is what makes the promoted set independent of measurement
-         completion order. *)
+      (* Phase 1 measured the best-predicted of these (block,
+         p1-best-unroll) points, so those re-measure as cache hits.  The
+         sort must be stable: equal-TFLOPS blocks keep their canonical
+         candidate order, which is what makes the promoted set
+         independent of measurement order. *)
       let cands =
         List.map (fun block -> { base with block; unroll = p1_best.plan.unroll }) blocks
       in
-      (* The re-rank passes the same gate and pays the same filtered
-         budget: only the launchable blocks the model rates survive to a
-         measurement.  The cut depends on nothing but the candidates and
+      (* The re-rank passes the same gate and the same error bound, here
+         against the [top_n]-th best: only the launchable blocks the
+         model rates are measured, and only until no later one can enter
+         the top [top_n].  Both depend on nothing but the candidates and
          the model, so cold and warm runs promote the same set. *)
       let measured =
         gate ~pct:knobs.prerank_keep ~label:"tune.top.predict" cands
-        |> List.filter_map (function Ok (v, _) -> Some v | Error _ -> None)
-        |> Pool.map ~label:"tune.top" (fun v -> fst (Measure_cache.try_measure_outcome v))
+        |> judge_bounded ~k:knobs.top_n ~label:"tune.top"
+             (fun v _ -> fst (Measure_cache.try_measure_outcome v))
+             (fun m -> Some (Predict.exact_score m))
+        |> fst
+        |> List.filter_map Result.to_option
       in
       List.stable_sort
         (fun (a : Analytic.measurement) b -> compare b.tflops a.tflops)

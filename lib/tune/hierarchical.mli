@@ -30,7 +30,10 @@ type knobs = {
           explored only when the base plan names its ping-pong pair *)
   prerank_keep : float;
       (** percentage of each candidate batch the pre-rank ([Predict])
-          keeps for measurement; >= 100 measures every candidate *)
+          keeps for measurement, the most it measures: kept candidates
+          are measured best-predicted first, until the sketch's error
+          floor ([Predict.sketch_floor]) proves no later one can win;
+          >= 100 measures every candidate *)
 }
 
 val default_knobs : knobs

@@ -135,6 +135,10 @@ let try_measure_outcome (valid : Artemis_ir.Validate.valid) =
         end);
     (r, `Miss)
 
+(** Every in-memory measurement, in no particular order. *)
+let measurements () =
+  Mutex.protect lock (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) table [])
+
 (** Drop every in-memory entry (the on-disk store is left alone). *)
 let clear () = Mutex.protect lock (fun () -> Hashtbl.reset table)
 

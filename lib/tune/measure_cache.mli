@@ -34,6 +34,10 @@ val set_dir : string -> unit
     directory (or none). *)
 val with_dir : string -> (unit -> 'a) -> 'a
 
+(** Every in-memory measurement, in no particular order: what the runs
+    since the last [clear] measured or loaded from disk. *)
+val measurements : unit -> Artemis_exec.Analytic.measurement list
+
 (** Drop all in-memory entries; the on-disk store is untouched. *)
 val clear : unit -> unit
 

@@ -13,10 +13,10 @@
 
 let pins =
   [
-    ("--bench 7pt-smoother", "75b527c4eeedb3b8649f52f861183f19");
-    ("--bench 7pt-smoother --prerank-keep 100", "f69208d944bcd7fef89b6030709c9e43");
-    ("--bench rhs4sgcurv --device v100", "41dd1b87d627e142c417f7a534ce4277");
-    ("--bench 27pt-smoother --max-degree 4", "1482a0ef30993d3a3830e4a7c4fd123a");
+    ("--bench 7pt-smoother", "d29211ee53cde669e4afcc962e563f26");
+    ("--bench 7pt-smoother --prerank-keep 100", "d07608686531db4ffcec77e8dabb0eb5");
+    ("--bench rhs4sgcurv --device v100", "2f5ad9d30eff23692a5eee242fc59708");
+    ("--bench 27pt-smoother --max-degree 4", "ed66f2586832f91a54b01f5af1aa1adb");
   ]
 
 let tests =

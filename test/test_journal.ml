@@ -153,14 +153,13 @@ let tests =
           let measured = int_of (field "measured" s) in
           let pruned = int_of (field "lint_pruned" s) in
           let prerank_pruned = int_of (field "prerank_pruned" s) in
-          let failed = int_of (field "failed" s) in
           Alcotest.(check bool) "tuner saw candidates" true (candidates > 0);
           Alcotest.(check bool) "prerank pruned candidates" true
             (prerank_pruned > 0);
           Alcotest.(check int)
-            "measured + pruned + prerank-pruned + failed = candidates"
+            "measured + pruned + prerank-pruned = candidates"
             candidates
-            (measured + pruned + prerank_pruned + failed);
+            (measured + pruned + prerank_pruned);
           Alcotest.(check int) "every measurement has a cache outcome" measured
             (int_of (field "cache_hits" s) + int_of (field "cache_misses" s));
           (* The report must also render without raising. *)
@@ -236,6 +235,21 @@ let tests =
             (List.exists
                (fun c -> c.Bench_diff.status = Bench_diff.Missing)
                r.Bench_diff.checks))
+      ;
+      case "bench-diff: analytic measurements gate lower-is-better" (fun () ->
+          let doc n =
+            Json.Obj
+              [ ( "configs",
+                  Json.List [ Json.Obj [ ("analytic_measures", Json.Float n) ] ] ) ]
+          in
+          Alcotest.(check bool) "fewer measurements pass" true
+            (Bench_diff.passed (diff (doc 433.0) (doc 0.0)));
+          Alcotest.(check bool) "15% more measurements fail" false
+            (Bench_diff.passed (diff (doc 100.0) (doc 115.0)));
+          Alcotest.(check bool) "5% more measurements pass" true
+            (Bench_diff.passed (diff (doc 100.0) (doc 105.0)));
+          Alcotest.(check bool) "any rise from 0 fails" false
+            (Bench_diff.passed (diff (doc 0.0) (doc 1.0))))
       ;
       case "bench-diff: wall seconds are not gated" (fun () ->
           let old_doc = bench_doc ~time_s:1.0 () in

@@ -78,7 +78,10 @@ let tests =
                   let score, _ = Predict.rank sp in
                   let useful = m.counters.useful_flops in
                   if Float.is_finite score && useful > 0.0 then
-                    Some (sp.temporal.degree > 1, (score, m.time_s /. useful))
+                    Some
+                      ( sp.temporal.degree > 1,
+                        (score, m.time_s /. useful),
+                        Predict.exact_score m /. score )
                   else None)
               (List.filter snd (Test_pricing.candidates ()))
           in
@@ -91,9 +94,24 @@ let tests =
               (Printf.sprintf "%s: Spearman rho %.4f >= 0.99" what rho)
               true (rho >= 0.99)
           in
-          rho "all" (List.map snd pairs);
+          rho "all" (List.map (fun (_, s, _) -> s) pairs);
           rho "temporal"
-            (List.filter_map (fun (temporal, s) -> if temporal then Some s else None) pairs));
+            (List.filter_map (fun (temporal, s, _) -> if temporal then Some s else None) pairs);
+          (* The sketch-error ledger: the tuner stops measuring on the
+             floor, so no candidate's exact score may fall below the
+             floor times its sketch score. *)
+          let sorted = Array.of_list (List.sort compare (List.map (fun (_, _, r) -> r) pairs)) in
+          let at q = sorted.(int_of_float (q *. float_of_int (Array.length sorted - 1))) in
+          let temporal_min =
+            List.fold_left (fun a (t, _, r) -> if t then Float.min a r else a) infinity pairs
+          in
+          Printf.printf
+            "exact/sketch score over %d plans: min %.4f, p1 %.4f, median %.4f; temporal min %.4f\n"
+            (Array.length sorted) sorted.(0) (at 0.01) (at 0.5) temporal_min;
+          Alcotest.(check bool)
+            (Printf.sprintf "min exact/sketch %.4f >= floor %g" sorted.(0) Predict.sketch_floor)
+            true
+            (sorted.(0) >= Predict.sketch_floor));
       case "more DRAM or L2 traffic never predicts faster" (fun () ->
           let w = jacobi_workload () in
           let t0 = time w in
