@@ -898,11 +898,10 @@ let copyouts (prog : Artemis.Ast.program) run =
     (fun n -> (n, Artemis_exec.Grid.copy (Artemis.Reference.find_array store n)))
     prog.copyout
 
-(* The reference executor's copyouts after [reps] runs of the schedule
-   under the executor [schedule]. *)
-let reference_copyouts ?schedule ?(reps = 1) (prog : Artemis.Ast.program) =
+(* The reference executor's copyouts after [reps] runs of the program's
+   instantiated schedule [sched] under the executor [schedule]. *)
+let reference_copyouts ?schedule ?(reps = 1) (prog : Artemis.Ast.program) sched =
   let scalars = Artemis.Reference.scalars_of_program prog in
-  let sched = I.schedule prog in
   copyouts prog (fun store ->
       for _ = 1 to reps do
         Artemis.Reference.run_schedule ?schedule store ~scalars sched
@@ -914,11 +913,12 @@ let block_copyouts ?schedule prog steps =
   copyouts prog (fun store ->
       ignore (Artemis.Runner.run_schedule ?schedule steps store ~scalars))
 
-(* One program end to end: the copyout grids of the reference executor
-   and of the block executor. *)
+(* One program end to end, instantiated once: the copyout grids of the
+   reference executor and of the block executor. *)
 let exec_run ?schedule prog =
-  let reference = reference_copyouts ?schedule prog in
-  let steps = Artemis.Runner.configure ~plan_of:exec_plan_of (I.schedule prog) in
+  let sched = I.schedule prog in
+  let reference = reference_copyouts ?schedule prog sched in
+  let steps = Artemis.Runner.configure ~plan_of:exec_plan_of sched in
   (reference, block_copyouts ?schedule prog steps)
 
 let outputs_equal a b =
@@ -984,9 +984,10 @@ let dependent_cases ~size2 ~size3 =
 (* Reference-executor copyouts after [reps] sweeps under each schedule
    must be bit-identical. *)
 let dependent_equal prog ~reps =
-  let wavefront = reference_copyouts ~reps prog in
+  let sched = I.schedule prog in
+  let wavefront = reference_copyouts ~reps prog sched in
   outputs_equal wavefront
-    (reference_copyouts ~schedule:Artemis.Eval.Interpret ~reps prog)
+    (reference_copyouts ~schedule:Artemis.Eval.Interpret ~reps prog sched)
 
 let dependent_rows ~size2 ~size3 ~reps =
   List.map
@@ -1043,24 +1044,22 @@ let rec shrink_blocked steps =
       | step -> step)
     steps
 
-let temporal_blocked_equal (b : Suite.t) ~size ~degree =
+(* [b] at [size], instantiated once, with its executor-configured steps. *)
+let configured (b : Suite.t) ~size =
   let prog = (Suite.at_size size b).prog in
-  let steps = Artemis.Runner.configure ~plan_of:exec_plan_of (I.schedule prog) in
+  (prog, Artemis.Runner.configure ~plan_of:exec_plan_of (I.schedule prog))
+
+let temporal_blocked_equal (prog, steps) ~degree =
   let plain = block_copyouts prog steps in
   outputs_equal plain
     (block_copyouts prog (shrink_blocked (Artemis.Runner.temporal_rewrite ~degree steps)))
 
-(* The degree-[degree] blocked schedule of [b] at [size] under the row
-   schedule, against the same blocked schedule under the point-wise
-   interpreter: whether the copyouts are identical, and the interior
-   and guarded points the row run swept. *)
-let temporal_rows_vs_interpreter (b : Suite.t) ~size ~degree =
-  let prog = (Suite.at_size size b).prog in
-  let blocked =
-    shrink_blocked
-      (Artemis.Runner.temporal_rewrite ~degree
-         (Artemis.Runner.configure ~plan_of:exec_plan_of (I.schedule prog)))
-  in
+(* The degree-[degree] blocked schedule of a [configured] program under
+   the row schedule, against the same blocked schedule under the
+   point-wise interpreter: whether the copyouts are identical, and the
+   interior and guarded points the row run swept. *)
+let temporal_rows_vs_interpreter (prog, steps) ~degree =
+  let blocked = shrink_blocked (Artemis.Runner.temporal_rewrite ~degree steps) in
   let m_int = Artemis.Metrics.counter "exec.interior_points" in
   let m_gd = Artemis.Metrics.counter "exec.guarded_points" in
   let int0 = Artemis.Metrics.counter_value m_int in
@@ -1113,7 +1112,7 @@ let temporal_equal_rows () =
   List.filter_map
     (fun (b : Suite.t) ->
       if b.iterative then
-        Some (b.name, temporal_blocked_equal b ~size:20 ~degree:4)
+        Some (b.name, temporal_blocked_equal (configured b ~size:20) ~degree:4)
       else None)
     Suite.all
 
@@ -1219,14 +1218,15 @@ let exec_smoke () =
 let tb_smoke () =
   header "temporal smoke: blocked exactness and degree selection (7pt-smoother)";
   let b = Suite.find "7pt-smoother" in
-  let equal = temporal_blocked_equal b ~size:16 ~degree:4 in
+  let run = configured b ~size:16 in
+  let equal = temporal_blocked_equal run ~degree:4 in
   Printf.printf "blocked outputs identical %b\n%!" equal;
   if not equal then begin
     prerr_endline
       "tb-smoke FAILED: blocked execution differs from the ping-pong schedule";
     exit 1
   end;
-  let rows_equal, interior, guarded = temporal_rows_vs_interpreter b ~size:16 ~degree:4 in
+  let rows_equal, interior, guarded = temporal_rows_vs_interpreter run ~degree:4 in
   Printf.printf
     "streamed rows identical to the interpreter %b; interior points swept %.0f, \
      guarded %.0f\n%!"

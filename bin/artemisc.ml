@@ -31,27 +31,26 @@ let exits =
             errors or a failed write.";
     Cmd.Exit.info Cmd.Exit.internal_error ~doc:"on an unexpected internal error (a bug)." ]
 
-(** Run a front-end step on [path], turning its failures into located
-    diagnostics (exit status 1) instead of uncaught exceptions. *)
-let diagnose path f =
-  try `Ok (f ()) with
-  | Artemis.Lexer.Lex_error (msg, line) ->
-    `Error (false, Printf.sprintf "%s:%d: lexical error: %s" path line msg)
-  | Artemis.Parser.Parse_error (msg, line) ->
-    `Error (false, Printf.sprintf "%s:%d: syntax error: %s" path line msg)
-  | Artemis.Check.Semantic_error msg ->
-    `Error (false, Printf.sprintf "%s: semantic error: %s" path msg)
-  | Artemis.Instantiate.Instantiation_error msg ->
-    `Error (false, Printf.sprintf "%s: instantiation error: %s" path msg)
-  | Sys_error msg -> `Error (false, msg)
+(** Every diagnostic of a rejected program, located in [path]. *)
+let rejected path ds =
+  `Error (false, String.concat "\n" (List.map (Artemis.Diagnostic.render path) ds))
 
-let read_program path = diagnose path (fun () -> Artemis.parse_file path)
+(** The one reader: [k] gets [Frontend.program] on [path]'s text, a
+    checked program or its semantic diagnostics.  An unreadable file and
+    a lexical or syntax error end the command (exit status 1). *)
+let read_program path k =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | exception Sys_error msg -> `Error (false, msg)
+  | src -> (
+    match Artemis.Frontend.program src with
+    | Error ds
+      when List.exists (fun (d : Artemis.Diagnostic.t) -> d.phase <> Semantic) ds ->
+      rejected path ds
+    | checked -> k checked)
 
-(** Parse only — no semantic check.  [check] and [lint] run
-    [Check.check_all] themselves so they can report every violation. *)
-let read_unchecked path =
-  diagnose path (fun () ->
-      Artemis.Parser.parse_program (In_channel.with_open_bin path In_channel.input_all))
+(** [read_program] for the commands that need a checked program. *)
+let with_program path k =
+  read_program path (function Ok prog -> k prog | Error ds -> rejected path ds)
 
 let path_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"PROG.stc"
@@ -229,13 +228,12 @@ let kernels_of prog = Artemis.Instantiate.kernels (Artemis.Instantiate.schedule 
 (** Findings for one program — shared by [lint] and [analyze] so the two
     commands agree byte-for-byte on which findings a program carries (and
     therefore on their exit status: non-zero iff any Error-level
-    finding).  Semantic failures short-circuit into A0xx findings; with
-    [~plan] the baseline pragma plan of every scheduled kernel is linted
-    too. *)
-let findings_of ~device ~plan prog =
-  match Artemis.Check.check_all prog with
-  | _ :: _ as msgs -> Artemis.Lint.semantic_findings msgs
-  | [] ->
+    finding).  Semantic diagnostics become A001 findings at [name], with
+    nothing instantiated; with [~plan] the baseline pragma plan of every
+    scheduled kernel is linted too. *)
+let findings_of ~device ~plan name = function
+  | Error ds -> Artemis.Lint.semantic_findings ~location:name ds
+  | Ok prog ->
     Artemis.Lint.lint_program prog
     @ (if plan then
          List.concat_map
@@ -251,20 +249,17 @@ let findings_of ~device ~plan prog =
 let check_cmd =
   let run trace path =
     with_trace trace @@ fun () ->
-    match read_unchecked path with
-    | `Ok prog -> (
-      match Artemis.Check.check_all prog with
-      | [] ->
-        let n_kernels =
-          Artemis.Instantiate.launch_count (Artemis.Instantiate.schedule prog)
-        in
-        Printf.printf "%s: OK (%d stencil(s), %d launch(es))\n" path
-          (List.length prog.stencils) n_kernels;
-        `Ok ()
-      | msgs ->
-        List.iter (fun m -> Printf.printf "%s: semantic error: %s\n" path m) msgs;
-        `Error (false, Printf.sprintf "%d semantic error(s)" (List.length msgs)))
-    | `Error _ as e -> e
+    read_program path @@ function
+    | Ok prog ->
+      let n_kernels =
+        Artemis.Instantiate.launch_count (Artemis.Instantiate.schedule prog)
+      in
+      Printf.printf "%s: OK (%d stencil(s), %d launch(es))\n" path
+        (List.length prog.stencils) n_kernels;
+      `Ok ()
+    | Error ds ->
+      List.iter (fun d -> print_endline (Artemis.Diagnostic.render path d)) ds;
+      `Error (false, Printf.sprintf "%d semantic error(s)" (List.length ds))
   in
   Cmd.v
     (Cmd.info "check" ~exits
@@ -304,7 +299,7 @@ let lint_cmd =
     if suite then
       let findings =
         List.concat_map
-          (fun (b : Artemis.Suite.t) -> findings_of ~device ~plan b.prog)
+          (fun (b : Artemis.Suite.t) -> findings_of ~device ~plan b.name (Ok b.prog))
           Artemis.Suite.all
       in
       (if (not json) && findings = [] then
@@ -313,10 +308,9 @@ let lint_cmd =
     else
       match path with
       | None -> `Error (true, "PROG.stc required unless --suite is given")
-      | Some path -> (
-        match read_unchecked path with
-        | `Ok prog -> emit_and_status json (findings_of ~device ~plan prog)
-        | `Error _ as e -> e)
+      | Some path ->
+        read_program path (fun checked ->
+            emit_and_status json (findings_of ~device ~plan path checked))
   in
   Cmd.v
     (Cmd.info "lint" ~exits
@@ -369,40 +363,11 @@ let analyze_cmd =
   let delta_str d = Printf.sprintf "(%s)" (vec_str d) in
   (* Per-statement facts of one instantiated kernel: write target,
      in-bounds footprint over the domain, and the self-dependence
-     verdict.  Accesses mirror the executed guard: the write plus every
-     array read; temps live on domain-shaped registers. *)
+     verdict. *)
   let kernel_stmts (k : Artemis.Instantiate.kernel) =
-    let temps = Hashtbl.create 4 in
-    let dims_of a =
-      if Hashtbl.mem temps a then k.domain
-      else match List.assoc_opt a k.arrays with
-        | Some d -> d
-        | None -> k.domain
-    in
-    let domain_box = Array.map (fun n -> (0, n - 1)) k.domain in
-    let identity_idx =
-      List.map (fun it -> { Artemis.Ast.iter = Some it; shift = 0 }) k.iters
-    in
     List.mapi
-      (fun si st ->
-        let target, idx, e =
-          match st with
-          | Artemis.Ast.Decl_temp (t, e) ->
-            Hashtbl.replace temps t ();
-            (t, identity_idx, e)
-          | Artemis.Ast.Assign (a, idx, e) | Artemis.Ast.Accum (a, idx, e) ->
-            (a, idx, e)
-        in
-        let accesses =
-          (dims_of target, St.spec_of_index ~iters:k.iters idx)
-          :: List.map
-               (fun (arr, idx') ->
-                 (dims_of arr, St.spec_of_index ~iters:k.iters idx'))
-               (Artemis.Ast.reads_of_expr e)
-        in
-        let fp = St.footprint ~region:domain_box ~accesses in
-        (si, target, fp, St.self_dependences ~iters:k.iters st))
-      k.body
+      (fun si (st, (target, _, fp)) -> (si, target, fp, St.self_dependences ~iters:k.iters st))
+      (List.combine k.body (St.domain_footprints k))
   in
   let dep_str rank = function
     | St.No_dep -> "no self-dependence"
@@ -475,7 +440,14 @@ let analyze_cmd =
          :: ("band_safe", Json.Bool (St.band_safe ds))
          :: hp)
   in
-  let program_json name prog findings =
+  (* A rejected program has no footprints or kernels to show: its A001
+     findings say why. *)
+  let program_json name checked findings =
+    let symbolic, kernels =
+      match checked with
+      | Ok prog -> (St.symbolic_footprints prog, kernels_of prog)
+      | Error _ -> ([], [])
+    in
     Json.Obj
       [ ("program", Json.Str name);
         ( "symbolic",
@@ -493,7 +465,7 @@ let analyze_cmd =
                               (it, Json.Str
                                      (St.sym_bound_to_string s.ss_bounds.(d))))
                             s.ss_iters) ) ])
-               (St.symbolic_footprints prog)) );
+               symbolic) );
         ( "kernels",
           Json.List
             (List.map
@@ -517,60 +489,56 @@ let analyze_cmd =
                                    Json.Int (St.box_volume fp));
                                   ("dependence", dep_json rank dep) ])
                             (kernel_stmts k)) ) ])
-               (kernels_of prog)) );
+               kernels) );
         ("findings", Artemis.Lint.findings_to_json findings) ]
+  in
+  let analyze ~device ~plan ~json programs =
+    let analyzed =
+      List.map
+        (fun (name, checked) -> (name, checked, findings_of ~device ~plan name checked))
+        programs
+    in
+    let findings = List.concat_map (fun (_, _, fs) -> fs) analyzed in
+    (if json then
+       print_endline
+         (Json.to_string ~indent:true
+            (Json.Obj
+               [ ("schema_version", Json.Int 1);
+                 ( "programs",
+                   Json.List
+                     (List.map
+                        (fun (name, checked, fs) -> program_json name checked fs)
+                        analyzed) ) ]))
+     else begin
+       let b = Buffer.create 4096 in
+       List.iter
+         (function
+           | name, Ok prog, _ -> render_program b name prog
+           | _, Error _, _ -> ())
+         analyzed;
+       Printf.bprintf b "findings:\n%s" (Artemis.Lint.report findings);
+       print_string (Buffer.contents b)
+     end);
+    match Artemis.Lint.errors findings with
+    | [] -> `Ok ()
+    | es -> `Error (false, Printf.sprintf "%d lint error(s)" (List.length es))
   in
   let run trace device path plan json suite fuzz cases =
     with_trace trace @@ fun () ->
-    let programs =
-      if suite then
-        `Ok (List.map (fun (b : Artemis.Suite.t) -> (b.name, b.prog))
-               Artemis.Suite.all)
-      else
-        match fuzz with
-        | Some seed ->
-          `Ok (List.init cases (fun index ->
-                   ( Printf.sprintf "fuzz-seed%d-case%d" seed index,
-                     (Artemis_verify.Gen.generate ~seed ~index).prog )))
-        | None -> (
-          match path with
-          | None ->
-            `Error
-              (true, "PROG.stc required unless --suite or --fuzz-corpus is \
-                      given")
-          | Some path -> (
-            match read_unchecked path with
-            | `Ok prog -> `Ok [ (path, prog) ]
-            | `Error _ as e -> e))
-    in
-    match programs with
-    | `Error _ as e -> e
-    | `Ok programs ->
-      let analyzed =
-        List.map
-          (fun (name, prog) -> (name, prog, findings_of ~device ~plan prog))
-          programs
-      in
-      let findings = List.concat_map (fun (_, _, fs) -> fs) analyzed in
-      (if json then
-         print_endline
-           (Json.to_string ~indent:true
-              (Json.Obj
-                 [ ("schema_version", Json.Int 1);
-                   ( "programs",
-                     Json.List
-                       (List.map
-                          (fun (name, prog, fs) -> program_json name prog fs)
-                          analyzed) ) ]))
-       else begin
-         let b = Buffer.create 4096 in
-         List.iter (fun (name, prog, _) -> render_program b name prog) analyzed;
-         Printf.bprintf b "findings:\n%s" (Artemis.Lint.report findings);
-         print_string (Buffer.contents b)
-       end);
-      (match Artemis.Lint.errors findings with
-       | [] -> `Ok ()
-       | es -> `Error (false, Printf.sprintf "%d lint error(s)" (List.length es)))
+    let analyze = analyze ~device ~plan ~json in
+    if suite then
+      analyze
+        (List.map (fun (b : Artemis.Suite.t) -> (b.name, Ok b.prog)) Artemis.Suite.all)
+    else
+      match (fuzz, path) with
+      | Some seed, _ ->
+        analyze
+          (List.init cases (fun index ->
+               ( Printf.sprintf "fuzz-seed%d-case%d" seed index,
+                 Ok (Artemis_verify.Gen.generate ~seed ~index).prog )))
+      | None, Some path -> read_program path (fun checked -> analyze [ (path, checked) ])
+      | None, None ->
+        `Error (true, "PROG.stc required unless --suite or --fuzz-corpus is given")
   in
   Cmd.v
     (Cmd.info "analyze" ~exits
@@ -586,18 +554,14 @@ let analyze_cmd =
 let compile_cmd =
   let run trace device path out =
     with_trace trace @@ fun () ->
-    match read_program path with
-    | `Ok prog ->
-      let k = Artemis.first_kernel prog in
-      let plan =
-        Artemis.Lower.lower_with_pragma device k Artemis.Options.default
-      in
-      (match Artemis.Validate.validate plan with
-       | Ok v -> write_output out (Artemis.Cuda.emit (v :> Artemis.Plan.t))
-       | Error vs ->
-         prerr_string (Artemis.Lint.report (List.map (Artemis.Lint.launch_finding plan) vs));
-         `Error (false, Printf.sprintf "%s: the pragma's plan cannot launch" path))
-    | `Error _ as e -> e
+    with_program path @@ fun prog ->
+    let k = Artemis.first_kernel prog in
+    let plan = Artemis.Lower.lower_with_pragma device k Artemis.Options.default in
+    match Artemis.Validate.validate plan with
+    | Ok v -> write_output out (Artemis.Cuda.emit (v :> Artemis.Plan.t))
+    | Error vs ->
+      prerr_string (Artemis.Lint.report (List.map (Artemis.Lint.launch_finding plan) vs));
+      `Error (false, Printf.sprintf "%s: the pragma's plan cannot launch" path)
   in
   Cmd.v
     (Cmd.info "compile" ~exits
@@ -616,44 +580,42 @@ let optimize_cmd =
     with_trace trace @@ fun () ->
     set_jobs jobs;
     set_cache_dir cache_dir;
-    match read_program path with
-    | `Ok prog ->
-      let k = Artemis.first_kernel prog in
-      let r =
-        Artemis.optimize_kernel ~device ~iterative ~max_degree ~prerank_keep:prerank
-          ?pingpong:(if max_degree > 1 then pingpong_pair_of prog else None)
-          k
-      in
-      Printf.printf "baseline : %.3f TFLOPS  [%s]\n" r.baseline.tflops
-        (Artemis.Classify.verdict_to_string r.baseline_profile.verdict);
-      Printf.printf "tuned    : %.3f TFLOPS  %s\n" r.tuned.tflops
-        (Artemis.Plan.label r.tuned.plan);
-      Printf.printf "explored : %d configurations\n" r.explored;
-      List.iter
-        (fun (h : Artemis.Hints.hint) ->
-          Printf.printf "%s: %s\n"
-            (match h.severity with `Info -> "info" | `Advice -> "hint")
-            h.text)
-        r.hints;
-      let fission_results =
-        List.mapi
-          (fun i parts ->
-            let name = if i = 0 then "trivial" else "recompute" in
-            Printf.printf "fission candidate (%s): %d sub-kernels\n" name
-              (List.length parts);
-            let dsl = Artemis.Fission.to_dsl k parts in
-            let fpath = Printf.sprintf "%s.%s-fission.stc" path name in
-            write_file fpath (Artemis.Pretty.program_to_string dsl))
-          r.fission_candidates
-      in
-      List.fold_left ( >>? ) (`Ok ()) (List.map (fun r () -> r) fission_results)
-      >>? (fun () -> write_file (path ^ ".report.txt") (Artemis.report_of r))
-      >>? (fun () ->
-        match report_json with
-        | Some jpath -> write_file jpath (Artemis.report_json_of r)
-        | None -> `Ok ())
-      >>? fun () -> write_output out (Artemis.cuda_of r)
-    | `Error _ as e -> e
+    with_program path @@ fun prog ->
+    let k = Artemis.first_kernel prog in
+    let r =
+      Artemis.optimize_kernel ~device ~iterative ~max_degree ~prerank_keep:prerank
+        ?pingpong:(if max_degree > 1 then pingpong_pair_of prog else None)
+        k
+    in
+    Printf.printf "baseline : %.3f TFLOPS  [%s]\n" r.baseline.tflops
+      (Artemis.Classify.verdict_to_string r.baseline_profile.verdict);
+    Printf.printf "tuned    : %.3f TFLOPS  %s\n" r.tuned.tflops
+      (Artemis.Plan.label r.tuned.plan);
+    Printf.printf "explored : %d configurations\n" r.explored;
+    List.iter
+      (fun (h : Artemis.Hints.hint) ->
+        Printf.printf "%s: %s\n"
+          (match h.severity with `Info -> "info" | `Advice -> "hint")
+          h.text)
+      r.hints;
+    let fission_results =
+      List.mapi
+        (fun i parts ->
+          let name = if i = 0 then "trivial" else "recompute" in
+          Printf.printf "fission candidate (%s): %d sub-kernels\n" name
+            (List.length parts);
+          let dsl = Artemis.Fission.to_dsl k parts in
+          let fpath = Printf.sprintf "%s.%s-fission.stc" path name in
+          write_file fpath (Artemis.Pretty.program_to_string dsl))
+        r.fission_candidates
+    in
+    List.fold_left ( >>? ) (`Ok ()) (List.map (fun r () -> r) fission_results)
+    >>? (fun () -> write_file (path ^ ".report.txt") (Artemis.report_of r))
+    >>? (fun () ->
+      match report_json with
+      | Some jpath -> write_file jpath (Artemis.report_json_of r)
+      | None -> `Ok ())
+    >>? fun () -> write_output out (Artemis.cuda_of r)
   in
   Cmd.v
     (Cmd.info "optimize" ~exits
@@ -701,30 +663,28 @@ let deep_cmd =
     with_trace trace @@ fun () ->
     set_jobs jobs;
     set_cache_dir cache_dir;
-    match read_program path with
-    | `Ok prog -> (
-      try
-        let dr = Artemis.deep_tune ~device ~max_degree ~prerank_keep:prerank prog in
-        List.iter
-          (fun (v : Artemis.Deep.version) ->
-            Printf.printf "(%dx%d): %.3f TFLOPS  [%s]\n" v.time_tile v.degree
-              v.record.best.tflops
-              (Artemis.Classify.verdict_to_string v.profile.verdict))
-          dr.deep.versions;
-        let schedule, time =
-          match iterations with
-          | Some t -> Artemis.Deep.optimal_schedule dr.deep ~t
-          | None -> (dr.schedule, dr.predicted_time)
-        in
-        Printf.printf "fusion schedule: [%s]  (predicted %.3e s)\n"
-          (String.concat "; " (List.map string_of_int schedule))
-          time;
-        match report_json with
-        | Some jpath ->
-          write_file jpath (Json.to_string ~indent:true (deep_json dr schedule time))
-        | None -> `Ok ()
-      with Invalid_argument msg -> `Error (false, msg))
-    | `Error _ as e -> e
+    with_program path @@ fun prog ->
+    try
+      let dr = Artemis.deep_tune ~device ~max_degree ~prerank_keep:prerank prog in
+      List.iter
+        (fun (v : Artemis.Deep.version) ->
+          Printf.printf "(%dx%d): %.3f TFLOPS  [%s]\n" v.time_tile v.degree
+            v.record.best.tflops
+            (Artemis.Classify.verdict_to_string v.profile.verdict))
+        dr.deep.versions;
+      let schedule, time =
+        match iterations with
+        | Some t -> Artemis.Deep.optimal_schedule dr.deep ~t
+        | None -> (dr.schedule, dr.predicted_time)
+      in
+      Printf.printf "fusion schedule: [%s]  (predicted %.3e s)\n"
+        (String.concat "; " (List.map string_of_int schedule))
+        time;
+      match report_json with
+      | Some jpath ->
+        write_file jpath (Json.to_string ~indent:true (deep_json dr schedule time))
+      | None -> `Ok ()
+    with Invalid_argument msg -> `Error (false, msg)
   in
   Cmd.v
     (Cmd.info "deep" ~exits
@@ -844,10 +804,7 @@ let explain_cmd =
         match Artemis.Suite.find name with
         | exception Invalid_argument msg -> `Error (false, msg)
         | b -> `Ok (b.prog, b.name, b.iterative))
-      | None, Some p -> (
-        match read_program p with
-        | `Ok prog -> `Ok (prog, p, false)
-        | `Error _ as e -> e)
+      | None, Some p -> with_program p (fun prog -> `Ok (prog, p, false))
     in
     match source with
     | `Error _ as e -> e

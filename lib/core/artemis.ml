@@ -15,9 +15,9 @@
       schedule for any iteration count with the opt(T) dynamic program. *)
 
 module Ast = Artemis_dsl.Ast
-module Lexer = Artemis_dsl.Lexer
-module Parser = Artemis_dsl.Parser
+module Diagnostic = Artemis_dsl.Diagnostic
 module Check = Artemis_dsl.Check
+module Frontend = Artemis_dsl.Frontend
 module Instantiate = Artemis_dsl.Instantiate
 module Analysis = Artemis_dsl.Analysis
 module Pretty = Artemis_dsl.Pretty
@@ -62,16 +62,11 @@ module Bench_diff = Artemis_obs.Bench_diff
 let version = "1.0.0"
 
 let parse_string src =
-  let prog = Parser.parse_program src in
-  Check.check prog;
-  prog
+  match Frontend.program src with
+  | Ok prog -> prog
+  | Error ds -> raise (Diagnostic.Rejected ds)
 
-let parse_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  parse_string src
+let parse_file path = parse_string (In_channel.with_open_bin path In_channel.input_all)
 
 type result = {
   kernel : Instantiate.kernel;

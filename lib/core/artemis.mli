@@ -8,9 +8,11 @@
     ]} *)
 
 module Ast = Artemis_dsl.Ast
-module Lexer = Artemis_dsl.Lexer
-module Parser = Artemis_dsl.Parser
+module Diagnostic = Artemis_dsl.Diagnostic
 module Check = Artemis_dsl.Check
+
+(** DSL source text to a checked program, or its diagnostics. *)
+module Frontend = Artemis_dsl.Frontend
 module Instantiate = Artemis_dsl.Instantiate
 module Analysis = Artemis_dsl.Analysis
 module Pretty = Artemis_dsl.Pretty
@@ -70,10 +72,10 @@ module Bench_diff = Artemis_obs.Bench_diff
 
 val version : string
 
-(** Parse and semantically check DSL source text.
-    @raise Lexer.Lex_error on a malformed token
-    @raise Parser.Parse_error on a syntax error
-    @raise Check.Semantic_error when the program fails the semantic check *)
+(** [Frontend.program] for callers with no error path: the checked
+    program, which instantiates.
+    @raise Diagnostic.Rejected with the first lexical or syntax error,
+    or every semantic violation *)
 val parse_string : string -> Ast.program
 
 (** [parse_string] on the contents of the file at [path].
@@ -140,5 +142,6 @@ val report_of : result -> string
 val report_json_of : result -> string
 
 (** First kernel launched by a program (time loops flattened).
-    @raise Invalid_argument when the program launches nothing *)
+    @raise Invalid_argument when the program launches nothing, which no
+    checked program does *)
 val first_kernel : Ast.program -> Instantiate.kernel

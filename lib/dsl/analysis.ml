@@ -117,8 +117,6 @@ let offsets_of_reads iters reads =
   Hashtbl.fold (fun name offs acc -> (name, List.rev offs) :: acc) tbl []
   |> List.sort compare
 
-let distinct_offsets (k : I.kernel) = offsets_of_reads k.iters (read_accesses k)
-
 (* ------------------------------------------------------------------ *)
 (* Halo extents for multi-statement (fused) kernels                    *)
 (* ------------------------------------------------------------------ *)

@@ -17,9 +17,6 @@ type access = {
 val accesses_of_expr : Ast.expr -> access list
 val accesses_of_stmt : Ast.stmt -> access list
 
-(** All array reads in the kernel body. *)
-val read_accesses : Instantiate.kernel -> access list
-
 (** Map an access to a shift per kernel iterator (dimensions indexed by a
     constant contribute nothing). *)
 val offset_vector : string list -> access -> int array
@@ -41,18 +38,13 @@ val io_array_count : Instantiate.kernel -> int
     assuming each IO array element moves exactly once. *)
 val theoretical_oi : Instantiate.kernel -> float
 
-(** Textual reads of each array per point — the demotion-victim metric of
-    resource rationing (Section II-B2). *)
-val reads_per_point : Instantiate.kernel -> (string * int) list
-
-(** [tally_reads k (read_accesses k)] is [reads_per_point k], for a
-    caller that already holds the reads. *)
+(** [tally_reads k reads]: textual reads of each array per point, given
+    all of the kernel's reads ([accesses_of_stmt] over its body) — the
+    demotion-victim metric of resource rationing (Section II-B2). *)
 val tally_reads : Instantiate.kernel -> access list -> (string * int) list
 
-(** Distinct read-offset vectors per array, aligned to kernel iterators. *)
-val distinct_offsets : Instantiate.kernel -> (string * int array list) list
-
-(** [offsets_of_reads k.iters (read_accesses k)] is [distinct_offsets k]. *)
+(** [offsets_of_reads k.iters reads]: distinct read-offset vectors per
+    array, aligned to kernel iterators, given all of the kernel's reads. *)
 val offsets_of_reads : string list -> access list -> (string * int array list) list
 
 (** {1 Halo extents for fused kernels} *)

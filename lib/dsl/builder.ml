@@ -93,9 +93,9 @@ let program ?(params = []) ?(iters = [ "k"; "j"; "i" ]) ~decls ?copyin ?copyout
          |> List.sort_uniq compare);
   }
 
-(** Build, check, and return a program; raises if ill-formed, making the
-    construction sites in the benchmark suite self-verifying. *)
+(** Build, check, and return a program; raises [Diagnostic.Rejected] if
+    ill-formed, making the construction sites in the benchmark suite
+    self-verifying. *)
 let program_checked ?params ?iters ~decls ?copyin ?copyout ~stencils ~main () =
   let p = program ?params ?iters ~decls ?copyin ?copyout ~stencils ~main () in
-  Check.check p;
-  p
+  match Check.check_all p with [] -> p | ds -> raise (Diagnostic.Rejected ds)

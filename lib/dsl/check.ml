@@ -1,17 +1,16 @@
 (* Semantic checking for parsed DSL programs: name resolution, arity and
-   dimensionality consistency, iterator discipline.  All later phases may
-   assume a [check]ed program is well-formed.
+   dimensionality consistency, iterator discipline, extents, and the two
+   rules instantiation relies on (every stencil writes an array; no
+   output has more dimensions than there are iterators).  A program with
+   no violations instantiates and launches at least one stencil: later
+   phases may assume it is well-formed.
 
-   The checker is written against an [emit] sink so one traversal serves
-   both entry points: [check_all] collects every violation in traversal
-   order; [check] raises on the head of that list, preserving the
-   historical first-error behaviour.  After emitting, each site recovers
+   The checker is written against an [emit] sink and collects every
+   violation in traversal order.  After emitting, each site recovers
    locally (skips the dependent checks for that construct) so later,
    independent violations are still found. *)
 
 open Ast
-
-exception Semantic_error of string
 
 let find_dup names =
   let tbl = Hashtbl.create 16 in
@@ -34,6 +33,10 @@ let array_rank prog name =
       | Array_decl (n, dims) when n = name -> Some (List.length dims)
       | Array_decl _ | Scalar_decl _ -> None)
     prog.decls
+
+(* The largest element count of one array: 2^53, the largest count the
+   float-valued traffic and FLOP counters hold exactly. *)
+let max_elements = 1 lsl 53
 
 (* Math intrinsics accepted in stencil bodies, with their arity. *)
 let intrinsics =
@@ -106,6 +109,7 @@ let check_body ~emit prog (s : stencil_def) =
         emit (Printf.sprintf "stencil %s: %s used both as scalar and array" s.sname name)
       else u.used_scalar <- true
   in
+  let write_ranks = ref [] in
   let rec check_expr e =
     match e with
     | Const _ -> ()
@@ -133,9 +137,15 @@ let check_body ~emit prog (s : stencil_def) =
         (* Record the temporary regardless so later uses don't cascade. *)
         usages := (n, { used_rank = None; used_scalar = true }) :: !usages
       | Assign (a, idx, e) | Accum (a, idx, e) ->
+        write_ranks := List.length idx :: !write_ranks;
         check_indices ~emit prog s.sname !usages a idx;
         check_expr e)
     s.body;
+  (* What instantiation relies on: the domain is the extent of the
+     highest-rank written array, over that many innermost iterators. *)
+  if !write_ranks = [] then emit (Printf.sprintf "stencil %s writes no array" s.sname)
+  else if List.exists (fun r -> r > List.length prog.iters) !write_ranks then
+    emit (Printf.sprintf "stencil %s: output rank exceeds iterator count" s.sname);
   (* #assign clauses must name formals. *)
   List.iter
     (fun (_, names) ->
@@ -190,18 +200,31 @@ let check_gen ~emit (prog : program) =
   (match find_dup (List.map decl_name prog.decls) with
    | Some d -> emit (Printf.sprintf "duplicate declaration %s" d)
    | None -> ());
-  (* Array extents must reference declared parameters. *)
+  (* Extents must reference declared parameters and be positive, and an
+     array must hold at most [max_elements]. *)
   List.iter
     (function
       | Array_decl (a, dims) ->
-        List.iter
-          (function
-            | Dparam p ->
-              if not (List.mem_assoc p prog.params) then
-                emit (Printf.sprintf "array %s sized by undeclared parameter %s" a p)
-            | Dconst c ->
-              if c <= 0 then emit (Printf.sprintf "array %s has non-positive extent" a))
-          dims
+        let extents =
+          List.filter_map
+            (function
+              | Dconst c -> Some c
+              | Dparam p ->
+                let v = List.assoc_opt p prog.params in
+                if v = None then
+                  emit (Printf.sprintf "array %s sized by undeclared parameter %s" a p);
+                v)
+            dims
+        in
+        (* [count <= max_elements / n] keeps the running product exact. *)
+        let rec fits count = function
+          | [] -> true
+          | n :: rest -> count <= max_elements / n && fits (count * n) rest
+        in
+        if List.exists (fun n -> n <= 0) extents then
+          emit (Printf.sprintf "array %s has non-positive extent" a)
+        else if not (fits 1 extents) then
+          emit (Printf.sprintf "array %s has more than 2^53 elements" a)
       | Scalar_decl _ -> ())
     prog.decls;
   let declared n = List.exists (fun d -> decl_name d = n) prog.decls in
@@ -217,8 +240,10 @@ let check_gen ~emit (prog : program) =
   let ranks_by_stencil =
     List.map (fun s -> (s.sname, (s, check_body ~emit prog s))) prog.stencils
   in
+  let launches = ref false in
   let check_app = function
     | Apply (f, actuals) -> (
+      launches := true;
       match List.assoc_opt f ranks_by_stencil with
       | None -> emit (Printf.sprintf "call to undefined stencil %s" f)
       | Some (s, ranks) ->
@@ -247,19 +272,13 @@ let check_gen ~emit (prog : program) =
       | Iterate (n, apps) ->
         if n < 0 then emit "negative iterate count";
         List.iter check_app apps)
-    prog.main
+    prog.main;
+  if not !launches then emit "program launches no stencil"
 
-(** Every semantic violation of the program, in traversal order (the
-    head is what [check] raises). *)
 let check_all (prog : program) =
   let acc = ref [] in
-  check_gen ~emit:(fun m -> acc := m :: !acc) prog;
+  check_gen
+    ~emit:(fun message ->
+      acc := { Diagnostic.phase = Semantic; line = None; message } :: !acc)
+    prog;
   List.rev !acc
-
-(** Check a whole program.
-    @raise Semantic_error with a human-readable message on the first
-    violation found. *)
-let check (prog : program) =
-  match check_all prog with
-  | [] -> ()
-  | e :: _ -> raise (Semantic_error e)

@@ -1,17 +1,16 @@
 (** Semantic checking of parsed DSL programs: name resolution, arity and
     rank consistency, iterator discipline (declared, ordered, unrepeated
-    within one access), intrinsic arities, [#assign] targets, and call
-    sites.  Later phases may assume a checked program is well-formed. *)
+    within one access), intrinsic arities, [#assign] targets, call
+    sites, and extents (declared, positive, at most 2^53 elements per
+    array).  It also enforces what instantiation relies on: every
+    stencil writes an array, and no output has more dimensions than the
+    program has iterators.  A program with no violations instantiates
+    ([Instantiate.schedule] cannot fail on it) and launches at least one
+    stencil. *)
 
-exception Semantic_error of string
-
-(** @raise Semantic_error with a readable message on the first violation. *)
-val check : Ast.program -> unit
-
-(** Every violation, in traversal order; [[]] means well-formed.  [check]
-    raises the head of this list, so the two entry points agree on the
-    first error. *)
-val check_all : Ast.program -> string list
+(** Every violation, in traversal order, as [Semantic] diagnostics; [[]]
+    means well-formed. *)
+val check_all : Ast.program -> Diagnostic.t list
 
 (** Math intrinsics accepted in stencil bodies, with arities. *)
 val intrinsics : (string * int) list

@@ -1,12 +1,13 @@
 (* Instantiation binds a stencil definition to its call-site actuals,
    producing a concrete [kernel]: the unit all later phases (analysis,
-   lowering, execution, tuning) operate on. *)
+   lowering, execution, tuning) operate on.  [Check.check_all] rejects
+   every program [fail] could fire on, so reaching it means the program
+   was never checked. *)
 
 open Ast
 
-exception Instantiation_error of string
-
-let fail fmt = Format.kasprintf (fun s -> raise (Instantiation_error s)) fmt
+let fail fmt =
+  Format.kasprintf (fun s -> invalid_arg ("Instantiate (unchecked program): " ^ s)) fmt
 
 (** A stencil call bound to concrete arrays with resolved extents. *)
 type kernel = {

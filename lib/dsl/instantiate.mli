@@ -2,8 +2,6 @@
     produces a concrete [kernel] — the unit all later phases (analysis,
     lowering, execution, tuning) operate on. *)
 
-exception Instantiation_error of string
-
 (** A stencil call bound to concrete arrays with resolved extents. *)
 type kernel = {
   kname : string;
@@ -28,7 +26,9 @@ type sched_item =
   | Exchange of string * string  (** ping-pong buffer swap *)
   | Repeat of int * sched_item list  (** time loop *)
 
-(** Instantiate the whole host portion of a program. *)
+(** Instantiate the whole host portion of a program.  It cannot fail on
+    a program [Check.check_all] accepts.
+    @raise Invalid_argument on an unchecked program it cannot bind *)
 val schedule : Ast.program -> sched_item list
 
 (** Distinct kernels of a schedule, by name, in first-launch order

@@ -33,8 +33,6 @@ type token =
   | SLASH
   | EOF
 
-exception Lex_error of string * int  (** message, line *)
-
 let token_to_string = function
   | IDENT s -> Printf.sprintf "identifier %S" s
   | INT n -> Printf.sprintf "integer %d" n
@@ -83,14 +81,20 @@ let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9')
 let is_digit c = c >= '0' && c <= '9'
 
 (** [tokenize src] lexes the whole input and returns [(token, line)] pairs
-    terminated by [EOF].  Comments are C-style: [// ...] and [/* ... */]. *)
+    terminated by [EOF].  Comments are C-style: [// ...] and [/* ... */].
+    @raise Diagnostic.Rejected with the first lexical error: an unexpected
+    character, an unknown directive, an unterminated comment, a malformed
+    float literal ([1e]) or an integer literal past [max_int] *)
 let tokenize src =
   let n = String.length src in
   let line = ref 1 in
   let toks = ref [] in
   let emit t = toks := (t, !line) :: !toks in
+  let fail message =
+    raise (Diagnostic.Rejected [ { phase = Lex; line = Some !line; message } ])
+  in
   let rec skip_block_comment i =
-    if i + 1 >= n then raise (Lex_error ("unterminated comment", !line))
+    if i + 1 >= n then fail "unterminated comment"
     else if src.[i] = '\n' then (incr line; skip_block_comment (i + 1))
     else if src.[i] = '*' && src.[i + 1] = '/' then i + 2
     else skip_block_comment (i + 1)
@@ -114,8 +118,14 @@ let tokenize src =
       while !j < n && is_digit src.[!j] do incr j done
     end;
     let text = String.sub src i (!j - i) in
-    if !is_float then emit (FLOAT (float_of_string text))
-    else emit (INT (int_of_string text));
+    (if !is_float then
+       match float_of_string_opt text with
+       | Some f -> emit (FLOAT f)
+       | None -> fail ("malformed float literal " ^ text)
+     else
+       match int_of_string_opt text with
+       | Some n -> emit (INT n)
+       | None -> fail (Printf.sprintf "integer literal %s out of range" text));
     !j
   in
   let lex_ident i =
@@ -135,7 +145,7 @@ let tokenize src =
     (match text with
      | "pragma" -> emit KW_PRAGMA
      | "assign" -> emit KW_ASSIGN
-     | other -> raise (Lex_error (Printf.sprintf "unknown directive #%s" other, !line)));
+     | other -> fail (Printf.sprintf "unknown directive #%s" other));
     !j
   in
   let rec go i =
@@ -163,7 +173,7 @@ let tokenize src =
       | '=' -> emit EQ; go (i + 1)
       | c when is_digit c -> go (lex_number i)
       | c when is_ident_start c -> go (lex_ident i)
-      | c -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, !line))
+      | c -> fail (Printf.sprintf "unexpected character %C" c)
   in
   go 0;
   emit EOF;

@@ -4,8 +4,6 @@
 
 open Ast
 
-exception Parse_error of string * int  (** message, line *)
-
 type state = {
   mutable toks : (Lexer.token * int) list;
 }
@@ -25,7 +23,8 @@ let advance st =
   | _ :: rest -> st.toks <- rest
   | [] -> ()
 
-let fail st msg = raise (Parse_error (msg, line st))
+let fail st message =
+  raise (Diagnostic.Rejected [ { phase = Parse; line = Some (line st); message } ])
 
 let expect st tok =
   if peek st = tok then advance st
@@ -302,8 +301,7 @@ let parse_app_item st =
     Apply (f, args)
 
 (** Parse a full DSL program from source text.
-    @raise Parse_error on syntax errors
-    @raise Lexer.Lex_error on lexical errors *)
+    @raise Diagnostic.Rejected with the first lexical or syntax error *)
 let parse_program src =
   let st = { toks = Lexer.tokenize src } in
   let params = ref [] in
@@ -382,7 +380,7 @@ let parse_program src =
     copyout = !copyout;
   }
 
-(** Parse a single expression (used by tests and the builder API). *)
+(** Parse a single expression (used by tests). *)
 let parse_expr_string src =
   let st = { toks = Lexer.tokenize src } in
   let e = parse_expr st in

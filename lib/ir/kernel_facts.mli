@@ -27,11 +27,11 @@ type read_array = {
 
 type t = {
   digest : Digest.t;  (** MD5 of the kernel's [Marshal.No_sharing] bytes *)
-  read_accesses : An.access list;  (** {!An.read_accesses} *)
+  read_accesses : An.access list;  (** {!An.accesses_of_stmt} over the body *)
   required_extents : (string * An.extent) list;
       (** {!An.required_extents}, sorted by name *)
-  distinct_offsets : (string * int array list) list;  (** {!An.distinct_offsets} *)
-  reads_per_point : (string * int) list;  (** {!An.reads_per_point} *)
+  distinct_offsets : (string * int array list) list;  (** {!An.offsets_of_reads} *)
+  reads_per_point : (string * int) list;  (** {!An.tally_reads} *)
   self_deps : Artemis_static.Static.dep list;
       (** {!Artemis_static.Static.self_dependences} of each statement, in
           body order *)

@@ -133,18 +133,18 @@ let emit s ~code ~severity ~phase ~location ~hint message =
 
 let drain s = List.rev s.acc
 
-let semantic_findings msgs =
+let semantic_findings ~location ds =
   List.map
-    (fun m ->
+    (fun (d : Artemis_dsl.Diagnostic.t) ->
       {
         code = "A001";
         severity = Error;
         phase = Dsl;
-        location = "program";
-        message = m;
+        location;
+        message = d.message;
         hint = "fix the program; `artemisc check` lists all violations";
       })
-    msgs
+    ds
 
 (* ------------------------------------------------------------------ *)
 (* Kernel-level analyses                                               *)

@@ -24,9 +24,9 @@
     hazard or a performance trap that the block simulator itself does not
     trip over; [Info] is advisory.
 
-    [lint_program]/[lint_kernel] assume the program passed [Check.check]
-    (use [semantic_findings] to surface checker output in the same
-    format). *)
+    [lint_program]/[lint_kernel] take a program [Check.check_all]
+    accepts, which therefore instantiates (use [semantic_findings] to
+    surface the checker's diagnostics in the same format). *)
 
 type severity =
   | Error
@@ -50,8 +50,9 @@ type finding = {
     code order — the source of truth docs/LINT.md documents. *)
 val catalog : (string * severity * string) list
 
-(** Wrap [Check.check_all] output as A001 findings. *)
-val semantic_findings : string list -> finding list
+(** Wrap [Check.check_all]'s diagnostics as A001 findings located at
+    [location] (the program's file or name). *)
+val semantic_findings : location:string -> Artemis_dsl.Diagnostic.t list -> finding list
 
 (** Kernel-level findings: out-of-extent accesses (A201 — Warning, not
     Error, because the emitted per-statement guard skips such points),
@@ -65,7 +66,7 @@ val lint_kernel : Artemis_dsl.Instantiate.kernel -> finding list
     distinct scheduled kernel, plus uninitialized reads (A103), unused
     declarations/formals/stencils (A302/A303/A304), dead stores (A305),
     and the affine region-level must-write dataflow (A702).  The program
-    must be [Check.check]-clean. *)
+    must be one [Check.check_all] accepts. *)
 val lint_program : Artemis_dsl.Ast.program -> finding list
 
 (** Plan-level findings: launch violations (A403/A405), occupancy-pragma

@@ -124,6 +124,28 @@ let footprint ~(region : box) ~(accesses : (int array * spec) list) : box =
     (fun acc (dims, spec) -> box_inter acc (access_feasible ~region:acc ~dims ~spec))
     (Array.copy region) accesses
 
+let domain_footprints (k : I.kernel) =
+  let region = Array.map (fun n -> (0, n - 1)) k.domain in
+  let identity = List.map (fun it -> A.index ~iter:it 0) k.iters in
+  let temps = Hashtbl.create 4 in
+  let dims_of a =
+    if Hashtbl.mem temps a then k.domain
+    else Option.value ~default:k.domain (List.assoc_opt a k.arrays)
+  in
+  let access (a, idx) = (dims_of a, spec_of_index ~iters:k.iters idx) in
+  List.map
+    (fun st ->
+      let target, idx, e =
+        match st with
+        | A.Decl_temp (t, e) ->
+          Hashtbl.replace temps t ();
+          (t, identity, e)
+        | A.Assign (a, idx, e) | A.Accum (a, idx, e) -> (a, idx, e)
+      in
+      let accesses = access (target, idx) :: List.map access (A.reads_of_expr e) in
+      (target, idx, footprint ~region ~accesses))
+    k.body
+
 let map_to_array ~(exec : box) ~(dims : int array) ~(spec : spec) : box =
   if box_is_empty exec then Array.map (fun _ -> (0, -1)) dims
   else

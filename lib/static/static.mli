@@ -55,6 +55,13 @@ val footprint : region:box -> accesses:(int array * spec) list -> box
     spec) lands inside its array.  On this DSL that set is exactly a
     box; the result uses [region]'s coordinates. *)
 
+val domain_footprints : I.kernel -> (string * A.index list * box) list
+(** Per body statement, in order: the array or temporary it writes, its
+    write index, and its {!footprint} over the whole domain (the write
+    plus every array read; temporaries live on domain-shaped registers).
+    What [artemisc analyze] prints per statement and what the fuzz
+    oracle checks against the executed guard. *)
+
 (* ------------------------------------------------------------------ *)
 (* Dependence testing                                                  *)
 (* ------------------------------------------------------------------ *)

@@ -398,7 +398,9 @@ let generate ~seed ~index =
   in
   (* Generated programs are correct by construction; catching drift here
      (rather than downstream) keeps shrinking honest. *)
-  Artemis_dsl.Check.check prog;
+  (match Artemis_dsl.Check.check_all prog with
+   | [] -> ()
+   | ds -> raise (Artemis_dsl.Diagnostic.Rejected ds));
   { index; prog; iterative; multi_output }
 
 let max_shift (prog : A.program) =

@@ -1,7 +1,7 @@
 (** Seeded random stencil-program generator.
 
     Programs are generated directly against the DSL's semantic rules
-    ([Check.check] passes by construction) and against the block
+    ([Check.check_all] accepts them by construction) and against the block
     executor's supported envelope, so every case is runnable end to end:
 
     - arrays are full-rank and accessed with every iterator in

@@ -87,16 +87,14 @@ let rec blocked_plans_of steps =
    [Eval.guard] (the executed read guard itself, not a re-derivation)
    passes.  Dependence verdicts have one engine; invariants 1 and 4
    check them by running the code. *)
-let static_mismatches (prog : A.program) =
+let static_mismatches kernels =
   let acc = ref [] in
-  let kernels = I.kernels (I.schedule prog) in
   List.iter
     (fun (k : I.kernel) ->
       let rank = Array.length k.domain in
       let push stmt detail =
         acc := Static_mismatch { kernel = "kernel " ^ k.I.kname; stmt; detail } :: !acc
       in
-      let domain_box = Array.map (fun n -> (0, n - 1)) k.domain in
       let temps = Hashtbl.create 4 in
       let dims_of a =
         if Hashtbl.mem temps a then k.domain
@@ -124,7 +122,6 @@ let static_mismatches (prog : A.program) =
           iters = k.iters;
         }
       in
-      let identity_idx = List.map (fun it -> A.index ~iter:it 0) k.iters in
       let in_box (box : S.box) p =
         let ok = ref true in
         Array.iteri (fun d (lo, hi) -> if p.(d) < lo || p.(d) > hi then ok := false) box;
@@ -138,23 +135,15 @@ let static_mismatches (prog : A.program) =
         go 0
       in
       List.iteri
-        (fun si st ->
-          let target, idx, e =
+        (fun si (st, (target, idx, fp)) ->
+          let e =
             match st with
             | A.Decl_temp (t, e) ->
               Hashtbl.replace temps t ();
-              (t, identity_idx, e)
-            | A.Assign (a, idx, e) | A.Accum (a, idx, e) -> (a, idx, e)
+              e
+            | A.Assign (_, _, e) | A.Accum (_, _, e) -> e
           in
           (* Footprint agreement, point by point over the whole domain. *)
-          let accesses =
-            (dims_of target, S.spec_of_index ~iters:k.iters idx)
-            :: List.map
-                 (fun (arr, idx') ->
-                   (dims_of arr, S.spec_of_index ~iters:k.iters idx'))
-                 (A.reads_of_expr e)
-          in
-          let fp = S.footprint ~region:domain_box ~accesses in
           let reported = ref false in
           iter_domain (fun p ->
               if not !reported then begin
@@ -176,7 +165,7 @@ let static_mismatches (prog : A.program) =
                        (if dyn then "accepts" else "rejects"))
                 end
               end))
-        k.body)
+        (List.combine k.body (S.domain_footprints k)))
     kernels;
   List.rev !acc
 
@@ -184,9 +173,11 @@ let check ?(lint = false) ?(schedule = E.Eval.Rows) (prog : A.program)
     (trial : Sampler.trial) =
   Trace.with_span "verify.trial" ~attrs:[ ("trial", Str (Sampler.trial_label trial)) ]
   @@ fun () ->
-  (* Any exception past this point is a finding: the program checked and
-     the plans validated, so the pipeline has no business raising. *)
-  match Sampler.schedule_of_variant prog trial.variant with
+  (* Any exception past this point is a finding: the program checked (so
+     it instantiates, once) and the plans validated, so the pipeline has
+     no business raising. *)
+  let plain = I.schedule prog in
+  match Sampler.schedule_of_variant plain trial.variant with
   | exception e -> crash e
   | None -> Skipped "variant-inapplicable"
   | Some sched -> (
@@ -206,7 +197,7 @@ let check ?(lint = false) ?(schedule = E.Eval.Rows) (prog : A.program)
       (* The reference always runs the program's own schedule: fused and
          fissioned trials are compared across the transformation. *)
       let ref_store = E.Reference.store_of_program prog in
-      match E.Reference.run_schedule ~schedule ref_store ~scalars (I.schedule prog) with
+      match E.Reference.run_schedule ~schedule ref_store ~scalars plain with
       | exception e -> crash e
       | () ->
       let exec_store = E.Reference.store_of_program prog in
@@ -323,7 +314,7 @@ let check ?(lint = false) ?(schedule = E.Eval.Rows) (prog : A.program)
         in
         (* Invariant 5: analyzer footprints match the executed guards
            point for point. *)
-        (match static_mismatches prog with
+        (match static_mismatches (I.kernels plain) with
         | exception e -> push (Crash { detail = Printexc.to_string e })
         | ms -> List.iter push ms);
         (match schedule with
@@ -345,7 +336,7 @@ let check ?(lint = false) ?(schedule = E.Eval.Rows) (prog : A.program)
                prog.copyout
            in
            let ref2 = E.Reference.store_of_program prog in
-           (match E.Reference.run_schedule ~schedule ref2 ~scalars (I.schedule prog) with
+           (match E.Reference.run_schedule ~schedule ref2 ~scalars plain with
            | exception e -> push (Crash { detail = Printexc.to_string e })
            | () -> compare_outputs "reference" ref_store ref2);
            let exec2 = E.Reference.store_of_program prog in

@@ -196,8 +196,7 @@ let plan_of cfg (k : I.kernel) =
   let p = shrink_valid p 12 in
   if Validate.is_valid p then Some p else None
 
-let schedule_of_variant (prog : A.program) variant =
-  let sched = I.schedule prog in
+let schedule_of_variant sched variant =
   match variant with
   | Plain -> Some sched
   | Fused segments -> (

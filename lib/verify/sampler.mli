@@ -58,9 +58,9 @@ val plan_of : cfg -> Artemis_dsl.Instantiate.kernel -> Artemis_ir.Plan.t option
     tests, bench/ and perf/ shrink their execution plans with it. *)
 val shrink_valid : Artemis_ir.Plan.t -> int -> Artemis_ir.Plan.t
 
-(** The concrete schedule a variant denotes for a program: [None] when
-    the variant does not apply (e.g. fusion of a non-ping-pong program —
-    possible after shrinking). *)
+(** The concrete schedule a variant denotes for a program's own
+    instantiated schedule: [None] when the variant does not apply (e.g.
+    fusion of a non-ping-pong program — possible after shrinking). *)
 val schedule_of_variant :
-  Artemis_dsl.Ast.program -> variant ->
+  Artemis_dsl.Instantiate.sched_item list -> variant ->
   Artemis_dsl.Instantiate.sched_item list option

@@ -1,7 +1,6 @@
 (* Minimal-repro shrinking for oracle findings. *)
 
 module A = Artemis_dsl.Ast
-module I = Artemis_dsl.Instantiate
 module Metrics = Artemis_obs.Metrics
 
 let m_shrink_steps = Metrics.counter "verify.shrink_steps"
@@ -12,15 +11,9 @@ type result = {
   steps : int;
 }
 
-(* A candidate must still be a semantically valid, instantiable program
-   before the failure predicate is consulted.  Those are the only
-   rejections the two phases raise by design; any other exception is a
-   pipeline bug and propagates. *)
-let viable (prog : A.program) =
-  match Artemis_dsl.Check.check prog with
-  | () -> (
-    match I.schedule prog with _ -> true | exception I.Instantiation_error _ -> false)
-  | exception Artemis_dsl.Check.Semantic_error _ -> false
+(* A candidate must still be a checked program (and so instantiable)
+   before the failure predicate is consulted. *)
+let viable (prog : A.program) = Artemis_dsl.Check.check_all prog = []
 
 (* Candidate programs with one statement of one stencil removed. *)
 let drop_statement_candidates (prog : A.program) =

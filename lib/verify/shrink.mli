@@ -9,8 +9,8 @@ type result = {
 }
 
 (** [minimize ~fails prog trial] — [fails] re-runs the oracle (or any
-    predicate) on a candidate; candidates are pre-validated through
-    [Check.check] and instantiation before being offered to it. *)
+    predicate) on a candidate; candidates are offered to it only when
+    [Check.check_all] accepts them (so they instantiate). *)
 val minimize :
   fails:(Artemis_dsl.Ast.program -> Sampler.trial -> bool) ->
   Artemis_dsl.Ast.program -> Sampler.trial -> result

@@ -6,6 +6,7 @@ let () =
       Test_lexer.tests;
       Test_parser.tests;
       Test_check.tests;
+      Test_frontend.tests;
       Test_analysis.tests;
       Test_depgraph.tests;
       Test_gpu.tests;

@@ -10,8 +10,7 @@ module I = Instantiate
 let case name f = Alcotest.test_case name `Quick f
 
 let kernel_of_src ?(which = 0) src =
-  let p = Parser.parse_program src in
-  Check.check p;
+  let p = Artemis.parse_string src in
   let rec launches = function
     | [] -> []
     | I.Launch k :: rest -> k :: launches rest
@@ -86,10 +85,10 @@ let tests =
           Alcotest.(check (float 1e-9)) "10/16" 0.625
             (An.theoretical_oi (jacobi_kernel ())));
       case "reads per point" (fun () ->
-          let r = An.reads_per_point (jacobi_kernel ()) in
+          let r = (Artemis_ir.Kernel_facts.of_kernel (jacobi_kernel ())).reads_per_point in
           Alcotest.(check (option int)) "in read 8x" (Some 8) (List.assoc_opt "in" r));
       case "distinct offsets dedupe" (fun () ->
-          let offs = An.distinct_offsets (jacobi_kernel ()) in
+          let offs = (Artemis_ir.Kernel_facts.of_kernel (jacobi_kernel ())).distinct_offsets in
           Alcotest.(check (option int)) "7 offsets" (Some 7)
             (Option.map List.length (List.assoc_opt "in" offs)));
       case "offset range along stream dim" (fun () ->

@@ -8,8 +8,7 @@ module Suite = Artemis_bench.Suite
 let case name f = Alcotest.test_case name `Quick f
 
 let body_of src =
-  let p = Parser.parse_program src in
-  Check.check p;
+  let p = Artemis.parse_string src in
   (List.hd p.stencils).body
 
 (* Every node's producers precede it in [order]; nodes missing from

@@ -11,8 +11,8 @@ let tests =
     [
       case "parse_string checks semantics" (fun () ->
           match Artemis.parse_string "iterator i; double u[Z];" with
-          | exception Artemis.Check.Semantic_error _ -> ()
-          | _ -> Alcotest.fail "expected Semantic_error");
+          | exception Artemis.Diagnostic.Rejected ({ phase = Semantic; line = None; _ } :: _) -> ()
+          | _ -> Alcotest.fail "expected a semantic diagnostic");
       case "optimize_kernel never loses to its baseline" (fun () ->
           List.iter
             (fun bname ->
@@ -164,7 +164,52 @@ let tests =
             [
               ("parameter L=8;\niterator i;\ndouble u[L] @;\n", ":3: lexical error");
               ("parameter L=8;\niterator i;\ndouble u[L;\n", ":3: syntax error");
+              ( "parameter L=8;\niterator i;\ndouble u[L]; stencil s (a) { a[i] = 1e * a[i]; }\n",
+                ":3: lexical error" );
+              ("parameter L=8;\niterator i;\ndouble u[4611686018427387904];\n", ":3: lexical error");
             ]);
+      (* Each program is a small edit of one 1-D program; each once escaped
+         a subcommand as an uncaught exception (exit 125). *)
+      case "front-end failures exit 1 from every subcommand" (fun () ->
+          let program ?(decl = "double u[L], v[L];") ?(body = "b[i] = 0.5 * a[i];")
+              ?(params = "L=8") ?(iters = "i") () =
+            Printf.sprintf
+              "parameter %s;\niterator %s;\n%s\ncopyin u;\nstencil s (a, b) {\n  %s\n}\n\
+               s (u, v);\ncopyout v;\n"
+              params iters decl body
+          in
+          List.iter
+            (fun (label, src) ->
+              let path = Filename.temp_file "artemis_cli" ".stc" in
+              Fun.protect
+                ~finally:(fun () -> Sys.remove path)
+                (fun () ->
+                  Out_channel.with_open_bin path (fun oc -> output_string oc src);
+                  List.iter
+                    (fun cmd ->
+                      let st, out, err = Util.artemisc (cmd ^ " " ^ Filename.quote path) in
+                      let what = Printf.sprintf "%s %s" label cmd in
+                      Alcotest.(check int) (what ^ ": exit status") 1 st;
+                      Alcotest.(check bool) (what ^ ": names the file") true
+                        (Util.contains ~sub:path err || Util.contains ~sub:path out))
+                    [ "check"; "lint"; "analyze"; "explain"; "compile"; "optimize" ]))
+            [ ("writes no array", program ~body:"double t = a[i];" ());
+              ( "output rank above the iterator count",
+                program ~decl:"double u[L,L], v[L,L];" ~body:"b[0][i] = a[0][i];" () );
+              ("semantically invalid", program ~body:"b[i][i] = a[i][i];" ());
+              ( "no launch",
+                String.concat "\n"
+                  (List.filter
+                     (fun l -> l <> "s (u, v);")
+                     (String.split_on_char '\n' (program ()))) );
+              ("malformed float", program ~body:"b[i] = 1e * a[i];" ());
+              ("integer past max_int", program ~params:"L=4611686018427387904" ());
+              ("shift past max_int", program ~body:"b[i] = a[i+99999999999999999999];" ());
+              ("zero extent from a parameter", program ~params:"L=0" ());
+              ("1-D extent past 2^53", program ~params:"L=4611686018427387903" ());
+              ( "3-D element count past 2^53",
+                program ~params:"L=3000000" ~iters:"k, j, i" ~decl:"double u[L,L,L], v[L,L,L];"
+                  ~body:"b[k][j][i] = 0.5 * a[k][j][i];" () ) ]);
       case "--prerank-keep accepts only finite percentages above 0" (fun () ->
           let run v =
             Util.artemisc ("explain --bench 7pt-smoother --json --prerank-keep=" ^ v)

@@ -17,7 +17,7 @@ let dev = Artemis_gpu.Device.p100
 (* Run a program's schedule with [plan_of] configuring each kernel and
    compare every copyout array against the reference executor. *)
 let compare_program ?(tol = 0.0) ?(margin = 0) (prog : A.program) ~plan_of =
-  Check.check prog;
+  Util.assert_checked prog;
   let sched = I.schedule prog in
   let scalars = E.Reference.scalars_of_program prog in
   let ref_store = E.Reference.store_of_program prog in
@@ -152,7 +152,7 @@ let tests =
               (E.Grid.get (E.Reference.find_array store "a") [| 0 |]));
         case "executor rejects accumulate-first intermediates" (fun () ->
             let prog =
-              Parser.parse_program
+              Artemis.parse_string
                 {|parameter L=8; iterator k, j, i;
                   double u[L,L,L], g[L,L,L], o[L,L,L];
                   stencil s0 (O, G, U) {
@@ -161,7 +161,6 @@ let tests =
                   }
                   s0 (o, g, u);|}
             in
-            Check.check prog;
             let k =
               match I.schedule prog with
               | [ I.Launch k ] -> k

@@ -28,10 +28,7 @@ let blur2d_src n =
       copyout out;|}
     n n
 
-let parse_checked src =
-  let p = Parser.parse_program src in
-  Check.check p;
-  p
+let parse_checked = Artemis.parse_string
 
 let tests =
   ( "extensions",
@@ -112,7 +109,7 @@ let tests =
           List.iter
             (fun (b0 : X.t) ->
               let b = X.at_size 20 b0 in
-              Check.check b.prog;
+              Util.assert_checked b.prog;
               let sched = I.schedule b.prog in
               let scalars = E.Reference.scalars_of_program b.prog in
               let ref_store = E.Reference.store_of_program b.prog in

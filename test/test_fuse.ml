@@ -17,7 +17,7 @@ let case name f = Alcotest.test_case name `Quick f
 let check_fusion_semantics ?(n = 14) bname ~schedule =
   let b = Suite.at_size n (Suite.find bname) in
   let prog = b.prog in
-  Check.check prog;
+  Util.assert_checked prog;
   let scalars = E.Reference.scalars_of_program prog in
   let sched = I.schedule prog in
   let pp =
@@ -198,9 +198,8 @@ let tests =
           let k = curv_kernel () in
           let parts = Fission.trivial k in
           let prog = Fission.to_dsl k parts in
-          Check.check prog;
+          Util.assert_checked prog;
           let printed = Pretty.program_to_string prog in
-          let reparsed = Parser.parse_program printed in
-          Check.check reparsed;
+          let reparsed = Artemis.parse_string printed in
           Alcotest.(check int) "three stencils" 3 (List.length reparsed.stencils));
     ] )

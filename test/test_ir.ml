@@ -49,12 +49,13 @@ let check_facts (k : I.kernel) =
   let expect what ok = if not ok then Alcotest.failf "%s: %s differs" k.kname what in
   let copy : I.kernel = Marshal.from_string (Marshal.to_string k []) 0 in
   expect "facts of a copy" (Kernel_facts.of_kernel copy = f);
-  expect "read_accesses" (f.read_accesses = Analysis.read_accesses k);
+  let reads = List.concat_map Analysis.accesses_of_stmt k.body in
+  expect "read_accesses" (f.read_accesses = reads);
   let exts = Analysis.required_extents k in
   let sorted_exts = List.sort compare (Hashtbl.fold (fun a e acc -> (a, e) :: acc) exts []) in
   expect "required_extents" (f.required_extents = sorted_exts);
-  expect "distinct_offsets" (f.distinct_offsets = Analysis.distinct_offsets k);
-  expect "reads_per_point" (f.reads_per_point = Analysis.reads_per_point k);
+  expect "distinct_offsets" (f.distinct_offsets = Analysis.offsets_of_reads k.iters reads);
+  expect "reads_per_point" (f.reads_per_point = Analysis.tally_reads k reads);
   expect "self_deps"
     (f.self_deps = List.map (Artemis_static.Static.self_dependences ~iters:k.iters) k.body);
   let written = List.filter_map A.written_array k.body in

@@ -5,6 +5,15 @@ module L = Lexer
 
 let toks src = List.map fst (L.tokenize src)
 
+(* [src] fails to lex with a [Lex] diagnostic on [line] saying [message]. *)
+let lex_error ~line ~message src =
+  match L.tokenize src with
+  | exception Diagnostic.Rejected [ d ] ->
+    Alcotest.(check bool) "lexical phase" true (d.phase = Lex);
+    Alcotest.(check (option int)) "line" (Some line) d.line;
+    Alcotest.(check string) "message" message d.message
+  | _ -> Alcotest.fail "expected a lexical error"
+
 let check_toks name src expected =
   Alcotest.test_case name `Quick (fun () ->
       let got = toks src in
@@ -42,16 +51,21 @@ let tests =
           let lines = List.filter_map (fun (tok, l) -> if tok = L.EOF then None else Some l) t in
           Alcotest.(check (list int)) "lines" [ 1; 2; 4 ] lines);
       case "unknown directive rejected" (fun () ->
-          Alcotest.check_raises "raises" (L.Lex_error ("unknown directive #define", 1))
-            (fun () -> ignore (L.tokenize "#define")));
+          lex_error ~line:1 ~message:"unknown directive #define" "#define");
       case "bad character rejected" (fun () ->
-          match L.tokenize "a $ b" with
-          | exception L.Lex_error (_, 1) -> ()
-          | _ -> Alcotest.fail "expected Lex_error");
+          lex_error ~line:1 ~message:"unexpected character '$'" "a $ b");
       case "unterminated comment rejected" (fun () ->
-          match L.tokenize "/* never closed" with
-          | exception L.Lex_error (_, _) -> ()
-          | _ -> Alcotest.fail "expected Lex_error");
+          lex_error ~line:1 ~message:"unterminated comment" "/* never closed");
+      case "malformed float literal rejected" (fun () ->
+          lex_error ~line:2 ~message:"malformed float literal 1e" "b[i] =\n 1e * a[i];";
+          lex_error ~line:1 ~message:"malformed float literal 2.5E+" "2.5E+");
+      case "integer literal past max_int rejected" (fun () ->
+          Alcotest.(check bool) "max_int lexes" true
+            (toks (string_of_int max_int) = [ L.INT max_int; L.EOF ]);
+          lex_error ~line:1 ~message:"integer literal 4611686018427387904 out of range"
+            "parameter L=4611686018427387904;";
+          lex_error ~line:3 ~message:"integer literal 99999999999999999999 out of range"
+            "\n\na[i+99999999999999999999]");
       case "keywords are not prefixes" (fun () ->
           Alcotest.(check bool) "stencils is ident" true
             (toks "stencils" = [ L.IDENT "stencils"; L.EOF ]));

@@ -419,14 +419,19 @@ let misc =
           (Artemis.Json.to_string (Lint.findings_to_json fs))
           (Artemis.Json.to_string (Lint.findings_to_json shuffled)));
     case "A001 wraps checker output" (fun () ->
-        let prog =
-          Artemis.Parser.parse_program
-            {|parameter L=8, L=9; iterator i; double u[L];
-              stencil s0 (x) { x[i] = x[i]; } s0 (u); copyin nosuch;|}
+        let ds =
+          match
+            Artemis.Frontend.program
+              {|parameter L=8, L=9; iterator i; double u[L];
+                stencil s0 (x) { x[i] = x[i]; } s0 (u); copyin nosuch;|}
+          with
+          | Error ds -> ds
+          | Ok _ -> Alcotest.fail "expected semantic errors"
         in
-        let msgs = Artemis.Check.check_all prog in
-        Alcotest.(check bool) "multiple violations" true (List.length msgs >= 2);
-        let fs = Lint.semantic_findings msgs in
+        Alcotest.(check bool) "multiple violations" true (List.length ds >= 2);
+        let fs = Lint.semantic_findings ~location:"p.stc" ds in
+        Alcotest.(check bool) "located" true
+          (List.for_all (fun f -> f.Lint.location = "p.stc") fs);
         assert_has "A001" fs;
         Alcotest.(check bool) "all errors" true (List.exists (fun f -> f.Lint.severity = Lint.Error) fs));
     case "catalog has >= 8 distinct codes" (fun () ->
@@ -438,7 +443,8 @@ let misc =
         let catalogued = List.map (fun (c, _, _) -> c) Lint.catalog in
         let reported =
           codes
-            (Lint.semantic_findings [ "m" ]
+            (Lint.semantic_findings ~location:"program"
+               [ { Artemis.Diagnostic.phase = Semantic; line = None; message = "m" } ]
             @ lint_prog
                 {|parameter L=2; iterator i; double u[L], v[L], z[L];
                   stencil s0 (x, y, w) { double t = y[i]; x[i] = y[i-1] + y[i+1]; }

@@ -115,9 +115,9 @@ let tests =
           | _ -> Alcotest.fail "call structure wrong");
       case "syntax error reports line" (fun () ->
           match parse "iterator k;\nstencil broken (" with
-          | exception Parser.Parse_error (_, line) ->
+          | exception Diagnostic.Rejected [ { phase = Parse; line = Some line; _ } ] ->
             Alcotest.(check bool) "line >= 2" true (line >= 2)
-          | _ -> Alcotest.fail "expected Parse_error");
+          | _ -> Alcotest.fail "expected a syntax error");
       case "round-trip listing 1" (fun () ->
           let p = parse jacobi_src in
           let printed = Pretty.program_to_string p in

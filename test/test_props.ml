@@ -85,7 +85,7 @@ let prop_order_is_max_offset =
             Array.fold_left
               (fun acc (it, s) -> if it = None then acc else max acc (abs s))
               acc a.binding)
-          0 (An.read_accesses k)
+          0 (List.concat_map An.accesses_of_stmt k.body)
       in
       An.stencil_order k = expected)
 
@@ -145,7 +145,7 @@ let prop_required_extents_cover_reads =
                 let lo, hi = ext.(d) in
                 lo <= ov.(d) && ov.(d) <= hi)
               (Array.init 3 Fun.id))
-        (An.read_accesses k))
+        (List.concat_map An.accesses_of_stmt k.body))
 
 let prop_pad_exact =
   Q.Test.make ~name:"pad_to lands on any target >= base" ~count:200

@@ -78,7 +78,6 @@ let gauss_seidel_src =
 
 let pingpong_kernel src =
   let prog = Artemis.parse_string src in
-  Check.check prog;
   match
     List.find_map Artemis.Fusion.pingpong_of_item (I.schedule prog)
   with
@@ -117,7 +116,6 @@ let count_blocked steps =
 let blocked_vs_unblocked ?schedule ?(halo = Plan.Halo_recompute)
     ?(tbuf = Plan.Shared_double) ~degree src =
   let prog = Artemis.parse_string src in
-  Check.check prog;
   let sched = I.schedule prog in
   let scalars = E.Reference.scalars_of_program prog in
   let ref_store = E.Reference.store_of_program prog in

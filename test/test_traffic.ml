@@ -169,7 +169,7 @@ let tests =
             (small.counters.gld_transactions > big.counters.gld_transactions));
       case "folding removes executed FLOPs but not useful ones" (fun () ->
           let prog =
-            Artemis_dsl.Parser.parse_program
+            Artemis.parse_string
               {|parameter L=16; iterator k, j, i;
                 double p[L,L,L], q[L,L,L], o[L,L,L];
                 stencil s0 (O, P, Q) {
@@ -178,7 +178,6 @@ let tests =
                 }
                 s0 (o, p, q);|}
           in
-          Artemis_dsl.Check.check prog;
           let k =
             match Artemis_dsl.Instantiate.schedule prog with
             | [ Artemis_dsl.Instantiate.Launch k ] -> k

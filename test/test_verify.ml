@@ -69,11 +69,7 @@ let tests =
           List.iter
             (fun index ->
               let p = (Gen.generate ~seed:9 ~index).Gen.prog in
-              let reparsed =
-                Artemis_dsl.Parser.parse_program
-                  (Artemis_dsl.Pretty.program_to_string p)
-              in
-              Artemis_dsl.Check.check reparsed)
+              ignore (Artemis.parse_string (Artemis_dsl.Pretty.program_to_string p)))
             [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
       case "harness summary is reproducible" (fun () ->
           let s1 = Harness.run ~seed:5 ~cases:4 () in
@@ -98,7 +94,7 @@ let tests =
           let c = Gen.generate ~seed:3 ~index:1 in
           let trial = { Sampler.variant = Sampler.Plain; cfg = Sampler.default_cfg } in
           let r = Shrink.minimize ~fails:(fun _ _ -> true) c.Gen.prog trial in
-          Artemis_dsl.Check.check r.Shrink.prog;
+          Util.assert_checked r.Shrink.prog;
           Alcotest.(check bool) "instantiates" true
             (Artemis_dsl.Instantiate.schedule r.Shrink.prog <> []);
           Alcotest.(check bool) "made progress" true (r.Shrink.steps > 0);
@@ -139,7 +135,7 @@ let tests =
               (Filename.check_suffix stc_name ".stc");
             Alcotest.(check bool) "repro extension" true
               (Filename.check_suffix txt_name ".repro.txt");
-            Artemis_dsl.Check.check (Artemis_dsl.Parser.parse_program stc);
+            ignore (Artemis.parse_string stc);
             Alcotest.(check bool) "replay command present" true
               (Util.contains ~sub:"artemisc fuzz --seed 1" txt)
           | files -> Alcotest.failf "expected 2 dump files, got %d" (List.length files));

@@ -68,3 +68,11 @@ let valid p =
   match Artemis_ir.Validate.validate p with
   | Ok v -> v
   | Error vs -> Alcotest.fail (Artemis_ir.Validate.describe p vs)
+
+(* Fail the test with the checker's messages unless [prog] checks. *)
+let assert_checked (prog : Artemis_dsl.Ast.program) =
+  match Artemis_dsl.Check.check_all prog with
+  | [] -> ()
+  | ds ->
+    Alcotest.failf "semantic errors: %s"
+      (String.concat "; " (List.map (fun (d : Artemis_dsl.Diagnostic.t) -> d.message) ds))
