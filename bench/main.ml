@@ -597,23 +597,27 @@ let v100 () =
    and the pre-rank rows must choose the same plans from fewer analytic
    measurements — both asserted and reported. *)
 
+(* A row's measurement store: none, a fresh temporary [--cache-dir], or
+   the last [Cold] row's directory, already filled. *)
+type cache = Off | Cold | Warm
+
 type tuner_cfg = {
   cfg_name : string;
   cfg_jobs : int;
-  cfg_warm : bool;  (* keep the cache from the previous row *)
+  cfg_cache : cache;
   cfg_prerank : float;  (* pre-rank keep %% (100 = off) *)
 }
 
 let tuner_configs =
   let prerank = Artemis.Hierarchical.default_prerank_keep in
-  [ { cfg_name = "serial-cold"; cfg_jobs = 1; cfg_warm = false; cfg_prerank = 100.0 };
-    { cfg_name = "jobs4-cold"; cfg_jobs = 4; cfg_warm = false; cfg_prerank = 100.0 };
-    { cfg_name = "jobs4-warm"; cfg_jobs = 4; cfg_warm = true; cfg_prerank = 100.0 };
-    { cfg_name = "prerank-serial-cold"; cfg_jobs = 1; cfg_warm = false;
+  [ { cfg_name = "serial-cold"; cfg_jobs = 1; cfg_cache = Off; cfg_prerank = 100.0 };
+    { cfg_name = "jobs4-cold"; cfg_jobs = 4; cfg_cache = Cold; cfg_prerank = 100.0 };
+    { cfg_name = "jobs4-warm"; cfg_jobs = 4; cfg_cache = Warm; cfg_prerank = 100.0 };
+    { cfg_name = "prerank-serial-cold"; cfg_jobs = 1; cfg_cache = Off;
       cfg_prerank = prerank };
-    { cfg_name = "prerank-jobs4-cold"; cfg_jobs = 4; cfg_warm = false;
+    { cfg_name = "prerank-jobs4-cold"; cfg_jobs = 4; cfg_cache = Cold;
       cfg_prerank = prerank };
-    { cfg_name = "prerank-jobs4-warm"; cfg_jobs = 4; cfg_warm = true;
+    { cfg_name = "prerank-jobs4-warm"; cfg_jobs = 4; cfg_cache = Warm;
       cfg_prerank = prerank } ]
 
 (* The three components.  Each returns a printable artifact that must be
@@ -654,9 +658,25 @@ let measured_row (name, f) =
 
 let tuner_rows ~fuzz_cases ~max_tile cfg =
   with_jobs cfg.cfg_jobs (fun () ->
-      if not cfg.cfg_warm then Artemis.Measure_cache.clear ();
       List.map measured_row
         (tuner_components ~fuzz_cases ~max_tile ~prerank_keep:cfg.cfg_prerank))
+
+(* Every configuration's rows, in order: a [Cold] row fills a fresh
+   temporary store and a [Warm] row reads the last one back. *)
+let tuner_matrix ~fuzz_cases ~max_tile =
+  let dirs = ref [] in
+  let run cfg =
+    let rows () = tuner_rows ~fuzz_cases ~max_tile cfg in
+    if cfg.cfg_cache = Cold then dirs := Filename.temp_dir "artemis-bench-cache" "" :: !dirs;
+    if cfg.cfg_cache = Off then rows () else Artemis.Measure_cache.with_dir (List.hd !dirs) rows
+  in
+  let remove d =
+    Array.iter (fun e -> Sys.remove (Filename.concat d e)) (Sys.readdir d);
+    Sys.rmdir d
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter remove !dirs)
+    (fun () -> List.map (fun cfg -> (cfg, run cfg)) tuner_configs)
 
 (* Analytic measurements spent on the tuning components — the work the
    pre-rank is meant to save.  The fuzz component never
@@ -721,7 +741,8 @@ let write_tuner_json matrix =
                (fun (cfg, rows) ->
                  J.Obj
                    [ ("name", J.Str cfg.cfg_name); ("jobs", J.Int cfg.cfg_jobs);
-                     ("cache", J.Str (if cfg.cfg_warm then "warm" else "cold"));
+                     ( "cache",
+                       J.Str (match cfg.cfg_cache with Off -> "off" | Cold -> "cold" | Warm -> "warm") );
                      ("prerank_keep_pct", J.Float cfg.cfg_prerank);
                      ("components",
                       J.List
@@ -738,9 +759,7 @@ let write_tuner_json matrix =
 
 let tuner () =
   header "Tuner determinism (serial vs jobs=4, cache cold vs warm, pre-rank)";
-  let matrix =
-    List.map (fun cfg -> (cfg, tuner_rows ~fuzz_cases:60 ~max_tile:3 cfg)) tuner_configs
-  in
+  let matrix = tuner_matrix ~fuzz_cases:60 ~max_tile:3 in
   List.iter
     (fun (cfg, rows) ->
       Printf.printf "%-19s" cfg.cfg_name;
@@ -781,10 +800,10 @@ let model_smoke () =
   header "model smoke: pre-rank cut vs every candidate measured, suite x devices";
   (* Every chosen plan and its TFLOPS, in tuning order, the analytic
      measurements spent choosing them, and the exact / sketch score
-     ratio of every candidate they measured. *)
+     ratio of every candidate they measured, read from the journal. *)
   let tune_suite pct tune =
     with_jobs 2 (fun () ->
-        Artemis.Measure_cache.clear ();
+        Artemis.Journal.start ();
         let before = Artemis.Metrics.counter_value m_measures in
         let chosen =
           List.concat_map
@@ -796,11 +815,11 @@ let model_smoke () =
             Suite.all
         in
         let ratios =
-          List.map
-            (fun (m : Artemis.Analytic.measurement) ->
-              Artemis.Predict.exact_score m /. fst (Artemis.Predict.rank m.plan))
-            (Artemis.Measure_cache.measurements ())
+          List.filter_map
+            (fun ev -> Option.bind (Artemis.Json.member "exact_over_sketch" ev) Artemis.Json.to_float_opt)
+            (Artemis.Journal.events ())
         in
+        Artemis.Journal.stop ();
         (chosen, Artemis.Metrics.counter_value m_measures -. before, ratios))
   in
   let deep_bests (r : Artemis.deep_result) =
@@ -862,7 +881,6 @@ let model_smoke () =
      order, so fan-out must not show. *)
   let journal_with jobs =
     with_jobs jobs (fun () ->
-        Artemis.Measure_cache.clear ();
         Artemis.Journal.start ();
         ignore
           (Artemis.optimize_kernel

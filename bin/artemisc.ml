@@ -147,6 +147,20 @@ let pingpong_pair_of prog =
         (Artemis.Fusion.pingpong_of_item item))
     (Artemis.Instantiate.schedule prog)
 
+(* Deep tuning needs a ping-pong time loop; a program without one is
+   rejected, located at [label], before any tuning. *)
+let no_time_loop label = `Error (false, label ^ ": program has no ping-pong time loop")
+
+(* An integer flag with a floor: a value below it is a usage error
+   naming the flag (exit 1), not a failure deep inside the run. *)
+let int_from lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "%S is not an integer >= %d" s lo))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let cache_dir_arg =
   Arg.(value & opt (some string) None
        & info [ "cache-dir" ] ~docv:"DIR"
@@ -654,7 +668,7 @@ let deep_json (dr : Artemis.deep_result) schedule time =
 
 let deep_cmd =
   let iterations =
-    Arg.(value & opt (some int) None & info [ "T"; "iterations" ] ~docv:"T"
+    Arg.(value & opt (some (int_from 0)) None & info [ "T"; "iterations" ] ~docv:"T"
            ~doc:"Build the fusion schedule for $(docv) iterations instead of \
                  the program's own count")
   in
@@ -664,27 +678,31 @@ let deep_cmd =
     set_jobs jobs;
     set_cache_dir cache_dir;
     with_program path @@ fun prog ->
-    try
+    if pingpong_pair_of prog = None then no_time_loop path
+    else
       let dr = Artemis.deep_tune ~device ~max_degree ~prerank_keep:prerank prog in
-      List.iter
-        (fun (v : Artemis.Deep.version) ->
-          Printf.printf "(%dx%d): %.3f TFLOPS  [%s]\n" v.time_tile v.degree
-            v.record.best.tflops
-            (Artemis.Classify.verdict_to_string v.profile.verdict))
-        dr.deep.versions;
-      let schedule, time =
-        match iterations with
-        | Some t -> Artemis.Deep.optimal_schedule dr.deep ~t
-        | None -> (dr.schedule, dr.predicted_time)
-      in
-      Printf.printf "fusion schedule: [%s]  (predicted %.3e s)\n"
-        (String.concat "; " (List.map string_of_int schedule))
-        time;
-      match report_json with
-      | Some jpath ->
-        write_file jpath (Json.to_string ~indent:true (deep_json dr schedule time))
-      | None -> `Ok ()
-    with Invalid_argument msg -> `Error (false, msg)
+      if dr.deep.versions = [] then
+        `Error (false, path ^ ": no fusion width of the time loop has a launchable configuration")
+      else begin
+        List.iter
+          (fun (v : Artemis.Deep.version) ->
+            Printf.printf "(%dx%d): %.3f TFLOPS  [%s]\n" v.time_tile v.degree
+              v.record.best.tflops
+              (Artemis.Classify.verdict_to_string v.profile.verdict))
+          dr.deep.versions;
+        let schedule, time =
+          match iterations with
+          | Some t -> Artemis.Deep.optimal_schedule dr.deep ~t
+          | None -> (dr.schedule, dr.predicted_time)
+        in
+        Printf.printf "fusion schedule: [%s]  (predicted %.3e s)\n"
+          (String.concat "; " (List.map string_of_int schedule))
+          time;
+        match report_json with
+        | Some jpath ->
+          write_file jpath (Json.to_string ~indent:true (deep_json dr schedule time))
+        | None -> `Ok ()
+      end
   in
   Cmd.v
     (Cmd.info "deep" ~exits
@@ -769,7 +787,7 @@ let explain_cmd =
                  suite benchmarks do this automatically)")
   in
   let max_tile_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt (some (int_from 1)) None
          & info [ "max-tile" ] ~docv:"K"
              ~doc:"Cap deep tuning at time tile $(docv) (default 5)")
   in
@@ -808,67 +826,60 @@ let explain_cmd =
     in
     match source with
     | `Error _ as e -> e
+    | `Ok (prog, label, _) when deep && pingpong_pair_of prog = None -> no_time_loop label
     | `Ok (prog, label, iterative) -> (
       Artemis.Journal.start ();
-      let pingpong =
-        if max_degree > 1 then pingpong_pair_of prog else None
-      in
+      let pair = pingpong_pair_of prog in
       let results =
         List.map
           (fun k ->
             Artemis.optimize_kernel ~device ~iterative ~max_degree
-              ~prerank_keep:prerank ?pingpong k)
+              ~prerank_keep:prerank
+              ?pingpong:(if max_degree > 1 then pair else None)
+              k)
           (kernels_of prog)
       in
       (* Iterative benchmarks get the Section VI-A flow too, so the
-         journal covers the DP decision; --deep demands it and fails
-         loudly on programs with no ping-pong loop. *)
-      let deep_error =
-        if deep || iterative then
-          match
-            Artemis.deep_tune ~device ?max_tile ~max_degree ~prerank_keep:prerank prog
-          with
-          | (_ : Artemis.deep_result) -> None
-          | exception Invalid_argument msg -> if deep then Some msg else None
-        else None
-      in
+         journal covers the DP decision; --deep demands it. *)
+      if (deep || iterative) && pair <> None then
+        ignore
+          (Artemis.deep_tune ~device ?max_tile ~max_degree ~prerank_keep:prerank prog
+            : Artemis.deep_result);
       Artemis.Journal.stop ();
-      match deep_error with
-      | Some msg -> `Error (false, msg)
-      | None ->
-        let events = Artemis.Journal.events () in
-        (match journal with
-         | None -> `Ok ()
-         | Some jpath -> (
-           match Artemis.Journal.write jpath with
-           | () ->
-             Printf.printf "wrote %s (%d journal event(s))\n" jpath
-               (Artemis.Journal.event_count ());
-             `Ok ()
-           | exception Sys_error msg -> `Error (false, msg)))
-        >>? fun () ->
-        let report = Artemis.Provenance.report ~program:label events in
-        let report = if plan then add_plans report results else report in
-        if json then print_endline (Json.to_string ~indent:true report)
-        else begin
-          print_string (Artemis.Provenance.render report);
-          if plan then
-            List.iter
-              (fun (r : Artemis.result) ->
-                Printf.printf "\nwinning plan lint (%s):\n"
-                  r.kernel.Artemis.Instantiate.kname;
-                print_string
-                  (Artemis.Lint.report (Artemis.Lint.lint_plan r.tuned.plan)))
-              results
-        end;
-        `Ok ())
+      let events = Artemis.Journal.events () in
+      (match journal with
+       | None -> `Ok ()
+       | Some jpath -> (
+         match Artemis.Journal.write jpath with
+         | () ->
+           Printf.printf "wrote %s (%d journal event(s))\n" jpath
+             (Artemis.Journal.event_count ());
+           `Ok ()
+         | exception Sys_error msg -> `Error (false, msg)))
+      >>? fun () ->
+      let report = Artemis.Provenance.report ~program:label events in
+      let report = if plan then add_plans report results else report in
+      if json then print_endline (Json.to_string ~indent:true report)
+      else begin
+        print_string (Artemis.Provenance.render report);
+        if plan then
+          List.iter
+            (fun (r : Artemis.result) ->
+              Printf.printf "\nwinning plan lint (%s):\n"
+                r.kernel.Artemis.Instantiate.kname;
+              print_string
+                (Artemis.Lint.report (Artemis.Lint.lint_plan r.tuned.plan)))
+            results
+      end;
+      `Ok ())
   in
   Cmd.v
     (Cmd.info "explain" ~exits
        ~doc:"Plan provenance from the decision journal: every candidate \
-             ranked (won / lost with margin / lint-pruned with code / \
-             failed), cache economics, and the winner's roofline-style \
-             traffic breakdown against the machine model")
+             ranked (won / lost with margin / lint-pruned or \
+             static-pruned with code / prerank-pruned), cache economics, \
+             and the winner's roofline-style traffic breakdown against the \
+             machine model")
     Term.(
       ret
         (const run $ trace_arg $ jobs_arg $ cache_dir_arg $ device_arg

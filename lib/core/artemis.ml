@@ -218,8 +218,10 @@ let deep_tune ?(device = Device.p100) ?(opts = Options.default) ?max_tile
       Lower.lower device fused { opts with Options.block = None; unroll = None }
     in
     let deep = Deep.explore ?max_tile ?max_degree ?prerank_keep ~plan_of k ~out ~inp in
-    let schedule, predicted_time = Deep.optimal_schedule deep ~t in
-    { deep; schedule; predicted_time }
+    if deep.versions = [] then { deep; schedule = []; predicted_time = infinity }
+    else
+      let schedule, predicted_time = Deep.optimal_schedule deep ~t in
+      { deep; schedule; predicted_time }
 
 (** CUDA source of the tuned plan. *)
 let cuda_of (r : result) = Cuda.emit r.tuned.plan

@@ -124,7 +124,9 @@ type deep_result = {
     temporal-blocking degree, so one launch covers (fusion width x
     degree) time steps and the opt(T) schedule composes over both.
     [prerank_keep] is each version's pre-rank cut, as for
-    {!optimize_kernel}.
+    {!optimize_kernel}.  When no fusion width has a launchable
+    configuration, [deep.versions] is empty, the schedule too, and the
+    predicted time infinite.
     @raise Invalid_argument when the program has no ping-pong time loop *)
 val deep_tune :
   ?device:Device.t -> ?opts:Options.t -> ?max_tile:int -> ?max_degree:int ->

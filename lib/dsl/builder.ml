@@ -5,7 +5,6 @@
 open Ast
 
 let c f = Const f
-let ci n = Const (float_of_int n)
 let s name = Scalar_ref name
 
 (** [a3 name (dk, dj, di)] — 3-D access at offsets from the center point,
@@ -26,7 +25,6 @@ let ( + ) e1 e2 = Bin (Add, e1, e2)
 let ( - ) e1 e2 = Bin (Sub, e1, e2)
 let ( * ) e1 e2 = Bin (Mul, e1, e2)
 let ( / ) e1 e2 = Bin (Div, e1, e2)
-let neg e = Neg e
 
 (** Balanced sum of a non-empty expression list. *)
 let sum = function
@@ -54,7 +52,6 @@ let stencil ?(assign = []) ?(pragma = empty_pragma) name formals body =
   { sname = name; formals; body; assign; pragma }
 
 let array name dims = Array_decl (name, List.map (fun p -> Dparam p) dims)
-let array_const name dims = Array_decl (name, List.map (fun n -> Dconst n) dims)
 let scalar name = Scalar_decl name
 
 (** Assemble a program; [copyin]/[copyout] default to all declared names

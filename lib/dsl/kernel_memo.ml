@@ -6,9 +6,10 @@
    kernel value among all its retimed variants.  Facts that depend only
    on the kernel are therefore cached against that value with [==],
    which costs a pointer compare instead of the structural hash and
-   equality of a whole stencil body.  Two tables use it: the kernel
-   facts record ([Artemis_ir.Kernel_facts]) and the traffic model's
-   per-kernel statement and staging table ([Artemis_exec.Traffic]).
+   equality of a whole stencil body.  Three tables use it: the kernel
+   facts record ([Artemis_ir.Kernel_facts]), the traffic model's
+   per-kernel statement and staging table ([Artemis_exec.Traffic]) and
+   the measurement store's kernel digest ([Artemis_tune.Measure_cache]).
 
    Each domain keeps its own short most-recently-used list, so pool
    workers never share mutable state and need no lock.  A tuning search

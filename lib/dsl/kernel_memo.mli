@@ -5,8 +5,9 @@
     depend only on the kernel are computed once per search.  Each domain
     keeps its own most-recently-used list of two kernels: safe to call
     from pool workers without a lock, and bounded whatever a run walks
-    through.  Its two users are [Artemis_ir.Kernel_facts.of_kernel] and
-    the traffic model's per-kernel table. *)
+    through.  Its three users are [Artemis_ir.Kernel_facts.of_kernel],
+    the traffic model's per-kernel table and the measurement store's
+    kernel digest. *)
 
 (** [memo f] is [f] cached per kernel value ([==]). *)
 val memo : (Instantiate.kernel -> 'a) -> Instantiate.kernel -> 'a

@@ -18,7 +18,6 @@ type read_array = {
 }
 
 type t = {
-  digest : Digest.t;
   read_accesses : An.access list;
   required_extents : (string * An.extent) list;
   distinct_offsets : (string * int array list) list;
@@ -144,7 +143,6 @@ let build (k : I.kernel) =
       reads_per_point
   in
   {
-    digest = Digest.string (Marshal.to_string k [ Marshal.No_sharing ]);
     read_accesses;
     required_extents;
     distinct_offsets;

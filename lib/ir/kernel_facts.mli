@@ -1,8 +1,8 @@
 (** Every fact that depends on a kernel alone and that more than one
     module reads, or that each tuner candidate would otherwise
     recompute: the launch's array roles, extents and interior, the
-    register model's inputs, the analyses these are built from, the
-    per-statement self-dependence verdicts and the kernel's digest.
+    register model's inputs, the analyses these are built from and the
+    per-statement self-dependence verdicts.
 
     A tuning search prices hundreds of candidates over one kernel value,
     so [of_kernel] is cached per domain on the kernel's physical
@@ -26,7 +26,6 @@ type read_array = {
 }
 
 type t = {
-  digest : Digest.t;  (** MD5 of the kernel's [Marshal.No_sharing] bytes *)
   read_accesses : An.access list;  (** {!An.accesses_of_stmt} over the body *)
   required_extents : (string * An.extent) list;
       (** {!An.required_extents}, sorted by name *)

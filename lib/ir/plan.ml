@@ -94,22 +94,11 @@ let perspective_to_string = function
   | Input_persp -> "input"
   | Mixed_persp -> "mixed"
 
-let distribution_to_string = function
-  | Cyclic -> "cyclic"
-  | Blocked -> "blocked"
-
 (** Dimension streamed by the plan, if any. *)
 let stream_dim (p : t) =
   match p.scheme with
   | Tiled -> None
   | Serial_stream d | Concurrent_stream (d, _) -> Some d
-
-(** Dimensions that are overlap-tiled (all except a serial stream dim). *)
-let tiled_dims (p : t) =
-  let r = rank p in
-  match p.scheme with
-  | Tiled | Concurrent_stream _ -> List.init r Fun.id
-  | Serial_stream d -> List.filter (fun i -> i <> d) (List.init r Fun.id)
 
 (** Storage class of an array under this plan (outputs are written to
     global memory; unplaced inputs default to global). *)

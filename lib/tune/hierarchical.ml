@@ -66,8 +66,8 @@ type outcome =
       (** the code of the register-stepped plan's first launch violation *)
   | Prerank_pruned of float  (** predicted seconds, outside the kept slice *)
   | Static_pruned of Lint.finding
-  | Measured of Analytic.measurement * [ `Hit | `Miss ] * float option
-      (** with the cache outcome and, when ranked, predicted seconds *)
+  | Measured of Analytic.measurement * [ `Hit | `Miss ] * (float * float) option
+      (** with the cache outcome and, when ranked, its [Predict.rank] *)
 
 (* The gate and the pre-rank of one batch.  Each candidate's
    register-stepped plan (what measurement runs: occupancy depends on
@@ -140,7 +140,7 @@ let wave = 4
 let judge_bounded ~k ~label judge exact gated =
   let ranked =
     List.mapi (fun i g -> (i, g)) gated
-    |> List.filter_map (function i, Ok (v, Some (s, t)) -> Some ((s, i), (v, t)) | _ -> None)
+    |> List.filter_map (function i, Ok (v, Some r) -> Some ((fst r, i), (v, r)) | _ -> None)
     |> List.sort (fun (a, _) (b, _) -> by_score a b)
   in
   match ranked with
@@ -163,7 +163,7 @@ let judge_bounded ~k ~label judge exact gated =
       match split wave todo with
       | [], [] -> None
       | [], (((score, index), _) :: _ as pruned) ->
-        List.iter (fun ((_, i), (_, t)) -> out.(i) <- Error (Prerank_pruned t)) pruned;
+        List.iter (fun ((_, i), (_, (_, t))) -> out.(i) <- Error (Prerank_pruned t)) pruned;
         Some { index; score; kth_best }
       | now, later ->
         List.iter2
@@ -174,11 +174,39 @@ let judge_bounded ~k ~label judge exact gated =
               (exact o);
             out.(index) <- Ok (Some o))
           now
-          (Pool.map ~label (fun (_, (v, t)) -> judge v (Some t)) now);
+          (Pool.map ~label (fun (_, (v, r)) -> judge v (Some r)) now);
         measure later
     in
     let stop = measure ranked in
     (Array.to_list (Array.map (Result.map Option.get) out), stop)
+
+(* One batch through [gate] and [judge_bounded] (against the k-th best),
+   with its [tuner.prerank] summary — what the gate kept and pruned, how
+   many candidates were measured (those [exact] scores) and where the
+   error bound stopped — appended from the main domain. *)
+let judge_batch ~pct ~phase ~label ~k judge exact plans =
+  let verdicts = gate ~pct ~label:(label ^ ".predict") plans in
+  let judged, stop = judge_bounded ~k ~label judge exact verdicts in
+  let n = List.length plans in
+  if Journal.enabled () && ranks ~pct n then begin
+    let count f l = List.length (List.filter f l) in
+    Journal.append "tuner.prerank"
+      [ ("phase", Json.Str phase); ("candidates", Json.Int n);
+        ("kept", Json.Int (count Result.is_ok verdicts));
+        ( "pruned",
+          Json.Int (count (function Error (Prerank_pruned _) -> true | _ -> false) verdicts) );
+        ("keep_pct", Json.Float pct); ("floor", Json.Float Predict.sketch_floor);
+        ( "measured",
+          Json.Int (count (function Ok o -> exact o <> None | Error _ -> false) judged) );
+        ( "stopped_at",
+          match stop with
+          | None -> Json.Null
+          | Some { index; score; kth_best } ->
+            Json.Obj
+              [ ("plan", Json.Str (Plan.label (List.nth plans index)));
+                ("score", Json.Float score); ("kth_best", Json.Float kth_best) ] ) ]
+  end;
+  judged
 
 (* The rest of considering a kept candidate — the static race lint and
    the measurement through the cache — is pure and side-effect-light,
@@ -186,7 +214,7 @@ let judge_bounded ~k ~label judge exact gated =
    decisions, journal, best-so-far folds) stays on the main domain,
    applied in canonical candidate order so parallel runs are
    bit-identical to serial ones. *)
-let judge v predicted =
+let judge v rank =
   (* The static race detector (A703) prunes like a launch error: a plan
      whose fan-out would execute a proven dependence out of order is not
      a measurable configuration. *)
@@ -194,7 +222,7 @@ let judge v predicted =
   | f :: _ -> Static_pruned f
   | [] ->
     let m, cache = Measure_cache.try_measure_outcome v in
-    Measured (m, cache, predicted)
+    Measured (m, cache, rank)
 
 (* One journal event per temporally-blocked configuration considered: the
    degree, halo policy, and buffer strategy with the tuner's verdict.
@@ -427,13 +455,13 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
       journal_temporal ~phase ~decision:"prerank-pruned"
         ~extra:[ ("predicted_time_s", Json.Float s) ] plan;
       acc
-    | Measured ((m : Analytic.measurement), cache, predicted) ->
+    | Measured ((m : Analytic.measurement), cache, rank) ->
       (* When pre-ranking is active the surviving candidates carry their
-         model score into the journal, so explain can put prediction and
-         measurement side by side for the winner. *)
+         model prediction into the journal, so explain can put prediction
+         and measurement side by side for the winner. *)
       let predicted_field =
-        match predicted with
-        | Some s -> [ ("predicted_time_s", Json.Float s) ]
+        match rank with
+        | Some (_, t) -> [ ("predicted_time_s", Json.Float t) ]
         | None -> []
       in
       incr explored;
@@ -452,7 +480,11 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
               ("verdict", Str (Classify.verdict_to_string prof.verdict));
               ("decision", Str (if kept then "keep" else "drop")) ]
       end;
-      if Journal.enabled () then
+      if Journal.enabled () then begin
+        (* The sketch's error on this candidate, the ratio
+           [Predict.sketch_floor] bounds from below; an unranked batch
+           computes the sketch here. *)
+        let sketch = match rank with Some (s, _) -> s | None -> fst (Predict.rank m.plan) in
         (* The full predicted-traffic record: this is what explain's
            roofline breakdown renders, so every byte class and both FLOP
            totals go in, not just the score. *)
@@ -472,7 +504,9 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
             ("oi_dram", Json.Float (Counters.oi_dram m.counters));
             ("oi_tex", Json.Float (Counters.oi_tex m.counters));
             ("oi_shm", Json.Float (Counters.oi_shm m.counters)) ]
-          @ predicted_field);
+          @ predicted_field
+          @ [ ("exact_over_sketch", Json.Float (Predict.exact_score m /. sketch)) ])
+      end;
       journal_temporal ~phase
         ~decision:(if kept then "keep" else "drop")
         ~extra:
@@ -483,42 +517,17 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
         history := (Plan.label m.plan, m.tflops) :: !history;
       better acc m
   in
-  (* Gate and pre-rank the batch, judge the kept candidates under the
-     error bound, then fold the outcomes on this domain in the
+  (* Judge the batch, then fold the outcomes on this domain in the
      candidates' canonical order — same accounting, same winner, and
-     the same tie-breaking as a serial sweep.  The [tuner.prerank]
-     summary, the metrics and every journal event happen here on the
-     main domain, so jobs=1 and jobs=N runs stay byte-identical. *)
+     the same tie-breaking as a serial sweep.  The metrics and every
+     journal event happen here on the main domain, so jobs=1 and jobs=N
+     runs stay byte-identical. *)
   let consider_all ~phase ~label acc plans =
-    let verdicts = gate ~pct:knobs.prerank_keep ~label:(label ^ ".predict") plans in
-    let judged, stop =
-      judge_bounded ~k:1 ~label judge
-        (function Measured (m, _, _) -> Some (Predict.exact_score m) | _ -> None)
-        verdicts
-    in
-    let outcomes = List.map (function Ok o | Error o -> o) judged in
-    let n = List.length plans in
-    if Journal.enabled () && ranks ~pct:knobs.prerank_keep n then begin
-      let count f l = List.length (List.filter f l) in
-      Journal.append "tuner.prerank"
-        [ ("phase", Json.Str phase); ("candidates", Json.Int n);
-          ("kept", Json.Int (count Result.is_ok verdicts));
-          ( "pruned",
-            Json.Int
-              (count (function Error (Prerank_pruned _) -> true | _ -> false) verdicts) );
-          ("keep_pct", Json.Float knobs.prerank_keep);
-          ("floor", Json.Float Predict.sketch_floor);
-          ( "measured",
-            Json.Int (count (function Measured _ -> true | _ -> false) outcomes) );
-          ( "stopped_at",
-            match stop with
-            | None -> Json.Null
-            | Some { index; score; kth_best } ->
-              Json.Obj
-                [ ("plan", Json.Str (Plan.label (List.nth plans index)));
-                  ("score", Json.Float score); ("kth_best", Json.Float kth_best) ] ) ]
-    end;
-    List.fold_left2 (consider_result ~phase) acc plans outcomes
+    judge_batch ~pct:knobs.prerank_keep ~phase ~label ~k:1 judge
+      (function Measured (m, _, _) -> Some (Predict.exact_score m) | _ -> None)
+      plans
+    |> List.map (function Ok o | Error o -> o)
+    |> List.fold_left2 (consider_result ~phase) acc plans
   in
   Metrics.incr m_tuner_runs;
   (* One header event per search: the machine-model constants explain
@@ -567,10 +576,11 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
     @@ fun () ->
     let top =
       (* Phase 1 measured the best-predicted of these (block,
-         p1-best-unroll) points, so those re-measure as cache hits.  The
-         sort must be stable: equal-TFLOPS blocks keep their canonical
-         candidate order, which is what makes the promoted set
-         independent of measurement order. *)
+         p1-best-unroll) points; the re-rank measures them again (from
+         the disk store, when one is set).  The sort must be stable:
+         equal-TFLOPS blocks keep their canonical candidate order, which
+         is what makes the promoted set independent of measurement
+         order. *)
       let cands =
         List.map (fun block -> { base with block; unroll = p1_best.plan.unroll }) blocks
       in
@@ -578,13 +588,14 @@ let tune ?(knobs = default_knobs) (base : Plan.t) =
          against the [top_n]-th best: only the launchable blocks the
          model rates are measured, and only until no later one can enter
          the top [top_n].  Both depend on nothing but the candidates and
-         the model, so cold and warm runs promote the same set. *)
+         the model, so cold and warm runs promote the same set.  Its
+         [tuner.prerank] event (phase "top") accounts for what it
+         measured. *)
       let measured =
-        gate ~pct:knobs.prerank_keep ~label:"tune.top.predict" cands
-        |> judge_bounded ~k:knobs.top_n ~label:"tune.top"
-             (fun v _ -> fst (Measure_cache.try_measure_outcome v))
-             (fun m -> Some (Predict.exact_score m))
-        |> fst
+        judge_batch ~pct:knobs.prerank_keep ~phase:"top" ~label:"tune.top" ~k:knobs.top_n
+          (fun v _ -> fst (Measure_cache.try_measure_outcome v))
+          (fun m -> Some (Predict.exact_score m))
+          cands
         |> List.filter_map Result.to_option
       in
       List.stable_sort

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Interface diet gate: every `val` a lib/ interface exports must have a
 # caller outside its own module in lib/, bin/, bench/, perf/ or
-# examples/.  A caller is a source file that names both the module and
+# examples/, and every top-level value of a lib/ module without an
+# interface must be used inside or outside its module.  A caller is a source file that names both the module and
 # the value (word match), so qualified calls, local aliases and `open`s
 # all count.  Test-only exports are allowed only when listed in
 # test/exports.allow with the reason a test needs them; an allowlist
@@ -32,10 +33,29 @@ uncalled=$(
         if [ -z "$naming" ] || ! grep -qw -- "$v" $naming; then echo "$mod.$v"; fi
       done
   done)
+# A module without an interface exports every top-level value, so its
+# top-level `let`s pass the same gate; since nothing hides them, a use
+# inside the module (a second mention in its own file) counts too.
+uncalled="$uncalled
+$(
+  for ml in $(find lib -name '*.ml' | sort); do
+    base=${ml%.ml}
+    [ -f "$base.mli" ] && continue
+    mod=$(basename "$base" | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }')
+    others=$(echo "$srcs" | grep -vxF -e "$ml")
+    naming=$(grep -lw -- "$mod" $others)
+    sed -nE "s/^let[[:space:]]+(rec[[:space:]]+)?([a-z_][A-Za-z0-9_']*).*/\2/p" "$ml" \
+      | grep -vx _ | sort -u | while read -r v; do
+        if [ "$(grep -ow -- "$v" "$ml" | wc -l)" -le 1 ] \
+          && { [ -z "$naming" ] || ! grep -qw -- "$v" $naming; }; then
+          echo "$mod.$v"
+        fi
+      done
+  done)"
 st=0
 for name in $uncalled; do
   if ! echo "$allowed" | grep -qxF "$name"; then
-    echo "exports: $name has no caller outside its module (delete it, or list it in $allow)"
+    echo "exports: $name has no caller (delete it, or list it in $allow)"
     st=1
   fi
 done

@@ -13,10 +13,10 @@
 
 let pins =
   [
-    ("--bench 7pt-smoother", "d29211ee53cde669e4afcc962e563f26");
-    ("--bench 7pt-smoother --prerank-keep 100", "d07608686531db4ffcec77e8dabb0eb5");
-    ("--bench rhs4sgcurv --device v100", "2f5ad9d30eff23692a5eee242fc59708");
-    ("--bench 27pt-smoother --max-degree 4", "ed66f2586832f91a54b01f5af1aa1adb");
+    ("--bench 7pt-smoother", "7ec6863ac11cb53f87c98951bae1a92a");
+    ("--bench 7pt-smoother --prerank-keep 100", "24570640daf5801b07a885ace9876aa2");
+    ("--bench rhs4sgcurv --device v100", "8c054c4e06f88bdf3d7cf77804c0b29d");
+    ("--bench 27pt-smoother --max-degree 4", "e41779065225d2d2fdc1bb0d4b7b174a");
   ]
 
 let tests =

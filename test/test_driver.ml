@@ -235,4 +235,50 @@ let tests =
               Alcotest.(check int) (args ^ ": exit status") 1 st)
             [ "bogus"; "explain --bogus"; "explain --bench 7pt-smoother --device foo";
               "explain --bench nope"; "explain" ]);
+      case "deep tuning failures exit 1 naming the file" (fun () ->
+          let with_program src f =
+            let path = Filename.temp_file "artemis_cli" ".stc" in
+            Fun.protect
+              ~finally:(fun () -> Sys.remove path)
+              (fun () ->
+                Out_channel.with_open_bin path (fun oc -> output_string oc src);
+                f path)
+          in
+          let fails ~sub cmd path =
+            let st, _, err = Util.artemisc (cmd ^ " " ^ Filename.quote path) in
+            Alcotest.(check int) (cmd ^ ": exit status") 1 st;
+            Alcotest.(check bool) (Printf.sprintf "%s: %S names the file" cmd err) true
+              (Util.contains ~sub:(path ^ ": " ^ sub) err)
+          in
+          let program ?(launch = "iterate 4 { s (v, u); swap (v, u); }") ?(iters = "j, i")
+              ?(decl = "double u[L,N], v[L,N];")
+              ?(body = "b[j][i] = 0.5 * (a[j][i-1] + a[j][i+1]);") params =
+            Printf.sprintf
+              "parameter %s;\niterator %s;\n%s\ncopyin u, v;\n\
+               stencil s (b, a) {\n  %s\n}\n%s\ncopyout v;\n"
+              params iters decl body launch
+          in
+          with_program (program ~launch:"s (v, u);" "L=8, N=16") (fun path ->
+              List.iter
+                (fun cmd -> fails ~sub:"program has no ping-pong time loop" cmd path)
+                [ "deep"; "explain --deep" ]);
+          (* Every fusion width's halo overflows shared memory, so no
+             version launches. *)
+          with_program
+            (program ~iters:"k, j, i" ~decl:"double u[L,L,N], v[L,L,N];"
+               ~body:"b[k][j][i] = a[k][j][i+60] + a[k][j][i-60] + a[k+30][j+30][i];"
+               "L=64, N=180")
+            (fun path ->
+              fails ~sub:"no fusion width of the time loop has a launchable configuration"
+                "deep" path);
+          with_program (program "L=8, N=16") (fun path ->
+              let st, _, _ = Util.artemisc ("deep " ^ Filename.quote path) in
+              Alcotest.(check int) "a loop deep-tunes: exit status" 0 st;
+              List.iter
+                (fun args ->
+                  let st, _, err = Util.artemisc ("deep " ^ Filename.quote path ^ " " ^ args) in
+                  Alcotest.(check int) (args ^ ": exit status") 1 st;
+                  Alcotest.(check bool) (Printf.sprintf "%s: %S is a usage error" args err) true
+                    (Util.contains ~sub:"Usage: artemisc deep" err))
+                [ "-T -1"; "--iterations=-1" ]));
     ] )

@@ -14,11 +14,8 @@ module I = Artemis_dsl.Instantiate
 let case name f = Alcotest.test_case name `Quick f
 
 (* The full explain pipeline on a small suite stencil: optimize every
-   kernel, deep-tune if iterative, return the journal as JSONL.  The
-   measurement cache is cleared first so cache hit/miss events are a
-   function of the run alone, not of previous tests. *)
+   kernel, deep-tune if iterative, return the journal as JSONL. *)
 let run_pipeline () =
-  Artemis.Measure_cache.clear ();
   Journal.start ();
   let b = Suite.at_size 32 (Suite.find "7pt-smoother") in
   List.iter
@@ -130,7 +127,6 @@ let tests =
              canonical candidate order, like tuner.candidate — the
              worker count must not leak into the byte stream. *)
           let run () =
-            Artemis.Measure_cache.clear ();
             Journal.start ();
             let b = Suite.at_size 32 (Suite.find "7pt-smoother") in
             ignore (Artemis.deep_tune ~max_tile:2 ~max_degree:2 b.Suite.prog);
@@ -165,6 +161,29 @@ let tests =
           (* The report must also render without raising. *)
           Alcotest.(check bool) "render is non-empty" true
             (String.length (Provenance.render report) > 0))
+      ;
+      case "pre-rank events account for every analytic measurement" (fun () ->
+          (* Phase 1, the [tune.top] re-rank and phase 2 each journal a
+             [tuner.prerank] event; with no cache directory every
+             measurement is an [Analytic.measure], so their [measured]
+             fields must add up to the counter's delta. *)
+          let m = Artemis.Metrics.counter "exec.analytic_measures" in
+          List.iter
+            (fun name ->
+              let k = List.hd (Suite.kernels (Suite.find name)) in
+              let base = Artemis.Lower.lower Artemis.Device.p100 k Artemis.Options.default in
+              let before = Artemis.Metrics.counter_value m in
+              Journal.start ();
+              ignore (Util.with_pool ~jobs:2 (fun () -> Artemis.Hierarchical.tune base));
+              let preranks = events_of_kind "tuner.prerank" (Journal.to_jsonl ()) in
+              Journal.stop ();
+              Alcotest.(check (list string)) (name ^ ": one event per phase")
+                [ "phase1"; "top"; "phase2" ]
+                (List.map (fun ev -> str_of (field "phase" ev)) preranks);
+              Alcotest.(check int) (name ^ ": measured sums to the measurements")
+                (int_of_float (Artemis.Metrics.counter_value m -. before))
+                (List.fold_left (fun acc ev -> acc + int_of (field "measured" ev)) 0 preranks))
+            [ "7pt-smoother"; "rhs4sgcurv" ])
       ;
       case "fuzz cases journal deterministically under the pool" (fun () ->
           let run () =

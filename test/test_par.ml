@@ -21,12 +21,10 @@ let smoother_kernel () = List.hd (Suite.kernels (Suite.find "7pt-smoother"))
    of each pipeline, rendered once so jobs=1 and jobs=4 runs compare as
    plain string equality. *)
 let optimize_artifact () =
-  Cache.clear ();
   let r = Artemis.optimize_kernel (smoother_kernel ()) in
   Printf.sprintf "%s explored=%d" (Plan.label r.tuned.plan) r.explored
 
 let deep_artifact () =
-  Cache.clear ();
   let b = Suite.find "7pt-smoother" in
   let dr = Artemis.deep_tune ~max_tile:2 b.prog in
   String.concat ";"
@@ -140,17 +138,14 @@ let coeff_src c =
 let lower_src src =
   Artemis_codegen.Lower.lower dev (Artemis.first_kernel (Artemis.parse_string src)) O.default
 
-(* Run [f] on a fresh cache directory and an empty in-memory table, then
-   remove the directory. *)
+(* Run [f] on a fresh cache directory, then remove the directory. *)
 let with_cache_dir f =
   let d = Filename.temp_dir "artemis-cache-test" "" in
   let files () = Array.to_list (Sys.readdir d) |> List.map (Filename.concat d) in
-  Cache.clear ();
   Fun.protect
     ~finally:(fun () ->
       List.iter Sys.remove (files ());
-      Sys.rmdir d;
-      Cache.clear ())
+      Sys.rmdir d)
     (fun () -> Cache.with_dir d (fun () -> f files))
 
 let write_file path s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
@@ -225,18 +220,33 @@ let cache_tests =
                   | fs -> Alcotest.failf "%s: expected one cache file, found %d" what (List.length fs)
                 in
                 corrupt path;
-                Cache.clear ();
                 let r', o' = Cache.try_measure_outcome p in
                 Alcotest.(check bool) (what ^ ": reads as a miss") true (o' = `Miss);
                 Alcotest.(check bool) (what ^ ": same result") true (r = r');
-                Cache.clear ();
                 let r'', o'' = Cache.try_measure_outcome p in
                 Alcotest.(check bool) (what ^ ": rewritten entry hits") true (o'' = `Hit);
                 Alcotest.(check bool) (what ^ ": same result after rewrite") true (r = r'')))
           corruptions);
+    case "two domains storing one key leave one readable entry" (fun () ->
+        let p = Util.valid (lower_src (coeff_src "0.5")) in
+        Util.with_pool ~jobs:2 (fun () ->
+            for round = 1 to 50 do
+              with_cache_dir (fun files ->
+                  let what = Printf.sprintf "round %d" round in
+                  let stored = Pool.map (fun () -> fst (Cache.try_measure_outcome p)) [ (); () ] in
+                  (match files () with
+                  | [ f ] ->
+                    Alcotest.(check bool) (what ^ ": the entry is a .cache file") true
+                      (Filename.check_suffix f ".cache")
+                  | fs -> Alcotest.failf "%s: expected one file, found %d" what (List.length fs));
+                  let r, o = Cache.try_measure_outcome p in
+                  Alcotest.(check bool) (what ^ ": the entry reads back") true (o = `Hit);
+                  Alcotest.(check bool) (what ^ ": both stores measured the same") true
+                    (List.for_all (( = ) r) stored))
+            done));
     case "warm tune measures zero new configurations" (fun () ->
         Util.with_pool ~jobs:1 (fun () ->
-            Cache.clear ();
+            with_cache_dir @@ fun _ ->
             let m = Metrics.counter "exec.analytic_measures" in
             let base =
               Artemis_codegen.Lower.lower dev (smoother_kernel ()) O.default

@@ -206,7 +206,6 @@ let tests =
         (fun () ->
           let run jobs =
             Util.with_pool ~jobs (fun () ->
-                Artemis.Measure_cache.clear ();
                 Journal.start ();
                 ignore
                   (Artemis.optimize_kernel ~prerank_keep:H.default_prerank_keep
